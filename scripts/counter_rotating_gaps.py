@@ -47,8 +47,8 @@ def main():
 
     ops = oracle.fock_operators(30)
     rho0 = oracle.to_density_matrix(state, 30)
-    t_nr = oracle.integrate(rho0, coeffs, "norenorm", ops=ops)
-    t_rwa = oracle.integrate(rho0, coeffs, "rwa", ops=ops)
+    trajs = oracle.integrate_modes(rho0, coeffs, ("norenorm", "rwa"), ops=ops)
+    t_nr, t_rwa = trajs["norenorm"], trajs["rwa"]
     print("oracle residuals:")
     print(f"  xx   {np.max(np.abs((t_nr.xx - t_rwa.xx) + norenorm.lam)):.2e}")
     print(f"  corr {np.max(np.abs((t_nr.xp_sym - t_rwa.xp_sym) + 2 * norenorm.theta)):.2e}")

@@ -34,6 +34,7 @@ def main():
     os.makedirs(args.outdir, exist_ok=True)
     grid = args.dt * np.arange(int(round(args.t_max / args.dt)) + 1)
     ops = oracle.fock_operators(args.dim)
+    modes = ("full", "norenorm", "rwa")
     states = {
         "coherent2": qcf.CoherentState(x0=2.0),
         "thermal1": qcf.ThermalState(nbar=1.0),
@@ -48,11 +49,12 @@ def main():
               f"gamma(t_max)={coeffs.gamma[-1]:.6f}")
         for name, state in states.items():
             rho0 = oracle.to_density_matrix(state, args.dim)
-            for mode in ("full", "norenorm", "rwa"):
+            trajs = oracle.integrate_modes(rho0, coeffs, modes, ops=ops,
+                                           leakage_threshold=3e-6)
+            for mode in modes:
                 bundle = build_propagator(spec, grid, mode, coeffs=coeffs)
                 series = qcf.observable_series(bundle, state)
-                traj = oracle.integrate(rho0, coeffs, mode, ops=ops,
-                                        leakage_threshold=3e-6)
+                traj = trajs[mode]
                 first = max(np.max(np.abs(series.mean_x - traj.mean_x)),
                             np.max(np.abs(series.mean_p - traj.mean_p)))
                 second = max(np.max(np.abs(series.xx - traj.xx)),

@@ -210,6 +210,12 @@ def parse_config(path) -> RunConfig:
             wigner_times = tuple(float(v) for v in raw.split(",") if v.strip())
         except ValueError as exc:
             raise ValidationError(f"line {lineno}: wigner.times expects floats: {exc}") from exc
+        outside = [v for v in wigner_times if not 0.0 <= v <= t_max]
+        if outside:
+            raise ValidationError(
+                f"line {lineno}: wigner.times {outside[0]:g} lies outside "
+                f"[0, grid.t_max = {t_max:g}]"
+            )
     wigner_points = _typed(seen, "wigner.points", 64)
     if wigner_points < 8:
         raise ValidationError("wigner.points must be >= 8")

@@ -158,11 +158,11 @@ def invert_rotation(rotations: np.ndarray) -> np.ndarray:
 ROTATION_CSV_COLUMNS = "t,c,s,sr,cr,det"
 
 
-def write_rotation_csv(fund: FundamentalSolutions, coeffs: CoefficientTable, path) -> None:
+def write_rotation_csv(grid: np.ndarray, rot: np.ndarray, path) -> None:
+    """Write the (n, 2, 2) matrices of :func:`build_rotation` on their grid."""
     from qbm.runio import write_csv
 
-    rot = build_rotation(fund, coeffs)
     columns = np.column_stack(
-        [fund.grid, rot[:, 0, 0], rot[:, 0, 1], -rot[:, 1, 0], rot[:, 1, 1], rotation_det(rot)]
+        [grid, rot[:, 0, 0], rot[:, 0, 1], -rot[:, 1, 0], rot[:, 1, 1], rotation_det(rot)]
     )
     write_csv(path, ROTATION_CSV_COLUMNS, columns)

@@ -20,7 +20,7 @@ from qbm import qcf
 from qbm.coefficients import compute_coefficients, write_coefficients_csv
 from qbm.config import RunConfig
 from qbm.errors import FileError, ValidationError
-from qbm.homogeneous import solve_fundamental, write_rotation_csv
+from qbm.homogeneous import write_rotation_csv
 from qbm.kernels import tabulate_kernels
 from qbm.propagator import build_propagator, delta_gamma_series, write_propagator_csv
 from qbm.runio import write_csv
@@ -116,21 +116,21 @@ def run(config: RunConfig) -> RunResult:
         if mode == analytic_modes[0]:
             emit("propagator.csv", lambda p, b=bundle: write_propagator_csv(b, p))
         if mode == "full":
-            fund = solve_fundamental(coeffs)
-            emit("rotation.csv", lambda p: write_rotation_csv(fund, coeffs, p))
+            emit("rotation.csv", lambda p, b=bundle: write_rotation_csv(b.grid, b.rotations, p))
 
     if oracle_requested:
         ops = oracle_mod.fock_operators(config.oracle_dim, config.omega0)
         rho0 = oracle_mod.to_density_matrix(config.state, config.oracle_dim)
+        trajs = oracle_mod.integrate_modes(
+            rho0,
+            coeffs,
+            oracle_modes,
+            ops=ops,
+            leakage_threshold=config.leakage_threshold,
+        )
         diff_lines = []
         for mode in oracle_modes:
-            traj = oracle_mod.integrate(
-                rho0,
-                coeffs,
-                mode,
-                ops=ops,
-                leakage_threshold=config.leakage_threshold,
-            )
+            traj = trajs[mode]
             report_lines.append(
                 f"oracle[{mode}] trace_error {traj.trace_error:.3e} "
                 f"herm_drift {traj.herm_drift:.3e} max_leakage {traj.max_leakage:.3e}"

@@ -94,6 +94,16 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     assert parse_config(write_conf(tmp_path, noisy)).dt == 0.01
 
 
+def test_wigner_times_outside_grid_rejected(tmp_path):
+    # both ends of [0, t_max]; the endpoints themselves are valid
+    for value in ("-0.5", "1.5"):
+        bad = MINIMAL + f"wigner.times = 0.5, {value}\n"
+        with pytest.raises(ValidationError, match=f"line 7: wigner.times {value}"):
+            parse_config(write_conf(tmp_path, bad))
+    cfg = parse_config(write_conf(tmp_path, MINIMAL + "wigner.times = 0, 1.0\n"))
+    assert cfg.wigner_times == (0.0, 1.0)
+
+
 # --- grid ------------------------------------------------------------------
 
 

@@ -133,6 +133,19 @@ def test_generator_trace_preserving_on_interior_states():
         assert abs(np.trace(gen.apply(rho))) < 1e-10
 
 
+def test_generator_matches_matrix_free_rhs():
+    ops = oracle.fock_operators(12)
+    rng = np.random.default_rng(5)
+    rho = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    rho = 0.5 * (rho + rho.conj().T) / 12.0
+    row = {"delta_bar": 0.3, "pi": 0.1, "r": 0.2, "gamma": 0.05}
+    for mode in oracle.MODES:
+        free = oracle.master_rhs(rho, row, ops, mode)
+        assert np.max(np.abs(oracle.generator(row, ops, mode).apply(rho) - free)) < 1e-13, mode
+        expected = reference_rhs(rho, *(row[k] for k in COEFFS), ops, mode)
+        assert np.max(np.abs(free - expected)) < 1e-13, mode
+
+
 def test_generator_unknown_mode():
     ops = oracle.fock_operators(10)
     with pytest.raises(ValidationError):
@@ -167,6 +180,92 @@ def test_leakage_abort_suggests_bigger_dimension():
     rho0 = oracle.to_density_matrix(qcf.CoherentState(x0=4.2), 12)
     with pytest.raises(LeakageError, match="dimension|increase"):
         oracle.integrate(rho0, coeffs, "full")
+    # in a batch, strong diffusion heats the vacuum out of the basis in rwa
+    # while the unitary mode leaves it in place: the abort names rwa
+    heated = CoefficientTable(
+        grid=coeffs.grid,
+        delta_bar=np.full_like(coeffs.grid, 5.0),
+        pi=coeffs.pi,
+        r=coeffs.r,
+        gamma=coeffs.gamma,
+        big_gamma=coeffs.big_gamma,
+    )
+    vacuum = oracle.to_density_matrix(qcf.CoherentState(), 12)
+    with pytest.raises(LeakageError, match=r"mode 'rwa'.*t=.*beyond 12"):
+        oracle.integrate_modes(vacuum, heated, ("unitary", "rwa"))
+    assert oracle.integrate(vacuum, heated, "unitary").max_leakage < 1e-20
+
+
+COEFFS = ("delta_bar", "pi", "r", "gamma")
+MOMENT_NAMES = ("mean_x", "mean_p", "xx", "pp", "xp_sym")
+
+
+def reference_rhs(rho, dbar, piv, r, gam, ops, mode):
+    """The master equation in commutator form, each superoperator spelled out."""
+    if mode in ("full", "unitary"):
+        h = ops.h0 - 0.5 * r * ops.x2 + 0.5 * gam * ops.xppx
+    else:
+        h = ops.h0
+    out = -1j * (h @ rho - rho @ h)
+    if mode == "unitary":
+        return out
+    x, p = ops.x, ops.p
+    cx = x @ rho - rho @ x
+    cp = p @ rho - rho @ p
+    if mode == "rwa":
+        out -= 0.5 * dbar * ((x @ cx - cx @ x) + (p @ cp - cp @ p))
+    else:
+        out -= dbar * (x @ cx - cx @ x) - piv * (x @ cp - cp @ x)
+    n_rho = -0.5j * ((p @ cx + cx @ p) - (x @ cp + cp @ x))
+    out += gam * (n_rho + 2.0 * rho)
+    return out
+
+
+def reference_integrate(rho, coeffs, mode, ops, n):
+    """One mode, one matrix at a time: RK4 with linearly interpolated half-steps."""
+    t = coeffs.grid
+    node = np.array([getattr(coeffs, k)[:n] for k in COEFFS])
+    mid = 0.5 * (node[:, :-1] + node[:, 1:])
+    traced = (ops.x, ops.p, ops.x2, ops.p2, ops.xppx)
+    moments = np.empty((len(traced), n))
+    moments[:, 0] = [np.trace(a @ rho).real for a in traced]
+    for i in range(n - 1):
+        h = t[i + 1] - t[i]
+        k1 = reference_rhs(rho, *node[:, i], ops, mode)
+        k2 = reference_rhs(rho + 0.5 * h * k1, *mid[:, i], ops, mode)
+        k3 = reference_rhs(rho + 0.5 * h * k2, *mid[:, i], ops, mode)
+        k4 = reference_rhs(rho + h * k3, *node[:, i + 1], ops, mode)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().T)
+        moments[:, i + 1] = [np.trace(a @ rho).real for a in traced]
+    return moments, rho
+
+
+def test_batched_modes_match_reference_and_single_runs(pipeline):
+    n = 301
+    coeffs = pipeline.coeffs(2.0)
+    rho0 = oracle.to_density_matrix(pipeline.state("coherent2"), 30)
+    batch = oracle.integrate_modes(
+        rho0, coeffs, oracle.MODES, ops=pipeline.ops, grid=coeffs.grid[:n]
+    )
+    assert tuple(batch) == oracle.MODES
+    for mode, traj in batch.items():
+        moments, rho_final = reference_integrate(rho0, coeffs, mode, pipeline.ops, n)
+        for name, ref in zip(MOMENT_NAMES, moments):
+            assert np.max(np.abs(getattr(traj, name) - ref)) <= 1e-12, (mode, name)
+        assert np.max(np.abs(traj.rho_final - rho_final)) <= 1e-12, mode
+        single = oracle.integrate(rho0, coeffs, mode, ops=pipeline.ops, grid=coeffs.grid[:n])
+        for guard in ("trace_error", "herm_drift", "max_leakage"):
+            assert getattr(traj, guard) == getattr(single, guard), (mode, guard)
+        assert traj.herm_drift <= 1e-10
+
+
+def test_integrate_modes_rejects_repeated_or_unknown_modes():
+    coeffs = zero_coeffs(t_max=0.1)
+    rho0 = oracle.to_density_matrix(qcf.CoherentState(), 10)
+    for modes in ((), ("full", "full"), ("full", "lindblad")):
+        with pytest.raises(ValidationError):
+            oracle.integrate_modes(rho0, coeffs, modes)
 
 
 def test_initial_state_builders_normalized():
