@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qbm.errors import FileError, ValidationError
-from qbm.kernels import FAMILIES, TABULATED, ReservoirSpec, load_kernel_csv
+from qbm.kernels import FAMILIES, OHMIC_LORENTZ_DRUDE, TABULATED, ReservoirSpec, load_kernel_csv
 
 RUN_MODES = ("full", "norenorm", "rwa", "oracle")
 
@@ -140,6 +140,13 @@ def parse_config(path) -> RunConfig:
         lineno = seen["reservoir.family"][1]
         raise ValidationError(
             f"line {lineno}: reservoir.family must be one of {FAMILIES}, got {family!r}"
+        )
+    if family == OHMIC_LORENTZ_DRUDE:
+        # every grid starts at tau = 0, where this family's kappa diverges
+        raise ValidationError(
+            f"line {seen['reservoir.family'][1]}: reservoir.family = {family} cannot run yet: "
+            "kappa(0) is ultraviolet log-divergent and its closed-form cumulative kernels "
+            "are pending; use ohmic_exp_cutoff or tabulated"
         )
     table = None
     if family == TABULATED:

@@ -5,8 +5,9 @@ Conventions, fixed once and locked by the Fock-space oracle tests:
     chi(z) = tr{ exp(i (p Xhat - x Phat)) rho },   z = (x, p),
     Xhat = (a + a^dag)/sqrt(2),  Phat = (a - a^dag)/(i sqrt(2)).
 
-A Gaussian state is chi(z) = exp(i b.z - z.C.z/2) with b real and C the
-real symmetric 2x2 quadratic form.  The derivative map
+Near the origin every state has chi(z) = 1 + i b.z - z.(C + b b^T).z/2 + ...
+with b real and C the real symmetric 2x2 quadratic form (a Gaussian state is
+exactly chi(z) = exp(i b.z - z.C.z/2)).  The derivative map
 
     <X^n> = (-i)^n d^n chi / dp^n |_0,    <P^n> = (+i)^n d^n chi / dx^n |_0
 
@@ -18,13 +19,15 @@ Evolution multiplies by a Gaussian and contracts the argument:
 
     chi_t(z) = exp(-z.Wbar(t).z) * chi_0(e^{-Gamma/2} R^{-1}(t) z)
 
-so Gaussian states stay Gaussian with
+The derivatives of chi_t at 0 depend only on those of chi_0 at 0, so the
+first and second moments of every state, Gaussian or not, follow one affine
+map of its initial (b_0, C_0):
 
     b(t) = e^{-Gamma/2} (R^{-1})^T b_0,
     C(t) = 2 Wbar + e^{-Gamma} (R^{-1})^T C_0 R^{-1}.
 
-Non-Gaussian states (Fock, tabulated) get their moments from 4th-order
-central differences of chi_t at the origin.
+Each state supplies (b_0, C_0) exactly, except a tabulated chi, which reads
+them once from 4th-order central differences of its table at the origin.
 """
 
 from __future__ import annotations
@@ -39,13 +42,12 @@ from qbm.errors import DomainTooSmallError, NumericalError, ValidationError
 from qbm.propagator import PropagatorBundle
 
 _SYMPLECTIC_J = np.array([[0.0, -1.0], [1.0, 0.0]])
-_FD_STEP = 1e-4
 _IMAG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class GaussianMoments:
-    """Gaussian chi parameters: linear phase b and quadratic form C."""
+class ChiMoments:
+    """First and second moments in chi form: linear phase b and quadratic form C."""
 
     b: np.ndarray
     c: np.ndarray
@@ -56,9 +58,9 @@ class GaussianMoments:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         if not (np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
-            raise ValidationError("Gaussian moments must be finite")
+            raise ValidationError("chi moments must be finite")
         if abs(c[0, 1] - c[1, 0]) > 1e-12:
-            raise ValidationError("Gaussian quadratic form must be symmetric")
+            raise ValidationError("chi quadratic form must be symmetric")
 
 
 def covariance_to_chi_form(v: np.ndarray) -> np.ndarray:
@@ -72,8 +74,8 @@ class CoherentState:
     p0: float = 0.0
 
     @property
-    def gaussian(self) -> GaussianMoments:
-        return GaussianMoments(b=np.array([-self.p0, self.x0]), c=0.5 * np.eye(2))
+    def initial_moments(self) -> ChiMoments:
+        return ChiMoments(b=np.array([-self.p0, self.x0]), c=0.5 * np.eye(2))
 
     def chi0(self, x, p):
         x = np.asarray(x, dtype=float)
@@ -93,8 +95,8 @@ class ThermalState:
             raise ValidationError("thermal occupation nbar must be >= 0")
 
     @property
-    def gaussian(self) -> GaussianMoments:
-        return GaussianMoments(b=np.zeros(2), c=0.5 * (2.0 * self.nbar + 1.0) * np.eye(2))
+    def initial_moments(self) -> ChiMoments:
+        return ChiMoments(b=np.zeros(2), c=0.5 * (2.0 * self.nbar + 1.0) * np.eye(2))
 
     def chi0(self, x, p):
         x = np.asarray(x, dtype=float)
@@ -124,11 +126,11 @@ class SqueezedVacuum:
         return rot @ core @ rot.T
 
     @property
-    def gaussian(self) -> GaussianMoments:
-        return GaussianMoments(b=np.zeros(2), c=covariance_to_chi_form(self.covariance()))
+    def initial_moments(self) -> ChiMoments:
+        return ChiMoments(b=np.zeros(2), c=covariance_to_chi_form(self.covariance()))
 
     def chi0(self, x, p):
-        g = self.gaussian
+        g = self.initial_moments
         x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
         quad = g.c[0, 0] * x**2 + 2.0 * g.c[0, 1] * x * p + g.c[1, 1] * p**2
@@ -147,7 +149,9 @@ class FockState:
             raise ValidationError("Fock level n must be a non-negative integer")
         object.__setattr__(self, "n", int(self.n))
 
-    gaussian = None
+    @property
+    def initial_moments(self) -> ChiMoments:
+        return ChiMoments(b=np.zeros(2), c=(self.n + 0.5) * np.eye(2))
 
     def chi0(self, x, p):
         x = np.asarray(x, dtype=float)
@@ -164,10 +168,10 @@ class TabulatedChi:
 
     The node set must be symmetric about the origin so chi(0) = 1 and the
     Hermiticity symmetry chi(z) = conj chi(-z) can be validated on the
-    samples themselves.  Evaluation outside the grid raises.
+    samples themselves.  Evaluation outside the grid raises.  The initial
+    moments are read once, at construction, from central differences of the
+    table at the origin.
     """
-
-    gaussian = None
 
     def __init__(self, x_nodes, p_nodes, values):
         x_nodes = np.asarray(x_nodes, dtype=float)
@@ -182,6 +186,10 @@ class TabulatedChi:
                 raise ValidationError(f"{name} nodes must be symmetric about 0")
             if len(nodes) % 2 == 0:
                 raise ValidationError(f"{name} nodes must include the origin (odd count)")
+            if len(nodes) < 5:
+                raise ValidationError(
+                    f"{name} needs at least 5 nodes: the moment stencil reaches two cells out"
+                )
         sym = values - np.conj(values[::-1, ::-1])
         if np.max(np.abs(sym)) > 1e-9:
             raise ValidationError("tabulated chi violates chi(z) = conj chi(-z) at the nodes")
@@ -191,12 +199,12 @@ class TabulatedChi:
         self.x_nodes = x_nodes
         self.p_nodes = p_nodes
         self.values = values
-        i0, j0 = len(x_nodes) // 2, len(p_nodes) // 2
         # derivative probes must straddle whole cells: inside one cell the
         # bilinear interpolant has no curvature at all
         self.fd_step = float(max(x_nodes[i0 + 1] - x_nodes[i0], p_nodes[j0 + 1] - p_nodes[j0]))
         self._re = RegularGridInterpolator((x_nodes, p_nodes), values.real, method="linear")
         self._im = RegularGridInterpolator((x_nodes, p_nodes), values.imag, method="linear")
+        self.initial_moments = _moments_fd(self.chi0, self.fd_step)
 
     def chi0(self, x, p):
         x = np.asarray(x, dtype=float)
@@ -211,25 +219,9 @@ class TabulatedChi:
             raise ValidationError(f"tabulated chi evaluated outside its grid: {exc}") from exc
         return vals.reshape(shape) if shape else complex(vals[0])
 
-    def initial_energy(self, omega0: float):
-        return None
-
-
-STATE_KINDS = ("coherent", "thermal", "squeezed", "fock", "tabulated_chi")
-
-
-def make_state(kind: str, **params):
-    if kind == "coherent":
-        return CoherentState(**params)
-    if kind == "thermal":
-        return ThermalState(**params)
-    if kind == "squeezed":
-        return SqueezedVacuum(**params)
-    if kind == "fock":
-        return FockState(**params)
-    if kind == "tabulated_chi":
-        return TabulatedChi(**params)
-    raise ValidationError(f"unknown state kind {kind!r}; expected one of {STATE_KINDS}")
+    def initial_energy(self, omega0: float) -> float:
+        b, c = self.initial_moments.b, self.initial_moments.c
+        return 0.5 * omega0 * float(np.trace(c) + b @ b)
 
 
 def chi0_eval(state, z) -> complex:
@@ -237,15 +229,16 @@ def chi0_eval(state, z) -> complex:
     return complex(state.chi0(z[0], z[1]))
 
 
-def _node(bundle: PropagatorBundle, t_index: int):
+def _node_index(bundle: PropagatorBundle, t_index: int) -> int:
     n = len(bundle)
     if not -n <= t_index < n:
         raise ValidationError(f"t_index {t_index} outside grid of length {n}")
-    return (
-        bundle.big_gamma[t_index],
-        bundle.rotations_inv[t_index],
-        bundle.w_bar[t_index],
-    )
+    return t_index % n
+
+
+def _node(bundle: PropagatorBundle, t_index: int):
+    t = _node_index(bundle, t_index)
+    return bundle.big_gamma[t], bundle.rotations_inv[t], bundle.w_bar[t]
 
 
 def evolve_chi(bundle: PropagatorBundle, state, z, t_index: int) -> complex:
@@ -271,12 +264,19 @@ def evolve_chi_grid(bundle: PropagatorBundle, state, t_index: int, x, p):
     return gauss * state.chi0(xr, pr)
 
 
-def gaussian_evolve(bundle: PropagatorBundle, g: GaussianMoments, t_index: int) -> GaussianMoments:
-    big_gamma, rinv, w = _node(bundle, t_index)
-    b_t = np.exp(-0.5 * big_gamma) * (rinv.T @ g.b)
-    c_t = 2.0 * w + np.exp(-big_gamma) * (rinv.T @ g.c @ rinv)
-    c_t[1, 0] = c_t[0, 1]
-    return GaussianMoments(b=b_t, c=c_t)
+def evolve_moments(bundle: PropagatorBundle, m0: ChiMoments, nodes: slice = slice(None)):
+    """The affine moment map: b(t) of shape (n, 2) and C(t) of shape (n, 2, 2).
+
+    Exact for every initial state, because the derivatives of chi_t at the
+    origin depend only on those of chi_0 there; ``nodes`` selects grid nodes.
+    """
+    scale = np.exp(-0.5 * bundle.big_gamma[nodes])
+    rinv = bundle.rotations_inv[nodes]
+    b_t = scale[:, None] * np.einsum("nji,j->ni", rinv, m0.b)
+    c_t = 2.0 * bundle.w_bar[nodes] + (scale**2)[:, None, None] * np.einsum(
+        "nji,jk,nkl->nil", rinv, m0.c, rinv
+    )
+    return b_t, c_t
 
 
 @dataclass(frozen=True)
@@ -305,14 +305,14 @@ class ObservableSeries:
             raise NumericalError("variance floor violated: <A^2> < <A>^2 beyond tolerance")
 
 
-def _moments_from_gaussian(g: GaussianMoments) -> MomentRow:
-    b, c = g.b, g.c
-    return MomentRow(
-        mean_x=b[1],
-        mean_p=-b[0],
-        xx=c[1, 1] + b[1] ** 2,
-        pp=c[0, 0] + b[0] ** 2,
-        xp_sym=-2.0 * c[0, 1] - 2.0 * b[0] * b[1],
+def _moment_columns(b, c):
+    """(<X>, <P>, <X^2>, <P^2>, <XP+PX>) from chi-form b (..., 2) and C (..., 2, 2)."""
+    return (
+        b[..., 1],
+        -b[..., 0],
+        c[..., 1, 1] + b[..., 1] ** 2,
+        c[..., 0, 0] + b[..., 0] ** 2,
+        -2.0 * c[..., 0, 1] - 2.0 * b[..., 0] * b[..., 1],
     )
 
 
@@ -320,8 +320,8 @@ _STENCIL_OFFSETS = np.array([2.0, 1.0, -1.0, -2.0])
 _STENCIL_WEIGHTS = np.array([-1.0, 8.0, -8.0, 1.0])
 
 
-def _moments_fd(chi, h: float = _FD_STEP) -> MomentRow:
-    """Moments from 4th-order central differences of chi at the origin."""
+def _moments_fd(chi, h: float) -> ChiMoments:
+    """b and C of chi(x, p) from 4th-order central differences at the origin."""
 
     def check_real(value: complex, what: str) -> float:
         if abs(value.imag) > _IMAG_TOL:
@@ -345,59 +345,31 @@ def _moments_fd(chi, h: float = _FD_STEP) -> MomentRow:
         for op, wp in zip(_STENCIL_OFFSETS, _STENCIL_WEIGHTS)
     ) / (12.0 * h) ** 2
 
-    return MomentRow(
-        mean_x=check_real(-1j * d_p, "<X>"),
-        mean_p=check_real(1j * d_x, "<P>"),
-        xx=check_real(-d_pp, "<X^2>"),
-        pp=check_real(-d_xx, "<P^2>"),
-        xp_sym=check_real(2.0 * d_xp, "<XP+PX>"),
+    b_x = check_real(-1j * d_x, "<P>")
+    b_p = check_real(-1j * d_p, "<X>")
+    c_xp = check_real(-d_xp, "<XP+PX>") - b_x * b_p
+    return ChiMoments(
+        b=np.array([b_x, b_p]),
+        c=np.array(
+            [
+                [check_real(-d_xx, "<P^2>") - b_x**2, c_xp],
+                [c_xp, check_real(-d_pp, "<X^2>") - b_p**2],
+            ]
+        ),
     )
 
 
-def moments(bundle: PropagatorBundle, state, t_index: int, method: str = "auto") -> MomentRow:
-    """First and second moments at one node.
-
-    Gaussian states use the closed-form moment map; anything else falls back
-    to finite differences of chi_t.  ``method='fd'`` forces the generic path
-    (used to cross-check the closed form).
-    """
-    if method not in ("auto", "gaussian", "fd"):
-        raise ValidationError(f"unknown moment method {method!r}")
-    g = getattr(state, "gaussian", None)
-    if method in ("auto", "gaussian") and g is not None:
-        return _moments_from_gaussian(gaussian_evolve(bundle, g, t_index))
-    if method == "gaussian":
-        raise ValidationError("state has no Gaussian parametrization")
-    h = _FD_STEP
-    table_step = getattr(state, "fd_step", None)
-    if table_step is not None:
-        # argument contraction e^{-Gamma/2} shrinks probes in table coordinates
-        h = max(h, table_step * float(np.exp(0.5 * bundle.big_gamma[t_index])))
-    return _moments_fd(lambda x, p: evolve_chi(bundle, state, (x, p), t_index), h)
+def moments(bundle: PropagatorBundle, state, t_index: int) -> MomentRow:
+    """First and second moments at one node, from the affine moment map."""
+    t = _node_index(bundle, t_index)
+    b_t, c_t = evolve_moments(bundle, state.initial_moments, slice(t, t + 1))
+    return MomentRow(*(float(col[0]) for col in _moment_columns(b_t, c_t)))
 
 
-def observable_series(bundle: PropagatorBundle, state, method: str = "auto") -> ObservableSeries:
+def observable_series(bundle: PropagatorBundle, state) -> ObservableSeries:
     """Moment trajectories over the whole grid; energy is moment-based."""
-    g = getattr(state, "gaussian", None)
-    if method in ("auto", "gaussian") and g is not None:
-        scale = np.exp(-0.5 * bundle.big_gamma)
-        b_t = scale[:, None] * np.einsum("nji,j->ni", bundle.rotations_inv, g.b)
-        c_t = 2.0 * bundle.w_bar + (scale**2)[:, None, None] * np.einsum(
-            "nji,jk,nkl->nil", bundle.rotations_inv, g.c, bundle.rotations_inv
-        )
-        mean_x = b_t[:, 1]
-        mean_p = -b_t[:, 0]
-        xx = c_t[:, 1, 1] + b_t[:, 1] ** 2
-        pp = c_t[:, 0, 0] + b_t[:, 0] ** 2
-        xp_sym = -2.0 * c_t[:, 0, 1] - 2.0 * b_t[:, 0] * b_t[:, 1]
-    else:
-        rows = [moments(bundle, state, i, method="fd") for i in range(len(bundle))]
-        mean_x = np.array([r.mean_x for r in rows])
-        mean_p = np.array([r.mean_p for r in rows])
-        xx = np.array([r.xx for r in rows])
-        pp = np.array([r.pp for r in rows])
-        xp_sym = np.array([r.xp_sym for r in rows])
-    energy = 0.5 * bundle.omega0 * (xx + pp)
+    b_t, c_t = evolve_moments(bundle, state.initial_moments)
+    mean_x, mean_p, xx, pp, xp_sym = _moment_columns(b_t, c_t)
     return ObservableSeries(
         grid=bundle.grid,
         mean_x=mean_x,
@@ -405,7 +377,7 @@ def observable_series(bundle: PropagatorBundle, state, method: str = "auto") -> 
         xx=xx,
         pp=pp,
         xp_sym=xp_sym,
-        energy=energy,
+        energy=0.5 * bundle.omega0 * (xx + pp),
     )
 
 
@@ -413,15 +385,6 @@ def observable_series(bundle: PropagatorBundle, state, method: str = "auto") -> 
 class EnergyResult:
     value: float
     method: str  # "closed_form" or "moments"
-
-
-def initial_energy(bundle: PropagatorBundle, state) -> float:
-    """<H0> at t = 0; finite differences when no closed form exists."""
-    e0 = state.initial_energy(bundle.omega0)
-    if e0 is None:
-        row = moments(bundle, state, 0, method="fd")
-        e0 = 0.5 * bundle.omega0 * (row.xx + row.pp)
-    return e0
 
 
 def mean_energy(bundle: PropagatorBundle, state, t_index: int) -> EnergyResult:
@@ -432,7 +395,7 @@ def mean_energy(bundle: PropagatorBundle, state, t_index: int) -> EnergyResult:
     rwa); the full mode has no such form and falls back to moments.
     """
     if bundle.mode in ("rwa", "norenorm"):
-        e0 = initial_energy(bundle, state)
+        e0 = state.initial_energy(bundle.omega0)
         value = (
             np.exp(-bundle.big_gamma[t_index]) * e0
             + bundle.omega0 * bundle.delta_gamma[t_index]
@@ -446,16 +409,8 @@ def energy_closed_series(bundle: PropagatorBundle, state) -> np.ndarray:
     """Closed-form energy over the grid (rwa / norenorm bundles)."""
     if bundle.mode not in ("rwa", "norenorm"):
         raise ValidationError("closed-form energy applies to rwa and norenorm bundles only")
-    e0 = initial_energy(bundle, state)
+    e0 = state.initial_energy(bundle.omega0)
     return np.exp(-bundle.big_gamma) * e0 + bundle.omega0 * bundle.delta_gamma
-
-
-def rwa_energy_series(bundle: PropagatorBundle, coeffs, state) -> np.ndarray:
-    """Rotating-wave closed-form energy, usable alongside any bundle."""
-    from qbm.propagator import delta_gamma_series
-
-    e0 = initial_energy(bundle, state)
-    return np.exp(-bundle.big_gamma) * e0 + bundle.omega0 * delta_gamma_series(coeffs)
 
 
 def rwa_moment_gaps(bundle: PropagatorBundle, t_index: int) -> tuple[float, float, float]:

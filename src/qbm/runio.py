@@ -11,20 +11,19 @@ import numpy as np
 from qbm.errors import FileError
 
 
-def format_value(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.17g}"
+_CHUNK_ROWS = 256  # rows converted to Python floats at a time, so memory stays flat
 
 
 def write_csv(path, columns: str, rows) -> None:
     rows = np.atleast_2d(np.asarray(rows))
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"# {columns}\n")
             fh.write(columns + "\n")
-            for row in rows:
-                fh.write(",".join(format_value(v) for v in row) + "\n")
+            for start in range(0, len(rows), _CHUNK_ROWS):
+                chunk = rows[start : start + _CHUNK_ROWS].tolist()
+                fh.write("".join(line % tuple(row) for row in chunk))
     except OSError as exc:
         raise FileError(f"cannot write {path}: {exc}") from exc
 

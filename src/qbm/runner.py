@@ -91,6 +91,11 @@ def run(config: RunConfig) -> RunResult:
     analytic_modes = [m for m in config.modes if m != "oracle"]
     oracle_requested = "oracle" in config.modes
     oracle_modes = analytic_modes if analytic_modes else ["full"]
+    delta_gamma_rwa = delta_gamma_series(coeffs)
+
+    def energy_rwa_series(bundle, e0):
+        """Rotating-wave closed-form energy e^{-Gamma} e0 + omega0 delta_gamma."""
+        return np.exp(-bundle.big_gamma) * e0 + bundle.omega0 * delta_gamma_rwa
 
     bundles = {}
     analytic_series = {}
@@ -105,9 +110,7 @@ def run(config: RunConfig) -> RunResult:
             energy = series.energy
         else:
             energy = qcf.energy_closed_series(bundle, config.state)
-        energy_rwa = np.exp(-bundle.big_gamma) * qcf.initial_energy(bundle, config.state) + (
-            bundle.omega0 * delta_gamma_series(coeffs)
-        )
+        energy_rwa = energy_rwa_series(bundle, config.state.initial_energy(bundle.omega0))
         matrix = _observables_matrix(bundle, series, energy, energy_rwa)
         emit(f"observables_{mode}.csv", lambda p, m=matrix: write_csv(p, OBSERVABLES_CSV_COLUMNS, m))
         if mode == analytic_modes[0]:
@@ -137,10 +140,7 @@ def run(config: RunConfig) -> RunResult:
             )
             bundle = bundles.get(mode)
             if bundle is not None:
-                e0 = traj.energy[0]
-                energy_rwa = np.exp(-bundle.big_gamma) * e0 + bundle.omega0 * delta_gamma_series(
-                    coeffs
-                )
+                energy_rwa = energy_rwa_series(bundle, traj.energy[0])
                 lam, theta = bundle.lam, bundle.theta
             else:
                 energy_rwa = np.full(len(grid), np.nan)

@@ -14,6 +14,7 @@ ORACLE_MODES = ("full", "norenorm", "rwa")
 STATES = {
     "coherent2": qcf.CoherentState(x0=2.0, p0=0.0),
     "thermal1": qcf.ThermalState(nbar=1.0),
+    "fock2": qcf.FockState(2),
 }
 
 

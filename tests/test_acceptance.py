@@ -67,6 +67,28 @@ def test_criterion_1_oracle_equivalence(pipeline):
                 assert time.monotonic() - started < 120.0, label
 
 
+def test_fock_state_oracle_equivalence(pipeline):
+    # a non-Gaussian state goes through the same affine moment map; the oracle
+    # integrates the master equation from |2><2| independently
+    for temperature in TEMPERATURES:
+        for mode in MODES:
+            bundle = pipeline.bundle(temperature, mode)
+            series = qcf.observable_series(bundle, pipeline.state("fock2"))
+            traj = pipeline.oracle_traj(temperature, "fock2", mode)
+            first = max(
+                np.max(np.abs(series.mean_x - traj.mean_x)),
+                np.max(np.abs(series.mean_p - traj.mean_p)),
+            )
+            second = max(
+                np.max(np.abs(series.xx - traj.xx)),
+                np.max(np.abs(series.pp - traj.pp)),
+                np.max(np.abs(series.xp_sym - traj.xp_sym)),
+            )
+            label = f"T={temperature} fock2 {mode}"
+            assert first <= FIRST_MOMENT_TOL, (label, first)
+            assert second <= SECOND_MOMENT_TOL, (label, second)
+
+
 @criterion(2, "mean-energy law and its insensitivity to counter-rotating terms")
 def test_criterion_2_energy_law(pipeline):
     for temperature in TEMPERATURES:

@@ -45,6 +45,14 @@ def test_negative_alpha_names_the_key(tmp_path):
         parse_config(write_conf(tmp_path, bad))
 
 
+def test_lorentz_drude_family_rejected_at_parse_time(tmp_path):
+    bad = MINIMAL.replace("ohmic_exp_cutoff", "ohmic_lorentz_drude")
+    bad += "reservoir.temperature = 1.0\n"
+    with pytest.raises(ValidationError, match="line 2: reservoir.family = ohmic_lorentz_drude"):
+        parse_config(write_conf(tmp_path, bad))
+    assert main(["run", str(write_conf(tmp_path, bad))]) == 1
+
+
 def test_unknown_key_suggests_correction(tmp_path):
     bad = MINIMAL.replace("reservoir.alpha", "reservoir.aplha")
     with pytest.raises(ValidationError, match="reservoir.alpha"):

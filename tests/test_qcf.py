@@ -11,6 +11,13 @@ from qbm.propagator import build_propagator
 
 OHMIC = ReservoirSpec("ohmic_exp_cutoff", alpha=0.1, wc=5.0, temperature=0.0)
 FREE = ReservoirSpec("ohmic_exp_cutoff", alpha=0.0, wc=5.0)
+MOMENT_NAMES = ("mean_x", "mean_p", "xx", "pp", "xp_sym")
+
+
+def fd_moments(bundle, state, t):
+    """Moments at node t from 4th-order central differences of chi_t (the reference)."""
+    m = qcf._moments_fd(lambda x, p: qcf.evolve_chi(bundle, state, (x, p), t), 1e-4)
+    return qcf.MomentRow(*qcf._moment_columns(m.b, m.c))
 
 
 @pytest.fixture(scope="module")
@@ -117,11 +124,11 @@ def test_gaussian_closure(bundles):
     rng = np.random.default_rng(5)
     state = qcf.SqueezedVacuum(0.6, 0.9)
     for t in (0, 250, 777):
-        g = qcf.gaussian_evolve(bundles["full"], state.gaussian, t)
+        b_t, c_t = qcf.evolve_moments(bundles["full"], state.initial_moments, slice(t, t + 1))
         for _ in range(20):
             z = rng.normal(scale=1.2, size=2)
-            quad = z @ g.c @ z
-            recon = np.exp(1j * (g.b @ z) - 0.5 * quad)
+            quad = z @ c_t[0] @ z
+            recon = np.exp(1j * (b_t[0] @ z) - 0.5 * quad)
             direct = qcf.evolve_chi(bundles["full"], state, z, t)
             assert abs(recon - direct) < 1e-12
 
@@ -165,9 +172,28 @@ def test_fd_moments_match_gaussian_path(bundles):
     state = qcf.CoherentState(1.5, -0.5)
     for t in (0, 300, 900):
         closed = qcf.moments(bundles["full"], state, t)
-        fd = qcf.moments(bundles["full"], state, t, method="fd")
-        for name in ("mean_x", "mean_p", "xx", "pp", "xp_sym"):
+        fd = fd_moments(bundles["full"], state, t)
+        for name in MOMENT_NAMES:
             assert getattr(fd, name) == pytest.approx(getattr(closed, name), abs=5e-8)
+
+
+@pytest.mark.parametrize("temperature", (0.0, 2.0))
+@pytest.mark.parametrize("n", (1, 3))
+def test_fock_moment_map_matches_finite_differences(pipeline, n, temperature):
+    # the affine map is exact for non-Gaussian states too: it must agree with
+    # differentiating chi_t itself, to the stencil's truncation error
+    state = qcf.FockState(n)
+    for mode in ("full", "norenorm", "rwa"):
+        bundle = pipeline.bundle(temperature, mode)
+        series = qcf.observable_series(bundle, state)
+        for t in range(0, len(bundle), 50):
+            fd = fd_moments(bundle, state, t)
+            one = qcf.moments(bundle, state, t)
+            for name in MOMENT_NAMES:
+                assert getattr(fd, name) == pytest.approx(
+                    getattr(series, name)[t], abs=1e-7
+                ), (mode, t, name)
+                assert getattr(one, name) == pytest.approx(getattr(series, name)[t], abs=1e-14)
 
 
 def test_fock_moments_match_number_expectation(bundles):
@@ -194,7 +220,15 @@ def test_imaginary_residue_guard():
     # a chi with broken symmetry must be rejected by the derivative map
     broken = lambda x, p: np.exp(1j * (x + p) ** 2)
     with pytest.raises(NumericalError, match="convention"):
-        qcf._moments_fd(broken)
+        qcf._moments_fd(broken, 1e-4)
+    # through a table: an even imaginary part next to the origin stays inside
+    # the 1e-9 node-symmetry tolerance but leaves a residue in <P^2>
+    nodes = np.linspace(-2.0, 2.0, 81)
+    vals = qcf.CoherentState().chi0(nodes[:, None], nodes[None, :])
+    vals[39, 40] += 4e-10j
+    vals[41, 40] += 4e-10j
+    with pytest.raises(NumericalError, match="convention"):
+        qcf.TabulatedChi(nodes, nodes, vals)
 
 
 # --- energy --------------------------------------------------------------
@@ -323,18 +357,22 @@ def test_tabulated_chi_validation():
     scaled = 0.9 * good  # chi(0) != 1
     with pytest.raises(ValidationError, match="chi\\(0"):
         qcf.TabulatedChi(nodes, nodes, scaled)
+    with pytest.raises(ValidationError, match="at least 5 nodes"):
+        qcf.TabulatedChi(nodes[9:12], nodes, good[9:12])
 
 
 def test_tabulated_chi_moments_near_reference(bundles):
-    # derivative probes align with the table nodes only at t = 0 (identity
-    # rotation); curvature read through a bilinear interpolant is
-    # table-resolution-limited, so this anchors the t = 0 moments
+    # the table's initial moments are read once at t = 0, where the derivative
+    # probes sit on table nodes; curvature read through a bilinear interpolant
+    # is table-resolution-limited, and the moment map carries that error on
     tab, ref = make_tabulated_coherent(x0=0.5, extent=12.0, n=481)
-    m_tab = qcf.moments(bundles["rwa"], tab, 0)
-    m_ref = qcf.moments(bundles["rwa"], ref, 0)
-    assert m_tab.mean_x == pytest.approx(m_ref.mean_x, abs=1e-3)
-    assert m_tab.xx == pytest.approx(m_ref.xx, abs=1e-2)
-    assert m_tab.pp == pytest.approx(m_ref.pp, abs=1e-2)
+    for t in (0, 500, 1000):
+        m_tab = qcf.moments(bundles["rwa"], tab, t)
+        m_ref = qcf.moments(bundles["rwa"], ref, t)
+        assert m_tab.mean_x == pytest.approx(m_ref.mean_x, abs=1e-3)
+        assert m_tab.xx == pytest.approx(m_ref.xx, abs=1e-2)
+        assert m_tab.pp == pytest.approx(m_ref.pp, abs=1e-2)
+    assert tab.initial_energy(1.0) == pytest.approx(ref.initial_energy(1.0), abs=1e-2)
 
 
 # --- wigner --------------------------------------------------------------

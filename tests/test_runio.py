@@ -1,0 +1,41 @@
+import numpy as np
+
+from qbm.runio import read_csv, write_csv
+
+SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 1e300, -1e-300, 5e-324, 0.1, 1.0 / 3.0]
+
+
+def reference_bytes(columns, rows):
+    """The format the writer promises: a schema comment, a header, %.17g per cell."""
+    lines = [f"# {columns}", columns]
+    lines += [",".join(f"{float(v):.17g}" for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_csv_bytes_match_per_cell_format(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 600  # crosses the writer's row-chunk boundaries
+    special = np.resize(np.array(SPECIAL), n)
+    rows = np.column_stack(
+        [
+            special,
+            np.arange(n, dtype=float) - 300.0,  # integer-valued floats
+            rng.normal(scale=1e3, size=n),
+            rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n),
+        ]
+    )
+    path = tmp_path / "t.csv"
+    write_csv(path, "a,b,c,d", rows)
+    assert path.read_bytes() == reference_bytes("a,b,c,d", rows)
+    header, data = read_csv(path)
+    assert header == ["a", "b", "c", "d"]
+    np.testing.assert_array_equal(data, rows)
+
+
+def test_csv_single_row_and_single_column(tmp_path):
+    path = tmp_path / "row.csv"
+    write_csv(path, "x,y,z", np.array([1.5, -0.0, 2.0]))
+    assert path.read_bytes() == reference_bytes("x,y,z", [[1.5, -0.0, 2.0]])
+    col = np.array([[v] for v in SPECIAL])
+    write_csv(path, "x", col)
+    assert path.read_bytes() == reference_bytes("x", col)
