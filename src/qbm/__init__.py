@@ -27,7 +27,6 @@ from qbm.qcf import (
     TabulatedChi,
     evolve_chi,
     moments,
-    mean_energy,
 )
 
 __all__ = [
@@ -51,5 +50,4 @@ __all__ = [
     "TabulatedChi",
     "evolve_chi",
     "moments",
-    "mean_energy",
 ]

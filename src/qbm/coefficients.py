@@ -44,16 +44,6 @@ class CoefficientTable:
             if len(getattr(self, name)) != n:
                 raise ValidationError(f"coefficient column {name} does not match grid length")
 
-    def at(self, index: int) -> dict:
-        """Coefficient values at one grid node."""
-        return {
-            "delta_bar": float(self.delta_bar[index]),
-            "pi": float(self.pi[index]),
-            "r": float(self.r[index]),
-            "gamma": float(self.gamma[index]),
-            "big_gamma": float(self.big_gamma[index]),
-        }
-
 
 def _check_grid(grid: np.ndarray, omega0: float):
     if grid.ndim != 1 or grid.size < 2:

@@ -116,11 +116,14 @@ def _typed(seen: dict, key: str, default=None):
     if caster is bool:
         return _parse_bool(raw, key, lineno)
     try:
-        return caster(raw)
+        value = caster(raw)
     except ValueError as exc:
         raise ValidationError(
             f"line {lineno}: {key} expects {caster.__name__}, got {raw!r}"
         ) from exc
+    if caster is float and not np.isfinite(value):
+        raise ValidationError(f"line {lineno}: {key} must be finite, got {raw!r}")
+    return value
 
 
 def parse_config(path) -> RunConfig:
@@ -226,6 +229,9 @@ def parse_config(path) -> RunConfig:
     wigner_points = _typed(seen, "wigner.points", 64)
     if wigner_points < 8:
         raise ValidationError("wigner.points must be >= 8")
+    wigner_extent = _typed(seen, "wigner.extent", 6.0)
+    if wigner_extent <= 0:
+        raise ValidationError("wigner.extent must be > 0")
 
     return RunConfig(
         reservoir=reservoir,
@@ -239,7 +245,7 @@ def parse_config(path) -> RunConfig:
         leakage_threshold=leakage,
         wigner_enabled=_typed(seen, "wigner.enabled", False),
         wigner_times=wigner_times or (0.0,),
-        wigner_extent=_typed(seen, "wigner.extent", 6.0),
+        wigner_extent=wigner_extent,
         wigner_points=wigner_points,
     )
 

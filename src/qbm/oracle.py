@@ -37,6 +37,7 @@ import numpy as np
 
 from qbm.coefficients import CoefficientTable
 from qbm.errors import LeakageError, TruncationError, ValidationError
+from qbm.runio import write_text
 
 INTERIOR_MARGIN = 5  # test operators / residuals live on levels 0 .. d-1-margin
 _WEYL_WINDOW_TOP = 14  # fixed window so the Weyl residual shrinks as d grows
@@ -96,18 +97,6 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
     return v.reshape(d, d, order="F")
 
 
-@dataclass(frozen=True)
-class SuperMap:
-    """Dense linear map on column-vectorized d x d operators."""
-
-    mat: np.ndarray
-    kind: str  # "S", "Sigma", "N" or "composite"
-    d: int
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return unvec(self.mat @ vec(rho), self.d)
-
-
 def s_type(a: np.ndarray) -> np.ndarray:
     """Matrix of rho -> [a, rho] on column-stacked operators."""
     d = a.shape[0]
@@ -122,29 +111,11 @@ def sigma_type(a: np.ndarray) -> np.ndarray:
     return np.kron(eye, a) + np.kron(a.T, eye)
 
 
-@dataclass(frozen=True)
-class SuperOps:
-    xs: SuperMap
-    ps: SuperMap
-    xsig: SuperMap
-    psig: SuperMap
-    n: SuperMap
-
-
-def build_superops(ops: FockOperators) -> SuperOps:
-    d = ops.d
-    xs = s_type(ops.x)
-    ps = s_type(ops.p)
-    xsig = sigma_type(ops.x)
-    psig = sigma_type(ops.p)
-    n = -0.5j * (psig @ xs - xsig @ ps)
-    return SuperOps(
-        xs=SuperMap(xs, "S", d),
-        ps=SuperMap(ps, "S", d),
-        xsig=SuperMap(xsig, "Sigma", d),
-        psig=SuperMap(psig, "Sigma", d),
-        n=SuperMap(n, "N", d),
-    )
+def build_superops(ops: FockOperators) -> dict:
+    """The d^2 x d^2 matrices of [X, .], [P, .], {X, .}, {P, .} and N, by name."""
+    xs, ps = s_type(ops.x), s_type(ops.p)
+    xsig, psig = sigma_type(ops.x), sigma_type(ops.p)
+    return {"xs": xs, "ps": ps, "xsig": xsig, "psig": psig, "n": -0.5j * (psig @ xs - xsig @ ps)}
 
 
 MODES = ("full", "norenorm", "rwa", "unitary")
@@ -218,13 +189,12 @@ def master_rhs(rho: np.ndarray, coeffs_at_t: dict, ops: FockOperators, mode: str
     return _apply(rho, k, k.conj().T, np.stack([rx, rp]), np.stack([ops.x, ops.p]))[0]
 
 
-def generator(coeffs_at_t: dict, ops: FockOperators, mode: str) -> SuperMap:
-    """The full d^2 x d^2 generator at one time (for algebra-level checks)."""
+def generator(coeffs_at_t: dict, ops: FockOperators, mode: str) -> np.ndarray:
+    """The full d^2 x d^2 generator at one time, acting on vec(rho)."""
     k, rx, rp = terms_at(term_table(ops, mode), coeffs_at_t)
     eye = np.eye(ops.d)
     # vec(A rho B) = (B^T kron A) vec(rho) on column-stacked operators
-    mat = np.kron(eye, k) + np.kron(k.conj(), eye) + np.kron(rx.T, ops.x) + np.kron(rp.T, ops.p)
-    return SuperMap(mat, "composite", ops.d)
+    return np.kron(eye, k) + np.kron(k.conj(), eye) + np.kron(rx.T, ops.x) + np.kron(rp.T, ops.p)
 
 
 @dataclass
@@ -388,21 +358,6 @@ def integrate_modes(
         )
         for j, mode in enumerate(modes)
     }
-
-
-def integrate(
-    rho0: np.ndarray,
-    coeffs: CoefficientTable,
-    mode: str,
-    *,
-    ops: FockOperators | None = None,
-    leakage_threshold: float = 1e-6,
-    grid: np.ndarray | None = None,
-) -> OracleTrajectory:
-    """RK4 integration of one mode: :func:`integrate_modes` with one entry."""
-    return integrate_modes(
-        rho0, coeffs, (mode,), ops=ops, leakage_threshold=leakage_threshold, grid=grid
-    )[mode]
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +609,4 @@ def _log_factorial(k: int) -> float:
 
 
 def write_algebra_report(report: AlgebraReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# superoperator algebra suite, d={report.d}\n")
-        for line in report.lines():
-            fh.write(line + "\n")
+    write_text(path, [f"# superoperator algebra suite, d={report.d}", *report.lines()])

@@ -71,14 +71,8 @@ class PropagatorBundle:
         return len(self.grid)
 
 
-def m_matrix(coeffs: CoefficientTable, t_index: int) -> np.ndarray:
-    """Diffusion quadratic-form matrix at one node."""
-    d = coeffs.delta_bar[t_index]
-    p = coeffs.pi[t_index]
-    return np.array([[d, -0.5 * p], [-0.5 * p, 0.0]])
-
-
 def m_matrices(coeffs: CoefficientTable) -> np.ndarray:
+    """Diffusion quadratic-form matrices M = [[delta_bar, -pi/2], [-pi/2, 0]], one per node."""
     m = np.zeros((len(coeffs.grid), 2, 2))
     m[:, 0, 0] = coeffs.delta_bar
     m[:, 0, 1] = -0.5 * coeffs.pi
@@ -158,17 +152,8 @@ def w_bar_no_renorm(coeffs: CoefficientTable, omega0: float) -> np.ndarray:
     return w
 
 
-def lambda_theta(w_bar_node: np.ndarray) -> tuple[float, float, float]:
-    """(delta_gamma, lambda, theta) components of one symmetric 2x2 node."""
-    w = np.asarray(w_bar_node, dtype=float)
-    if w.shape != (2, 2):
-        raise ValidationError("expected a single 2x2 matrix")
-    if abs(w[0, 1] - w[1, 0]) > 1e-12:
-        raise ValidationError("diffusion matrix must be symmetric to 1e-12")
-    return float(w[0, 0] + w[1, 1]), float(w[0, 0] - w[1, 1]), float(2.0 * w[0, 1])
-
-
 def lambda_theta_series(w_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda, theta): the sigma_z and sigma_x components of each symmetric node."""
     return w_bar[:, 0, 0] - w_bar[:, 1, 1], 2.0 * w_bar[:, 0, 1]
 
 

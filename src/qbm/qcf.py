@@ -224,11 +224,6 @@ class TabulatedChi:
         return 0.5 * omega0 * float(np.trace(c) + b @ b)
 
 
-def chi0_eval(state, z) -> complex:
-    z = np.asarray(z, dtype=float).reshape(2)
-    return complex(state.chi0(z[0], z[1]))
-
-
 def _node_index(bundle: PropagatorBundle, t_index: int) -> int:
     n = len(bundle)
     if not -n <= t_index < n:
@@ -236,27 +231,14 @@ def _node_index(bundle: PropagatorBundle, t_index: int) -> int:
     return t_index % n
 
 
-def _node(bundle: PropagatorBundle, t_index: int):
+def evolve_chi(bundle: PropagatorBundle, state, t_index: int, x, p):
+    """chi_t at one grid node, over broadcastable x and p (scalars or meshes)."""
     t = _node_index(bundle, t_index)
-    return bundle.big_gamma[t], bundle.rotations_inv[t], bundle.w_bar[t]
-
-
-def evolve_chi(bundle: PropagatorBundle, state, z, t_index: int) -> complex:
-    """chi_t(z) at one grid node."""
-    z = np.asarray(z, dtype=float).reshape(2)
-    if not np.all(np.isfinite(z)):
-        raise ValidationError("z must be finite")
-    big_gamma, rinv, w = _node(bundle, t_index)
-    gauss = np.exp(-(z @ w @ z))
-    arg = np.exp(-0.5 * big_gamma) * (rinv @ z)
-    return float(gauss) * complex(state.chi0(arg[0], arg[1]))
-
-
-def evolve_chi_grid(bundle: PropagatorBundle, state, t_index: int, x, p):
-    """Vectorized chi_t over broadcastable meshes of x and p."""
-    big_gamma, rinv, w = _node(bundle, t_index)
+    big_gamma, rinv, w = bundle.big_gamma[t], bundle.rotations_inv[t], bundle.w_bar[t]
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
+        raise ValidationError("z must be finite")
     gauss = np.exp(-(w[0, 0] * x**2 + 2.0 * w[0, 1] * x * p + w[1, 1] * p**2))
     scale = np.exp(-0.5 * big_gamma)
     xr = scale * (rinv[0, 0] * x + rinv[0, 1] * p)
@@ -381,36 +363,15 @@ def observable_series(bundle: PropagatorBundle, state) -> ObservableSeries:
     )
 
 
-@dataclass(frozen=True)
-class EnergyResult:
-    value: float
-    method: str  # "closed_form" or "moments"
+def closed_form_energy(bundle: PropagatorBundle, e0: float, delta_gamma) -> np.ndarray:
+    """<H0>_t = e^{-Gamma} E0 + omega0 delta_gamma over the grid, H0 = (omega0/2)(X^2 + P^2).
 
-
-def mean_energy(bundle: PropagatorBundle, state, t_index: int) -> EnergyResult:
-    """<H0>_t with H0 = (omega0/2)(X^2 + P^2).
-
-    In the rwa and norenorm modes the closed form
-    e^{-Gamma} <H0>_0 + omega0 * tr Wbar applies (tr Wbar = delta_gamma in
-    rwa); the full mode has no such form and falls back to moments.
+    Exact in the rwa and norenorm modes with delta_gamma = tr Wbar, because
+    the counter-rotating part of Wbar is traceless; the full mode has no
+    such form.  With the rotating-wave delta_gamma of the coefficient table
+    it is the rotating-wave reference energy of any bundle.
     """
-    if bundle.mode in ("rwa", "norenorm"):
-        e0 = state.initial_energy(bundle.omega0)
-        value = (
-            np.exp(-bundle.big_gamma[t_index]) * e0
-            + bundle.omega0 * bundle.delta_gamma[t_index]
-        )
-        return EnergyResult(value=float(value), method="closed_form")
-    row = moments(bundle, state, t_index)
-    return EnergyResult(value=0.5 * bundle.omega0 * (row.xx + row.pp), method="moments")
-
-
-def energy_closed_series(bundle: PropagatorBundle, state) -> np.ndarray:
-    """Closed-form energy over the grid (rwa / norenorm bundles)."""
-    if bundle.mode not in ("rwa", "norenorm"):
-        raise ValidationError("closed-form energy applies to rwa and norenorm bundles only")
-    e0 = state.initial_energy(bundle.omega0)
-    return np.exp(-bundle.big_gamma) * e0 + bundle.omega0 * bundle.delta_gamma
+    return np.exp(-bundle.big_gamma) * e0 + bundle.omega0 * delta_gamma
 
 
 def rwa_moment_gaps(bundle: PropagatorBundle, t_index: int) -> tuple[float, float, float]:
@@ -458,7 +419,7 @@ def wigner(
     for ext in extents:
         zx = np.linspace(-ext, ext, z_points)
         zp = np.linspace(-ext, ext, z_points)
-        chi_vals = evolve_chi_grid(bundle, state, t_index, zx[:, None], zp[None, :])
+        chi_vals = evolve_chi(bundle, state, t_index, zx[:, None], zp[None, :])
         boundary = max(
             np.max(np.abs(chi_vals[0, :])),
             np.max(np.abs(chi_vals[-1, :])),

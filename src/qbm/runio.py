@@ -1,4 +1,4 @@
-"""Deterministic CSV writing shared by the artifact emitters.
+"""Deterministic CSV and text-report writing shared by the artifact emitters.
 
 Every output file starts with a ``#``-prefixed schema comment followed by a
 plain header row; floats are written with %.17g so reruns are byte-identical.
@@ -24,6 +24,15 @@ def write_csv(path, columns: str, rows) -> None:
             for start in range(0, len(rows), _CHUNK_ROWS):
                 chunk = rows[start : start + _CHUNK_ROWS].tolist()
                 fh.write("".join(line % tuple(row) for row in chunk))
+    except OSError as exc:
+        raise FileError(f"cannot write {path}: {exc}") from exc
+
+
+def write_text(path, lines) -> None:
+    """Write a plain-text report, one line per item of ``lines``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise FileError(f"cannot write {path}: {exc}") from exc
 

@@ -23,7 +23,7 @@ from qbm.errors import FileError, ValidationError
 from qbm.homogeneous import write_rotation_csv
 from qbm.kernels import tabulate_kernels
 from qbm.propagator import build_propagator, delta_gamma_series, write_propagator_csv
-from qbm.runio import write_csv
+from qbm.runio import write_csv, write_text
 
 OBSERVABLES_CSV_COLUMNS = "t,mean_x,mean_p,xx,pp,xp_sym,energy,energy_rwa,lambda,theta"
 DIFF_OBSERVABLES = ("mean_x", "mean_p", "xx", "pp", "xp_sym", "energy")
@@ -39,23 +39,6 @@ class RunResult:
 def build_grid(dt: float, t_max: float) -> np.ndarray:
     n = int(np.ceil(t_max / dt - 1e-9))
     return dt * np.arange(n + 1)
-
-
-def _observables_matrix(bundle, series, energy, energy_rwa):
-    return np.column_stack(
-        [
-            bundle.grid,
-            series.mean_x,
-            series.mean_p,
-            series.xx,
-            series.pp,
-            series.xp_sym,
-            energy,
-            energy_rwa,
-            bundle.lam,
-            bundle.theta,
-        ]
-    )
 
 
 def run(config: RunConfig) -> RunResult:
@@ -77,25 +60,42 @@ def run(config: RunConfig) -> RunResult:
         writer(path)
         result.files.append(path)
 
+    def emit_mode(stem, mode, first_mode, writer):
+        """``stem_mode.csv``, then its ``stem.csv`` mirror for the run's first mode."""
+        emit(f"{stem}_{mode}.csv", writer)
+        if mode == first_mode:
+            emit(f"{stem}.csv", writer)
+
     grid = build_grid(config.dt, config.t_max)
     kernels = tabulate_kernels(config.reservoir, grid)
     coeffs = compute_coefficients(kernels, config.omega0)
     emit("coefficients.csv", lambda p: write_coefficients_csv(coeffs, p))
 
-    # observed-but-not-assumed properties collected along the run
     report_lines = [
+        "# monitored run properties (observed, not assumed)",
         f"gamma_nonnegative {bool(np.all(coeffs.gamma >= 0))}",
         f"big_gamma_nondecreasing {bool(np.all(np.diff(coeffs.big_gamma) >= 0))}",
     ]
 
     analytic_modes = [m for m in config.modes if m != "oracle"]
-    oracle_requested = "oracle" in config.modes
     oracle_modes = analytic_modes if analytic_modes else ["full"]
     delta_gamma_rwa = delta_gamma_series(coeffs)
 
-    def energy_rwa_series(bundle, e0):
-        """Rotating-wave closed-form energy e^{-Gamma} e0 + omega0 delta_gamma."""
-        return np.exp(-bundle.big_gamma) * e0 + bundle.omega0 * delta_gamma_rwa
+    def observables_writer(bundle, moments, energy, e0):
+        """Writer of the observables rows of an analytic series or an oracle trajectory.
+
+        ``energy_rwa`` is the rotating-wave closed form from ``e0``; it and
+        ``lambda``/``theta`` come from the mode's bundle, NaN without one.
+        """
+        if bundle is None:
+            energy_rwa = lam = theta = np.full(len(moments.grid), np.nan)
+        else:
+            energy_rwa = qcf.closed_form_energy(bundle, e0, delta_gamma_rwa)
+            lam, theta = bundle.lam, bundle.theta
+        columns = [moments.grid, moments.mean_x, moments.mean_p, moments.xx, moments.pp]
+        columns += [moments.xp_sym, energy, energy_rwa, lam, theta]
+        matrix = np.column_stack(columns)
+        return lambda path: write_csv(path, OBSERVABLES_CSV_COLUMNS, matrix)
 
     bundles = {}
     analytic_series = {}
@@ -106,22 +106,18 @@ def run(config: RunConfig) -> RunResult:
         report_lines.append(f"w_bar_min_eigenvalue[{mode}] {min_eig:.17g}")
         series = qcf.observable_series(bundle, config.state)
         analytic_series[mode] = series
+        e0 = config.state.initial_energy(bundle.omega0)
         if mode == "full":
             energy = series.energy
         else:
-            energy = qcf.energy_closed_series(bundle, config.state)
-        energy_rwa = energy_rwa_series(bundle, config.state.initial_energy(bundle.omega0))
-        matrix = _observables_matrix(bundle, series, energy, energy_rwa)
-        emit(f"observables_{mode}.csv", lambda p, m=matrix: write_csv(p, OBSERVABLES_CSV_COLUMNS, m))
-        if mode == analytic_modes[0]:
-            emit("observables.csv", lambda p, m=matrix: write_csv(p, OBSERVABLES_CSV_COLUMNS, m))
-        emit(f"propagator_{mode}.csv", lambda p, b=bundle: write_propagator_csv(b, p))
-        if mode == analytic_modes[0]:
-            emit("propagator.csv", lambda p, b=bundle: write_propagator_csv(b, p))
+            energy = qcf.closed_form_energy(bundle, e0, bundle.delta_gamma)
+        writer = observables_writer(bundle, series, energy, e0)
+        emit_mode("observables", mode, analytic_modes[0], writer)
+        emit_mode("propagator", mode, analytic_modes[0], lambda p: write_propagator_csv(bundle, p))
         if mode == "full":
             emit("rotation.csv", lambda p, b=bundle: write_rotation_csv(b.grid, b.rotations, p))
 
-    if oracle_requested:
+    if "oracle" in config.modes:
         ops = oracle_mod.fock_operators(config.oracle_dim, config.omega0)
         rho0 = oracle_mod.to_density_matrix(config.state, config.oracle_dim)
         trajs = oracle_mod.integrate_modes(
@@ -138,36 +134,8 @@ def run(config: RunConfig) -> RunResult:
                 f"oracle[{mode}] trace_error {traj.trace_error:.3e} "
                 f"herm_drift {traj.herm_drift:.3e} max_leakage {traj.max_leakage:.3e}"
             )
-            bundle = bundles.get(mode)
-            if bundle is not None:
-                energy_rwa = energy_rwa_series(bundle, traj.energy[0])
-                lam, theta = bundle.lam, bundle.theta
-            else:
-                energy_rwa = np.full(len(grid), np.nan)
-                lam = theta = np.full(len(grid), np.nan)
-            matrix = np.column_stack(
-                [
-                    traj.grid,
-                    traj.mean_x,
-                    traj.mean_p,
-                    traj.xx,
-                    traj.pp,
-                    traj.xp_sym,
-                    traj.energy,
-                    energy_rwa,
-                    lam,
-                    theta,
-                ]
-            )
-            emit(
-                f"oracle_observables_{mode}.csv",
-                lambda p, m=matrix: write_csv(p, OBSERVABLES_CSV_COLUMNS, m),
-            )
-            if mode == oracle_modes[0]:
-                emit(
-                    "oracle_observables.csv",
-                    lambda p, m=matrix: write_csv(p, OBSERVABLES_CSV_COLUMNS, m),
-                )
+            writer = observables_writer(bundles.get(mode), traj, traj.energy, traj.energy[0])
+            emit_mode("oracle_observables", mode, oracle_modes[0], writer)
             if mode in analytic_series:
                 series = analytic_series[mode]
                 diffs = {
@@ -178,11 +146,8 @@ def run(config: RunConfig) -> RunResult:
                 diff_lines.append(f"mode={mode}")
                 diff_lines.extend(f"{name} {value:.17g}" for name, value in diffs.items())
         if diff_lines:
-            path = os.path.join(outdir, "diff_report.txt")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("# max absolute deviation, analytic vs oracle, per observable\n")
-                fh.write("\n".join(diff_lines) + "\n")
-            result.files.append(path)
+            header = "# max absolute deviation, analytic vs oracle, per observable"
+            emit("diff_report.txt", lambda p: write_text(p, [header, *diff_lines]))
 
     if config.wigner_enabled:
         if analytic_modes:
@@ -204,12 +169,7 @@ def run(config: RunConfig) -> RunResult:
             )
             emit(f"wigner_t{index}.csv", lambda p, r=rows: write_csv(p, "q,p,w", r))
 
-    report_path = os.path.join(outdir, "run_report.txt")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write("# monitored run properties (observed, not assumed)\n")
-        fh.write("\n".join(report_lines) + "\n")
-    result.files.append(report_path)
-
+    emit("run_report.txt", lambda p: write_text(p, report_lines))
     return result
 
 

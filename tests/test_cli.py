@@ -1,11 +1,12 @@
 import os
+import re
 
 import numpy as np
 import pytest
 
 from qbm import qcf
 from qbm.cli import main
-from qbm.config import parse_config
+from qbm.config import _KEY_TYPES, parse_config
 from qbm.errors import ValidationError
 from qbm.runio import read_csv
 from qbm.runner import build_grid, ellipse_points, run
@@ -112,6 +113,33 @@ def test_wigner_times_outside_grid_rejected(tmp_path):
     assert cfg.wigner_times == (0.0, 1.0)
 
 
+FLOAT_KEYS = [key for key, caster in _KEY_TYPES.items() if caster is float]
+# lines a state key needs so that parsing reaches it
+STATE_CONTEXT = {
+    "state.nbar": ["state.kind = thermal"],
+    "state.r": ["state.kind = squeezed"],
+    "state.phi": ["state.kind = squeezed", "state.r = 0.5"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_rejected_naming_key_and_line(tmp_path, key, value):
+    lines = [ln for ln in MINIMAL.strip().splitlines() if not ln.startswith(f"{key} ")]
+    lines += STATE_CONTEXT.get(key, []) + [f"{key} = {value}"]
+    path = write_conf(tmp_path, "\n".join(lines) + "\n")
+    message = rf"line {len(lines)}: {re.escape(key)} must be finite"
+    with pytest.raises(ValidationError, match=message):
+        parse_config(path)
+    assert main(["run", str(path)]) == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-6.0"])
+def test_wigner_extent_must_be_positive(tmp_path, value):
+    with pytest.raises(ValidationError, match="wigner.extent must be > 0"):
+        parse_config(write_conf(tmp_path, MINIMAL + f"wigner.extent = {value}\n"))
+
+
 # --- grid ------------------------------------------------------------------
 
 
@@ -188,6 +216,55 @@ def test_wigner_artifacts(tmp_path):
     assert len(data) == 32 * 32
 
 
+def test_multi_mode_run_files_and_mirrors(tmp_path, capsys):
+    out = tmp_path / "out"
+    text = MINIMAL.replace("run.modes = full", "run.modes = norenorm,rwa,oracle").replace(
+        "reservoir.alpha = 0.0", "reservoir.alpha = 0.1"
+    ) + f"state.x0 = 2.0\nrun.output_dir = {out}\n"
+    assert main(["run", str(write_conf(tmp_path, text))]) == 0
+    printed = [os.path.basename(line) for line in capsys.readouterr().out.split()]
+    assert printed == [
+        "coefficients.csv",
+        "observables_norenorm.csv",
+        "observables.csv",
+        "propagator_norenorm.csv",
+        "propagator.csv",
+        "observables_rwa.csv",
+        "propagator_rwa.csv",
+        "oracle_observables_norenorm.csv",
+        "oracle_observables.csv",
+        "oracle_observables_rwa.csv",
+        "diff_report.txt",
+        "run_report.txt",
+    ]
+    for stem in ("observables", "propagator", "oracle_observables"):
+        assert (out / f"{stem}.csv").read_bytes() == (out / f"{stem}_norenorm.csv").read_bytes()
+    # energy_rwa is the rotating-wave closed form from each route's own E(0);
+    # the oracle's E(0) of the truncated coherent state is 2.4999999999999996
+    header, prop = read_csv(out / "propagator_rwa.csv")
+    big_gamma = prop[:, header.index("big_gamma")]
+    delta_gamma = prop[:, header.index("delta_gamma")]
+    for name in ("observables_rwa.csv", "oracle_observables_rwa.csv"):
+        header, data = read_csv(out / name)
+        energy_rwa = data[:, header.index("energy_rwa")]
+        e0 = data[0, header.index("energy")] if name.startswith("oracle") else 2.5
+        assert energy_rwa[0] == e0
+        np.testing.assert_allclose(energy_rwa, np.exp(-big_gamma) * e0 + delta_gamma, rtol=1e-14)
+
+
+def test_full_mode_energy_column_is_moment_based(tmp_path):
+    # full has no closed-form energy law; rwa and norenorm write the closed form
+    text = MINIMAL.replace("run.modes = full", "run.modes = full,rwa").replace(
+        "reservoir.alpha = 0.0", "reservoir.alpha = 0.1"
+    ) + f"run.output_dir = {tmp_path / 'out'}\n"
+    run(parse_config(write_conf(tmp_path, text)))
+    header, full = read_csv(tmp_path / "out" / "observables_full.csv")
+    col = {name: full[:, i] for i, name in enumerate(header)}
+    assert np.array_equal(col["energy"], 0.5 * (col["xx"] + col["pp"]))
+    _, rwa = read_csv(tmp_path / "out" / "observables_rwa.csv")
+    assert np.array_equal(rwa[:, header.index("energy")], rwa[:, header.index("energy_rwa")])
+
+
 # --- ellipse ---------------------------------------------------------------
 
 
@@ -221,6 +298,18 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.conf")]) == 3
     bad = write_conf(tmp_path, MINIMAL.replace("0.0", "-1.0"), "bad.conf")
     assert main(["run", str(bad)]) == 1
+
+
+@pytest.mark.parametrize(
+    "modes, report", [("full", "run_report.txt"), ("full,oracle", "diff_report.txt")]
+)
+def test_unwritable_text_report_exits_with_io_code(tmp_path, capsys, modes, report):
+    out = tmp_path / "o"
+    (out / report).mkdir(parents=True)
+    text = MINIMAL.replace("run.modes = full", f"run.modes = {modes}")
+    conf = write_conf(tmp_path, text + f"run.output_dir = {out}\n")
+    assert main(["run", str(conf)]) == 3
+    assert report in capsys.readouterr().err
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
@@ -262,6 +351,10 @@ def test_cli_algebra(tmp_path):
     out = tmp_path / "algebra_report.txt"
     assert main(["algebra", "--d", "20", "--out", str(out)]) == 0
     assert "weyl_eigen" in out.read_text()
+
+
+def test_cli_algebra_unwritable_report_exits_with_io_code(tmp_path):
+    assert main(["algebra", "--d", "20", "--out", str(tmp_path)]) == 3
 
 
 def test_cli_version(capsys):

@@ -8,8 +8,8 @@ from qbm.kernels import ReservoirSpec, tabulate_kernels
 from qbm.propagator import (
     build_propagator,
     delta_gamma_series,
-    lambda_theta,
-    m_matrix,
+    lambda_theta_series,
+    m_matrices,
     w_bar_matrix,
     w_bar_no_renorm,
     w_matrix,
@@ -29,15 +29,15 @@ def rotations(coeffs):
     return build_rotation(solve_fundamental(coeffs), coeffs)
 
 
-def test_m_matrix_assembly(coeffs):
-    assert np.array_equal(m_matrix(coeffs, 0), np.zeros((2, 2)))
-    m = m_matrix(coeffs, 500)
-    assert m[0, 0] == coeffs.delta_bar[500]
-    assert m[0, 1] == m[1, 0] == -0.5 * coeffs.pi[500]
-    assert m[1, 1] == 0.0
+def test_m_matrices_assembly(coeffs):
+    m = m_matrices(coeffs)
+    assert np.array_equal(m[0], np.zeros((2, 2)))
+    assert m[500, 0, 0] == coeffs.delta_bar[500]
+    assert m[500, 0, 1] == m[500, 1, 0] == -0.5 * coeffs.pi[500]
+    assert np.all(m[:, 1, 1] == 0.0)
 
 
-def test_m_matrix_direct_values():
+def test_m_matrices_direct_values():
     from qbm.coefficients import CoefficientTable
 
     table = CoefficientTable(
@@ -48,7 +48,7 @@ def test_m_matrix_direct_values():
         gamma=np.zeros(2),
         big_gamma=np.zeros(2),
     )
-    assert np.allclose(m_matrix(table, 1), [[0.3, -0.05], [-0.05, 0.0]])
+    assert np.allclose(m_matrices(table)[1], [[0.3, -0.05], [-0.05, 0.0]])
 
 
 def test_w_zero_for_zero_coupling():
@@ -137,11 +137,12 @@ def test_delta_gamma_trivia(coeffs):
 
 
 def test_lambda_theta_components():
-    assert lambda_theta(np.array([[0.5, 0.0], [0.0, 0.5]])) == (1.0, 0.0, 0.0)
-    assert lambda_theta(np.array([[0.7, 0.0], [0.0, -0.7]])) == (0.0, 1.4, 0.0)
-    assert lambda_theta(np.array([[0.0, 0.3], [0.3, 0.0]])) == (0.0, 0.0, 0.6)
-    with pytest.raises(ValidationError):
-        lambda_theta(np.array([[0.0, 0.3], [0.2, 0.0]]))
+    nodes = np.array(
+        [[[0.5, 0.0], [0.0, 0.5]], [[0.7, 0.0], [0.0, -0.7]], [[0.0, 0.3], [0.3, 0.0]]]
+    )
+    lam, theta = lambda_theta_series(nodes)
+    assert np.array_equal(lam, [0.0, 1.4, 0.0])
+    assert np.array_equal(theta, [0.0, 0.0, 0.6])
 
 
 def test_congruence_invariant_under_orthogonal_redefinition(coeffs, rotations):

@@ -16,7 +16,7 @@ MOMENT_NAMES = ("mean_x", "mean_p", "xx", "pp", "xp_sym")
 
 def fd_moments(bundle, state, t):
     """Moments at node t from 4th-order central differences of chi_t (the reference)."""
-    m = qcf._moments_fd(lambda x, p: qcf.evolve_chi(bundle, state, (x, p), t), 1e-4)
+    m = qcf._moments_fd(lambda x, p: qcf.evolve_chi(bundle, state, t, x, p), 1e-4)
     return qcf.MomentRow(*qcf._moment_columns(m.b, m.c))
 
 
@@ -50,22 +50,22 @@ def test_chi0_normalization_is_exact():
         qcf.FockState(3),
     ]
     for state in states:
-        assert qcf.chi0_eval(state, (0.0, 0.0)) == 1.0 + 0.0j
+        assert state.chi0(0.0, 0.0) == 1.0 + 0.0j
 
 
 def test_vacuum_chi_value():
-    assert qcf.chi0_eval(qcf.CoherentState(), (1.0, 1.0)) == pytest.approx(
+    assert qcf.CoherentState().chi0(1.0, 1.0) == pytest.approx(
         np.exp(-0.5), abs=1e-15
     )
 
 
 def test_fock1_laguerre_zero():
     # chi of |1> vanishes where L_1(|z|^2 / 2) does, i.e. |z|^2 = 2
-    assert qcf.chi0_eval(qcf.FockState(1), (1.0, 1.0)) == pytest.approx(0.0, abs=1e-15)
+    assert qcf.FockState(1).chi0(1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_coherent_phase_convention():
-    val = qcf.chi0_eval(qcf.CoherentState(x0=2.0), (0.0, 0.5))
+    val = qcf.CoherentState(x0=2.0).chi0(0.0, 0.5)
     assert val == pytest.approx(np.exp(-0.25 / 4.0) * np.exp(1j * 1.0), abs=1e-14)
 
 
@@ -76,7 +76,7 @@ def test_coherent_phase_convention():
     nbar=st.floats(0, 3),
 )
 def test_thermal_chi_is_gaussian(x, p, nbar):
-    val = qcf.chi0_eval(qcf.ThermalState(nbar), (x, p))
+    val = qcf.ThermalState(nbar).chi0(x, p)
     assert val == pytest.approx(np.exp(-(2 * nbar + 1) * (x * x + p * p) / 4), abs=1e-12)
 
 
@@ -86,8 +86,8 @@ def test_hermiticity_symmetry_at_random_points(bundles):
         for _ in range(100):
             z = rng.normal(scale=1.5, size=2)
             t = int(rng.integers(0, 1000))
-            a = qcf.evolve_chi(bundles["full"], state, z, t)
-            b = qcf.evolve_chi(bundles["full"], state, -z, t)
+            a = qcf.evolve_chi(bundles["full"], state, t, *z)
+            b = qcf.evolve_chi(bundles["full"], state, t, *-z)
             assert abs(a - np.conj(b)) <= 1e-12
 
 
@@ -97,14 +97,22 @@ def test_hermiticity_symmetry_at_random_points(bundles):
 def test_evolution_normalization_exact(bundles):
     for mode, bundle in bundles.items():
         for t in (0, 137, 999):
-            assert qcf.evolve_chi(bundle, qcf.CoherentState(2.0), (0.0, 0.0), t) == 1.0 + 0.0j
+            assert qcf.evolve_chi(bundle, qcf.CoherentState(2.0), t, 0.0, 0.0) == 1.0 + 0.0j
+
+
+def test_evolve_chi_rejects_non_finite_arguments(bundles):
+    state = qcf.CoherentState(2.0)
+    with pytest.raises(ValidationError, match="finite"):
+        qcf.evolve_chi(bundles["full"], state, 10, np.nan, 0.0)
+    with pytest.raises(ValidationError, match="finite"):
+        qcf.evolve_chi(bundles["full"], state, 10, np.zeros((3, 1)), np.array([[0.0, np.inf]]))
 
 
 def test_t0_returns_initial_chi(bundles):
     state = qcf.CoherentState(0.8, -1.1)
     for z in ((0.3, 0.4), (-1.0, 2.0)):
-        assert qcf.evolve_chi(bundles["full"], state, z, 0) == pytest.approx(
-            qcf.chi0_eval(state, z), abs=1e-14
+        assert qcf.evolve_chi(bundles["full"], state, 0, *z) == pytest.approx(
+            state.chi0(*z), abs=1e-14
         )
 
 
@@ -114,8 +122,8 @@ def test_free_evolution_is_pure_rotation(free_bundle):
     angle = free_bundle.grid[t]
     z = np.array([0.7, -0.2])
     rot = np.array([[np.cos(angle), np.sin(angle)], [-np.sin(angle), np.cos(angle)]])
-    expected = qcf.chi0_eval(state, np.linalg.inv(rot) @ z)
-    assert qcf.evolve_chi(free_bundle, state, z, t) == pytest.approx(expected, abs=1e-8)
+    expected = state.chi0(*(np.linalg.inv(rot) @ z))
+    assert qcf.evolve_chi(free_bundle, state, t, *z) == pytest.approx(expected, abs=1e-8)
 
 
 def test_gaussian_closure(bundles):
@@ -129,7 +137,7 @@ def test_gaussian_closure(bundles):
             z = rng.normal(scale=1.2, size=2)
             quad = z @ c_t[0] @ z
             recon = np.exp(1j * (b_t[0] @ z) - 0.5 * quad)
-            direct = qcf.evolve_chi(bundles["full"], state, z, t)
+            direct = qcf.evolve_chi(bundles["full"], state, t, *z)
             assert abs(recon - direct) < 1e-12
 
 
@@ -234,36 +242,32 @@ def test_imaginary_residue_guard():
 # --- energy --------------------------------------------------------------
 
 
+def closed_energy(bundle, state):
+    """The closed-form energy law with the bundle's own delta_gamma = tr Wbar."""
+    return qcf.closed_form_energy(bundle, state.initial_energy(bundle.omega0), bundle.delta_gamma)
+
+
 def test_initial_energy_values(bundles):
-    assert qcf.mean_energy(bundles["rwa"], qcf.CoherentState(x0=2.0), 0).value == pytest.approx(
-        2.5, abs=1e-12
-    )
-    assert qcf.mean_energy(bundles["rwa"], qcf.ThermalState(1.0), 0).value == pytest.approx(
-        1.5, abs=1e-12
-    )
-    assert qcf.mean_energy(bundles["rwa"], qcf.FockState(3), 0).value == pytest.approx(
-        3.5, abs=1e-12
-    )
+    for state, e0 in (
+        (qcf.CoherentState(x0=2.0), 2.5),
+        (qcf.ThermalState(1.0), 1.5),
+        (qcf.FockState(3), 3.5),
+    ):
+        assert closed_energy(bundles["rwa"], state)[0] == pytest.approx(e0, abs=1e-12)
 
 
 def test_closed_form_equals_moment_energy_in_rwa(bundles):
     state = qcf.CoherentState(x0=2.0)
     series = qcf.observable_series(bundles["rwa"], state)
-    closed = qcf.energy_closed_series(bundles["rwa"], state)
+    closed = closed_energy(bundles["rwa"], state)
     assert np.max(np.abs(series.energy - closed)) < 1e-8
 
 
 def test_norenorm_energy_equals_rwa_energy(bundles):
     state = qcf.ThermalState(1.0)
-    e_nr = qcf.energy_closed_series(bundles["norenorm"], state)
-    e_rwa = qcf.energy_closed_series(bundles["rwa"], state)
+    e_nr = closed_energy(bundles["norenorm"], state)
+    e_rwa = closed_energy(bundles["rwa"], state)
     assert np.max(np.abs(e_nr - e_rwa)) < 1e-8
-
-
-def test_full_mode_energy_falls_back_to_moments(bundles):
-    res = qcf.mean_energy(bundles["full"], qcf.CoherentState(x0=2.0), 500)
-    assert res.method == "moments"
-    assert qcf.mean_energy(bundles["rwa"], qcf.CoherentState(x0=2.0), 500).method == "closed_form"
 
 
 # --- moment gaps ---------------------------------------------------------
@@ -334,14 +338,14 @@ def make_tabulated_coherent(x0=0.5, extent=12.0, n=241):
 def test_tabulated_chi_matches_at_nodes():
     tab, ref = make_tabulated_coherent()
     for z in ((0.0, 0.0), (0.1, -0.2), (1.0, 1.0)):
-        assert qcf.chi0_eval(tab, z) == pytest.approx(qcf.chi0_eval(ref, z), abs=5e-3)
-    assert qcf.chi0_eval(tab, (0.0, 0.0)) == 1.0 + 0.0j
+        assert tab.chi0(*z) == pytest.approx(ref.chi0(*z), abs=5e-3)
+    assert tab.chi0(0.0, 0.0) == 1.0 + 0.0j
 
 
 def test_tabulated_chi_out_of_range():
     tab, _ = make_tabulated_coherent(extent=4.0, n=81)
     with pytest.raises(ValidationError):
-        qcf.chi0_eval(tab, (5.0, 0.0))
+        tab.chi0(5.0, 0.0)
 
 
 def test_tabulated_chi_validation():
