@@ -46,7 +46,11 @@ _KEY_TYPES = {
     "wigner.points": int,
 }
 
-_REQUIRED = ("reservoir.family", "reservoir.alpha", "grid.dt", "grid.t_max", "run.modes")
+_REQUIRED = ("reservoir.family", "grid.dt", "grid.t_max", "run.modes")
+
+# the tabulated family's table holds alpha^2 kappa and alpha^2 mu at its own
+# temperature, so these keys would be read and then ignored
+_NOT_TABULATED_KEYS = ("reservoir.alpha", "reservoir.wc", "reservoir.temperature")
 
 _STATE_PARAM_KEYS = {
     "coherent": {"state.x0", "state.p0"},
@@ -153,16 +157,30 @@ def parse_config(path) -> RunConfig:
         )
     table = None
     if family == TABULATED:
+        for key in _NOT_TABULATED_KEYS:
+            if key in seen:
+                raise ValidationError(
+                    f"line {seen[key][1]}: {key} does not apply to the tabulated family, "
+                    "whose kernel table already includes the coupling and temperature"
+                )
         if "reservoir.kernel_csv" not in seen:
             raise ValidationError("tabulated reservoir requires reservoir.kernel_csv")
         table = load_kernel_csv(resolve(_typed(seen, "reservoir.kernel_csv")))
+        alpha = 1.0  # the kernels read from the table are used as they stand
     elif "reservoir.kernel_csv" in seen:
-        raise ValidationError("reservoir.kernel_csv applies only to the tabulated family")
+        raise ValidationError(
+            f"line {seen['reservoir.kernel_csv'][1]}: reservoir.kernel_csv applies only "
+            "to the tabulated family"
+        )
+    elif "reservoir.alpha" not in seen:
+        raise ValidationError("missing required key 'reservoir.alpha'")
+    else:
+        alpha = _typed(seen, "reservoir.alpha")
 
     try:
         reservoir = ReservoirSpec(
             family=family,
-            alpha=_typed(seen, "reservoir.alpha"),
+            alpha=alpha,
             wc=_typed(seen, "reservoir.wc", 5.0),
             temperature=_typed(seen, "reservoir.temperature", 0.0),
             table=table,

@@ -15,18 +15,24 @@ with coth -> 1 at T = 0; mu is temperature independent.
 Families
 --------
 ohmic_exp_cutoff
-    J(w) = w exp(-w/wc).  Every T = 0 transform is closed-form, and mu is
-    closed-form at any T, which makes this family self-verifiable against
-    the quadrature path.
+    J(w) = w exp(-w/wc).  Both kernels are closed-form at every
+    temperature: kappa at T = 0 and mu are rational in tau, and at T > 0
+    the Bose expansion coth(w/2T) = 1 + 2 sum_n exp(-n w/T) sums kappa to
+    alpha^2 Re[z^-2 + 2T^2 psi'(1 + T z)] with z = 1/wc - i tau and psi' the
+    complex trigamma.  The quadrature path cross-checks every closed form.
 ohmic_lorentz_drude
     J(w) = (2/pi) w wc^2 / (wc^2 + w^2).  mu(tau) = alpha^2 wc^2 exp(-wc tau)
-    is closed-form; kappa(0) is ultraviolet log-divergent (the integrand
-    falls off only as 1/w), so evaluation at tau = 0 is rejected for every
-    temperature.
+    is closed-form; kappa comes from quadrature, and kappa(0) is ultraviolet
+    log-divergent (the integrand falls off only as 1/w), so evaluation at
+    tau = 0 is rejected for every temperature.
 tabulated
-    (tau, kappa, mu) samples with linear interpolation.
+    (tau, kappa, mu) samples, alpha^2 included, with linear interpolation.
 
-Quadrature: scipy's QUADPACK adaptive panels.  For rapidly decaying
+``kappa`` and ``mu`` take one lag or an array of lags through one code
+path; ``tabulate_kernels`` calls each once on the whole grid.
+
+Quadrature (``kappa_quadrature``, ``mu_quadrature`` and Lorentz-Drude
+kappa): scipy's QUADPACK adaptive panels.  For rapidly decaying
 integrands the oscillatory factor is folded into the integrand below
 tau = 1 and handled by the dedicated Fourier-weight routine above; the
 slowly decaying Lorentz-Drude integrand always uses the Fourier-weight
@@ -216,45 +222,102 @@ def mu_quadrature(spec: ReservoirSpec, tau: float) -> float:
     return spec.alpha**2 * _mu_integral(spec, tau)
 
 
-def _require_tau(tau: float):
-    if not np.isfinite(tau) or tau < 0:
+def _require_tau(tau) -> np.ndarray:
+    tau = np.asarray(tau, dtype=float)
+    if not np.all(np.isfinite(tau)) or np.any(tau < 0):
         raise ValidationError("tau must be finite and >= 0")
+    return tau
 
 
-def kappa(spec: ReservoirSpec, tau: float) -> float:
-    """Correlation kernel kappa(tau); closed form where available."""
-    _require_tau(tau)
+# Bernoulli numbers B_2 .. B_16 of the asymptotic trigamma series
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+# shift that puts |u| >= 12 before the series is summed
+_TRIGAMMA_SHIFT = 12
+
+
+def trigamma(u):
+    """Complex trigamma psi'(u) = sum_{n>=0} (u + n)^-2 for Re u > 0.
+
+    The recurrence psi'(u) = psi'(u + 1) + u^-2 moves the argument to
+    w = u + 12, where the asymptotic series (Abramowitz & Stegun 6.4.12)
+    1/w + 1/(2w^2) + sum_k B_2k / w^(2k+1), cut after B_16, is exact to
+    rounding.
+    """
+    u = np.asarray(u, dtype=complex)
+    w = u.reshape(-1)
+    head = np.zeros_like(w)
+    for n in range(_TRIGAMMA_SHIFT):
+        inv = 1.0 / (w + n)
+        head += inv * inv
+    inv = 1.0 / (w + _TRIGAMMA_SHIFT)
+    inv2 = inv * inv
+    series = np.zeros_like(w)
+    for b in reversed(_BERNOULLI):
+        series = series * inv2 + b
+    return (head + inv + 0.5 * inv2 + inv * inv2 * series).reshape(u.shape)[()]
+
+
+# Both kernels run on a 1-d view of tau, so one lag goes through the same
+# numpy array loops as a whole grid: numpy's scalar complex product differs
+# from its array loop in the last bit.
+def kappa(spec: ReservoirSpec, tau):
+    """Correlation kernel kappa(tau) at a lag or an array of lags."""
+    tau = _require_tau(tau)
+    return _kappa_lags(spec, tau.reshape(-1)).reshape(tau.shape)[()]
+
+
+def mu(spec: ReservoirSpec, tau):
+    """Susceptibility kernel mu(tau) at a lag or an array of lags; T independent."""
+    tau = _require_tau(tau)
+    return _mu_lags(spec, tau.reshape(-1)).reshape(tau.shape)[()]
+
+
+def _kappa_lags(spec: ReservoirSpec, tau: np.ndarray) -> np.ndarray:
     if spec.family == TABULATED:
         return _interp_table(spec.table, tau, spec.table.kappa)
     if spec.alpha == 0.0:
-        return 0.0
-    if spec.family == OHMIC_EXP_CUTOFF and spec.temperature == 0.0:
-        x2 = (spec.wc * tau) ** 2
-        return spec.alpha**2 * spec.wc**2 * (1.0 - x2) / (1.0 + x2) ** 2
-    return spec.alpha**2 * _kappa_integral(spec, tau)
+        return np.zeros_like(tau)
+    if spec.family == OHMIC_LORENTZ_DRUDE:
+        return np.array([spec.alpha**2 * _kappa_integral(spec, t) for t in tau.tolist()])
+    T = spec.temperature
+    if T == 0.0:
+        x2 = _pow2(spec.wc * tau)
+        return spec.alpha**2 * spec.wc**2 * (1.0 - x2) / _pow2(1.0 + x2)
+    # coth(w/2T) = 1 + 2 sum_n exp(-n w/T) turns the transform into the
+    # Bose sum Re[z^-2 + 2 sum_{n>=1} (z + n/T)^-2] with z = 1/wc - i tau
+    z = 1.0 / spec.wc - 1j * tau
+    inv = 1.0 / z
+    return spec.alpha**2 * (inv * inv + 2.0 * T**2 * trigamma(1.0 + T * z)).real
 
 
-def mu(spec: ReservoirSpec, tau: float) -> float:
-    """Susceptibility kernel mu(tau); temperature independent."""
-    _require_tau(tau)
+def _mu_lags(spec: ReservoirSpec, tau: np.ndarray) -> np.ndarray:
     if spec.family == TABULATED:
         return _interp_table(spec.table, tau, spec.table.mu)
-    if spec.alpha == 0.0 or tau == 0.0:
-        return 0.0
-    if spec.family == OHMIC_EXP_CUTOFF:
-        x2 = (spec.wc * tau) ** 2
-        return spec.alpha**2 * 2.0 * spec.wc**3 * tau / (1.0 + x2) ** 2
+    if spec.alpha == 0.0:
+        return np.zeros_like(tau)
     if spec.family == OHMIC_LORENTZ_DRUDE:
-        return spec.alpha**2 * spec.wc**2 * np.exp(-spec.wc * tau)
-    return spec.alpha**2 * _mu_integral(spec, tau)
+        # the sine transform vanishes at tau = 0, the exponential does not
+        decay = spec.alpha**2 * spec.wc**2 * np.exp(-spec.wc * tau)
+        return np.where(tau == 0.0, 0.0, decay)
+    x2 = _pow2(spec.wc * tau)
+    return spec.alpha**2 * 2.0 * spec.wc**3 * tau / _pow2(1.0 + x2)
 
 
-def _interp_table(table: KernelTable, tau: float, column: np.ndarray) -> float:
-    if tau > table.grid[-1]:
+def _pow2(x: np.ndarray) -> np.ndarray:
+    """x**2 through the C library's pow, as numpy's scalar power computes it.
+
+    numpy's array power rounds x*x instead, which differs from pow(x, 2) in
+    the last bit at about 0.1% of nodes and would move every kernel table.
+    """
+    return np.array([v**2 for v in x.tolist()])
+
+
+def _interp_table(table: KernelTable, tau: np.ndarray, column: np.ndarray) -> np.ndarray:
+    if np.any(tau > table.grid[-1]):
         raise ValidationError(
-            f"tau={tau:g} outside tabulated kernel range [0, {table.grid[-1]:g}]"
+            f"tau={tau.max():g} outside tabulated kernel range [0, {table.grid[-1]:g}]"
         )
-    return float(np.interp(tau, table.grid, column))
+    return np.interp(tau, table.grid, column)
 
 
 def tabulate_kernels(spec: ReservoirSpec, grid) -> KernelTable:
@@ -266,9 +329,7 @@ def tabulate_kernels(spec: ReservoirSpec, grid) -> KernelTable:
         raise ValidationError("kernel grid must start at tau = 0")
     if np.any(np.diff(grid) <= 0):
         raise ValidationError("kernel grid must be strictly increasing")
-    kap = np.array([kappa(spec, t) for t in grid])
-    muv = np.array([mu(spec, t) for t in grid])
-    return KernelTable(grid=grid, kappa=kap, mu=muv)
+    return KernelTable(grid=grid, kappa=kappa(spec, grid), mu=mu(spec, grid))
 
 
 def load_kernel_csv(path) -> KernelTable:

@@ -167,7 +167,7 @@ def build_propagator(
 ) -> PropagatorBundle:
     """Assemble the per-mode bundle from a reservoir spec and time grid.
 
-    Passing a precomputed coefficient table skips the kernel quadrature,
+    Passing a precomputed coefficient table skips the kernel tabulation,
     which the CLI uses to share one table across modes.
     """
     if mode not in MODES:

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from qbm import qcf
+from qbm import kernels, qcf
 from qbm.cli import main
 from qbm.config import _KEY_TYPES, parse_config
 from qbm.errors import ValidationError
@@ -52,6 +52,59 @@ def test_lorentz_drude_family_rejected_at_parse_time(tmp_path):
     with pytest.raises(ValidationError, match="line 2: reservoir.family = ohmic_lorentz_drude"):
         parse_config(write_conf(tmp_path, bad))
     assert main(["run", str(write_conf(tmp_path, bad))]) == 1
+
+
+def write_kernel_csv(tmp_path, spec, grid):
+    table = kernels.tabulate_kernels(spec, grid)
+    rows = "".join(f"{t:.17g},{k:.17g},{m:.17g}\n" for t, k, m in zip(grid, table.kappa, table.mu))
+    path = tmp_path / "kernel.csv"
+    path.write_text("tau,kappa,mu\n" + rows)
+    return path
+
+
+TABULATED = """
+reservoir.family = tabulated
+reservoir.kernel_csv = kernel.csv
+grid.dt = 0.01
+grid.t_max = 1.0
+run.modes = rwa
+"""
+
+
+@pytest.mark.parametrize("key", ["reservoir.alpha", "reservoir.wc", "reservoir.temperature"])
+def test_tabulated_family_rejects_ignored_reservoir_keys(tmp_path, key):
+    cold = kernels.ReservoirSpec("ohmic_exp_cutoff", alpha=0.1)
+    write_kernel_csv(tmp_path, cold, build_grid(0.01, 1.0))
+    path = write_conf(tmp_path, TABULATED + f"{key} = 0.5\n")
+    with pytest.raises(ValidationError, match=rf"line 7: {re.escape(key)} does not apply"):
+        parse_config(path)
+    assert main(["run", str(path)]) == 1
+
+
+def test_other_families_reject_kernel_csv_and_require_alpha(tmp_path):
+    with pytest.raises(ValidationError, match="line 7: reservoir.kernel_csv applies only"):
+        parse_config(write_conf(tmp_path, MINIMAL + "reservoir.kernel_csv = kernel.csv\n"))
+    with pytest.raises(ValidationError, match="missing required key 'reservoir.alpha'"):
+        parse_config(write_conf(tmp_path, MINIMAL.replace("reservoir.alpha = 0.0\n", "")))
+
+
+def test_tabulated_family_without_alpha_runs(tmp_path):
+    # a table sampled from the thermal closed form reproduces that run's
+    # coefficients byte for byte: the table is read as it stands
+    hot = kernels.ReservoirSpec("ohmic_exp_cutoff", alpha=0.1, wc=5.0, temperature=2.0)
+    write_kernel_csv(tmp_path, hot, build_grid(0.01, 1.0))
+    tab_conf = write_conf(tmp_path, TABULATED + f"run.output_dir = {tmp_path / 'tab'}\n")
+    assert parse_config(tab_conf).reservoir.family == "tabulated"
+    assert main(["run", str(tab_conf)]) == 0
+    ref_conf = write_conf(
+        tmp_path,
+        MINIMAL.replace("alpha = 0.0", "alpha = 0.1").replace("run.modes = full", "run.modes = rwa")
+        + f"reservoir.temperature = 2.0\nrun.output_dir = {tmp_path / 'ref'}\n",
+        "ref.conf",
+    )
+    assert main(["run", str(ref_conf)]) == 0
+    for name in ("coefficients.csv", "observables.csv"):
+        assert (tmp_path / "tab" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
 def test_unknown_key_suggests_correction(tmp_path):

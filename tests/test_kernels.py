@@ -14,6 +14,7 @@ from qbm.kernels import (
     mu,
     mu_quadrature,
     tabulate_kernels,
+    trigamma,
 )
 
 OHMIC = ReservoirSpec("ohmic_exp_cutoff", alpha=0.1, wc=5.0, temperature=0.0)
@@ -81,6 +82,53 @@ def test_thermal_kappa_against_mp_oracle(tau):
     assert kappa(spec, tau) == pytest.approx(mp_kappa(spec, tau), abs=5e-10)
 
 
+@pytest.mark.parametrize(
+    "u",
+    [
+        # small |u|, where the recurrence's u^-2 dominates
+        0.01 + 0.02j, 0.3, 0.5 - 0.5j, 1e-3 + 1e-3j,
+        # Re u -> 0 with large |Im u|
+        1e-3 + 50j, 1e-6 - 200j, 1e-3 + 1e4j,
+        # large |u|
+        40 + 3j, 1e3 - 7e3j, 1e6 + 1j,
+        # the kernel's arguments 1 + T z at T = 0.01, 2 and 14
+        1.002 - 0.3j, 1.4 - 60j, 3.8 - 420j,
+    ],
+)
+def test_trigamma_against_mpmath(u):
+    mp.mp.dps = 40
+    ref = complex(mp.psi(1, mp.mpc(u.real, u.imag)))
+    assert abs(trigamma(u) - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("temperature", [0.01, 0.5, 2.0, 14.0])
+def test_thermal_closed_form_against_quadrature(temperature):
+    spec = ReservoirSpec("ohmic_exp_cutoff", alpha=0.1, wc=5.0, temperature=temperature)
+    grid = np.concatenate([np.linspace(0.0, 1.0, 21), np.linspace(1.25, 30.0, 40)])
+    quad_path = np.array([kappa_quadrature(spec, t) for t in grid])
+    assert np.max(np.abs(kappa(spec, grid) - quad_path)) <= 1e-12
+
+
+@pytest.mark.parametrize("temperature", [0.0, 2.0])
+def test_tabulation_equals_scalar_evaluation_bit_for_bit(temperature):
+    spec = ReservoirSpec("ohmic_exp_cutoff", alpha=0.1, wc=5.0, temperature=temperature)
+    grid = 0.01 * np.arange(3001)
+    table = tabulate_kernels(spec, grid)
+    assert np.array_equal(table.kappa, [kappa(spec, t) for t in grid])
+    assert np.array_equal(table.mu, [mu(spec, t) for t in grid])
+
+
+@pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+def test_array_lags_rejected_like_scalar_lags(bad):
+    hot = ReservoirSpec("ohmic_exp_cutoff", alpha=0.1, wc=5.0, temperature=2.0)
+    for spec in (OHMIC, hot):
+        for f in (kappa, mu):
+            with pytest.raises(ValidationError, match="tau must be finite and >= 0"):
+                f(spec, bad)
+            with pytest.raises(ValidationError, match="tau must be finite and >= 0"):
+                f(spec, np.array([0.0, 1.0, bad, 2.0]))
+
+
 def test_drude_mu_closed_form_against_quadrature():
     for tau in (0.1, 0.5, 2.0):
         assert mu(DRUDE, tau) == pytest.approx(mu_quadrature(DRUDE, tau), abs=1e-11)
@@ -121,13 +169,15 @@ def test_negative_lag_rejected():
 @settings(max_examples=25, deadline=None)
 @given(
     alpha=st.floats(1e-3, 2.0),
-    # subnormal tau underflows the mu product and spoils the exact ratio
-    tau=st.floats(0.0, 20.0, allow_subnormal=False),
+    # below ~1e-300 the mu product alpha^2 2 wc^3 tau underflows to a
+    # subnormal and spoils the exact ratio, even for a normal tau
+    tau=st.one_of(st.just(0.0), st.floats(1e-300, 20.0)),
     wc=st.floats(0.5, 10.0),
+    temperature=st.floats(0.0, 14.0),
 )
-def test_kernels_scale_exactly_as_alpha_squared(alpha, tau, wc):
-    s1 = ReservoirSpec("ohmic_exp_cutoff", alpha=alpha, wc=wc)
-    s2 = ReservoirSpec("ohmic_exp_cutoff", alpha=2.0 * alpha, wc=wc)
+def test_kernels_scale_exactly_as_alpha_squared(alpha, tau, wc, temperature):
+    s1 = ReservoirSpec("ohmic_exp_cutoff", alpha=alpha, wc=wc, temperature=temperature)
+    s2 = ReservoirSpec("ohmic_exp_cutoff", alpha=2.0 * alpha, wc=wc, temperature=temperature)
     for f in (kappa, mu):
         v1, v2 = f(s1, tau), f(s2, tau)
         if v1 != 0.0:
