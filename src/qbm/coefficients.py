@@ -23,6 +23,7 @@ from scipy.integrate import cumulative_trapezoid, quad
 
 from qbm.errors import ValidationError
 from qbm.kernels import TABULATED, KernelTable, ReservoirSpec, mu, spectral_density
+from qbm.runio import write_csv
 
 # refuse grids coarser than ~pi/5 radians of omega0 per step
 MAX_STEP_RADIANS = np.pi / 5.0
@@ -134,8 +135,6 @@ COEFFICIENTS_CSV_COLUMNS = "t,delta_bar,pi,r,gamma,big_gamma"
 
 
 def write_coefficients_csv(table: CoefficientTable, path) -> None:
-    from qbm.runio import write_csv
-
     columns = np.column_stack(
         [table.grid, table.delta_bar, table.pi, table.r, table.gamma, table.big_gamma]
     )

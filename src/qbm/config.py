@@ -16,6 +16,7 @@ import numpy as np
 
 from qbm.errors import FileError, ValidationError
 from qbm.kernels import FAMILIES, OHMIC_LORENTZ_DRUDE, TABULATED, ReservoirSpec, load_kernel_csv
+from qbm.oracle import INTERIOR_MARGIN
 
 RUN_MODES = ("full", "norenorm", "rwa", "oracle")
 
@@ -227,6 +228,13 @@ def parse_config(path) -> RunConfig:
     oracle_dim = _typed(seen, "oracle.dimension", 30)
     if oracle_dim < 8:
         raise ValidationError("oracle.dimension must be >= 8")
+    if "oracle" in modes and kind == "fock" and state.n >= oracle_dim - INTERIOR_MARGIN:
+        where = f"line {seen['oracle.dimension'][1]}" if "oracle.dimension" in seen else "default"
+        raise ValidationError(
+            f"line {seen['state.n'][1]}: state.n = {state.n} is too close to the oracle "
+            f"truncation oracle.dimension = {oracle_dim} ({where}); the oracle needs "
+            f"oracle.dimension >= {state.n + INTERIOR_MARGIN + 1}"
+        )
     leakage = _typed(seen, "oracle.leakage_threshold", 1e-6)
     if leakage <= 0:
         raise ValidationError("oracle.leakage_threshold must be > 0")

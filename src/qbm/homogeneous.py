@@ -29,6 +29,7 @@ import numpy as np
 
 from qbm.coefficients import CoefficientTable
 from qbm.errors import NumericalError, StabilityError, ValidationError
+from qbm.runio import write_csv
 
 log = logging.getLogger(__name__)
 
@@ -160,8 +161,6 @@ ROTATION_CSV_COLUMNS = "t,c,s,sr,cr,det"
 
 def write_rotation_csv(grid: np.ndarray, rot: np.ndarray, path) -> None:
     """Write the (n, 2, 2) matrices of :func:`build_rotation` on their grid."""
-    from qbm.runio import write_csv
-
     columns = np.column_stack(
         [grid, rot[:, 0, 0], rot[:, 0, 1], -rot[:, 1, 0], rot[:, 1, 1], rotation_det(rot)]
     )

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from qbm.errors import QuadratureError, ValidationError
+from qbm.errors import FileError, QuadratureError, ValidationError
 
 OHMIC_EXP_CUTOFF = "ohmic_exp_cutoff"
 OHMIC_LORENTZ_DRUDE = "ohmic_lorentz_drude"
@@ -338,8 +338,6 @@ def load_kernel_csv(path) -> KernelTable:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
     except OSError as exc:
-        from qbm.errors import FileError
-
         raise FileError(f"cannot read kernel CSV {path}: {exc}") from exc
     if not lines or lines[0].replace(" ", "") != "tau,kappa,mu":
         raise ValidationError(f"kernel CSV {path} must start with header 'tau,kappa,mu'")

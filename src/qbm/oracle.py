@@ -2,9 +2,9 @@
 
 Everything the analytic pipeline claims is re-derivable here the slow way:
 X and P as dense matrices, the commutator (S) and anticommutator (Sigma)
-superoperators as explicit d^2 x d^2 linear maps on column-vectorized
-operators, the master equation integrated step by step, and the
-superoperator algebra checked numerically.
+superoperators as explicit d^2 x d^2 linear maps on row-major vectorized
+operators (vec(rho) = rho.ravel()), the master equation integrated step by
+step, and the superoperator algebra checked numerically.
 
 The master equation in all its variants is
 
@@ -20,9 +20,10 @@ replaces D by (delta_bar/2)([X,[X,.]] + [P,[P,.]]); ``unitary`` keeps only
 the -i[Hbar_0, .] term (rotation-law checks).
 
 Each mode is one term table: five fixed operator triples weighted by the
-coefficient row (1, delta_bar, pi, r, gamma).  The RK4 loop, the explicit
-generator and the algebra suite all read the master equation from it, and
-the loop integrates any set of modes side by side with per-mode guards.
+coefficient row (1, delta_bar, pi, r, gamma).  ``_Generators`` turns the
+tables of several modes into one block-diagonal sparse generator L(t) on
+vec(rho); the RK4 loop steps on it, ``generator`` returns it for one mode,
+and the algebra suite checks it, so there is one master equation.
 
 Truncation hygiene: states must stay away from the top of the basis (the
 leakage monitor aborts otherwise), and algebra residuals are measured on
@@ -31,6 +32,7 @@ interior matrix blocks where the truncated ladder operators act exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,25 +92,24 @@ def fock_operators(d: int, omega0: float = 1.0) -> FockOperators:
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
-    return rho.reshape(-1, order="F")
+    """Row-major vectorization: entry (i, j) of rho sits at i * d + j."""
+    return rho.reshape(-1)
 
 
 def unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return v.reshape(d, d, order="F")
+    return v.reshape(d, d)
 
 
 def s_type(a: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> [a, rho] on column-stacked operators."""
-    d = a.shape[0]
-    eye = np.eye(d)
-    return np.kron(eye, a) - np.kron(a.T, eye)
+    """Matrix of rho -> [a, rho] on row-major vec(rho)."""
+    eye = np.eye(a.shape[0])
+    return np.kron(a, eye) - np.kron(eye, a.T)
 
 
 def sigma_type(a: np.ndarray) -> np.ndarray:
     """Matrix of rho -> {a, rho}."""
-    d = a.shape[0]
-    eye = np.eye(d)
-    return np.kron(eye, a) + np.kron(a.T, eye)
+    eye = np.eye(a.shape[0])
+    return np.kron(a, eye) + np.kron(eye, a.T)
 
 
 def build_superops(ops: FockOperators) -> dict:
@@ -164,37 +165,61 @@ def term_table(ops: FockOperators, mode: str) -> np.ndarray:
     return table
 
 
-def terms_at(table: np.ndarray, coeffs_at_t: dict) -> np.ndarray:
-    """(K, R_x, R_p) of one term table at one time, shape (3, d, d)."""
+class _Generators:
+    """The generators L(t) of several modes as one block-diagonal CSR matrix.
+
+    Each mode's term table becomes five per-weight d^2 x d^2 generators on
+    row-major vec(rho), kept on the union of their sparsity patterns; the
+    modes are stacked block-diagonally.  ``weights`` holds, per mode, the
+    (5, nnz) entries of its block as a real (5, 2 nnz) view, so the
+    generator at one time is the coefficient row contracted into the CSR
+    data.  Each mode's block is contracted by its own call on its own
+    weights, so a mode gets the same generator alone or batched.
+    """
+
+    def __init__(self, ops: FockOperators, modes):
+        from scipy import sparse
+
+        eye = sparse.eye_array(ops.d, dtype=complex, format="csr")
+        x, p = sparse.csr_array(ops.x), sparse.csr_array(ops.p)
+        patterns, self.weights = [], []
+        for mode in modes:
+            # vec(A rho B) = (A kron B^T) vec(rho) on row-major vec, and
+            # rho K^dag is its own term: taking it as (K rho)^dag would make
+            # the hermiticity drift vanish by construction
+            per_weight = [
+                sparse.kron(k, eye) + sparse.kron(eye, k.conj())
+                + sparse.kron(x, rx.T) + sparse.kron(p, rp.T)
+                for k, rx, rp in term_table(ops, mode)
+            ]
+            pattern = sum(abs(g) for g in per_weight).tocsr()
+            pattern.sort_indices()
+            rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+            data = np.stack([g[rows, pattern.indices] for g in per_weight])
+            self.weights.append(data.view(float))
+            patterns.append(pattern)
+        # block_diag keeps each block's sorted entries, so mode j's weights
+        # fill the CSR data of rows j d^2 .. (j + 1) d^2 in order
+        self.template = sparse.block_diag(patterns, format="csr", dtype=complex)
+        cuts = self.template.indptr[:: ops.d * ops.d]
+        self.slices = [slice(2 * a, 2 * b) for a, b in zip(cuts[:-1], cuts[1:])]
+
+    def at(self, row, out=None):
+        """The generator at one coefficient row, written into ``out`` if given."""
+        out = self.template.copy() if out is None else out
+        data = out.data.view(float)
+        for s, w in zip(self.slices, self.weights):
+            np.dot(row, w, out=data[s])
+        return out
+
+
+def generator(coeffs_at_t: dict, ops: FockOperators, mode: str):
+    """L at one time as a d^2 x d^2 CSR matrix on row-major vec(rho).
+
+    It is the matrix the RK4 loop of ``integrate_modes`` steps on.
+    """
     row = np.array([1.0] + [coeffs_at_t.get(k, 0.0) for k in WEIGHTS[1:]])
-    return np.tensordot(row, table, axes=1)
-
-
-def _apply(rho: np.ndarray, k: np.ndarray, kdag: np.ndarray, r: np.ndarray, xp: np.ndarray):
-    """L(rho) for stacked rho (m, d, d); ``r`` stacks R_x, R_p and ``xp`` X, P."""
-    out = k @ rho
-    # rho K^dag is its own product: taking it as (K rho)^dag would make the
-    # hermiticity drift vanish by construction
-    out += rho @ kdag
-    sides = (xp @ rho[:, None]) @ r  # (X rho) R_x and (P rho) R_p
-    out += sides[:, 0]
-    out += sides[:, 1]
-    return out
-
-
-def master_rhs(rho: np.ndarray, coeffs_at_t: dict, ops: FockOperators, mode: str) -> np.ndarray:
-    """Matrix-free L(rho) at one time: the action the RK4 loop integrates."""
-    k, rx, rp = terms_at(term_table(ops, mode), coeffs_at_t)
-    rho = np.asarray(rho, dtype=complex)[None]
-    return _apply(rho, k, k.conj().T, np.stack([rx, rp]), np.stack([ops.x, ops.p]))[0]
-
-
-def generator(coeffs_at_t: dict, ops: FockOperators, mode: str) -> np.ndarray:
-    """The full d^2 x d^2 generator at one time, acting on vec(rho)."""
-    k, rx, rp = terms_at(term_table(ops, mode), coeffs_at_t)
-    eye = np.eye(ops.d)
-    # vec(A rho B) = (B^T kron A) vec(rho) on column-stacked operators
-    return np.kron(eye, k) + np.kron(k.conj(), eye) + np.kron(rx.T, ops.x) + np.kron(rp.T, ops.p)
+    return _Generators(ops, (mode,)).at(row)
 
 
 @dataclass
@@ -213,43 +238,6 @@ class OracleTrajectory:
 
 
 MOMENTS = ("mean_x", "mean_p", "xx", "pp", "xp_sym")
-
-
-def observables_from_rho(rho: np.ndarray, ops: FockOperators, omega0: float = 1.0) -> dict:
-    traces = (np.ravel(rho)[ops.moment_support] @ ops.moment_map).real
-    row = dict(zip(MOMENTS, traces))
-    row["energy"] = 0.5 * omega0 * (row["xx"] + row["pp"])
-    return row
-
-
-class _TermSlots:
-    """K, K^dag and (R_x, R_p) of stacked term tables at three time points.
-
-    The tables (m, 5, 3, d, d) are kept only on their band, the entries that
-    are nonzero for some mode and weight; contracting a coefficient row
-    writes that band into fixed dense buffers whose other entries stay zero.
-    Each mode's band is one small (r, 5) x (5, band) product, the same call
-    whatever the batch, so a mode runs bit-for-bit alike alone or batched.
-    """
-
-    def __init__(self, tables: np.ndarray):
-        m, w, three, d, _ = tables.shape
-        flat = tables.reshape(m, w, three * d * d)
-        self.band = np.flatnonzero(np.any(flat != 0, axis=(0, 1)))
-        self.compact = flat[:, :, self.band]
-        self.dense = np.zeros((3, m, three, d, d), dtype=complex)
-        self.kdag = np.empty((3, m, d, d), dtype=complex)
-
-    def fill(self, slots, rows) -> None:
-        """Contract each row of ``rows`` (r, 5) into the matching slot."""
-        vals = np.matmul(np.asarray(rows, dtype=complex), self.compact)
-        for j, s in enumerate(slots):
-            dense = self.dense[s]
-            dense.reshape(len(dense), -1)[:, self.band] = vals[:, j]
-            np.conjugate(dense[:, _K].swapaxes(-1, -2), out=self.kdag[s])
-
-    def __getitem__(self, s):
-        return self.dense[s, :, _K], self.kdag[s], self.dense[s, :, _RX:]
 
 
 def integrate_modes(
@@ -285,9 +273,8 @@ def integrate_modes(
     n = len(t)
     m = len(modes)
 
-    terms = _TermSlots(np.stack([term_table(ops, mode) for mode in modes]))
+    gens = _Generators(ops, modes)
     rows = np.column_stack([np.ones(n)] + [getattr(coeffs, k)[:n] for k in WEIGHTS[1:]])
-    xp = np.stack([ops.x, ops.p])
 
     moments = np.empty((m, len(MOMENTS), n))
     trace_err = np.zeros(m)
@@ -312,17 +299,20 @@ def integrate_modes(
     max_leak = np.full(m, lk)
     record(0, rho)
 
-    node, mid, nxt = 0, 1, 2
-    terms.fill((node,), rows[:1])
+    node = gens.at(rows[0])
+    mid, nxt = node.copy(), node.copy()
     for i in range(n - 1):
         h = t[i + 1] - t[i]
-        terms.fill((mid, nxt), (0.5 * (rows[i] + rows[i + 1]), rows[i + 1]))
-        # rho + (h/6)(k1 + 2 k2 + 2 k3 + k4), summed in that order
-        k = acc = _apply(rho, *terms[node], xp)
-        for weight, step, slot in ((2.0, 0.5 * h, mid), (2.0, 0.5 * h, mid), (1.0, h, nxt)):
-            k = _apply(rho + step * k, *terms[slot], xp)
+        gens.at(0.5 * (rows[i] + rows[i + 1]), mid)
+        gens.at(rows[i + 1], nxt)
+        # rho + (h/6)(k1 + 2 k2 + 2 k3 + k4), summed in that order, on the
+        # stacked row-major vec of every mode's rho
+        v = rho.reshape(-1)
+        k = acc = node @ v
+        for weight, step, gen in ((2.0, 0.5 * h, mid), (2.0, 0.5 * h, mid), (1.0, h, nxt)):
+            k = gen @ (v + step * k)
             acc += weight * k
-        rho = rho + (h / 6.0) * acc
+        rho = (v + (h / 6.0) * acc).reshape(m, d, d)
         node, nxt = nxt, node
 
         rho_dag = rho.conj().swapaxes(-1, -2)
@@ -371,9 +361,8 @@ def to_density_matrix(state, d: int) -> np.ndarray:
     if isinstance(state, qcf.CoherentState):
         alpha = (state.x0 + 1j * state.p0) / np.sqrt(2.0)
         n = np.arange(d)
-        from scipy.special import gammaln
-
-        amp = np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * gammaln(n + 1.0)) * np.abs(alpha) ** n
+        log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+        amp = np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * log_fact) * np.abs(alpha) ** n
         phase = np.exp(1j * n * np.angle(alpha)) if alpha != 0 else np.ones(d)
         psi = amp * phase
         rho = np.outer(psi, psi.conj())
@@ -559,7 +548,8 @@ def algebra_suite(d: int, *, weyl_z=(1.5, 1.5), seed: int = 7) -> AlgebraReport:
 
     # invariance of the damping counter under quadratic Hamiltonians; the
     # renormalized Hamiltonian is read off the unitary table, K = -i Hbar_0
-    h = 1j * terms_at(term_table(ops, "unitary"), {"r": 0.1, "gamma": 0.05})[_K]
+    row = np.array([1.0, 0.0, 0.0, 0.1, 0.05])  # r = 0.1, gamma = 0.05
+    h = 1j * np.tensordot(row, term_table(ops, "unitary")[:, _K], axes=1)
     res = _apply_n(x, p, _comm(h, sig1)) - _comm(h, _apply_n(x, p, sig1))
     add("n_comm_hamiltonian", np.max(np.abs(res)), 1e-8)
 
@@ -582,7 +572,8 @@ def algebra_suite(d: int, *, weyl_z=(1.5, 1.5), seed: int = 7) -> AlgebraReport:
     coeff_row = {"delta_bar": 0.3, "pi": 0.1, "r": 0.1, "gamma": 0.05}
     worst = 0.0
     for mode in ("full", "norenorm", "rwa"):
-        worst = max(worst, abs(np.trace(master_rhs(sig1, coeff_row, ops, mode))))
+        l_sig = unvec(generator(coeff_row, ops, mode) @ vec(sig1), d)
+        worst = max(worst, abs(np.trace(l_sig)))
     add("generator_traceless", worst, 1e-10)
 
     return AlgebraReport(d=d, checks=tuple(checks))
@@ -597,15 +588,9 @@ def _weyl_bound(d: int, window: int, zx: float, zp: float) -> float:
     """
     lam = 0.5 * (zx**2 + zp**2)
     gap = max(d - 1 - window, 1)
-    log_amp = 0.5 * (gap * np.log(max(lam, 1e-300)) - _log_factorial(gap) - lam)
+    log_amp = 0.5 * (gap * np.log(max(lam, 1e-300)) - math.lgamma(gap + 1.0) - lam)
     bound = 1e4 * np.sqrt(d) * np.exp(2.0 * min(log_amp, 0.0))
     return float(max(bound, 3e-11))
-
-
-def _log_factorial(k: int) -> float:
-    from scipy.special import gammaln
-
-    return float(gammaln(k + 1.0))
 
 
 def write_algebra_report(report: AlgebraReport, path) -> None:

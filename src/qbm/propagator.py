@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from qbm.coefficients import CoefficientTable
+from qbm.coefficients import CoefficientTable, compute_coefficients
 from qbm.errors import ValidationError
 from qbm.homogeneous import (
     approx_rotation,
@@ -48,6 +48,7 @@ from qbm.homogeneous import (
     solve_fundamental,
 )
 from qbm.kernels import ReservoirSpec, tabulate_kernels
+from qbm.runio import write_csv
 
 MODES = ("full", "norenorm", "rwa")
 
@@ -80,14 +81,6 @@ def m_matrices(coeffs: CoefficientTable) -> np.ndarray:
     return m
 
 
-def _cum_matrix(integrand: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    out = np.empty_like(integrand)
-    for i in range(2):
-        for j in range(2):
-            out[:, i, j] = cumulative_trapezoid(integrand[:, i, j], grid, initial=0.0)
-    return out
-
-
 def _symmetrize(mats: np.ndarray) -> np.ndarray:
     sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
     # exact symmetry: mirror one triangle onto the other
@@ -102,7 +95,7 @@ def w_matrix(coeffs: CoefficientTable, rotations: np.ndarray) -> np.ndarray:
     m = m_matrices(coeffs)
     integrand = np.einsum("nji,njk,nkl->nil", rotations, m, rotations)
     integrand *= np.exp(coeffs.big_gamma)[:, None, None]
-    return _symmetrize(_cum_matrix(integrand, coeffs.grid))
+    return _symmetrize(cumulative_trapezoid(integrand, coeffs.grid, axis=0, initial=0.0))
 
 
 def w_bar_matrix(w: np.ndarray, rotations_inv: np.ndarray, big_gamma: np.ndarray) -> np.ndarray:
@@ -209,8 +202,6 @@ def build_propagator(
 
 
 def _default_coefficients(spec: ReservoirSpec, grid, omega0: float) -> CoefficientTable:
-    from qbm.coefficients import compute_coefficients
-
     table = tabulate_kernels(spec, np.asarray(grid, dtype=float))
     return compute_coefficients(table, omega0)
 
@@ -219,8 +210,6 @@ PROPAGATOR_CSV_COLUMNS = "t,big_gamma,R11,R12,R21,R22,W11,W12,W22,delta_gamma,la
 
 
 def write_propagator_csv(bundle: PropagatorBundle, path) -> None:
-    from qbm.runio import write_csv
-
     r = bundle.rotations
     w = bundle.w_bar
     columns = np.column_stack(

@@ -187,6 +187,22 @@ def test_non_finite_float_rejected_naming_key_and_line(tmp_path, key, value):
     assert main(["run", str(path)]) == 1
 
 
+def test_fock_level_near_oracle_truncation_rejected_before_any_file(tmp_path, capsys):
+    out = tmp_path / "o"
+    text = MINIMAL.replace("run.modes = full", "run.modes = full,oracle")
+    text += f"state.kind = fock\nstate.n = 26\noracle.dimension = 30\nrun.output_dir = {out}\n"
+    path = write_conf(tmp_path, text)
+    message = r"line 8: state\.n = 26 .* oracle\.dimension = 30 \(line 9\)"
+    with pytest.raises(ValidationError, match=message):
+        parse_config(path)
+    assert main(["run", str(path)]) == 1
+    assert "state.n" in capsys.readouterr().err
+    assert not out.exists()
+    # the same level runs once the basis leaves the interior margin free
+    cfg = parse_config(write_conf(tmp_path, text.replace("= 30", "= 32"), "ok.conf"))
+    assert cfg.state.n == 26 and cfg.oracle_dim == 32
+
+
 @pytest.mark.parametrize("value", ["0", "-6.0"])
 def test_wigner_extent_must_be_positive(tmp_path, value):
     with pytest.raises(ValidationError, match="wigner.extent must be > 0"):
