@@ -65,7 +65,6 @@ _STATE_PARAM_KEYS = {
 @dataclass(frozen=True)
 class RunConfig:
     reservoir: ReservoirSpec
-    omega0: float
     state: object
     dt: float
     t_max: float
@@ -189,8 +188,8 @@ def parse_config(path) -> RunConfig:
     except ValidationError as exc:
         raise ValidationError(f"reservoir section: {exc}") from exc
 
-    omega0 = _typed(seen, "oscillator.omega0", 1.0)
-    if omega0 != 1.0:
+    # the oscillator frequency is the unit of frequency, so the key can only restate it
+    if _typed(seen, "oscillator.omega0", 1.0) != 1.0:
         raise ValidationError(
             "oscillator.omega0 is documentation metadata pinned to 1 (internal units)"
         )
@@ -235,6 +234,12 @@ def parse_config(path) -> RunConfig:
             f"truncation oracle.dimension = {oracle_dim} ({where}); the oracle needs "
             f"oracle.dimension >= {state.n + INTERIOR_MARGIN + 1}"
         )
+    if "oracle" in modes and kind == "tabulated_chi":
+        raise ValidationError(
+            f"line {seen['state.kind'][1]}: state.kind = tabulated_chi has no Fock-space "
+            "density matrix, so it cannot run with the oracle mode of run.modes "
+            f"(line {seen['run.modes'][1]}); remove oracle from run.modes"
+        )
     leakage = _typed(seen, "oracle.leakage_threshold", 1e-6)
     if leakage <= 0:
         raise ValidationError("oracle.leakage_threshold must be > 0")
@@ -261,7 +266,6 @@ def parse_config(path) -> RunConfig:
 
     return RunConfig(
         reservoir=reservoir,
-        omega0=omega0,
         state=state,
         dt=dt,
         t_max=t_max,

@@ -3,15 +3,15 @@
 The unitary part of the evolution moves phase-space arguments by a real
 2x2 matrix R(t) built from two independent solutions of
 
-    y'' + omega0^2 [1 - r(t)/omega0 - gamma(t)^2/omega0^2
-                      - gamma'(t)/omega0^2] y = 0
+    y'' + [1 - r(t) - gamma(t)^2 - gamma'(t)] y = 0
 
-with c(0) = 1, c'(0) = 0 and s(0) = 0, s'(0) = omega0.  The equation has no
-first-derivative term, so the Wronskian c s' - s c' stays pinned at omega0
-(Abel), which is also why det R(t) = 1:
+(frequencies in units of the oscillator frequency, w0 = 1) with c(0) = 1,
+c'(0) = 0 and s(0) = 0, s'(0) = 1.  The equation has no first-derivative
+term, so the Wronskian c s' - s c' stays pinned at 1 (Abel), which is also
+why det R(t) = 1:
 
-    R(t) = [[c, s], [-s_r, c_r]],   c_r = (s' - gamma s)/omega0,
-                                    s_r = (gamma c - c')/omega0.
+    R(t) = [[c, s], [-s_r, c_r]],   c_r = s' - gamma s,
+                                    s_r = gamma c - c'.
 
 gamma'(t) is not available in closed form for quadrature-built tables and is
 taken by second-order centered differences on the stored grid (one-sided at
@@ -44,7 +44,6 @@ class FundamentalSolutions:
     s: np.ndarray
     c_dot: np.ndarray
     s_dot: np.ndarray
-    omega0: float = 1.0
 
     def wronskian(self) -> np.ndarray:
         return self.c * self.s_dot - self.s * self.c_dot
@@ -56,15 +55,12 @@ def gamma_derivative(coeffs: CoefficientTable) -> np.ndarray:
 
 
 def effective_frequency_sq(coeffs: CoefficientTable) -> np.ndarray:
-    w0 = coeffs.omega0
-    gdot = gamma_derivative(coeffs)
-    return w0**2 * (1.0 - coeffs.r / w0 - coeffs.gamma**2 / w0**2 - gdot / w0**2)
+    return 1.0 - coeffs.r - coeffs.gamma**2 - gamma_derivative(coeffs)
 
 
 def solve_fundamental(coeffs: CoefficientTable) -> FundamentalSolutions:
     """Integrate both Cauchy problems with RK4 on the coefficient grid."""
     grid = coeffs.grid
-    w0 = coeffs.omega0
     w2 = effective_frequency_sq(coeffs)
     if np.any(w2 < 0):
         t_bad = grid[np.argmax(w2 < 0)]
@@ -85,7 +81,7 @@ def solve_fundamental(coeffs: CoefficientTable) -> FundamentalSolutions:
     y = np.empty((n, 2))
     v = np.empty((n, 2))
     y[0] = (1.0, 0.0)
-    v[0] = (0.0, w0)
+    v[0] = (0.0, 1.0)
     for i in range(n - 1):
         h = steps[i]
         w2_0, w2_m, w2_1 = w2[i], w2_mid[i], w2[i + 1]
@@ -97,18 +93,15 @@ def solve_fundamental(coeffs: CoefficientTable) -> FundamentalSolutions:
         y[i + 1] = y0 + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
         v[i + 1] = v0 + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
 
-    return FundamentalSolutions(
-        grid=grid, c=y[:, 0], s=y[:, 1], c_dot=v[:, 0], s_dot=v[:, 1], omega0=w0
-    )
+    return FundamentalSolutions(grid=grid, c=y[:, 0], s=y[:, 1], c_dot=v[:, 0], s_dot=v[:, 1])
 
 
 def build_rotation(fund: FundamentalSolutions, coeffs: CoefficientTable) -> np.ndarray:
     """Per-node evolution matrices R(t), shape (n, 2, 2), det R = 1."""
     if fund.grid.shape != coeffs.grid.shape or not np.array_equal(fund.grid, coeffs.grid):
         raise ValidationError("fundamental solutions and coefficients must share the grid")
-    w0 = fund.omega0
-    c_r = (fund.s_dot - coeffs.gamma * fund.s) / w0
-    s_r = (coeffs.gamma * fund.c - fund.c_dot) / w0
+    c_r = fund.s_dot - coeffs.gamma * fund.s
+    s_r = coeffs.gamma * fund.c - fund.c_dot
     rot = np.empty((len(fund.grid), 2, 2))
     rot[:, 0, 0] = fund.c
     rot[:, 0, 1] = fund.s
@@ -117,11 +110,11 @@ def build_rotation(fund: FundamentalSolutions, coeffs: CoefficientTable) -> np.n
     return rot
 
 
-def approx_rotation(omega0: float, grid) -> np.ndarray:
-    """Pure phase-space rotation by omega0*t (weak-coupling form of R)."""
+def approx_rotation(grid) -> np.ndarray:
+    """Pure phase-space rotation by t (weak-coupling form of R)."""
     grid = np.asarray(grid, dtype=float)
-    c = np.cos(omega0 * grid)
-    s = np.sin(omega0 * grid)
+    c = np.cos(grid)
+    s = np.sin(grid)
     rot = np.empty((len(grid), 2, 2))
     rot[:, 0, 0] = c
     rot[:, 0, 1] = s

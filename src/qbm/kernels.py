@@ -4,7 +4,8 @@ The environment enters the oscillator dynamics only through two real
 functions of the time lag tau, both scaling exactly as the squared coupling
 alpha**2: the correlation kernel kappa(tau) and the susceptibility kernel
 mu(tau).  For a bath with spectral density J(w) at temperature T (units
-hbar = k_B = 1, frequencies in omega0, time in 1/omega0) they are the
+hbar = k_B = 1, frequencies in units of the oscillator frequency w0 = 1,
+time in 1/w0) they are the
 standard transforms
 
     kappa(tau) = alpha^2 * Int_0^inf J(w) coth(w/2T) cos(w tau) dw
@@ -47,7 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from qbm.errors import FileError, QuadratureError, ValidationError
+from qbm.errors import QuadratureError, ValidationError
+from qbm.runio import read_csv
 
 OHMIC_EXP_CUTOFF = "ohmic_exp_cutoff"
 OHMIC_LORENTZ_DRUDE = "ohmic_lorentz_drude"
@@ -334,21 +336,7 @@ def tabulate_kernels(spec: ReservoirSpec, grid) -> KernelTable:
 
 def load_kernel_csv(path) -> KernelTable:
     """Read a tabulated kernel from CSV with header ``tau,kappa,mu``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
-    except OSError as exc:
-        raise FileError(f"cannot read kernel CSV {path}: {exc}") from exc
-    if not lines or lines[0].replace(" ", "") != "tau,kappa,mu":
+    header, data = read_csv(path)
+    if header != ["tau", "kappa", "mu"]:
         raise ValidationError(f"kernel CSV {path} must start with header 'tau,kappa,mu'")
-    rows = []
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise ValidationError(f"kernel CSV {path} line {i}: expected 3 comma-separated values")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ValidationError(f"kernel CSV {path} line {i}: {exc}") from exc
-    data = np.asarray(rows, dtype=float)
     return KernelTable(grid=data[:, 0], kappa=data[:, 1], mu=data[:, 2])

@@ -12,12 +12,12 @@ full
     M = [[delta_bar, -pi/2], [-pi/2, 0]].
 norenorm
     R replaced by the pure rotation; Wbar keeps the counter-rotating
-    2*omega0 oscillations:
+    oscillations at twice the oscillator frequency (w0 = 1):
     Wbar ~= e^{-Gamma} Int_0^t e^{Gamma(t1)} [ delta_bar/2 * I
             + delta_bar/2 * C2(t-t1) - pi/2 * S2(t-t1) ] dt1
     with the traceless oscillation matrices
-    C2(t) = [[cos 2w0 t, -sin 2w0 t], [-sin 2w0 t, -cos 2w0 t]],
-    S2(t) = [[sin 2w0 t,  cos 2w0 t], [ cos 2w0 t, -sin 2w0 t]].
+    C2(t) = [[cos 2t, -sin 2t], [-sin 2t, -cos 2t]],
+    S2(t) = [[sin 2t,  cos 2t], [ cos 2t, -sin 2t]].
 rwa
     Counter-rotating terms averaged away: Wbar = (delta_gamma/2) I with
     delta_gamma(t) = e^{-Gamma} Int_0^t e^{Gamma(t1)} delta_bar(t1) dt1.
@@ -59,7 +59,6 @@ class PropagatorBundle:
 
     grid: np.ndarray
     mode: str
-    omega0: float
     big_gamma: np.ndarray  # (n,)
     rotations: np.ndarray  # (n, 2, 2)
     rotations_inv: np.ndarray  # (n, 2, 2)
@@ -110,8 +109,8 @@ def delta_gamma_series(coeffs: CoefficientTable) -> np.ndarray:
     return np.exp(-coeffs.big_gamma) * acc
 
 
-def w_bar_no_renorm(coeffs: CoefficientTable, omega0: float) -> np.ndarray:
-    """Rotation-approximation Wbar including the 2*omega0 oscillating terms.
+def w_bar_no_renorm(coeffs: CoefficientTable) -> np.ndarray:
+    """Rotation-approximation Wbar including the oscillating terms at frequency 2.
 
     The convolution kernel C2/S2(t - t1) is split by angle addition into
     cumulative integrals over t1 (exactly equivalent under the shared
@@ -119,8 +118,8 @@ def w_bar_no_renorm(coeffs: CoefficientTable, omega0: float) -> np.ndarray:
     """
     grid = coeffs.grid
     eg = np.exp(coeffs.big_gamma)
-    c2 = np.cos(2.0 * omega0 * grid)
-    s2 = np.sin(2.0 * omega0 * grid)
+    c2 = np.cos(2.0 * grid)
+    s2 = np.sin(2.0 * grid)
 
     def cum(values):
         return cumulative_trapezoid(values, grid, initial=0.0)
@@ -131,10 +130,10 @@ def w_bar_no_renorm(coeffs: CoefficientTable, omega0: float) -> np.ndarray:
     b_s = cum(eg * coeffs.pi * s2)
     d = cum(eg * coeffs.delta_bar)
 
-    ca = c2 * a_c + s2 * a_s  # Int e^G delta_bar cos 2w0(t-t1)
-    sa = s2 * a_c - c2 * a_s  # Int e^G delta_bar sin 2w0(t-t1)
-    cb = c2 * b_c + s2 * b_s  # Int e^G pi cos 2w0(t-t1)
-    sb = s2 * b_c - c2 * b_s  # Int e^G pi sin 2w0(t-t1)
+    ca = c2 * a_c + s2 * a_s  # Int e^G delta_bar cos 2(t-t1)
+    sa = s2 * a_c - c2 * a_s  # Int e^G delta_bar sin 2(t-t1)
+    cb = c2 * b_c + s2 * b_s  # Int e^G pi cos 2(t-t1)
+    sb = s2 * b_c - c2 * b_s  # Int e^G pi sin 2(t-t1)
 
     emg = np.exp(-coeffs.big_gamma)
     w = np.empty((len(grid), 2, 2))
@@ -154,7 +153,6 @@ def build_propagator(
     spec: ReservoirSpec,
     grid,
     mode: str = "full",
-    omega0: float = 1.0,
     *,
     coeffs: CoefficientTable | None = None,
 ) -> PropagatorBundle:
@@ -166,7 +164,7 @@ def build_propagator(
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
     if coeffs is None:
-        coeffs = _default_coefficients(spec, grid, omega0)
+        coeffs = compute_coefficients(tabulate_kernels(spec, np.asarray(grid, dtype=float)))
     grid = coeffs.grid
 
     if mode == "full":
@@ -175,10 +173,10 @@ def build_propagator(
         rot_inv = invert_rotation(rot)
         w_bar = w_bar_matrix(w_matrix(coeffs, rot), rot_inv, coeffs.big_gamma)
     else:
-        rot = approx_rotation(omega0, grid)
+        rot = approx_rotation(grid)
         rot_inv = invert_rotation(rot)
         if mode == "norenorm":
-            w_bar = w_bar_no_renorm(coeffs, omega0)
+            w_bar = w_bar_no_renorm(coeffs)
         else:
             half_dg = 0.5 * delta_gamma_series(coeffs)
             w_bar = np.zeros((len(grid), 2, 2))
@@ -190,7 +188,6 @@ def build_propagator(
     return PropagatorBundle(
         grid=grid,
         mode=mode,
-        omega0=omega0,
         big_gamma=coeffs.big_gamma,
         rotations=rot,
         rotations_inv=rot_inv,
@@ -199,11 +196,6 @@ def build_propagator(
         lam=lam,
         theta=theta,
     )
-
-
-def _default_coefficients(spec: ReservoirSpec, grid, omega0: float) -> CoefficientTable:
-    table = tabulate_kernels(spec, np.asarray(grid, dtype=float))
-    return compute_coefficients(table, omega0)
 
 
 PROPAGATOR_CSV_COLUMNS = "t,big_gamma,R11,R12,R21,R22,W11,W12,W22,delta_gamma,lambda,theta"

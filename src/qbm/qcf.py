@@ -43,6 +43,9 @@ from qbm.propagator import PropagatorBundle
 
 _SYMPLECTIC_J = np.array([[0.0, -1.0], [1.0, 0.0]])
 _IMAG_TOL = 1e-9
+# the Wigner transform's z-grid: nodes per side and the half-widths tried in turn
+_Z_POINTS = 256
+_Z_EXTENTS = (8.0, 16.0, 32.0, 64.0)
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,6 @@ class CoherentState:
         p = np.asarray(p, dtype=float)
         return np.exp(-(x**2 + p**2) / 4.0 + 1j * (p * self.x0 - x * self.p0))
 
-    def initial_energy(self, omega0: float) -> float:
-        return 0.5 * omega0 * (self.x0**2 + self.p0**2 + 1.0)
-
 
 @dataclass(frozen=True)
 class ThermalState:
@@ -102,9 +102,6 @@ class ThermalState:
         x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
         return np.exp(-(2.0 * self.nbar + 1.0) * (x**2 + p**2) / 4.0) + 0j
-
-    def initial_energy(self, omega0: float) -> float:
-        return omega0 * (self.nbar + 0.5)
 
 
 @dataclass(frozen=True)
@@ -136,9 +133,6 @@ class SqueezedVacuum:
         quad = g.c[0, 0] * x**2 + 2.0 * g.c[0, 1] * x * p + g.c[1, 1] * p**2
         return np.exp(-0.5 * quad) + 0j
 
-    def initial_energy(self, omega0: float) -> float:
-        return 0.5 * omega0 * float(np.trace(self.covariance()))
-
 
 @dataclass(frozen=True)
 class FockState:
@@ -159,9 +153,6 @@ class FockState:
         z2 = x**2 + p**2
         return np.exp(-z2 / 4.0) * eval_laguerre(self.n, z2 / 2.0) + 0j
 
-    def initial_energy(self, omega0: float) -> float:
-        return omega0 * (self.n + 0.5)
-
 
 class TabulatedChi:
     """chi sampled on a symmetric rectangular (x, p) grid, bilinear inside.
@@ -180,16 +171,16 @@ class TabulatedChi:
         if values.shape != (len(x_nodes), len(p_nodes)):
             raise ValidationError("chi table shape must be (len(x_nodes), len(p_nodes))")
         for name, nodes in (("x", x_nodes), ("p", p_nodes)):
+            if len(nodes) < 5:
+                raise ValidationError(
+                    f"{name} needs at least 5 nodes: the moment stencil reaches two cells out"
+                )
             if np.any(np.diff(nodes) <= 0):
                 raise ValidationError(f"{name} nodes must be strictly increasing")
             if np.max(np.abs(nodes + nodes[::-1])) > 1e-12:
                 raise ValidationError(f"{name} nodes must be symmetric about 0")
             if len(nodes) % 2 == 0:
                 raise ValidationError(f"{name} nodes must include the origin (odd count)")
-            if len(nodes) < 5:
-                raise ValidationError(
-                    f"{name} needs at least 5 nodes: the moment stencil reaches two cells out"
-                )
         sym = values - np.conj(values[::-1, ::-1])
         if np.max(np.abs(sym)) > 1e-9:
             raise ValidationError("tabulated chi violates chi(z) = conj chi(-z) at the nodes")
@@ -218,10 +209,6 @@ class TabulatedChi:
         except ValueError as exc:
             raise ValidationError(f"tabulated chi evaluated outside its grid: {exc}") from exc
         return vals.reshape(shape) if shape else complex(vals[0])
-
-    def initial_energy(self, omega0: float) -> float:
-        b, c = self.initial_moments.b, self.initial_moments.c
-        return 0.5 * omega0 * float(np.trace(c) + b @ b)
 
 
 def _node_index(bundle: PropagatorBundle, t_index: int) -> int:
@@ -359,19 +346,19 @@ def observable_series(bundle: PropagatorBundle, state) -> ObservableSeries:
         xx=xx,
         pp=pp,
         xp_sym=xp_sym,
-        energy=0.5 * bundle.omega0 * (xx + pp),
+        energy=0.5 * (xx + pp),
     )
 
 
 def closed_form_energy(bundle: PropagatorBundle, e0: float, delta_gamma) -> np.ndarray:
-    """<H0>_t = e^{-Gamma} E0 + omega0 delta_gamma over the grid, H0 = (omega0/2)(X^2 + P^2).
+    """<H0>_t = e^{-Gamma} E0 + delta_gamma over the grid, H0 = (X^2 + P^2)/2, E0 = <H0>_0.
 
     Exact in the rwa and norenorm modes with delta_gamma = tr Wbar, because
     the counter-rotating part of Wbar is traceless; the full mode has no
     such form.  With the rotating-wave delta_gamma of the coefficient table
     it is the rotating-wave reference energy of any bundle.
     """
-    return np.exp(-bundle.big_gamma) * e0 + bundle.omega0 * delta_gamma
+    return np.exp(-bundle.big_gamma) * e0 + delta_gamma
 
 
 def rwa_moment_gaps(bundle: PropagatorBundle, t_index: int) -> tuple[float, float, float]:
@@ -391,22 +378,14 @@ def rwa_moment_gaps(bundle: PropagatorBundle, t_index: int) -> tuple[float, floa
     return (-lam, lam, -2.0 * theta)
 
 
-def wigner(
-    bundle: PropagatorBundle,
-    state,
-    t_index: int,
-    q_grid,
-    p_grid,
-    *,
-    z_points: int = 256,
-    z_extent: float | None = None,
-):
+def wigner(bundle: PropagatorBundle, state, t_index: int, q_grid, p_grid):
     """Wigner function on the given phase-space grid.
 
     Symplectic Fourier transform of chi_t,
     W(u) = (2 pi)^{-2} Int chi_t(z) exp(-i u.J.z) d^2 z, discretized by a
-    separable trapezoid on a square z-grid.  The extent is grown until
-    |chi_t| < 1e-12 on the boundary (non-decaying chi raises).
+    separable trapezoid on a square z-grid of ``_Z_POINTS`` nodes per side.
+    The half-width steps through ``_Z_EXTENTS`` until |chi_t| < 1e-12 on the
+    boundary; a chi_t still above that at the widest grid raises.
     """
     q_grid = np.asarray(q_grid, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
@@ -414,11 +393,9 @@ def wigner(
         raise ValidationError("phase-space grids must be 1-d")
 
     decay_tol = 1e-12
-    extents = [z_extent] if z_extent is not None else [8.0 * 2**k for k in range(4)]
-    chi_vals = None
-    for ext in extents:
-        zx = np.linspace(-ext, ext, z_points)
-        zp = np.linspace(-ext, ext, z_points)
+    for ext in _Z_EXTENTS:
+        zx = np.linspace(-ext, ext, _Z_POINTS)
+        zp = np.linspace(-ext, ext, _Z_POINTS)
         chi_vals = evolve_chi(bundle, state, t_index, zx[:, None], zp[None, :])
         boundary = max(
             np.max(np.abs(chi_vals[0, :])),
@@ -430,13 +407,15 @@ def wigner(
             break
     else:
         raise DomainTooSmallError(
-            f"chi_t has not decayed below {decay_tol:g} at |z| = {extents[-1]:g}; "
-            f"pass z_extent > {2 * extents[-1]:g} explicitly if the state allows it"
+            f"chi_t at t_index {t_index} has not decayed below {decay_tol:g} at "
+            f"|z| = {_Z_EXTENTS[-1]:g}, the widest Wigner integration grid: the state is "
+            "too narrow in phase space, as under strong squeezing; lower state.r, or "
+            "move wigner.times later, where damping and diffusion have widened it"
         )
 
-    wx = np.full(z_points, zx[1] - zx[0])
+    wx = np.full(_Z_POINTS, zx[1] - zx[0])
     wx[0] = wx[-1] = 0.5 * (zx[1] - zx[0])
-    wp = np.full(z_points, zp[1] - zp[0])
+    wp = np.full(_Z_POINTS, zp[1] - zp[0])
     wp[0] = wp[-1] = 0.5 * (zp[1] - zp[0])
 
     # W[q, p_out] = (2pi)^-2 sum_{x,pz} chi(x,pz) e^{-i p_out x} e^{+i q pz} wx wp

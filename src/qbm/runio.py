@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qbm.errors import FileError
+from qbm.errors import FileError, ValidationError
 
 
 _CHUNK_ROWS = 256  # rows converted to Python floats at a time, so memory stays flat
@@ -38,13 +38,30 @@ def write_text(path, lines) -> None:
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
-    """Read back a CSV written by :func:`write_csv` (also used for diffing)."""
+    """Read a CSV in the layout of :func:`write_csv`: header row, then numbers.
+
+    Blank lines and ``#`` comment lines are skipped.  A non-numeric cell or
+    a row whose length differs from the header raises ``ValidationError``
+    naming the file and the line.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [(i, ln.strip()) for i, ln in enumerate(fh, start=1)]
     except OSError as exc:
         raise FileError(f"cannot read {path}: {exc}") from exc
-    body = [ln for ln in lines if not ln.startswith("#")]
-    header = body[0].split(",")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in body[1:]])
-    return header, data
+    body = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")]
+    if not body:
+        raise ValidationError(f"CSV {path} has no header row")
+    header = [name.strip() for name in body[0][1].split(",")]
+    rows = []
+    for lineno, ln in body[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ValidationError(
+                f"CSV {path} line {lineno}: expected {len(header)} values, got {len(cells)}"
+            )
+        try:
+            rows.append([float(v) for v in cells])
+        except ValueError as exc:
+            raise ValidationError(f"CSV {path} line {lineno}: {exc}") from exc
+    return header, np.array(rows, dtype=float).reshape(len(rows), len(header))

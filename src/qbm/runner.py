@@ -68,7 +68,7 @@ def run(config: RunConfig) -> RunResult:
 
     grid = build_grid(config.dt, config.t_max)
     kernels = tabulate_kernels(config.reservoir, grid)
-    coeffs = compute_coefficients(kernels, config.omega0)
+    coeffs = compute_coefficients(kernels)
     emit("coefficients.csv", lambda p: write_coefficients_csv(coeffs, p))
 
     report_lines = [
@@ -100,13 +100,13 @@ def run(config: RunConfig) -> RunResult:
     bundles = {}
     analytic_series = {}
     for mode in analytic_modes:
-        bundle = build_propagator(config.reservoir, grid, mode, config.omega0, coeffs=coeffs)
+        bundle = build_propagator(config.reservoir, grid, mode, coeffs=coeffs)
         bundles[mode] = bundle
         min_eig = float(np.min(np.linalg.eigvalsh(bundle.w_bar)))
         report_lines.append(f"w_bar_min_eigenvalue[{mode}] {min_eig:.17g}")
         series = qcf.observable_series(bundle, config.state)
         analytic_series[mode] = series
-        e0 = config.state.initial_energy(bundle.omega0)
+        e0 = series.energy[0]
         if mode == "full":
             energy = series.energy
         else:
@@ -118,7 +118,7 @@ def run(config: RunConfig) -> RunResult:
             emit("rotation.csv", lambda p, b=bundle: write_rotation_csv(b.grid, b.rotations, p))
 
     if "oracle" in config.modes:
-        ops = oracle_mod.fock_operators(config.oracle_dim, config.omega0)
+        ops = oracle_mod.fock_operators(config.oracle_dim)
         rho0 = oracle_mod.to_density_matrix(config.state, config.oracle_dim)
         trajs = oracle_mod.integrate_modes(
             rho0,
@@ -153,9 +153,7 @@ def run(config: RunConfig) -> RunResult:
         if analytic_modes:
             bundle = bundles[analytic_modes[0]]
         else:
-            bundle = build_propagator(
-                config.reservoir, grid, "full", config.omega0, coeffs=coeffs
-            )
+            bundle = build_propagator(config.reservoir, grid, "full", coeffs=coeffs)
         axis = np.linspace(-config.wigner_extent, config.wigner_extent, config.wigner_points)
         for t_req in config.wigner_times:
             index = int(np.argmin(np.abs(grid - t_req)))
@@ -176,13 +174,14 @@ def run(config: RunConfig) -> RunResult:
 ELLIPSE_CSV_COLUMNS = "theta_deg,x,p,x_circle,p_circle"
 
 
-def ellipse_points(r_over_w0: float, gamma_over_w0: float, n_points: int = 360):
+def ellipse_points(r_over_w0: float, gamma_over_w0: float):
     """Constant-energy locus of the renormalized oscillator Hamiltonian.
 
     The quadratic form (1 - r/w0) x^2 + 2 (gamma/w0) x p + p^2 = 1 is the
     perturbed version of the unit circle traced by the bare oscillator; its
     area is pi/sqrt(det Q), and the gamma cross term tilts the axes.  Points
-    are the image of the uniformly sampled unit circle under Q^{-1/2}.
+    are the image of the unit circle sampled at every whole degree under
+    Q^{-1/2}.
     """
     if abs(r_over_w0) >= 1 or abs(gamma_over_w0) >= 1:
         raise ValidationError("ellipse inputs must satisfy |r/w0| < 1 and |gamma/w0| < 1")
@@ -194,7 +193,7 @@ def ellipse_points(r_over_w0: float, gamma_over_w0: float, n_points: int = 360):
         )
     evals, evecs = np.linalg.eigh(q)
     q_inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.T
-    theta = np.deg2rad(np.arange(n_points, dtype=float))
+    theta = np.deg2rad(np.arange(360, dtype=float))
     circle = np.stack([np.cos(theta), np.sin(theta)])
     pts = q_inv_sqrt @ circle
     return theta, pts, circle

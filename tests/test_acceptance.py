@@ -96,10 +96,12 @@ def test_criterion_2_energy_law(pipeline):
             state = pipeline.state(state_name)
             rwa = pipeline.bundle(temperature, "rwa")
             norenorm = pipeline.bundle(temperature, "norenorm")
-            e0 = state.initial_energy(1.0)
+            moment_rwa = qcf.observable_series(rwa, state).energy
+            e0 = moment_rwa[0]
+            # (x0^2 + 1)/2 and nbar + 1/2
+            assert e0 == pytest.approx({"coherent2": 2.5, "thermal1": 1.5}[state_name], abs=1e-12)
             closed_rwa = qcf.closed_form_energy(rwa, e0, rwa.delta_gamma)
             closed_nr = qcf.closed_form_energy(norenorm, e0, norenorm.delta_gamma)
-            moment_rwa = qcf.observable_series(rwa, state).energy
             assert np.max(np.abs(closed_rwa - moment_rwa)) < 1e-8
             assert np.max(np.abs(closed_nr - closed_rwa)) < 1e-8
             for mode, closed in (("rwa", closed_rwa), ("norenorm", closed_nr)):
@@ -190,8 +192,8 @@ def test_criterion_6_structural_invariants(pipeline):
 
 @criterion(7, "constant-energy contour: area factor and tilt")
 def test_criterion_7_ellipse():
-    n = 360
-    theta, pts, _circle = ellipse_points(0.1, 0.1, n)
+    theta, pts, _circle = ellipse_points(0.1, 0.1)
+    n = len(theta)
     # shoelace area of the polygon; points are an affine image of the
     # regular n-gon, so the polygon/ellipse area ratio is exactly the
     # n-gon/circle one and divides out analytically
@@ -204,7 +206,7 @@ def test_criterion_7_ellipse():
     # exactly when the cross coupling is present
     m_tilted = pts @ pts.T
     assert abs(m_tilted[0, 1]) > 1e-3
-    _theta, pts_aligned, _ = ellipse_points(0.1, 0.0, n)
+    _theta, pts_aligned, _ = ellipse_points(0.1, 0.0)
     m_aligned = pts_aligned @ pts_aligned.T
     assert abs(m_aligned[0, 1]) < 1e-10
 

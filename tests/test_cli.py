@@ -6,7 +6,7 @@ import pytest
 
 from qbm import kernels, qcf
 from qbm.cli import main
-from qbm.config import _KEY_TYPES, parse_config
+from qbm.config import _KEY_TYPES, _STATE_PARAM_KEYS, RUN_MODES, load_chi_csv, parse_config
 from qbm.errors import ValidationError
 from qbm.runio import read_csv
 from qbm.runner import build_grid, ellipse_points, run
@@ -33,7 +33,6 @@ def test_minimal_config_fills_defaults(tmp_path):
     cfg = parse_config(write_conf(tmp_path, MINIMAL))
     assert cfg.reservoir.wc == 5.0
     assert cfg.reservoir.temperature == 0.0
-    assert cfg.omega0 == 1.0
     assert isinstance(cfg.state, qcf.CoherentState)
     assert cfg.oracle_dim == 30
     assert cfg.modes == ("full",)
@@ -201,6 +200,81 @@ def test_fock_level_near_oracle_truncation_rejected_before_any_file(tmp_path, ca
     # the same level runs once the basis leaves the interior margin free
     cfg = parse_config(write_conf(tmp_path, text.replace("= 30", "= 32"), "ok.conf"))
     assert cfg.state.n == 26 and cfg.oracle_dim == 32
+
+
+def write_chi_csv(tmp_path, cell=lambda v: f"{v:.17g}"):
+    """The vacuum chi on a 13 x 13 grid over [-3, 3]^2; ``cell`` formats each number."""
+    nodes = np.linspace(-3.0, 3.0, 13)
+    lines = ["x,p,re_chi,im_chi"]
+    for x in nodes:
+        for p in nodes:
+            row = (x, p, np.exp(-(x * x + p * p) / 4.0), 0.0)
+            lines.append(",".join(cell(v) for v in row))
+    path = tmp_path / "chi.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_tabulated_chi_with_oracle_rejected_before_any_file(tmp_path, capsys):
+    write_chi_csv(tmp_path)
+    out = tmp_path / "o"
+    text = MINIMAL.replace("run.modes = full", "run.modes = full,oracle")
+    text += f"state.kind = tabulated_chi\nstate.chi_csv = chi.csv\nrun.output_dir = {out}\n"
+    path = write_conf(tmp_path, text)
+    with pytest.raises(ValidationError, match=r"line 7: state\.kind = tabulated_chi .* \(line 6\)"):
+        parse_config(path)
+    assert main(["run", str(path)]) == 1
+    assert "run.modes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_numeric_chi_csv_cell_names_file_and_line(tmp_path, capsys):
+    # numpy's repr of a scalar, as a script that formats np.float64 with !r writes it
+    write_chi_csv(tmp_path, cell=lambda v: repr(np.float64(v)) if v == -3.0 else f"{v:.17g}")
+    text = MINIMAL + "state.kind = tabulated_chi\nstate.chi_csv = chi.csv\n"
+    text += f"run.output_dir = {tmp_path / 'o'}\n"
+    assert main(["run", str(write_conf(tmp_path, text))]) == 1
+    err = capsys.readouterr().err
+    assert "chi.csv line 2" in err and "np.float64(-3.0)" in err
+
+
+def test_ragged_or_empty_csv_raises_validation_error(tmp_path):
+    path = tmp_path / "kern.csv"
+    path.write_text("# comment\ntau,kappa,mu\n0.0,0.25,0.0\n\n0.5,0.1\n")
+    with pytest.raises(ValidationError, match=r"kern\.csv line 5: expected 3 values, got 2"):
+        kernels.load_kernel_csv(path)
+    path = tmp_path / "chi.csv"
+    path.write_text("x,p,re_chi,im_chi\n")
+    with pytest.raises(ValidationError, match="at least 5 nodes"):
+        load_chi_csv(path)
+
+
+STATE_KEYS = {
+    "coherent": "state.x0 = 1.0\n",
+    "thermal": "state.nbar = 0.5\n",
+    "squeezed": "state.r = 0.3\nstate.phi = 0.2\n",
+    "fock": "state.n = 2\n",
+    "tabulated_chi": "state.chi_csv = chi.csv\n",
+}
+
+
+@pytest.mark.parametrize("mode", RUN_MODES)
+@pytest.mark.parametrize("kind", list(_STATE_PARAM_KEYS))
+def test_every_state_kind_and_mode_runs_or_is_rejected_at_parse_time(tmp_path, kind, mode):
+    write_chi_csv(tmp_path)
+    out = tmp_path / "o"
+    text = MINIMAL.replace("reservoir.alpha = 0.0", "reservoir.alpha = 0.1")
+    text = text.replace("grid.t_max = 1.0", "grid.t_max = 0.05")
+    text = text.replace("run.modes = full", f"run.modes = {mode}")
+    text += f"state.kind = {kind}\n{STATE_KEYS[kind]}run.output_dir = {out}\n"
+    path = write_conf(tmp_path, text)
+    try:
+        parse_config(path)
+    except ValidationError:
+        assert main(["run", str(path)]) == 1
+        assert not out.exists()
+    else:
+        assert main(["run", str(path)]) == 0
 
 
 @pytest.mark.parametrize("value", ["0", "-6.0"])

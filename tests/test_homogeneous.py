@@ -81,7 +81,7 @@ def test_rotation_identity_at_t0_and_free_limit():
     coeffs = make_coeffs(0.0, t_max=10.0)
     rot = build_rotation(solve_fundamental(coeffs), coeffs)
     assert np.array_equal(rot[0], np.eye(2))
-    expected = approx_rotation(1.0, coeffs.grid)
+    expected = approx_rotation(coeffs.grid)
     assert np.max(np.abs(rot - expected)) < 1e-8
 
 
@@ -101,7 +101,7 @@ def test_rotation_inverse_is_adjugate():
 
 def test_approx_rotation_values():
     grid = np.array([0.0, np.pi / 2])
-    rot = approx_rotation(1.0, grid)
+    rot = approx_rotation(grid)
     assert np.allclose(rot[0], np.eye(2))
     assert np.allclose(rot[1], [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15)
 
@@ -110,7 +110,7 @@ def test_approx_rotation_error_scales_as_alpha_squared():
     def deviation(alpha):
         coeffs = make_coeffs(alpha, t_max=5.0)
         exact = build_rotation(solve_fundamental(coeffs), coeffs)
-        return np.max(np.abs(exact - approx_rotation(1.0, coeffs.grid)))
+        return np.max(np.abs(exact - approx_rotation(coeffs.grid)))
 
     ratio = deviation(0.1) / deviation(0.05)
     assert ratio == pytest.approx(4.0, rel=0.15)

@@ -91,7 +91,7 @@ def test_w_matrix_step_halving_convergence():
 def test_no_renorm_matches_direct_convolution(coeffs):
     # brute-force the convolution integral at a few nodes with the same
     # trapezoid rule; the single-pass angle-addition form must agree exactly
-    w_fast = w_bar_no_renorm(coeffs, 1.0)
+    w_fast = w_bar_no_renorm(coeffs)
     grid = coeffs.grid
     eg = np.exp(coeffs.big_gamma)
     for idx in (1, 250, 700, 1000):
@@ -110,7 +110,7 @@ def test_no_renorm_matches_direct_convolution(coeffs):
 
 
 def test_no_renorm_trace_equals_delta_gamma(coeffs):
-    wb = w_bar_no_renorm(coeffs, 1.0)
+    wb = w_bar_no_renorm(coeffs)
     dg = delta_gamma_series(coeffs)
     trace = wb[:, 0, 0] + wb[:, 1, 1]
     assert np.max(np.abs(trace - dg)) <= 2e-3 * max(1.0, np.max(np.abs(dg)))

@@ -244,7 +244,8 @@ def test_imaginary_residue_guard():
 
 def closed_energy(bundle, state):
     """The closed-form energy law with the bundle's own delta_gamma = tr Wbar."""
-    return qcf.closed_form_energy(bundle, state.initial_energy(bundle.omega0), bundle.delta_gamma)
+    e0 = qcf.observable_series(bundle, state).energy[0]
+    return qcf.closed_form_energy(bundle, e0, bundle.delta_gamma)
 
 
 def test_initial_energy_values(bundles):
@@ -376,7 +377,8 @@ def test_tabulated_chi_moments_near_reference(bundles):
         assert m_tab.mean_x == pytest.approx(m_ref.mean_x, abs=1e-3)
         assert m_tab.xx == pytest.approx(m_ref.xx, abs=1e-2)
         assert m_tab.pp == pytest.approx(m_ref.pp, abs=1e-2)
-    assert tab.initial_energy(1.0) == pytest.approx(ref.initial_energy(1.0), abs=1e-2)
+    e_tab = qcf.observable_series(bundles["rwa"], tab).energy[0]
+    assert e_tab == pytest.approx(qcf.observable_series(bundles["rwa"], ref).energy[0], abs=1e-2)
 
 
 # --- wigner --------------------------------------------------------------
@@ -404,6 +406,7 @@ def test_wigner_fock1_negative_at_origin(free_bundle):
 
 
 def test_wigner_domain_guard(free_bundle):
-    tab, _ = make_tabulated_coherent(extent=4.0, n=81)
-    with pytest.raises(DomainTooSmallError):
-        qcf.wigner(free_bundle, tab, 0, np.linspace(-2, 2, 11), np.linspace(-2, 2, 11), z_extent=3.0)
+    # position variance e^{-4}/2: chi_0 is still ~1e-8 at |z| = 64 along p
+    with pytest.raises(DomainTooSmallError, match="state.r|wigner.times"):
+        qcf.wigner(free_bundle, qcf.SqueezedVacuum(2.0), 0, np.linspace(-2, 2, 11),
+                   np.linspace(-2, 2, 11))
