@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad
 
 from qbm.errors import ValidationError
 from qbm.kernels import TABULATED, KernelTable, ReservoirSpec, mu, spectral_density
@@ -58,6 +57,18 @@ def _check_grid(grid: np.ndarray):
         raise ValidationError(f"grid too coarse: use dt <= {MAX_STEP_RADIANS:.3g}, not {hmax:.3g}")
 
 
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid of ``y`` over the nodes ``x`` along axis 0, starting at 0.
+
+    The arithmetic of scipy.integrate.cumulative_trapezoid(y, x, axis=0,
+    initial=0), operation for operation, so its results are bit-identical.
+    """
+    y = np.asarray(y)
+    d = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    steps = np.cumsum(d * (y[1:] + y[:-1]) / 2.0, axis=0)
+    return np.concatenate((np.zeros((1,) + steps.shape[1:], dtype=steps.dtype), steps))
+
+
 def compute_coefficients(kernels: KernelTable) -> CoefficientTable:
     """Build the coefficient table from sampled kernels by cumulative trapezoid."""
     grid = kernels.grid
@@ -66,7 +77,7 @@ def compute_coefficients(kernels: KernelTable) -> CoefficientTable:
     s = np.sin(grid)
 
     def cum(values):
-        return cumulative_trapezoid(values, grid, initial=0.0)
+        return cumulative_trapezoid(values, grid)
 
     gamma = cum(kernels.mu * s)
     return CoefficientTable(
@@ -99,6 +110,8 @@ def markovian_asymptotes(spec: ReservoirSpec) -> dict:
         delta_bar_inf = gamma_inf / np.tanh(1.0 / (2.0 * spec.temperature))
     else:
         delta_bar_inf = gamma_inf
+
+    from scipy.integrate import quad
 
     horizon = 200.0
 

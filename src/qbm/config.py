@@ -263,6 +263,22 @@ def parse_config(path) -> RunConfig:
     wigner_extent = _typed(seen, "wigner.extent", 6.0)
     if wigner_extent <= 0:
         raise ValidationError("wigner.extent must be > 0")
+    wigner_enabled = _typed(seen, "wigner.enabled", False)
+    if wigner_enabled and kind == "tabulated_chi":
+        from qbm.qcf import _Z_EXTENTS
+
+        # the Wigner transform starts on a square z-grid of half-width
+        # _Z_EXTENTS[0]; the evolution can rotate its corners onto an axis
+        radius = _Z_EXTENTS[0] * np.sqrt(2.0)
+        half_width = min(state.x_nodes[-1], state.p_nodes[-1])
+        if half_width < radius:
+            raise ValidationError(
+                f"line {seen['state.chi_csv'][1]}: the state.chi_csv table reaches only "
+                f"|x|, |p| <= {half_width:g}, but wigner.enabled (line "
+                f"{seen['wigner.enabled'][1]}) evaluates chi out to |z| = {radius:.4g}; "
+                f"widen the table to a half-width of at least {radius:.4g} or set "
+                "wigner.enabled = false"
+            )
 
     return RunConfig(
         reservoir=reservoir,
@@ -273,7 +289,7 @@ def parse_config(path) -> RunConfig:
         output_dir=_typed(seen, "run.output_dir", "out"),
         oracle_dim=oracle_dim,
         leakage_threshold=leakage,
-        wigner_enabled=_typed(seen, "wigner.enabled", False),
+        wigner_enabled=wigner_enabled,
         wigner_times=wigner_times or (0.0,),
         wigner_extent=wigner_extent,
         wigner_points=wigner_points,

@@ -38,7 +38,8 @@ integrands the oscillatory factor is folded into the integrand below
 tau = 1 and handled by the dedicated Fourier-weight routine above; the
 slowly decaying Lorentz-Drude integrand always uses the Fourier-weight
 routine, whose cycle subdivision is what makes the conditionally convergent
-integral usable.
+integral usable.  ``quad`` imports scipy.integrate on its first call, so the
+closed-form kernels never load it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from qbm.errors import QuadratureError, ValidationError
 from qbm.runio import read_csv
@@ -139,6 +139,13 @@ def _j_over_w(spec: ReservoirSpec, w: float) -> float:
     if spec.family == OHMIC_EXP_CUTOFF:
         return np.exp(-w / spec.wc)
     return (2.0 / np.pi) * spec.wc**2 / (spec.wc**2 + w**2)
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def _checked_quad(func, tau: float, weight: str | None, what: str) -> float:

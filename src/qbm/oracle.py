@@ -382,13 +382,14 @@ def to_density_matrix(state, d: int) -> np.ndarray:
         rho = np.zeros((d, d), dtype=complex)
         rho[state.n, state.n] = 1.0
     elif isinstance(state, qcf.SqueezedVacuum):
-        from scipy.linalg import expm
-
-        ops = fock_operators(d)
-        a, ad = ops.a, ops.a.conj().T
-        squeeze = expm(0.5 * state.r_sq * (a @ a - ad @ ad))
-        rotate = expm(-1j * state.phi * (ad @ a))
-        psi = rotate @ squeeze @ np.eye(d, 1, dtype=complex).ravel()
+        # S(r) = exp(-iH) with H = (i r / 2)(a^2 - a^dag^2) Hermitian, so
+        # S|0> = V e^{-i lambda} V^dag |0> from H = V diag(lambda) V^dag;
+        # the rotation exp(-i phi n) is diagonal
+        a = fock_operators(d).a
+        a2 = a @ a
+        lam, v = np.linalg.eigh(0.5j * state.r_sq * (a2 - a2.conj().T))
+        squeezed = v @ (np.exp(-1j * lam) * v[0].conj())
+        psi = np.exp(-1j * state.phi * np.arange(d)) * squeezed
         rho = np.outer(psi, psi.conj())
     else:
         raise ValidationError(

@@ -37,9 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from qbm.coefficients import CoefficientTable, compute_coefficients
+from qbm.coefficients import CoefficientTable, compute_coefficients, cumulative_trapezoid
 from qbm.errors import ValidationError
 from qbm.homogeneous import (
     approx_rotation,
@@ -94,7 +93,7 @@ def w_matrix(coeffs: CoefficientTable, rotations: np.ndarray) -> np.ndarray:
     m = m_matrices(coeffs)
     integrand = np.einsum("nji,njk,nkl->nil", rotations, m, rotations)
     integrand *= np.exp(coeffs.big_gamma)[:, None, None]
-    return _symmetrize(cumulative_trapezoid(integrand, coeffs.grid, axis=0, initial=0.0))
+    return _symmetrize(cumulative_trapezoid(integrand, coeffs.grid))
 
 
 def w_bar_matrix(w: np.ndarray, rotations_inv: np.ndarray, big_gamma: np.ndarray) -> np.ndarray:
@@ -105,7 +104,7 @@ def w_bar_matrix(w: np.ndarray, rotations_inv: np.ndarray, big_gamma: np.ndarray
 
 
 def delta_gamma_series(coeffs: CoefficientTable) -> np.ndarray:
-    acc = cumulative_trapezoid(np.exp(coeffs.big_gamma) * coeffs.delta_bar, coeffs.grid, initial=0.0)
+    acc = cumulative_trapezoid(np.exp(coeffs.big_gamma) * coeffs.delta_bar, coeffs.grid)
     return np.exp(-coeffs.big_gamma) * acc
 
 
@@ -122,7 +121,7 @@ def w_bar_no_renorm(coeffs: CoefficientTable) -> np.ndarray:
     s2 = np.sin(2.0 * grid)
 
     def cum(values):
-        return cumulative_trapezoid(values, grid, initial=0.0)
+        return cumulative_trapezoid(values, grid)
 
     a_c = cum(eg * coeffs.delta_bar * c2)
     a_s = cum(eg * coeffs.delta_bar * s2)

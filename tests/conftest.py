@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import qbm
 from qbm import oracle, qcf
 from qbm.coefficients import compute_coefficients
 from qbm.kernels import ReservoirSpec, tabulate_kernels
@@ -73,3 +76,11 @@ class Pipeline:
 @pytest.fixture(scope="session")
 def pipeline():
     return Pipeline()
+
+
+@pytest.fixture(scope="session")
+def subprocess_env():
+    """Environment for a child interpreter that imports this checkout's qbm."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qbm.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

@@ -238,6 +238,24 @@ def test_non_numeric_chi_csv_cell_names_file_and_line(tmp_path, capsys):
     assert "chi.csv line 2" in err and "np.float64(-3.0)" in err
 
 
+def test_tabulated_chi_narrower_than_wigner_grid_rejected_before_any_file(tmp_path, capsys):
+    write_chi_csv(tmp_path)
+    out = tmp_path / "o"
+    text = MINIMAL.replace("grid.t_max = 1.0", "grid.t_max = 0.05")
+    text += f"state.kind = tabulated_chi\nstate.chi_csv = chi.csv\nrun.output_dir = {out}\n"
+    text += "wigner.enabled = true\n"
+    path = write_conf(tmp_path, text)
+    with pytest.raises(ValidationError, match=r"line 8: the state\.chi_csv table .* \(line 10\)"):
+        parse_config(path)
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "state.chi_csv" in err and "wigner.enabled" in err
+    assert not out.exists()
+    # the same table runs without the Wigner maps
+    cfg = parse_config(write_conf(tmp_path, text.replace("= true", "= false"), "ok.conf"))
+    assert not cfg.wigner_enabled
+
+
 def test_ragged_or_empty_csv_raises_validation_error(tmp_path):
     path = tmp_path / "kern.csv"
     path.write_text("# comment\ntau,kappa,mu\n0.0,0.25,0.0\n\n0.5,0.1\n")

@@ -4,6 +4,7 @@ import pytest
 from qbm.coefficients import (
     CoefficientTable,
     compute_coefficients,
+    cumulative_trapezoid,
     markovian_asymptotes,
 )
 from qbm.errors import ValidationError
@@ -15,6 +16,20 @@ OHMIC = ReservoirSpec("ohmic_exp_cutoff", alpha=0.1, wc=5.0, temperature=0.0)
 def make_coeffs(spec, dt=0.01, t_max=50.0):
     grid = dt * np.arange(int(round(t_max / dt)) + 1)
     return compute_coefficients(tabulate_kernels(spec, grid))
+
+
+@pytest.mark.parametrize("nodes", [17, 3001, 6001])
+def test_cumulative_trapezoid_is_bit_identical_to_scipy(nodes):
+    from scipy.integrate import cumulative_trapezoid as scipy_cumulative_trapezoid
+
+    rng = np.random.default_rng(nodes)
+    grid = 0.005 * np.arange(nodes)
+    uneven = np.concatenate(([0.0], np.cumsum(rng.uniform(0.001, 0.01, nodes - 1))))
+    for x in (grid, uneven):
+        for y in (np.cos(x) * np.exp(-0.1 * x), rng.normal(size=(nodes, 2, 2))):
+            ours = cumulative_trapezoid(y, x)
+            assert ours.shape == y.shape
+            assert np.array_equal(ours, scipy_cumulative_trapezoid(y, x, axis=0, initial=0.0))
 
 
 def test_zero_kernels_give_zero_table():

@@ -311,6 +311,22 @@ def test_initial_state_builders_normalized():
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
 
 
+@pytest.mark.parametrize("d", [30, 40, 60])
+def test_squeezed_vacuum_matches_matrix_exponential(d):
+    from scipy.linalg import expm
+
+    a = oracle.fock_operators(d).a
+    ad = a.conj().T
+    vacuum = np.eye(d, 1, dtype=complex).ravel()
+    for r in (0.1, 0.5, 1.0):
+        for phi in (0.0, 0.3, 2.0):
+            psi = expm(-1j * phi * (ad @ a)) @ expm(0.5 * r * (a @ a - ad @ ad)) @ vacuum
+            reference = np.outer(psi, psi.conj())
+            reference /= np.trace(reference).real
+            rho = oracle.to_density_matrix(qcf.SqueezedVacuum(r, phi), d)
+            assert np.max(np.abs(rho - reference)) <= 1e-14, (r, phi)
+
+
 def test_initial_moments_match_qcf_convention():
     # locks every sign in the moment map against the Fock-space construction
     # t = 0 moments as the integration records them, on a one-node grid

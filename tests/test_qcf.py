@@ -64,6 +64,17 @@ def test_fock1_laguerre_zero():
     assert qcf.FockState(1).chi0(1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_laguerre_is_bit_identical_to_scipy():
+    from scipy.special import eval_laguerre
+
+    axis = np.linspace(-8.0, 8.0, 481)
+    mesh = (axis[:, None] ** 2 + axis[None, :] ** 2) / 2.0
+    draws = np.random.default_rng(7).uniform(0.0, 200.0, 20000)
+    for n in range(13):
+        for u in (mesh, draws):
+            assert np.array_equal(qcf.laguerre(n, u), eval_laguerre(n, u)), n
+
+
 def test_coherent_phase_convention():
     val = qcf.CoherentState(x0=2.0).chi0(0.0, 0.5)
     assert val == pytest.approx(np.exp(-0.25 / 4.0) * np.exp(1j * 1.0), abs=1e-14)
