@@ -264,11 +264,13 @@ def parse_config(path) -> RunConfig:
     if wigner_extent <= 0:
         raise ValidationError("wigner.extent must be > 0")
     wigner_enabled = _typed(seen, "wigner.enabled", False)
-    if wigner_enabled and kind == "tabulated_chi":
+    if wigner_enabled and kind == "tabulated_chi" and not state.zero_outside:
         from qbm.qcf import _Z_EXTENTS
 
-        # the Wigner transform starts on a square z-grid of half-width
-        # _Z_EXTENTS[0]; the evolution can rotate its corners onto an axis
+        # a table that has not decayed at its boundary cannot stand for chi
+        # beyond it, and the Wigner transform starts on a square z-grid of
+        # half-width _Z_EXTENTS[0]; the evolution can rotate its corners onto
+        # an axis
         radius = _Z_EXTENTS[0] * np.sqrt(2.0)
         half_width = min(state.x_nodes[-1], state.p_nodes[-1])
         if half_width < radius:

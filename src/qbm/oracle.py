@@ -20,10 +20,15 @@ replaces D by (delta_bar/2)([X,[X,.]] + [P,[P,.]]); ``unitary`` keeps only
 the -i[Hbar_0, .] term (rotation-law checks).
 
 Each mode is one term table: five fixed operator triples weighted by the
-coefficient row (1, delta_bar, pi, r, gamma).  ``_Generators`` turns the
-tables of several modes into one block-diagonal sparse generator L(t) on
-vec(rho); the RK4 loop steps on it, ``generator`` returns it for one mode,
-and the algebra suite checks it, so there is one master equation.
+coefficient row (1, delta_bar, pi, r, gamma).  Every term moves the entry
+rho_mn by one of nine offsets, so ``stencil_table`` rewrites the table as a
+nine-point stencil on rho, and ``_Stencil`` applies the stencils of several
+modes with numpy alone.  The master equation is quadratic in X and P, so it
+is invariant under (X, P) -> (-X, -P) and never mixes entries of even and
+odd m + n: the RK4 loop steps only the parity sectors in which rho0 has a
+nonzero entry (the Fock, thermal and squeezed states occupy the even one
+alone).  ``generator`` returns the same kernel for one mode and the algebra
+suite checks it, so there is one master equation.
 
 Truncation hygiene: states must stay away from the top of the basis (the
 leakage monitor aborts otherwise), and algebra residuals are measured on
@@ -36,6 +41,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from qbm.coefficients import CoefficientTable
 from qbm.errors import LeakageError, TruncationError, ValidationError
@@ -132,6 +138,7 @@ MODES = ("full", "norenorm", "rwa", "unitary")
 # row, so the generator at one time is the table contracted with that row.
 WEIGHTS = ("one", "delta_bar", "pi", "r", "gamma")
 _K, _RX, _RP = range(3)
+SECTORS = ("even", "odd")  # parity of m + n of the entries rho_mn
 
 
 def term_table(ops: FockOperators, mode: str) -> np.ndarray:
@@ -167,61 +174,148 @@ def term_table(ops: FockOperators, mode: str) -> np.ndarray:
     return table
 
 
-class _Generators:
-    """The generators L(t) of several modes as one block-diagonal CSR matrix.
+def _band(mat: np.ndarray, a: int) -> np.ndarray:
+    """mat[..., i, i + a] over i, zero where i + a leaves the basis."""
+    d = mat.shape[-1]
+    out = np.zeros(mat.shape[:-1], dtype=mat.dtype)
+    out[..., max(-a, 0) : d - max(a, 0)] = np.diagonal(mat, a, axis1=-2, axis2=-1)
+    return out
 
-    Each mode's term table becomes five per-weight d^2 x d^2 generators on
-    row-major vec(rho), kept on the union of their sparsity patterns; the
-    modes are stacked block-diagonally.  ``weights`` holds, per mode, the
-    (5, nnz) entries of its block as a real (5, 2 nnz) view, so the
-    generator at one time is the coefficient row contracted into the CSR
-    data.  Each mode's block is contracted by its own call on its own
-    weights, so a mode gets the same generator alone or batched.
+
+# K has the bands 0 and +-2 and R_x, R_p the bands +-1, so L moves the entry
+# (m, n) of rho by one of nine offsets (a, b) = (u + v, u - v), u, v in
+# {-1, 0, 1}: a nine-point stencil, offset o = 3 (u + 1) + (v + 1).
+def stencil_table(ops: FockOperators, mode: str) -> np.ndarray:
+    """The (5, 9, d, d) stencil per weight of ``WEIGHTS``.
+
+    Entry [w, o, m, n] multiplies rho[m + a, n + b] in L_w(rho)[m, n], and
+    is zero where that neighbour leaves the basis.  It is read off
+    ``term_table``: K rho gives K[m, m + a], rho K^dag gives conj K[n, n + b],
+    and (X rho) R_x + (P rho) R_p give X[m, m + a] R_x[n + b, n] +
+    P[m, m + a] R_p[n + b, n].  rho K^dag is its own term: taking it as
+    (K rho)^dag would make the hermiticity drift vanish by construction.
+    """
+    table = term_table(ops, mode)
+    k, rx_t, rp_t = table[:, _K], table[:, _RX].swapaxes(1, 2), table[:, _RP].swapaxes(1, 2)
+    stencil = np.zeros((len(WEIGHTS), 3, 3, ops.d, ops.d), dtype=complex)
+    for u in (-1, 0, 1):
+        for v in (-1, 0, 1):
+            a, b = u + v, u - v
+            cell = stencil[:, u + 1, v + 1]
+            if b == 0:
+                cell += _band(k, a)[:, :, None]
+            if a == 0:
+                cell += _band(k, b).conj()[:, None, :]
+            if abs(a) == 1:
+                cell += _band(ops.x, a)[:, None] * _band(rx_t, b)[:, None, :]
+                cell += _band(ops.p, a)[:, None] * _band(rp_t, b)[:, None, :]
+    return stencil.reshape(len(WEIGHTS), 9, ops.d, ops.d)
+
+
+class _Stencil:
+    """The generators L(t) of several modes as one nine-point stencil each.
+
+    Each mode's rho is one row of a ``buffer``: row-major with the odd row
+    stride D = d | 1 (a zero pad column when d is even) and 2 D zeros on
+    either side.  The flat index m D + n then has the parity of m + n, and
+    the offset (u + v, u - v) is u (D + 1) + v (D - 1), so one strided view
+    reads all nine neighbours of every entry.  L never mixes the two
+    parities, so only the ``sectors`` given are stepped: every entry from
+    the first sector on (both sectors) or every other one (one sector), the
+    ``size`` stepped entries of each mode.
+
+    ``weights`` holds, per mode, the stencil of the weights that are nonzero
+    in that mode (``live``) on the stepped entries, as a real (w, 18 size)
+    view, so the generator at one time is one product with the coefficient
+    row.  Each mode's block is its own call, so a mode gets the same
+    generator alone or batched.
     """
 
-    def __init__(self, ops: FockOperators, modes):
-        from scipy import sparse
+    def __init__(self, ops: FockOperators, modes, sectors=(0, 1)):
+        d = ops.d
+        self.d, self.stride, self.modes = d, d | 1, tuple(modes)
+        self.pad = 2 * self.stride
+        self.step = 2 if len(sectors) == 1 else 1
+        self.first = self.pad + sectors[0]
+        self.size = len(range(sectors[0], d * self.stride, self.step))
+        self.live, self.weights = [], []
+        for mode in self.modes:
+            table = stencil_table(ops, mode)
+            live = np.flatnonzero(np.any(table != 0, axis=(1, 2, 3)))
+            padded = np.zeros((len(live), 9, d, self.stride), dtype=complex)
+            padded[..., :d] = table[live]
+            stepped = padded.reshape(len(live), 9, -1)[..., sectors[0] :: self.step]
+            self.live.append(live)
+            self.weights.append(np.ascontiguousarray(stepped).view(float).reshape(len(live), -1))
+        self._products = np.empty((len(self.modes), 9, self.size), dtype=complex)
 
-        eye = sparse.eye_array(ops.d, dtype=complex, format="csr")
-        x, p = sparse.csr_array(ops.x), sparse.csr_array(ops.p)
-        patterns, self.weights = [], []
-        for mode in modes:
-            # vec(A rho B) = (A kron B^T) vec(rho) on row-major vec, and
-            # rho K^dag is its own term: taking it as (K rho)^dag would make
-            # the hermiticity drift vanish by construction
-            per_weight = [
-                sparse.kron(k, eye) + sparse.kron(eye, k.conj())
-                + sparse.kron(x, rx.T) + sparse.kron(p, rp.T)
-                for k, rx, rp in term_table(ops, mode)
-            ]
-            pattern = sum(abs(g) for g in per_weight).tocsr()
-            pattern.sort_indices()
-            rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
-            data = np.stack([g[rows, pattern.indices] for g in per_weight])
-            self.weights.append(data.view(float))
-            patterns.append(pattern)
-        # block_diag keeps each block's sorted entries, so mode j's weights
-        # fill the CSR data of rows j d^2 .. (j + 1) d^2 in order
-        self.template = sparse.block_diag(patterns, format="csr", dtype=complex)
-        cuts = self.template.indptr[:: ops.d * ops.d]
-        self.slices = [slice(2 * a, 2 * b) for a, b in zip(cuts[:-1], cuts[1:])]
+    def buffer(self) -> np.ndarray:
+        """A zero buffer for the rho of every mode."""
+        return np.zeros((len(self.modes), self.d * self.stride + 2 * self.pad), dtype=complex)
 
-    def at(self, row, out=None):
-        """The generator at one coefficient row, written into ``out`` if given."""
-        out = self.template.copy() if out is None else out
-        data = out.data.view(float)
-        for s, w in zip(self.slices, self.weights):
-            np.dot(row, w, out=data[s])
+    def rho(self, buffer: np.ndarray) -> np.ndarray:
+        """The (modes, d, d) view of the rho held in ``buffer``."""
+        inner = buffer[:, self.pad : self.pad + self.d * self.stride]
+        return inner.reshape(-1, self.d, self.stride)[..., : self.d]
+
+    def stepped(self, buffer: np.ndarray) -> np.ndarray:
+        """The (modes, size) view of the stepped entries in ``buffer``."""
+        return buffer[:, self.first : self.pad + self.d * self.stride : self.step]
+
+    def at(self, row, out=None) -> np.ndarray:
+        """The (modes, 9, size) stencil at one coefficient row, written into ``out`` if given."""
+        out = np.empty((len(self.modes), 9, self.size), dtype=complex) if out is None else out
+        data = out.view(float).reshape(len(self.modes), -1)
+        for j, (live, w) in enumerate(zip(self.live, self.weights)):
+            np.dot(row[live], w, out=data[j])
         return out
 
+    def neighbours(self, buffer: np.ndarray) -> np.ndarray:
+        """The (modes, 3, 3, size) read-only view of the nine neighbours of each stepped entry."""
+        row, item = self.stride, buffer.itemsize
+        return as_strided(
+            buffer[:, self.first - 2 * row :],
+            shape=(len(self.modes), 3, 3, self.size),
+            strides=(buffer.strides[0], (row + 1) * item, (row - 1) * item, self.step * item),
+            writeable=False,
+        )
 
-def generator(coeffs_at_t: dict, ops: FockOperators, mode: str):
-    """L at one time as a d^2 x d^2 CSR matrix on row-major vec(rho).
+    def apply(self, stencil: np.ndarray, neighbours: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """L(rho) on the stepped entries into ``out``, from the ``neighbours`` view of rho."""
+        products = self._products.reshape(neighbours.shape)
+        np.multiply(stencil.reshape(neighbours.shape), neighbours, out=products)
+        return np.add.reduce(self._products, axis=1, out=out)
 
-    It is the matrix the RK4 loop of ``integrate_modes`` steps on.
+
+class Generator:
+    """L at one time for one mode: ``L @ vec(rho)`` and ``L.toarray()``.
+
+    ``@`` runs the stencil kernel that ``integrate_modes`` steps on.
+    """
+
+    def __init__(self, stencil: _Stencil, row):
+        self._stencil = stencil
+        self._coef = stencil.at(row)
+
+    def __matmul__(self, v) -> np.ndarray:
+        s, d = self._stencil, self._stencil.d
+        buffer = s.buffer()
+        s.rho(buffer)[0] = unvec(np.asarray(v), d)
+        out = s.apply(self._coef, s.neighbours(buffer), np.empty((1, s.size), dtype=complex))
+        return out.reshape(d, s.stride)[:, :d].reshape(-1)
+
+    def toarray(self) -> np.ndarray:
+        """The dense d^2 x d^2 matrix on row-major vec(rho), column by column."""
+        return np.column_stack([self @ e for e in np.eye(self._stencil.d**2, dtype=complex)])
+
+
+def generator(coeffs_at_t: dict, ops: FockOperators, mode: str) -> Generator:
+    """L at one time on row-major vec(rho), both parity sectors.
+
+    Its ``@`` is the kernel the RK4 loop of ``integrate_modes`` steps on.
     """
     row = np.array([1.0] + [coeffs_at_t.get(k, 0.0) for k in WEIGHTS[1:]])
-    return _Generators(ops, (mode,)).at(row)
+    return Generator(_Stencil(ops, (mode,)), row)
 
 
 @dataclass
@@ -237,6 +331,7 @@ class OracleTrajectory:
     herm_drift: float
     max_leakage: float
     rho_final: np.ndarray
+    sectors: tuple  # the parity sectors stepped, names from ``SECTORS``
 
 
 MOMENTS = ("mean_x", "mean_p", "xx", "pp", "xp_sym")
@@ -254,11 +349,13 @@ def integrate_modes(
     """RK4 integration of the master equation in several modes at once.
 
     Every mode starts from ``rho0``; the modes are stacked on a leading axis
-    and share one loop, and each gets its own trajectory and guards.
-    Coefficients at half-steps come from linear interpolation, each rho is
-    re-hermitized every step with the drift recorded, and population in the
-    top three levels above the threshold aborts the run, naming the mode.
-    Returns ``{mode: OracleTrajectory}``.
+    and share one loop, and each gets its own trajectory and guards.  Only
+    the parity sectors in which rho0 has a nonzero entry are stepped; L
+    keeps the other one exactly zero.  Coefficients at half-steps come from
+    linear interpolation, each rho is re-hermitized every step with the
+    drift recorded, and population in the top three levels above the
+    threshold aborts the run, naming the mode.  Returns
+    ``{mode: OracleTrajectory}``.
     """
     modes = tuple(modes)
     if not modes or len(set(modes)) != len(modes):
@@ -275,51 +372,64 @@ def integrate_modes(
     n = len(t)
     m = len(modes)
 
-    gens = _Generators(ops, modes)
+    parity = np.add.outer(np.arange(d), np.arange(d)) % 2
+    occupied = [s for s in (0, 1) if np.any(rho0[parity == s])]
+    sectors = tuple(occupied) if len(occupied) == 1 else (0, 1)
+    gens = _Stencil(ops, modes, sectors)
     rows = np.column_stack([np.ones(n)] + [getattr(coeffs, k)[:n] for k in WEIGHTS[1:]])
 
     moments = np.empty((m, len(MOMENTS), n))
     trace_err = np.zeros(m)
     herm_drift = np.zeros(m)
+    # the entries of the moment map, as indices into a buffer
+    level, column = np.divmod(ops.moment_support, d)
+    support = gens.pad + level * gens.stride + column
 
     def leakage(rho) -> np.ndarray:
         return np.sum(np.diagonal(rho, axis1=1, axis2=2).real[:, -3:], axis=1)
 
-    def record(i, rho) -> np.ndarray:
+    def record(i, state) -> np.ndarray:
         """Store the moments at node i and return the traces."""
-        band = rho.reshape(m, 1, d * d)[:, :, ops.moment_support]
-        traces = np.matmul(band, ops.moment_map)[:, 0].real
+        traces = np.matmul(state[:, None, support], ops.moment_map)[:, 0].real
         moments[:, :, i] = traces[:, : len(MOMENTS)]
         return traces[:, -1]
 
-    rho = np.repeat(rho0[None], m, axis=0)
+    state, stage = gens.buffer(), gens.buffer()
+    rho = gens.rho(state)
+    rho[...] = rho0
+    v, v_stage = gens.stepped(state), gens.stepped(stage)
+    reads, stage_reads = gens.neighbours(state), gens.neighbours(stage)
     lk = float(leakage(rho0[None])[0])
     if lk > leakage_threshold:
         raise LeakageError(
             f"initial state already leaks {lk:.2e} into the top levels; increase d beyond {d}"
         )
     max_leak = np.full(m, lk)
-    record(0, rho)
+    record(0, state)
 
     node = gens.at(rows[0])
-    mid, nxt = node.copy(), node.copy()
+    mid, nxt = np.empty_like(node), np.empty_like(node)
+    acc, k, scaled = np.empty_like(v), np.empty_like(v), np.empty_like(v)
+    dag, diff, size = np.empty_like(rho), np.empty_like(rho), np.empty(rho.shape)
     for i in range(n - 1):
         h = t[i + 1] - t[i]
         gens.at(0.5 * (rows[i] + rows[i + 1]), mid)
         gens.at(rows[i + 1], nxt)
         # rho + (h/6)(k1 + 2 k2 + 2 k3 + k4), summed in that order, on the
-        # stacked row-major vec of every mode's rho
-        v = rho.reshape(-1)
-        k = acc = node @ v
+        # stepped entries of every mode's rho; each stage's argument is
+        # written into the stepped entries of ``stage``
+        ki = gens.apply(node, reads, acc)
         for weight, step, gen in ((2.0, 0.5 * h, mid), (2.0, 0.5 * h, mid), (1.0, h, nxt)):
-            k = gen @ (v + step * k)
-            acc += weight * k
-        rho = (v + (h / 6.0) * acc).reshape(m, d, d)
+            np.add(v, np.multiply(step, ki, out=scaled), out=v_stage)
+            ki = gens.apply(gen, stage_reads, k)
+            acc += np.multiply(weight, ki, out=scaled)
+        v += np.multiply(h / 6.0, acc, out=acc)
         node, nxt = nxt, node
 
-        rho_dag = rho.conj().swapaxes(-1, -2)
-        np.maximum(herm_drift, np.max(np.abs(rho - rho_dag), axis=(1, 2)), out=herm_drift)
-        rho = 0.5 * (rho + rho_dag)
+        np.conjugate(rho.swapaxes(-1, -2), out=dag)
+        np.abs(np.subtract(rho, dag, out=diff), out=size)
+        np.maximum(herm_drift, size.max(axis=(1, 2)), out=herm_drift)
+        np.multiply(0.5, np.add(rho, dag, out=diff), out=rho)
 
         lk = leakage(rho)
         np.maximum(max_leak, lk, out=max_leak)
@@ -331,9 +441,10 @@ def integrate_modes(
                 f"{leakage_threshold:.2e} at t={t[i + 1]:g}; increase the oracle "
                 f"dimension beyond {d}"
             )
-        traces = record(i + 1, rho)
+        traces = record(i + 1, state)
         np.maximum(trace_err, np.abs(traces - 1.0), out=trace_err)
 
+    rho_final = np.array(rho)
     return {
         mode: OracleTrajectory(
             grid=t,
@@ -346,7 +457,8 @@ def integrate_modes(
             trace_error=float(trace_err[j]),
             herm_drift=float(herm_drift[j]),
             max_leakage=float(max_leak[j]),
-            rho_final=rho[j],
+            rho_final=rho_final[j],
+            sectors=tuple(SECTORS[s] for s in sectors),
         )
         for j, mode in enumerate(modes)
     }
@@ -389,6 +501,9 @@ def to_density_matrix(state, d: int) -> np.ndarray:
         a2 = a @ a
         lam, v = np.linalg.eigh(0.5j * state.r_sq * (a2 - a2.conj().T))
         squeezed = v @ (np.exp(-1j * lam) * v[0].conj())
+        # S(r) is quadratic in a and a^dag, so the odd levels are exactly zero
+        # (eigh leaves ~1e-17 of rounding there)
+        squeezed[1::2] = 0.0
         psi = np.exp(-1j * state.phi * np.arange(d)) * squeezed
         rho = np.outer(psi, psi.conj())
     else:

@@ -44,6 +44,8 @@ _IMAG_TOL = 1e-9
 # the Wigner transform's z-grid: nodes per side and the half-widths tried in turn
 _Z_POINTS = 256
 _Z_EXTENTS = (8.0, 16.0, 32.0, 64.0)
+# |chi| below which the Wigner transform counts chi as decayed
+CHI_DECAY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -175,9 +177,10 @@ class TabulatedChi:
 
     The node set must be symmetric about the origin so chi(0) = 1 and the
     Hermiticity symmetry chi(z) = conj chi(-z) can be validated on the
-    samples themselves.  Evaluation outside the grid raises.  The initial
-    moments are read once, at construction, from central differences of the
-    table at the origin.
+    samples themselves.  A table whose boundary values lie below
+    ``CHI_DECAY_TOL`` stands for chi = 0 outside it; evaluating any other
+    table outside its grid raises.  The initial moments are read once, at
+    construction, from central differences of the table at the origin.
     """
 
     def __init__(self, x_nodes, p_nodes, values):
@@ -209,10 +212,17 @@ class TabulatedChi:
         # derivative probes must straddle whole cells: inside one cell the
         # bilinear interpolant has no curvature at all
         self.fd_step = float(max(x_nodes[i0 + 1] - x_nodes[i0], p_nodes[j0 + 1] - p_nodes[j0]))
+        edges = np.concatenate([values[0], values[-1], values[:, 0], values[:, -1]])
+        self.zero_outside = bool(np.max(np.abs(edges)) < CHI_DECAY_TOL)
         from scipy.interpolate import RegularGridInterpolator
 
-        self._re = RegularGridInterpolator((x_nodes, p_nodes), values.real, method="linear")
-        self._im = RegularGridInterpolator((x_nodes, p_nodes), values.imag, method="linear")
+        self._re, self._im = (
+            RegularGridInterpolator(
+                (x_nodes, p_nodes), part, method="linear",
+                bounds_error=not self.zero_outside, fill_value=0.0,
+            )
+            for part in (values.real, values.imag)
+        )
         self.initial_moments = _moments_fd(self.chi0, self.fd_step)
 
     def chi0(self, x, p):
@@ -402,15 +412,14 @@ def wigner(bundle: PropagatorBundle, state, t_index: int, q_grid, p_grid):
     Symplectic Fourier transform of chi_t,
     W(u) = (2 pi)^{-2} Int chi_t(z) exp(-i u.J.z) d^2 z, discretized by a
     separable trapezoid on a square z-grid of ``_Z_POINTS`` nodes per side.
-    The half-width steps through ``_Z_EXTENTS`` until |chi_t| < 1e-12 on the
-    boundary; a chi_t still above that at the widest grid raises.
+    The half-width steps through ``_Z_EXTENTS`` until |chi_t| < ``CHI_DECAY_TOL``
+    on the boundary; a chi_t still above that at the widest grid raises.
     """
     q_grid = np.asarray(q_grid, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
     if q_grid.ndim != 1 or p_grid.ndim != 1:
         raise ValidationError("phase-space grids must be 1-d")
 
-    decay_tol = 1e-12
     for ext in _Z_EXTENTS:
         zx = np.linspace(-ext, ext, _Z_POINTS)
         zp = np.linspace(-ext, ext, _Z_POINTS)
@@ -421,11 +430,11 @@ def wigner(bundle: PropagatorBundle, state, t_index: int, q_grid, p_grid):
             np.max(np.abs(chi_vals[:, 0])),
             np.max(np.abs(chi_vals[:, -1])),
         )
-        if boundary < decay_tol:
+        if boundary < CHI_DECAY_TOL:
             break
     else:
         raise DomainTooSmallError(
-            f"chi_t at t_index {t_index} has not decayed below {decay_tol:g} at "
+            f"chi_t at t_index {t_index} has not decayed below {CHI_DECAY_TOL:g} at "
             f"|z| = {_Z_EXTENTS[-1]:g}, the widest Wigner integration grid: the state is "
             "too narrow in phase space, as under strong squeezing; lower state.r, or "
             "move wigner.times later, where damping and diffusion have widened it"

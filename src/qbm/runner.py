@@ -127,6 +127,7 @@ def run(config: RunConfig) -> RunResult:
             ops=ops,
             leakage_threshold=config.leakage_threshold,
         )
+        report_lines.append(f"oracle_parity_sectors {','.join(trajs[oracle_modes[0]].sectors)}")
         diff_lines = []
         for mode in oracle_modes:
             traj = trajs[mode]

@@ -18,6 +18,7 @@ STATES = {
     "coherent2": qcf.CoherentState(x0=2.0, p0=0.0),
     "thermal1": qcf.ThermalState(nbar=1.0),
     "fock2": qcf.FockState(2),
+    "squeezed05": qcf.SqueezedVacuum(r_sq=0.5, phi=0.3),
 }
 
 

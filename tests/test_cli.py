@@ -202,9 +202,12 @@ def test_fock_level_near_oracle_truncation_rejected_before_any_file(tmp_path, ca
     assert cfg.state.n == 26 and cfg.oracle_dim == 32
 
 
-def write_chi_csv(tmp_path, cell=lambda v: f"{v:.17g}"):
-    """The vacuum chi on a 13 x 13 grid over [-3, 3]^2; ``cell`` formats each number."""
-    nodes = np.linspace(-3.0, 3.0, 13)
+def write_chi_csv(tmp_path, cell=lambda v: f"{v:.17g}", half_width=3.0, count=13):
+    """The vacuum chi on a count x count grid over [-half_width, half_width]^2.
+
+    ``cell`` formats each number.
+    """
+    nodes = np.linspace(-half_width, half_width, count)
     lines = ["x,p,re_chi,im_chi"]
     for x in nodes:
         for p in nodes:
@@ -254,6 +257,29 @@ def test_tabulated_chi_narrower_than_wigner_grid_rejected_before_any_file(tmp_pa
     # the same table runs without the Wigner maps
     cfg = parse_config(write_conf(tmp_path, text.replace("= true", "= false"), "ok.conf"))
     assert not cfg.wigner_enabled
+
+
+def test_tabulated_chi_decayed_at_its_boundary_runs_every_wigner_grid(tmp_path):
+    # the vacuum chi is e^-36 ~ 2e-16 on the boundary of [-12, 12]^2, below
+    # qcf.CHI_DECAY_TOL, so the table stands for chi = 0 outside it: chi_t is
+    # still ~1e-7 on the edge of the first Wigner z-grid (|z| <= 8), and the
+    # next one (|z| <= 16) reaches past the table
+    write_chi_csv(tmp_path, half_width=12.0, count=25)
+    out = tmp_path / "o"
+    text = MINIMAL.replace("grid.t_max = 1.0", "grid.t_max = 0.05")
+    text += f"state.kind = tabulated_chi\nstate.chi_csv = chi.csv\nrun.output_dir = {out}\n"
+    text += "wigner.enabled = true\n"
+    assert main(["run", str(write_conf(tmp_path, text))]) == 0
+    assert sorted(os.listdir(out)) == [
+        "coefficients.csv",
+        "observables.csv",
+        "observables_full.csv",
+        "propagator.csv",
+        "propagator_full.csv",
+        "rotation.csv",
+        "run_report.txt",
+        "wigner_t0.csv",
+    ]
 
 
 def test_ragged_or_empty_csv_raises_validation_error(tmp_path):

@@ -270,24 +270,37 @@ def reference_integrate(rho, coeffs, mode, ops, n):
     return moments, rho
 
 
-def test_batched_modes_match_reference_and_single_runs(pipeline):
+# coherent x0 = 2 occupies both parity sectors of m + n; the Fock and the
+# squeezed vacuum occupy the even one only, so the loop steps half the entries
+@pytest.mark.parametrize(
+    "state_name, sectors",
+    [("coherent2", ("even", "odd")), ("fock2", ("even",)), ("squeezed05", ("even",))],
+    ids=["coherent2", "fock2", "squeezed05"],
+)
+def test_batched_modes_match_reference_and_single_runs(pipeline, state_name, sectors):
     n = 301
     coeffs = pipeline.coeffs(2.0)
-    rho0 = oracle.to_density_matrix(pipeline.state("coherent2"), 30)
+    rho0 = oracle.to_density_matrix(pipeline.state(state_name), 30)
     batch = oracle.integrate_modes(
         rho0, coeffs, oracle.MODES, ops=pipeline.ops, grid=coeffs.grid[:n]
     )
     assert tuple(batch) == oracle.MODES
+    odd = np.add.outer(np.arange(30), np.arange(30)) % 2 == 1
     for mode, traj in batch.items():
+        assert traj.sectors == sectors, mode
         moments, rho_final = reference_integrate(rho0, coeffs, mode, pipeline.ops, n)
         for name, ref in zip(MOMENT_NAMES, moments):
             assert np.max(np.abs(getattr(traj, name) - ref)) <= 1e-12, (mode, name)
         assert np.max(np.abs(traj.rho_final - rho_final)) <= 1e-12, mode
+        if sectors == ("even",):
+            assert np.all(traj.rho_final[odd] == 0.0), mode
+            assert np.all(traj.mean_x == 0.0) and np.all(traj.mean_p == 0.0), mode
         single = oracle.integrate_modes(
             rho0, coeffs, [mode], ops=pipeline.ops, grid=coeffs.grid[:n]
         )[mode]
         for guard in ("trace_error", "herm_drift", "max_leakage"):
             assert getattr(traj, guard) == getattr(single, guard), (mode, guard)
+        assert np.array_equal(traj.rho_final, single.rho_final), mode
         assert traj.herm_drift <= 1e-10
 
 
@@ -325,6 +338,8 @@ def test_squeezed_vacuum_matches_matrix_exponential(d):
             reference /= np.trace(reference).real
             rho = oracle.to_density_matrix(qcf.SqueezedVacuum(r, phi), d)
             assert np.max(np.abs(rho - reference)) <= 1e-14, (r, phi)
+            # S(r) is quadratic in a and a^dag: the odd levels are exact zeros
+            assert np.all(rho[1::2] == 0.0) and np.all(rho[:, 1::2] == 0.0), (r, phi)
 
 
 def test_initial_moments_match_qcf_convention():

@@ -356,8 +356,14 @@ def test_tabulated_chi_matches_at_nodes():
 
 def test_tabulated_chi_out_of_range():
     tab, _ = make_tabulated_coherent(extent=4.0, n=81)
+    assert not tab.zero_outside
     with pytest.raises(ValidationError):
         tab.chi0(5.0, 0.0)
+    # |chi| <= e^-36 on the boundary of [-12, 12]^2, below the Wigner decay
+    # tolerance: the table stands for chi = 0 outside it
+    tab, _ = make_tabulated_coherent()
+    assert tab.zero_outside
+    assert tab.chi0(13.0, 0.0) == 0.0 and tab.chi0(-5.0, 20.0) == 0.0
 
 
 def test_tabulated_chi_validation():

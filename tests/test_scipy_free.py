@@ -1,9 +1,9 @@
-"""`qbm run` loads no scipy module unless the config needs one.
+"""`qbm run` loads no scipy module unless the state is ``tabulated_chi``.
 
 Each config is parsed and run in a fresh interpreter, which then reports
-the scipy modules it has loaded.  Only the oracle needs scipy (its sparse
-generator); the analytic pipeline, the Wigner maps and the Fock states run
-on numpy alone.
+the scipy modules it has loaded.  The analytic pipeline, the Wigner maps,
+the Fock states and the oracle run on numpy alone; only a tabulated chi
+loads scipy, for its interpolator.
 """
 
 import json
@@ -57,13 +57,6 @@ def scipy_modules_after_run(tmp_path, env, name):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("name", ["rwa_squeezed_T05", "fock2_T0_wigner"])
-def test_analytic_run_loads_no_scipy(tmp_path, subprocess_env, name):
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_run_loads_no_scipy(tmp_path, subprocess_env, name):
     assert scipy_modules_after_run(tmp_path, subprocess_env, name) == []
-
-
-def test_oracle_run_loads_only_scipy_sparse(tmp_path, subprocess_env):
-    loaded = scipy_modules_after_run(tmp_path, subprocess_env, "squeezed_oracle")
-    assert "scipy.sparse" in loaded
-    for package in ("scipy.integrate", "scipy.linalg", "scipy.special", "scipy.interpolate"):
-        assert not [m for m in loaded if m == package or m.startswith(package + ".")], package
