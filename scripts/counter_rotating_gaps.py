@@ -45,9 +45,8 @@ def main():
     print(f"  pp   {np.max(np.abs((s_nr.pp - s_rwa.pp) - norenorm.lam)):.2e}")
     print(f"  corr {np.max(np.abs((s_nr.xp_sym - s_rwa.xp_sym) + 2 * norenorm.theta)):.2e}")
 
-    ops = oracle.fock_operators(30)
     rho0 = oracle.to_density_matrix(state, 30)
-    trajs = oracle.integrate_modes(rho0, coeffs, ("norenorm", "rwa"), ops=ops)
+    trajs = oracle.integrate_modes(rho0, coeffs, ("norenorm", "rwa"))
     t_nr, t_rwa = trajs["norenorm"], trajs["rwa"]
     print("oracle residuals:")
     print(f"  xx   {np.max(np.abs((t_nr.xx - t_rwa.xx) + norenorm.lam)):.2e}")

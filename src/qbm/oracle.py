@@ -1,10 +1,9 @@
 """Brute-force verifier on a truncated Fock basis.
 
 Everything the analytic pipeline claims is re-derivable here the slow way:
-X and P as dense matrices, the commutator (S) and anticommutator (Sigma)
-superoperators as explicit d^2 x d^2 linear maps on row-major vectorized
-operators (vec(rho) = rho.ravel()), the master equation integrated step by
-step, and the superoperator algebra checked numerically.
+X and P as dense matrices, the master equation integrated step by step, and
+the commutator (S) and anticommutator (Sigma) superoperator algebra checked
+numerically, by applying each superoperator to d x d test matrices.
 
 The master equation in all its variants is
 
@@ -27,8 +26,9 @@ modes with numpy alone.  The master equation is quadratic in X and P, so it
 is invariant under (X, P) -> (-X, -P) and never mixes entries of even and
 odd m + n: the RK4 loop steps only the parity sectors in which rho0 has a
 nonzero entry (the Fock, thermal and squeezed states occupy the even one
-alone).  ``generator`` returns the same kernel for one mode and the algebra
-suite checks it, so there is one master equation.
+alone).  ``generator(coeffs_at_t, d, mode)`` returns the same kernel for one
+mode, on both sectors, as the function rho -> L(rho) on d x d matrices, and
+the algebra suite checks it, so there is one master equation.
 
 Truncation hygiene: states must stay away from the top of the basis (the
 leakage monitor aborts otherwise), and algebra residuals are measured on
@@ -51,6 +51,7 @@ INTERIOR_MARGIN = 5  # test operators / residuals live on levels 0 .. d-1-margin
 _WEYL_WINDOW_TOP = 14  # fixed window so the Weyl residual shrinks as d grows
 _WEYL_Z = (1.5, 1.5)  # phase-space point of the Weyl eigenrelation check
 _TEST_OP_SEED = 7  # the algebra suite's random test operators
+_RK4_IMAGINARY_REACH = 2.0 * math.sqrt(2.0)  # RK4 is stable on i[-r, r] of the h*lambda plane
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class FockOperators:
     xppx: np.ndarray = field(repr=False, default=None)
     h0: np.ndarray = field(repr=False, default=None)
     # tr(A rho) for A in X, P, X^2, P^2, XP+PX, 1 (the moments, then the
-    # trace) is rho.ravel()[moment_support] @ moment_map: columns vec(A^T)
+    # trace) is rho.ravel()[moment_support] @ moment_map: columns A^T.ravel()
     # restricted to the entries where some A is nonzero
     moment_support: np.ndarray = field(repr=False, default=None)
     moment_map: np.ndarray = field(repr=False, default=None)
@@ -97,34 +98,6 @@ def fock_operators(d: int) -> FockOperators:
         moment_support=support,
         moment_map=traced[support].astype(complex),
     )
-
-
-def vec(rho: np.ndarray) -> np.ndarray:
-    """Row-major vectorization: entry (i, j) of rho sits at i * d + j."""
-    return rho.reshape(-1)
-
-
-def unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return v.reshape(d, d)
-
-
-def s_type(a: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> [a, rho] on row-major vec(rho)."""
-    eye = np.eye(a.shape[0])
-    return np.kron(a, eye) - np.kron(eye, a.T)
-
-
-def sigma_type(a: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> {a, rho}."""
-    eye = np.eye(a.shape[0])
-    return np.kron(a, eye) + np.kron(eye, a.T)
-
-
-def build_superops(ops: FockOperators) -> dict:
-    """The d^2 x d^2 matrices of [X, .], [P, .], {X, .}, {P, .} and N, by name."""
-    xs, ps = s_type(ops.x), s_type(ops.p)
-    xsig, psig = sigma_type(ops.x), sigma_type(ops.p)
-    return {"xs": xs, "ps": ps, "xsig": xsig, "psig": psig, "n": -0.5j * (psig @ xs - xsig @ ps)}
 
 
 MODES = ("full", "norenorm", "rwa", "unitary")
@@ -287,35 +260,18 @@ class _Stencil:
         return np.add.reduce(self._products, axis=1, out=out)
 
 
-class Generator:
-    """L at one time for one mode: ``L @ vec(rho)`` and ``L.toarray()``.
+def generator(coeffs_at_t: dict, d: int, mode: str):
+    """L at one time for one mode as rho -> L(rho): the RK4 loop's kernel, both sectors."""
+    stencil = _Stencil(fock_operators(d), (mode,))
+    coef = stencil.at(np.array([1.0] + [coeffs_at_t.get(k, 0.0) for k in WEIGHTS[1:]]))
 
-    ``@`` runs the stencil kernel that ``integrate_modes`` steps on.
-    """
+    def apply(rho: np.ndarray) -> np.ndarray:
+        buffer = stencil.buffer()
+        stencil.rho(buffer)[0] = rho
+        out = stencil.apply(coef, stencil.neighbours(buffer), np.empty((1, stencil.size), complex))
+        return out.reshape(d, stencil.stride)[:, :d]
 
-    def __init__(self, stencil: _Stencil, row):
-        self._stencil = stencil
-        self._coef = stencil.at(row)
-
-    def __matmul__(self, v) -> np.ndarray:
-        s, d = self._stencil, self._stencil.d
-        buffer = s.buffer()
-        s.rho(buffer)[0] = unvec(np.asarray(v), d)
-        out = s.apply(self._coef, s.neighbours(buffer), np.empty((1, s.size), dtype=complex))
-        return out.reshape(d, s.stride)[:, :d].reshape(-1)
-
-    def toarray(self) -> np.ndarray:
-        """The dense d^2 x d^2 matrix on row-major vec(rho), column by column."""
-        return np.column_stack([self @ e for e in np.eye(self._stencil.d**2, dtype=complex)])
-
-
-def generator(coeffs_at_t: dict, ops: FockOperators, mode: str) -> Generator:
-    """L at one time on row-major vec(rho), both parity sectors.
-
-    Its ``@`` is the kernel the RK4 loop of ``integrate_modes`` steps on.
-    """
-    row = np.array([1.0] + [coeffs_at_t.get(k, 0.0) for k in WEIGHTS[1:]])
-    return Generator(_Stencil(ops, (mode,)), row)
+    return apply
 
 
 @dataclass
@@ -342,9 +298,7 @@ def integrate_modes(
     coeffs: CoefficientTable,
     modes,
     *,
-    ops: FockOperators | None = None,
     leakage_threshold: float = 1e-6,
-    grid: np.ndarray | None = None,
 ) -> dict:
     """RK4 integration of the master equation in several modes at once.
 
@@ -362,13 +316,8 @@ def integrate_modes(
         raise ValidationError(f"oracle modes must be distinct and non-empty, got {modes}")
     rho0 = np.array(rho0, dtype=complex)
     d = rho0.shape[0]
-    if ops is None:
-        ops = fock_operators(d)
-    if ops.d != d:
-        raise ValidationError("operator dimension does not match rho")
-    t = coeffs.grid if grid is None else np.asarray(grid, dtype=float)
-    if grid is not None and not np.array_equal(t, coeffs.grid[: len(t)]):
-        raise ValidationError("custom grid must be a prefix of the coefficient grid")
+    ops = fock_operators(d)
+    t = coeffs.grid
     n = len(t)
     m = len(modes)
 
@@ -376,7 +325,7 @@ def integrate_modes(
     occupied = [s for s in (0, 1) if np.any(rho0[parity == s])]
     sectors = tuple(occupied) if len(occupied) == 1 else (0, 1)
     gens = _Stencil(ops, modes, sectors)
-    rows = np.column_stack([np.ones(n)] + [getattr(coeffs, k)[:n] for k in WEIGHTS[1:]])
+    rows = np.column_stack([np.ones(n)] + [getattr(coeffs, k) for k in WEIGHTS[1:]])
 
     moments = np.empty((m, len(MOMENTS), n))
     trace_err = np.zeros(m)
@@ -400,7 +349,7 @@ def integrate_modes(
     v, v_stage = gens.stepped(state), gens.stepped(stage)
     reads, stage_reads = gens.neighbours(state), gens.neighbours(stage)
     lk = float(leakage(rho0[None])[0])
-    if lk > leakage_threshold:
+    if not lk <= leakage_threshold:  # NaN trips it too
         raise LeakageError(
             f"initial state already leaks {lk:.2e} into the top levels; increase d beyond {d}"
         )
@@ -436,10 +385,18 @@ def integrate_modes(
         over = np.flatnonzero(lk > leakage_threshold)
         if over.size:
             j = over[0]
+            remedy = f"increase the oracle dimension beyond {d}"
+            if (d - 1) * h > _RK4_IMAGINARY_REACH:
+                # the rotation -i[h0, .] has eigenvalues +-i(m - n) up to +-i(d - 1)
+                limit = _RK4_IMAGINARY_REACH / (d - 1)
+                remedy = (
+                    f"the RK4 step h={h:.3g} is past its stability limit "
+                    f"2*sqrt(2)/(d-1)={limit:.3g} at d={d}, so lower grid.dt below "
+                    f"{limit:.3g} before you {remedy}"
+                )
             raise LeakageError(
                 f"oracle mode {modes[j]!r}: truncation leakage {lk[j]:.2e} exceeded "
-                f"{leakage_threshold:.2e} at t={t[i + 1]:g}; increase the oracle "
-                f"dimension beyond {d}"
+                f"{leakage_threshold:.2e} at t={t[i + 1]:g}; {remedy}"
             )
         traces = record(i + 1, state)
         np.maximum(trace_err, np.abs(traces - 1.0), out=trace_err)
@@ -511,6 +468,11 @@ def to_density_matrix(state, d: int) -> np.ndarray:
             f"no Fock-space representation for state {type(state).__name__}"
         )
     tr = np.trace(rho).real
+    if not tr > 0:  # every amplitude underflowed: 0/0 would hand NaN to the guards
+        raise LeakageError(
+            f"{state!r} leaks its whole population out of the d={d} Fock basis "
+            f"(truncated trace {tr:.3g}); it cannot be represented at this dimension"
+        )
     return rho / tr
 
 
@@ -518,11 +480,12 @@ def to_density_matrix(state, d: int) -> np.ndarray:
 # characteristic function from rho
 
 
-def chi_from_rho(rho: np.ndarray, ops: FockOperators, z) -> complex:
+def chi_from_rho(rho: np.ndarray, z) -> complex:
     """tr{ exp(i (p X - x P)) rho } with a truncation-headroom guard."""
     z = np.asarray(z, dtype=float).reshape(2)
     x, p = z
-    d = ops.d
+    d = rho.shape[0]
+    ops = fock_operators(d)
     pops = np.clip(np.diag(rho).real, 0.0, None)
     tail = np.cumsum(pops[::-1])[::-1]
     occupied = np.nonzero(tail > 1e-10)[0]
@@ -692,8 +655,7 @@ def algebra_suite(d: int) -> AlgebraReport:
     coeff_row = {"delta_bar": 0.3, "pi": 0.1, "r": 0.1, "gamma": 0.05}
     worst = 0.0
     for mode in ("full", "norenorm", "rwa"):
-        l_sig = unvec(generator(coeff_row, ops, mode) @ vec(sig1), d)
-        worst = max(worst, abs(np.trace(l_sig)))
+        worst = max(worst, abs(np.trace(generator(coeff_row, d, mode)(sig1))))
     add("generator_traceless", worst, 1e-10)
 
     return AlgebraReport(d=d, checks=tuple(checks))

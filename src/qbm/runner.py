@@ -118,14 +118,9 @@ def run(config: RunConfig) -> RunResult:
             emit("rotation.csv", lambda p, b=bundle: write_rotation_csv(b.grid, b.rotations, p))
 
     if "oracle" in config.modes:
-        ops = oracle_mod.fock_operators(config.oracle_dim)
         rho0 = oracle_mod.to_density_matrix(config.state, config.oracle_dim)
         trajs = oracle_mod.integrate_modes(
-            rho0,
-            coeffs,
-            oracle_modes,
-            ops=ops,
-            leakage_threshold=config.leakage_threshold,
+            rho0, coeffs, oracle_modes, leakage_threshold=config.leakage_threshold
         )
         report_lines.append(f"oracle_parity_sectors {','.join(trajs[oracle_modes[0]].sectors)}")
         diff_lines = []
@@ -156,8 +151,8 @@ def run(config: RunConfig) -> RunResult:
         else:
             bundle = build_propagator(config.reservoir, grid, "full", coeffs=coeffs)
         axis = np.linspace(-config.wigner_extent, config.wigner_extent, config.wigner_points)
-        for t_req in config.wigner_times:
-            index = int(np.argmin(np.abs(grid - t_req)))
+        # times that snap to one node give one map, in first-seen order
+        for index in dict.fromkeys(int(np.argmin(np.abs(grid - t))) for t in config.wigner_times):
             field_vals = qcf.wigner(bundle, config.state, index, axis, axis)
             rows = np.column_stack(
                 [

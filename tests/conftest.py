@@ -65,11 +65,7 @@ class Pipeline:
             # the documented override knob
             threshold = 3e-6 if temperature > 0 else 1e-6
             self._trajs[key] = oracle.integrate_modes(
-                rho0,
-                self.coeffs(temperature),
-                ORACLE_MODES,
-                ops=self.ops,
-                leakage_threshold=threshold,
+                rho0, self.coeffs(temperature), ORACLE_MODES, leakage_threshold=threshold
             )
         return self._trajs[key][mode]
 

@@ -154,7 +154,7 @@ def test_criterion_5_rotation_law(pipeline):
     rot = build_rotation(solve_fundamental(coeffs), coeffs)
     means0 = np.array([1.0, 0.5])
     rho0 = oracle.to_density_matrix(qcf.CoherentState(x0=1.0, p0=0.5), 30)
-    traj = oracle.integrate_modes(rho0, coeffs, ["unitary"], ops=pipeline.ops)["unitary"]
+    traj = oracle.integrate_modes(rho0, coeffs, ["unitary"])["unitary"]
     predicted = np.einsum("nij,j->ni", rot, means0)
     dev = max(
         np.max(np.abs(traj.mean_x - predicted[:, 0])),

@@ -403,6 +403,21 @@ def test_wigner_artifacts(tmp_path):
     assert len(data) == 32 * 32
 
 
+def test_wigner_times_on_one_node_give_one_map(tmp_path, capsys):
+    out = tmp_path / "out"
+    text = MINIMAL + (
+        "wigner.enabled = true\nwigner.times = 0.5,0.5,0.501,0.2\nwigner.points = 8\n"
+        f"run.output_dir = {out}\n"
+    )
+    assert main(["run", str(write_conf(tmp_path, text))]) == 0
+    printed = [os.path.basename(line) for line in capsys.readouterr().out.split()]
+    assert [name for name in printed if name.startswith("wigner_t")] == [
+        "wigner_t50.csv",
+        "wigner_t20.csv",
+    ]
+    assert sorted(p.name for p in out.glob("wigner_t*.csv")) == ["wigner_t20.csv", "wigner_t50.csv"]
+
+
 def test_multi_mode_run_files_and_mirrors(tmp_path, capsys):
     out = tmp_path / "out"
     text = MINIMAL.replace("run.modes = full", "run.modes = norenorm,rwa,oracle").replace(
@@ -501,21 +516,44 @@ def test_unwritable_text_report_exits_with_io_code(tmp_path, capsys, modes, repo
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     # a coherent state far beyond the tiny truncated basis trips the
-    # leakage guard, which is a numerical failure (exit 2)
+    # leakage guard, which is a numerical failure (exit 2); at x0 = 60 every
+    # Fock amplitude underflows, and the 0/0 of its normalization must not
+    # reach the guards as NaN
+    for x0 in (4.5, 60.0):
+        text = (
+            "reservoir.family = ohmic_exp_cutoff\n"
+            "reservoir.alpha = 0.0\n"
+            "grid.dt = 0.01\n"
+            "grid.t_max = 0.5\n"
+            "run.modes = oracle\n"
+            "state.kind = coherent\n"
+            f"state.x0 = {x0}\n"
+            "oracle.dimension = 10\n"
+            f"run.output_dir = {tmp_path / 'o2'}\n"
+        )
+        conf = write_conf(tmp_path, text, "leaky.conf")
+        assert main(["run", str(conf)]) == 2, x0
+        err = capsys.readouterr().err
+        assert "leak" in err, x0
+    assert "CoherentState(x0=60.0, p0=0.0) leaks" in err and "d=10" in err
+    assert not (tmp_path / "o2" / "oracle_observables.csv").exists()
+
+
+def test_unstable_oracle_step_names_the_step_not_the_dimension(tmp_path, capsys):
+    # at d = 30, (d - 1) dt = 4.35 is past RK4's reach 2 sqrt 2 on the
+    # rotation eigenvalues +-i(m - n), and the coupling carries the growing
+    # off-diagonal entries into the top populations: raising d alone would
+    # only make it worse
     text = (
-        "reservoir.family = ohmic_exp_cutoff\n"
-        "reservoir.alpha = 0.0\n"
-        "grid.dt = 0.01\n"
-        "grid.t_max = 0.5\n"
-        "run.modes = oracle\n"
-        "state.kind = coherent\n"
-        "state.x0 = 4.5\n"
-        "oracle.dimension = 10\n"
-        f"run.output_dir = {tmp_path / 'o2'}\n"
+        MINIMAL.replace("run.modes = full", "run.modes = oracle")
+        .replace("reservoir.alpha = 0.0", "reservoir.alpha = 0.1")
+        .replace("grid.dt = 0.01\ngrid.t_max = 1.0", "grid.dt = 0.15\ngrid.t_max = 6.0")
     )
-    conf = write_conf(tmp_path, text, "leaky.conf")
+    conf = write_conf(tmp_path, text + f"state.x0 = 2.0\nrun.output_dir = {tmp_path / 'o'}\n")
     assert main(["run", str(conf)]) == 2
-    assert "leak" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "h=0.15" in err and "2*sqrt(2)/(d-1)=0.0975" in err
+    assert "lower grid.dt below 0.0975 before" in err
 
 
 def test_run_report_records_monitored_properties(free_run_config, tmp_path):

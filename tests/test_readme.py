@@ -1,8 +1,9 @@
-"""The README's config example and library sketch run against the current code."""
+"""The README's config example, library sketch and oracle API list match the current code."""
 
 import pathlib
 import re
 
+from qbm import oracle
 from qbm.config import parse_config
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -27,3 +28,12 @@ def test_readme_library_sketch_runs(capsys):
     exec(compile(fenced_block("## Library sketch", "python"), "README.md", "exec"), {})
     out = capsys.readouterr().out
     assert "MomentRow" in out
+
+
+def test_readme_oracle_list_names_exist():
+    text = README.read_text(encoding="utf-8")
+    sentence = re.search(r"`qbm\.oracle` exposes (.*?)\.\s", text, re.S).group(1)
+    names = re.findall(r"`(\w+)`", sentence)
+    assert len(names) >= 5, names
+    missing = [name for name in names if not hasattr(oracle, name)]
+    assert not missing, missing
