@@ -78,6 +78,12 @@ class RunConfig:
     wigner_points: int
 
 
+def build_grid(dt: float, t_max: float) -> np.ndarray:
+    """The run's time nodes: steps of dt from 0 until t_max is reached."""
+    n = int(np.ceil(t_max / dt - 1e-9))
+    return dt * np.arange(n + 1)
+
+
 def _parse_bool(raw: str, key: str, lineno: int) -> bool:
     low = raw.lower()
     if low in ("true", "yes", "1", "on"):
@@ -211,6 +217,16 @@ def parse_config(path) -> RunConfig:
         raise ValidationError("grid.dt must be > 0")
     if t_max < dt:
         raise ValidationError("grid.t_max must be >= grid.dt")
+    if table is not None:
+        # the condition the kernel interpolation raises on, at the run's last node
+        last = build_grid(dt, t_max)[-1]
+        if last > table.grid[-1]:
+            raise ValidationError(
+                f"line {seen['reservoir.kernel_csv'][1]}: the reservoir.kernel_csv table ends "
+                f"at tau = {table.grid[-1]:g}, short of the last grid node t = {last:g} "
+                f"of grid.t_max = {t_max:g} (line {seen['grid.t_max'][1]}); extend the "
+                "table or lower grid.t_max"
+            )
 
     raw_modes, lineno = seen["run.modes"]
     modes = tuple(m.strip() for m in raw_modes.split(",") if m.strip())

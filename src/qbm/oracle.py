@@ -44,7 +44,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from qbm.coefficients import CoefficientTable
-from qbm.errors import LeakageError, TruncationError, ValidationError
+from qbm.errors import LeakageError, StabilityError, TruncationError, ValidationError
 from qbm.runio import write_text
 
 INTERIOR_MARGIN = 5  # test operators / residuals live on levels 0 .. d-1-margin
@@ -52,6 +52,10 @@ _WEYL_WINDOW_TOP = 14  # fixed window so the Weyl residual shrinks as d grows
 _WEYL_Z = (1.5, 1.5)  # phase-space point of the Weyl eigenrelation check
 _TEST_OP_SEED = 7  # the algebra suite's random test operators
 _RK4_IMAGINARY_REACH = 2.0 * math.sqrt(2.0)  # RK4 is stable on i[-r, r] of the h*lambda plane
+# |rho_mn| <= sqrt(rho_mm rho_nn) <= tr rho = 1 for every density matrix.  The
+# margin is far above rounding: an entry near 1 needs a near-pure state low
+# in the basis, whose RK4 trace error stays at rounding level
+_DENSITY_ENTRY_BOUND = 1.0 + 1e-6
 
 
 @dataclass(frozen=True)
@@ -308,8 +312,8 @@ def integrate_modes(
     keeps the other one exactly zero.  Coefficients at half-steps come from
     linear interpolation, each rho is re-hermitized every step with the
     drift recorded, and population in the top three levels above the
-    threshold aborts the run, naming the mode.  Returns
-    ``{mode: OracleTrajectory}``.
+    threshold aborts the run, naming the mode; so does a final rho with an
+    entry |rho_mn| > 1 (StabilityError).  Returns ``{mode: OracleTrajectory}``.
     """
     modes = tuple(modes)
     if not modes or len(set(modes)) != len(modes):
@@ -385,22 +389,25 @@ def integrate_modes(
         over = np.flatnonzero(lk > leakage_threshold)
         if over.size:
             j = over[0]
-            remedy = f"increase the oracle dimension beyond {d}"
-            if (d - 1) * h > _RK4_IMAGINARY_REACH:
-                # the rotation -i[h0, .] has eigenvalues +-i(m - n) up to +-i(d - 1)
-                limit = _RK4_IMAGINARY_REACH / (d - 1)
-                remedy = (
-                    f"the RK4 step h={h:.3g} is past its stability limit "
-                    f"2*sqrt(2)/(d-1)={limit:.3g} at d={d}, so lower grid.dt below "
-                    f"{limit:.3g} before you {remedy}"
-                )
             raise LeakageError(
                 f"oracle mode {modes[j]!r}: truncation leakage {lk[j]:.2e} exceeded "
-                f"{leakage_threshold:.2e} at t={t[i + 1]:g}; {remedy}"
+                f"{leakage_threshold:.2e} at t={t[i + 1]:g}; {_remedy(d, h)}"
             )
         traces = record(i + 1, state)
         np.maximum(trace_err, np.abs(traces - 1.0), out=trace_err)
 
+    # the leakage guard reads only the top populations, which an unstable
+    # step need not move: at alpha = 0 nothing couples the growing
+    # off-diagonal entries to them
+    largest = np.abs(rho).max(axis=(1, 2))
+    broken = np.flatnonzero(~(largest <= _DENSITY_ENTRY_BOUND))  # NaN trips it too
+    if broken.size:
+        j = broken[0]
+        raise StabilityError(
+            f"oracle mode {modes[j]!r}: |rho_mn| reached {largest[j]:.3g} > 1 by "
+            f"t={t[-1]:g}, so rho is no longer a density matrix; "
+            f"{_remedy(d, np.diff(t).max())}"
+        )
     rho_final = np.array(rho)
     return {
         mode: OracleTrajectory(
@@ -419,6 +426,20 @@ def integrate_modes(
         )
         for j, mode in enumerate(modes)
     }
+
+
+def _remedy(d: int, h: float) -> str:
+    """What an abort at step h and dimension d asks for: a smaller step, then a larger d."""
+    remedy = f"increase the oracle dimension beyond {d}"
+    if (d - 1) * h > _RK4_IMAGINARY_REACH:
+        # the rotation -i[h0, .] has eigenvalues +-i(m - n) up to +-i(d - 1)
+        limit = _RK4_IMAGINARY_REACH / (d - 1)
+        remedy = (
+            f"the RK4 step h={h:.3g} is past its stability limit "
+            f"2*sqrt(2)/(d-1)={limit:.3g} at d={d}, so lower grid.dt below "
+            f"{limit:.3g} before you {remedy}"
+        )
+    return remedy
 
 
 # ---------------------------------------------------------------------------

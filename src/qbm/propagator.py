@@ -11,13 +11,16 @@ full
     W(t) = Int_0^t e^{Gamma(t1)} R^T(t1) M(t1) R(t1) dt1 and
     M = [[delta_bar, -pi/2], [-pi/2, 0]].
 norenorm
-    R replaced by the pure rotation; Wbar keeps the counter-rotating
-    oscillations at twice the oscillator frequency (w0 = 1):
-    Wbar ~= e^{-Gamma} Int_0^t e^{Gamma(t1)} [ delta_bar/2 * I
-            + delta_bar/2 * C2(t-t1) - pi/2 * S2(t-t1) ] dt1
+    The full congruence, computed by the same code, with R replaced by the
+    pure rotation R_0(t) by the angle t.  Since R_0(t1) R_0^{-1}(t) =
+    R_0(t1 - t), it expands to
+    Wbar = e^{-Gamma} Int_0^t e^{Gamma(t1)} [ delta_bar/2 * I
+           + delta_bar/2 * C2(t-t1) - pi/2 * S2(t-t1) ] dt1
     with the traceless oscillation matrices
     C2(t) = [[cos 2t, -sin 2t], [-sin 2t, -cos 2t]],
-    S2(t) = [[sin 2t,  cos 2t], [ cos 2t, -sin 2t]].
+    S2(t) = [[sin 2t,  cos 2t], [ cos 2t, -sin 2t]],
+    which keep the counter-rotating oscillations at twice the oscillator
+    frequency (w0 = 1).
 rwa
     Counter-rotating terms averaged away: Wbar = (delta_gamma/2) I with
     delta_gamma(t) = e^{-Gamma} Int_0^t e^{Gamma(t1)} delta_bar(t1) dt1.
@@ -108,41 +111,6 @@ def delta_gamma_series(coeffs: CoefficientTable) -> np.ndarray:
     return np.exp(-coeffs.big_gamma) * acc
 
 
-def w_bar_no_renorm(coeffs: CoefficientTable) -> np.ndarray:
-    """Rotation-approximation Wbar including the oscillating terms at frequency 2.
-
-    The convolution kernel C2/S2(t - t1) is split by angle addition into
-    cumulative integrals over t1 (exactly equivalent under the shared
-    trapezoid rule, and a single pass instead of one integral per node).
-    """
-    grid = coeffs.grid
-    eg = np.exp(coeffs.big_gamma)
-    c2 = np.cos(2.0 * grid)
-    s2 = np.sin(2.0 * grid)
-
-    def cum(values):
-        return cumulative_trapezoid(values, grid)
-
-    a_c = cum(eg * coeffs.delta_bar * c2)
-    a_s = cum(eg * coeffs.delta_bar * s2)
-    b_c = cum(eg * coeffs.pi * c2)
-    b_s = cum(eg * coeffs.pi * s2)
-    d = cum(eg * coeffs.delta_bar)
-
-    ca = c2 * a_c + s2 * a_s  # Int e^G delta_bar cos 2(t-t1)
-    sa = s2 * a_c - c2 * a_s  # Int e^G delta_bar sin 2(t-t1)
-    cb = c2 * b_c + s2 * b_s  # Int e^G pi cos 2(t-t1)
-    sb = s2 * b_c - c2 * b_s  # Int e^G pi sin 2(t-t1)
-
-    emg = np.exp(-coeffs.big_gamma)
-    w = np.empty((len(grid), 2, 2))
-    w[:, 0, 0] = 0.5 * emg * (d + ca - sb)
-    w[:, 1, 1] = 0.5 * emg * (d - ca + sb)
-    w[:, 0, 1] = -0.5 * emg * (sa + cb)
-    w[:, 1, 0] = w[:, 0, 1]
-    return w
-
-
 def lambda_theta_series(w_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lambda, theta): the sigma_z and sigma_x components of each symmetric node."""
     return w_bar[:, 0, 0] - w_bar[:, 1, 1], 2.0 * w_bar[:, 0, 1]
@@ -167,20 +135,18 @@ def build_propagator(
     grid = coeffs.grid
 
     if mode == "full":
-        fund = solve_fundamental(coeffs)
-        rot = build_rotation(fund, coeffs)
-        rot_inv = invert_rotation(rot)
-        w_bar = w_bar_matrix(w_matrix(coeffs, rot), rot_inv, coeffs.big_gamma)
+        rot = build_rotation(solve_fundamental(coeffs), coeffs)
     else:
         rot = approx_rotation(grid)
-        rot_inv = invert_rotation(rot)
-        if mode == "norenorm":
-            w_bar = w_bar_no_renorm(coeffs)
-        else:
-            half_dg = 0.5 * delta_gamma_series(coeffs)
-            w_bar = np.zeros((len(grid), 2, 2))
-            w_bar[:, 0, 0] = half_dg
-            w_bar[:, 1, 1] = half_dg
+    rot_inv = invert_rotation(rot)
+    if mode == "rwa":
+        # exactly isotropic: R^T R is I only to rounding
+        half_dg = 0.5 * delta_gamma_series(coeffs)
+        w_bar = np.zeros((len(grid), 2, 2))
+        w_bar[:, 0, 0] = half_dg
+        w_bar[:, 1, 1] = half_dg
+    else:
+        w_bar = w_bar_matrix(w_matrix(coeffs, rot), rot_inv, coeffs.big_gamma)
 
     dg = w_bar[:, 0, 0] + w_bar[:, 1, 1]
     lam, theta = lambda_theta_series(w_bar)

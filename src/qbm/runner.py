@@ -18,7 +18,7 @@ import numpy as np
 from qbm import oracle as oracle_mod
 from qbm import qcf
 from qbm.coefficients import compute_coefficients, write_coefficients_csv
-from qbm.config import RunConfig
+from qbm.config import RunConfig, build_grid
 from qbm.errors import FileError, ValidationError
 from qbm.homogeneous import write_rotation_csv
 from qbm.kernels import tabulate_kernels
@@ -34,11 +34,6 @@ class RunResult:
     output_dir: str
     files: list = field(default_factory=list)
     diffs: dict = field(default_factory=dict)
-
-
-def build_grid(dt: float, t_max: float) -> np.ndarray:
-    n = int(np.ceil(t_max / dt - 1e-9))
-    return dt * np.arange(n + 1)
 
 
 def run(config: RunConfig) -> RunResult:

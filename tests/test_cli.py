@@ -106,6 +106,22 @@ def test_tabulated_family_without_alpha_runs(tmp_path):
         assert (tmp_path / "tab" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
+def test_tabulated_kernel_shorter_than_grid_rejected_before_any_file(tmp_path, capsys):
+    cold = kernels.ReservoirSpec("ohmic_exp_cutoff", alpha=0.1)
+    write_kernel_csv(tmp_path, cold, build_grid(0.01, 1.0))
+    out = tmp_path / "o"
+    text = TABULATED.replace("grid.t_max = 1.0", "grid.t_max = 3.0")
+    path = write_conf(tmp_path, text + f"run.output_dir = {out}\n")
+    message = r"line 3: the reservoir\.kernel_csv table ends at tau = 1, .* \(line 5\)"
+    with pytest.raises(ValidationError, match=message):
+        parse_config(path)
+    assert main(["run", str(path)]) == 1
+    assert "grid.t_max" in capsys.readouterr().err
+    assert not out.exists()
+    # a table that reaches the last node runs
+    assert parse_config(write_conf(tmp_path, TABULATED, "ok.conf")).t_max == 1.0
+
+
 def test_unknown_key_suggests_correction(tmp_path):
     bad = MINIMAL.replace("reservoir.alpha", "reservoir.aplha")
     with pytest.raises(ValidationError, match="reservoir.alpha"):
@@ -539,14 +555,16 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     assert not (tmp_path / "o2" / "oracle_observables.csv").exists()
 
 
-def test_unstable_oracle_step_names_the_step_not_the_dimension(tmp_path, capsys):
+@pytest.mark.parametrize("alpha", ["0.1", "0.0"])
+def test_unstable_oracle_step_names_the_step_not_the_dimension(tmp_path, capsys, alpha):
     # at d = 30, (d - 1) dt = 4.35 is past RK4's reach 2 sqrt 2 on the
-    # rotation eigenvalues +-i(m - n), and the coupling carries the growing
-    # off-diagonal entries into the top populations: raising d alone would
-    # only make it worse
+    # rotation eigenvalues +-i(m - n): raising d alone would only make it
+    # worse.  With coupling the growing off-diagonal entries reach the top
+    # populations and trip the leakage guard; without it they grow unseen
+    # by that guard until |rho_mn| <= 1 fails at the end of the run
     text = (
         MINIMAL.replace("run.modes = full", "run.modes = oracle")
-        .replace("reservoir.alpha = 0.0", "reservoir.alpha = 0.1")
+        .replace("reservoir.alpha = 0.0", f"reservoir.alpha = {alpha}")
         .replace("grid.dt = 0.01\ngrid.t_max = 1.0", "grid.dt = 0.15\ngrid.t_max = 6.0")
     )
     conf = write_conf(tmp_path, text + f"state.x0 = 2.0\nrun.output_dir = {tmp_path / 'o'}\n")

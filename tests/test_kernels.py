@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbm.coefficients import compute_coefficients
 from qbm.errors import QuadratureError, ValidationError
 from qbm.kernels import (
     KernelTable,
@@ -217,6 +218,26 @@ def test_kernel_table_validation():
         KernelTable(grid=[0.0, 1.0], kappa=[1.0, 1.0], mu=[0.5, 0.0])
     with pytest.raises(ValidationError):
         KernelTable(grid=[0.0, 1.0, 1.0], kappa=[1.0] * 3, mu=[0.0] * 3)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        pytest.param([[0.0, 0.1], [0.2, 0.3]], id="not-1d"),
+        pytest.param([], id="empty"),
+        pytest.param([0.0], id="one-node"),
+        pytest.param([0.1, 0.2], id="not-from-0"),
+        pytest.param([0.0, 0.2, 0.1], id="decreasing"),
+        pytest.param([0.0, 0.1, 0.1], id="repeated"),
+        pytest.param([0.0, -0.1], id="negative"),
+        pytest.param([0.0, np.nan], id="nan"),
+    ],
+)
+def test_malformed_grid_raises_validation_error(grid):
+    # KernelTable validates the grid once; compute_coefficients adds only
+    # the two-node minimum and the step bound
+    with pytest.raises(ValidationError):
+        compute_coefficients(tabulate_kernels(OHMIC, grid))
 
 
 def test_kernel_csv_roundtrip(tmp_path):

@@ -11,7 +11,6 @@ from qbm.propagator import (
     lambda_theta_series,
     m_matrices,
     w_bar_matrix,
-    w_bar_no_renorm,
     w_matrix,
 )
 
@@ -88,13 +87,17 @@ def test_w_matrix_step_halving_convergence():
     assert num / den == pytest.approx(4.0, rel=0.3)
 
 
-def test_no_renorm_matches_direct_convolution(coeffs):
+@pytest.mark.parametrize("temperature", [0.0, 2.0])
+def test_no_renorm_matches_direct_convolution(temperature):
     # brute-force the convolution integral at a few nodes with the same
-    # trapezoid rule; the single-pass angle-addition form must agree exactly
-    w_fast = w_bar_no_renorm(coeffs)
-    grid = coeffs.grid
+    # trapezoid rule; the congruence under the pure rotation must agree
+    # to rounding
+    spec = ReservoirSpec("ohmic_exp_cutoff", alpha=0.1, wc=5.0, temperature=temperature)
+    grid = 0.01 * np.arange(3001)
+    coeffs = compute_coefficients(tabulate_kernels(spec, grid))
+    w_fast = build_propagator(spec, grid, "norenorm", coeffs=coeffs).w_bar
     eg = np.exp(coeffs.big_gamma)
-    for idx in (1, 250, 700, 1000):
+    for idx in (1, 250, 700, 1000, 3000):
         t = grid[idx]
         tau = t - grid[: idx + 1]
         c2, s2 = np.cos(2 * tau), np.sin(2 * tau)
@@ -110,7 +113,7 @@ def test_no_renorm_matches_direct_convolution(coeffs):
 
 
 def test_no_renorm_trace_equals_delta_gamma(coeffs):
-    wb = w_bar_no_renorm(coeffs)
+    wb = build_propagator(OHMIC, coeffs.grid, "norenorm", coeffs=coeffs).w_bar
     dg = delta_gamma_series(coeffs)
     trace = wb[:, 0, 0] + wb[:, 1, 1]
     assert np.max(np.abs(trace - dg)) <= 2e-3 * max(1.0, np.max(np.abs(dg)))
