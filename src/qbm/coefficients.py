@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qbm.errors import ValidationError
-from qbm.kernels import TABULATED, KernelTable, ReservoirSpec, mu, spectral_density
+from qbm.kernels import TABULATED, KernelTable, ReservoirSpec, kappa, mu, quad, spectral_density
 from qbm.runio import write_csv
 
 # refuse grids coarser than ~pi/5 radians of oscillation per step
@@ -107,8 +107,6 @@ def markovian_asymptotes(spec: ReservoirSpec) -> dict:
     else:
         delta_bar_inf = gamma_inf
 
-    from scipy.integrate import quad
-
     horizon = 200.0
 
     def tail_averaged(f) -> float:
@@ -120,12 +118,8 @@ def markovian_asymptotes(spec: ReservoirSpec) -> dict:
             upper += np.pi  # half a period
         return 0.5 * (vals[0] + vals[1])
 
-    from qbm.kernels import kappa as _kappa
-
     r_inf = 2.0 * tail_averaged(lambda t: mu(spec, t) * np.cos(t))
-    # the sine weight kills the tau -> 0 endpoint, where Lorentz-Drude kappa
-    # has no value; the quadrature nodes never touch it but guard anyway
-    pi_inf = tail_averaged(lambda t: 0.0 if t == 0.0 else _kappa(spec, t) * np.sin(t))
+    pi_inf = tail_averaged(lambda t: kappa(spec, t) * np.sin(t))
     return {
         "delta_bar_inf": delta_bar_inf,
         "pi_inf": pi_inf,

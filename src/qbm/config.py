@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qbm.errors import FileError, ValidationError
-from qbm.kernels import FAMILIES, OHMIC_LORENTZ_DRUDE, TABULATED, ReservoirSpec, load_kernel_csv
+from qbm.kernels import FAMILIES, TABULATED, ReservoirSpec, load_kernel_csv
 from qbm.oracle import INTERIOR_MARGIN
 
 RUN_MODES = ("full", "norenorm", "rwa", "oracle")
@@ -153,13 +153,6 @@ def parse_config(path) -> RunConfig:
         lineno = seen["reservoir.family"][1]
         raise ValidationError(
             f"line {lineno}: reservoir.family must be one of {FAMILIES}, got {family!r}"
-        )
-    if family == OHMIC_LORENTZ_DRUDE:
-        # every grid starts at tau = 0, where this family's kappa diverges
-        raise ValidationError(
-            f"line {seen['reservoir.family'][1]}: reservoir.family = {family} cannot run yet: "
-            "kappa(0) is ultraviolet log-divergent and its closed-form cumulative kernels "
-            "are pending; use ohmic_exp_cutoff or tabulated"
         )
     table = None
     if family == TABULATED:
@@ -352,10 +345,12 @@ def load_chi_csv(path):
     p_nodes = np.unique(data[:, 1])
     if len(data) != len(x_nodes) * len(p_nodes):
         raise ValidationError(f"chi CSV {path} does not cover a full rectangular grid")
-    values = np.full((len(x_nodes), len(p_nodes)), np.nan, dtype=complex)
+    values = np.zeros((len(x_nodes), len(p_nodes)), dtype=complex)
+    covered = np.zeros(values.shape, dtype=bool)
     xi = np.searchsorted(x_nodes, data[:, 0])
     pi = np.searchsorted(p_nodes, data[:, 1])
     values[xi, pi] = data[:, 2] + 1j * data[:, 3]
-    if np.any(np.isnan(values)):
+    covered[xi, pi] = True
+    if not covered.all():
         raise ValidationError(f"chi CSV {path} has duplicate or missing grid points")
     return qcf.TabulatedChi(x_nodes, p_nodes, values)

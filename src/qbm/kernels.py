@@ -21,25 +21,18 @@ ohmic_exp_cutoff
     the Bose expansion coth(w/2T) = 1 + 2 sum_n exp(-n w/T) sums kappa to
     alpha^2 Re[z^-2 + 2T^2 psi'(1 + T z)] with z = 1/wc - i tau and psi' the
     complex trigamma.  The quadrature path cross-checks every closed form.
-ohmic_lorentz_drude
-    J(w) = (2/pi) w wc^2 / (wc^2 + w^2).  mu(tau) = alpha^2 wc^2 exp(-wc tau)
-    is closed-form; kappa comes from quadrature, and kappa(0) is ultraviolet
-    log-divergent (the integrand falls off only as 1/w), so evaluation at
-    tau = 0 is rejected for every temperature.
 tabulated
     (tau, kappa, mu) samples, alpha^2 included, with linear interpolation.
 
 ``kappa`` and ``mu`` take one lag or an array of lags through one code
 path; ``tabulate_kernels`` calls each once on the whole grid.
 
-Quadrature (``kappa_quadrature``, ``mu_quadrature`` and Lorentz-Drude
-kappa): scipy's QUADPACK adaptive panels.  For rapidly decaying
-integrands the oscillatory factor is folded into the integrand below
-tau = 1 and handled by the dedicated Fourier-weight routine above; the
-slowly decaying Lorentz-Drude integrand always uses the Fourier-weight
-routine, whose cycle subdivision is what makes the conditionally convergent
-integral usable.  ``quad`` imports scipy.integrate on its first call, so the
-closed-form kernels never load it.
+Quadrature (``kappa_quadrature``, ``mu_quadrature``): scipy's QUADPACK
+adaptive panels, kept as the reference the closed forms are tested
+against.  The oscillatory factor is folded into the integrand below
+tau = 1 and handled by the dedicated Fourier-weight routine above.
+``quad``, which imports scipy.integrate on its first call, is the
+package's only scipy import, so no ``qbm run`` loads scipy.
 """
 
 from __future__ import annotations
@@ -52,9 +45,8 @@ from qbm.errors import QuadratureError, ValidationError
 from qbm.runio import read_csv
 
 OHMIC_EXP_CUTOFF = "ohmic_exp_cutoff"
-OHMIC_LORENTZ_DRUDE = "ohmic_lorentz_drude"
 TABULATED = "tabulated"
-FAMILIES = (OHMIC_EXP_CUTOFF, OHMIC_LORENTZ_DRUDE, TABULATED)
+FAMILIES = (OHMIC_EXP_CUTOFF, TABULATED)
 
 # w*coth(w/2T) is replaced by its 2T limit below this frequency
 _COTH_CROSSOVER = 1e-8
@@ -130,15 +122,7 @@ def spectral_density(spec: ReservoirSpec, w):
     w = np.asarray(w, dtype=float)
     if spec.family == OHMIC_EXP_CUTOFF:
         return w * np.exp(-w / spec.wc)
-    if spec.family == OHMIC_LORENTZ_DRUDE:
-        return (2.0 / np.pi) * w * spec.wc**2 / (spec.wc**2 + w**2)
     raise ValidationError(f"no spectral density for family {spec.family!r}")
-
-
-def _j_over_w(spec: ReservoirSpec, w: float) -> float:
-    if spec.family == OHMIC_EXP_CUTOFF:
-        return np.exp(-w / spec.wc)
-    return (2.0 / np.pi) * spec.wc**2 / (spec.wc**2 + w**2)
 
 
 def quad(*args, **kwargs):
@@ -175,7 +159,7 @@ def _checked_quad(func, tau: float, weight: str | None, what: str) -> float:
 
 
 def _kappa_integral(spec: ReservoirSpec, tau: float) -> float:
-    """Int_0^inf J(w) coth(w/2T) cos(w tau) dw, alpha^2 not included."""
+    """Int_0^inf J(w) coth(w/2T) cos(w tau) dw of the ohmic family, alpha^2 not included."""
     T = spec.temperature
 
     def thermal_factor(w: float) -> float:
@@ -186,16 +170,7 @@ def _kappa_integral(spec: ReservoirSpec, tau: float) -> float:
             return 2.0 * T
         return w / np.tanh(w / (2.0 * T))
 
-    base = lambda w: _j_over_w(spec, w) * thermal_factor(w)
-
-    if spec.family == OHMIC_LORENTZ_DRUDE:
-        if tau == 0.0:
-            raise ValidationError(
-                "kappa(0) is ultraviolet log-divergent for the Lorentz-Drude family; "
-                "evaluate at tau > 0"
-            )
-        return _checked_quad(base, tau, "cos", "kappa")
-
+    base = lambda w: np.exp(-w / spec.wc) * thermal_factor(w)
     if tau == 0.0:
         return _checked_quad(base, tau, None, "kappa")
     if tau < 1.0:
@@ -204,12 +179,10 @@ def _kappa_integral(spec: ReservoirSpec, tau: float) -> float:
 
 
 def _mu_integral(spec: ReservoirSpec, tau: float) -> float:
-    """Int_0^inf J(w) sin(w tau) dw, alpha^2 not included."""
+    """Int_0^inf J(w) sin(w tau) dw of the ohmic family, alpha^2 not included."""
     if tau == 0.0:
         return 0.0
-    base = lambda w: _j_over_w(spec, w) * w
-    if spec.family == OHMIC_LORENTZ_DRUDE:
-        return _checked_quad(base, tau, "sin", "mu")
+    base = lambda w: np.exp(-w / spec.wc) * w
     if tau < 1.0:
         return _checked_quad(lambda w: base(w) * np.sin(w * tau), tau, None, "mu")
     return _checked_quad(base, tau, "sin", "mu")
@@ -217,18 +190,21 @@ def _mu_integral(spec: ReservoirSpec, tau: float) -> float:
 
 def kappa_quadrature(spec: ReservoirSpec, tau: float) -> float:
     """kappa(tau) forced through the quadrature path (cross-validation hook)."""
-    _require_tau(tau)
-    if spec.alpha == 0.0:
-        return 0.0
-    return spec.alpha**2 * _kappa_integral(spec, tau)
+    return _quadrature(spec, tau, _kappa_integral)
 
 
 def mu_quadrature(spec: ReservoirSpec, tau: float) -> float:
     """mu(tau) forced through the quadrature path (cross-validation hook)."""
+    return _quadrature(spec, tau, _mu_integral)
+
+
+def _quadrature(spec: ReservoirSpec, tau: float, integral) -> float:
     _require_tau(tau)
+    if spec.family == TABULATED:
+        raise ValidationError("the tabulated family has no spectral density to integrate")
     if spec.alpha == 0.0:
         return 0.0
-    return spec.alpha**2 * _mu_integral(spec, tau)
+    return spec.alpha**2 * integral(spec, tau)
 
 
 def _require_tau(tau) -> np.ndarray:
@@ -286,8 +262,6 @@ def _kappa_lags(spec: ReservoirSpec, tau: np.ndarray) -> np.ndarray:
         return _interp_table(spec.table, tau, spec.table.kappa)
     if spec.alpha == 0.0:
         return np.zeros_like(tau)
-    if spec.family == OHMIC_LORENTZ_DRUDE:
-        return np.array([spec.alpha**2 * _kappa_integral(spec, t) for t in tau.tolist()])
     T = spec.temperature
     if T == 0.0:
         x2 = (spec.wc * tau) ** 2
@@ -304,10 +278,6 @@ def _mu_lags(spec: ReservoirSpec, tau: np.ndarray) -> np.ndarray:
         return _interp_table(spec.table, tau, spec.table.mu)
     if spec.alpha == 0.0:
         return np.zeros_like(tau)
-    if spec.family == OHMIC_LORENTZ_DRUDE:
-        # the sine transform vanishes at tau = 0, the exponential does not
-        decay = spec.alpha**2 * spec.wc**2 * np.exp(-spec.wc * tau)
-        return np.where(tau == 0.0, 0.0, decay)
     x2 = (spec.wc * tau) ** 2
     return spec.alpha**2 * 2.0 * spec.wc**3 * tau / (1.0 + x2) ** 2
 

@@ -186,7 +186,7 @@ class TabulatedChi:
     def __init__(self, x_nodes, p_nodes, values):
         x_nodes = np.asarray(x_nodes, dtype=float)
         p_nodes = np.asarray(p_nodes, dtype=float)
-        values = np.asarray(values, dtype=complex)
+        values = np.ascontiguousarray(values, dtype=complex)
         if values.shape != (len(x_nodes), len(p_nodes)):
             raise ValidationError("chi table shape must be (len(x_nodes), len(p_nodes))")
         for name, nodes in (("x", x_nodes), ("p", p_nodes)):
@@ -200,6 +200,8 @@ class TabulatedChi:
                 raise ValidationError(f"{name} nodes must be symmetric about 0")
             if len(nodes) % 2 == 0:
                 raise ValidationError(f"{name} nodes must include the origin (odd count)")
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("tabulated chi contains non-finite values")
         sym = values - np.conj(values[::-1, ::-1])
         if np.max(np.abs(sym)) > 1e-9:
             raise ValidationError("tabulated chi violates chi(z) = conj chi(-z) at the nodes")
@@ -214,29 +216,45 @@ class TabulatedChi:
         self.fd_step = float(max(x_nodes[i0 + 1] - x_nodes[i0], p_nodes[j0 + 1] - p_nodes[j0]))
         edges = np.concatenate([values[0], values[-1], values[:, 0], values[:, -1]])
         self.zero_outside = bool(np.max(np.abs(edges)) < CHI_DECAY_TOL)
-        from scipy.interpolate import RegularGridInterpolator
-
-        self._re, self._im = (
-            RegularGridInterpolator(
-                (x_nodes, p_nodes), part, method="linear",
-                bounds_error=not self.zero_outside, fill_value=0.0,
-            )
-            for part in (values.real, values.imag)
-        )
+        # real and imaginary parts side by side, interpolated together
+        self._parts = values.view(float).reshape(values.shape + (2,))
         self.initial_moments = _moments_fd(self.chi0, self.fd_step)
 
     def chi0(self, x, p):
         x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
+            raise ValidationError("z must be finite")
         shape = np.broadcast_shapes(x.shape, p.shape)
-        pts = np.column_stack(
-            [np.broadcast_to(x, shape).ravel(), np.broadcast_to(p, shape).ravel()]
-        )
-        try:
-            vals = self._re(pts) + 1j * self._im(pts)
-        except ValueError as exc:
-            raise ValidationError(f"tabulated chi evaluated outside its grid: {exc}") from exc
+        x = np.broadcast_to(x, shape).ravel()
+        p = np.broadcast_to(p, shape).ravel()
+        xn, pn = self.x_nodes, self.p_nodes
+        outside = (x < xn[0]) | (x > xn[-1]) | (p < pn[0]) | (p > pn[-1])
+        if not self.zero_outside and np.any(outside):
+            raise ValidationError(
+                f"tabulated chi evaluated outside its grid [{xn[0]:g}, {xn[-1]:g}] x "
+                f"[{pn[0]:g}, {pn[-1]:g}]"
+            )
+        (i, u), (j, v) = _cell(xn, x), _cell(pn, p)
+        u, v, f = u[:, None], v[:, None], self._parts
+        # the corner terms of scipy's bilinear RegularGridInterpolator, summed
+        # from 0.0 in its order, so that the values agree with it bit for bit
+        parts = 0.0 + f[i, j] * (1 - u) * (1 - v)
+        parts = parts + f[i, j + 1] * (1 - u) * v
+        parts = parts + f[i + 1, j] * u * (1 - v)
+        parts = parts + f[i + 1, j + 1] * u * v
+        parts[outside] = 0.0
+        vals = parts[:, 0] + 1j * parts[:, 1]
         return vals.reshape(shape) if shape else complex(vals[0])
+
+
+def _cell(nodes: np.ndarray, z: np.ndarray):
+    """The cell l with nodes[l] <= z < nodes[l + 1], and z's fraction of it.
+
+    The top node falls in the last cell; points outside are clipped to an end cell.
+    """
+    l = np.clip(np.searchsorted(nodes, z, side="right") - 1, 0, len(nodes) - 2)
+    return l, (z - nodes[l]) / (nodes[l + 1] - nodes[l])
 
 
 def _node_index(bundle: PropagatorBundle, t_index: int) -> int:
@@ -450,6 +468,6 @@ def wigner(bundle: PropagatorBundle, state, t_index: int, q_grid, p_grid):
     phase_p = np.exp(-1j * np.outer(p_grid, zx)) * wx[None, :]  # (p, zx)
     field = (phase_p @ (chi_vals @ phase_q)).T / (2.0 * np.pi) ** 2  # (q, p)
     max_imag = np.max(np.abs(field.imag))
-    if max_imag > 1e-8:
+    if not max_imag <= 1e-8:  # NaN trips it too
         raise NumericalError(f"Wigner transform has imaginary residue {max_imag:.2e}")
     return field.real

@@ -46,11 +46,14 @@ def test_negative_alpha_names_the_key(tmp_path):
 
 
 def test_lorentz_drude_family_rejected_at_parse_time(tmp_path):
+    out = tmp_path / "o"
     bad = MINIMAL.replace("ohmic_exp_cutoff", "ohmic_lorentz_drude")
-    bad += "reservoir.temperature = 1.0\n"
-    with pytest.raises(ValidationError, match="line 2: reservoir.family = ohmic_lorentz_drude"):
-        parse_config(write_conf(tmp_path, bad))
-    assert main(["run", str(write_conf(tmp_path, bad))]) == 1
+    bad += f"reservoir.temperature = 1.0\nrun.output_dir = {out}\n"
+    path = write_conf(tmp_path, bad)
+    with pytest.raises(ValidationError, match="line 2: reservoir.family must be one of .*drude"):
+        parse_config(path)
+    assert main(["run", str(path)]) == 1
+    assert not out.exists()
 
 
 def write_kernel_csv(tmp_path, spec, grid):
@@ -296,6 +299,35 @@ def test_tabulated_chi_decayed_at_its_boundary_runs_every_wigner_grid(tmp_path):
         "run_report.txt",
         "wigner_t0.csv",
     ]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_chi_table_rejected_before_any_file(tmp_path, capsys, value):
+    # one symmetric pair of non-finite values: its symmetry residue is NaN,
+    # and a table that slipped through made every Wigner value non-finite
+    path = write_chi_csv(tmp_path, half_width=12.0, count=49)
+    lines = path.read_text().splitlines()
+    for k in (1 + 20 * 49 + 30, 1 + 28 * 49 + 18):
+        x, p, _, im = lines[k].split(",")
+        lines[k] = ",".join((x, p, value, im))
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    text = MINIMAL.replace("run.modes = full", "run.modes = rwa")
+    text = text.replace("grid.t_max = 1.0", "grid.t_max = 0.05")
+    text += f"state.kind = tabulated_chi\nstate.chi_csv = chi.csv\nrun.output_dir = {out}\n"
+    text += "wigner.enabled = true\n"
+    assert main(["run", str(write_conf(tmp_path, text))]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "wigner_t0.csv").exists()
+
+
+def test_chi_csv_with_a_repeated_point_names_the_gap(tmp_path):
+    path = write_chi_csv(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[1]  # the row count still fills the grid, one node twice
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="duplicate or missing grid points"):
+        load_chi_csv(path)
 
 
 def test_ragged_or_empty_csv_raises_validation_error(tmp_path):

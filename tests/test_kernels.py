@@ -19,7 +19,6 @@ from qbm.kernels import (
 )
 
 OHMIC = ReservoirSpec("ohmic_exp_cutoff", alpha=0.1, wc=5.0, temperature=0.0)
-DRUDE = ReservoirSpec("ohmic_lorentz_drude", alpha=0.1, wc=5.0, temperature=0.0)
 
 
 def mp_kappa(spec, tau):
@@ -28,10 +27,7 @@ def mp_kappa(spec, tau):
     wc, T = spec.wc, spec.temperature
 
     def integrand(w):
-        if spec.family == "ohmic_exp_cutoff":
-            j = w * mp.exp(-w / wc)
-        else:
-            j = (2 / mp.pi) * w * wc**2 / (wc**2 + w**2)
+        j = w * mp.exp(-w / wc)
         if T > 0:
             j *= mp.coth(w / (2 * T))
         return j * mp.cos(w * tau)
@@ -130,34 +126,12 @@ def test_array_lags_rejected_like_scalar_lags(bad):
                 f(spec, np.array([0.0, 1.0, bad, 2.0]))
 
 
-def test_drude_mu_closed_form_against_quadrature():
-    for tau in (0.1, 0.5, 2.0):
-        assert mu(DRUDE, tau) == pytest.approx(mu_quadrature(DRUDE, tau), abs=1e-11)
-
-
-def test_drude_kappa_against_exponential_integral_form():
-    # independent closed form: Int_0^inf w cos(w tau)/(w^2+a^2) dw
-    #   = -(1/2) [e^{a tau} Ei(-a tau) + e^{-a tau} Ei(a tau)]
-    from scipy.special import exp1, expi
-
-    for tau in (0.05, 0.4, 2.0, 10.0):
-        x = DRUDE.wc * tau
-        ref = (
-            DRUDE.alpha**2
-            * (2.0 / np.pi)
-            * DRUDE.wc**2
-            * (-0.5)
-            * (np.exp(x) * (-exp1(x)) + np.exp(-x) * expi(x))
-        )
-        assert kappa(DRUDE, tau) == pytest.approx(ref, abs=1e-12)
-
-
-def test_drude_kappa_diverges_at_zero_lag():
-    with pytest.raises(ValidationError):
-        kappa(DRUDE, 0.0)
-    hot = ReservoirSpec("ohmic_lorentz_drude", alpha=0.1, wc=5.0, temperature=2.0)
-    with pytest.raises(ValidationError):
-        kappa(hot, 0.0)
+def test_quadrature_rejects_the_tabulated_family():
+    table = tabulate_kernels(OHMIC, np.linspace(0.0, 1.0, 11))
+    spec = ReservoirSpec("tabulated", alpha=1.0, table=table)
+    for f in (kappa_quadrature, mu_quadrature):
+        with pytest.raises(ValidationError, match="no spectral density"):
+            f(spec, 0.5)
 
 
 def test_negative_lag_rejected():

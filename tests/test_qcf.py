@@ -364,6 +364,9 @@ def test_tabulated_chi_out_of_range():
     tab, _ = make_tabulated_coherent()
     assert tab.zero_outside
     assert tab.chi0(13.0, 0.0) == 0.0 and tab.chi0(-5.0, 20.0) == 0.0
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            tab.chi0(bad, 0.0)
 
 
 def test_tabulated_chi_validation():
@@ -381,6 +384,65 @@ def test_tabulated_chi_validation():
         qcf.TabulatedChi(nodes, nodes, scaled)
     with pytest.raises(ValidationError, match="at least 5 nodes"):
         qcf.TabulatedChi(nodes[9:12], nodes, good[9:12])
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_tabulated_chi_rejects_non_finite_values(bad):
+    # a symmetric pair of non-finite values has a NaN symmetry residue,
+    # which no tolerance comparison catches
+    nodes = np.linspace(-2.0, 2.0, 21)
+    vals = np.exp(-(nodes[:, None] ** 2 + nodes[None, :] ** 2) / 4.0).astype(complex)
+    vals[3, 4] = vals[-4, -5] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        qcf.TabulatedChi(nodes, nodes, vals)
+
+
+def random_symmetric_chi_table(rng, decayed):
+    """A Hermitian table on random non-uniform symmetric nodes, with signed zeros."""
+    half = rng.uniform(0.5, 1.0, 6).cumsum(), rng.uniform(0.5, 1.0, 8).cumsum()
+    xn, pn = (np.concatenate([-h[::-1], [0.0], h]) for h in half)
+    vals = rng.normal(size=(13, 17)) + 1j * rng.normal(size=(13, 17))
+    vals = 0.5 * (vals + np.conj(vals[::-1, ::-1]))
+    vals[6, 8] = 1.0
+    # cells whose corners are all negative zeros, mirrored as chi(-z) = conj chi(z)
+    vals[1:4, 2:5] = complex(-0.0, -0.0)
+    vals[-4:-1, -5:-2] = complex(-0.0, 0.0)
+    if decayed:
+        vals[[0, -1], :] = vals[:, [0, -1]] = 0.0
+    return xn, pn, vals
+
+
+@pytest.mark.parametrize("decayed", [False, True])
+def test_tabulated_chi_is_bit_identical_to_scipy(decayed):
+    from scipy.interpolate import RegularGridInterpolator
+
+    rng = np.random.default_rng(5 + decayed)
+    for _ in range(40):
+        xn, pn, vals = random_symmetric_chi_table(rng, decayed)
+        tab = qcf.TabulatedChi(xn, pn, vals)
+        assert tab.zero_outside == decayed
+        node_x, node_p = np.meshgrid(xn, pn, indexing="ij")
+        top_x, top_p = np.full(pn.size, xn[-1]), np.full(xn.size, pn[-1])
+        x = np.concatenate([rng.uniform(xn[0], xn[-1], 2000), node_x.ravel(), top_x, xn])
+        p = np.concatenate([rng.uniform(pn[0], pn[-1], 2000), node_p.ravel(), pn, top_p])
+        x = np.concatenate([x, [-0.0, 0.0, -0.0]])
+        p = np.concatenate([p, [-0.0, -0.0, 0.0]])
+        if decayed:  # and the zero fill outside
+            x = np.concatenate([x, rng.uniform(-2.0, 2.0, 500) * xn[-1]])
+            p = np.concatenate([p, rng.uniform(-2.0, 2.0, 500) * pn[-1]])
+        re, im = (
+            RegularGridInterpolator(
+                (xn, pn), part, method="linear", bounds_error=not decayed, fill_value=0.0
+            )
+            for part in (vals.real, vals.imag)
+        )
+        pts = np.column_stack([x, p])
+        ref = re(pts) + 1j * im(pts)
+        # compared as bit patterns, so that -0.0 differs from 0.0
+        assert np.array_equal(tab.chi0(x, p).view(np.uint64), ref.view(np.uint64))
+        for k in range(0, len(x), 101):
+            ours = np.array([tab.chi0(x[k], p[k])])
+            assert np.array_equal(ours.view(np.uint64), ref[k : k + 1].view(np.uint64))
 
 
 def test_tabulated_chi_moments_near_reference(bundles):
@@ -427,3 +489,14 @@ def test_wigner_domain_guard(free_bundle):
     with pytest.raises(DomainTooSmallError, match="state.r|wigner.times"):
         qcf.wigner(free_bundle, qcf.SqueezedVacuum(2.0), 0, np.linspace(-2, 2, 11),
                    np.linspace(-2, 2, 11))
+
+
+def test_wigner_rejects_a_non_finite_field(free_bundle):
+    class Holed:
+        """The vacuum chi with NaN inside the unit disc, away from the boundary check."""
+
+        def chi0(self, x, p):
+            return np.where(x**2 + p**2 < 1.0, np.nan, qcf.CoherentState().chi0(x, p))
+
+    with pytest.raises(NumericalError, match="imaginary residue nan"):
+        qcf.wigner(free_bundle, Holed(), 0, np.linspace(-2, 2, 11), np.linspace(-2, 2, 11))
