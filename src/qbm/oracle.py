@@ -30,6 +30,13 @@ alone).  ``generator(coeffs_at_t, d, mode)`` returns the same kernel for one
 mode, on both sectors, as the function rho -> L(rho) on d x d matrices, and
 the algebra suite checks it, so there is one master equation.
 
+``integrate_modes`` splits its modes, in order, into one group per usable
+CPU.  Each group's modes share one RK4 loop; the caller steps the first
+group and a child made with ``os.fork`` steps each other one, sending its
+trajectories back pickled over a pipe.  A mode's arithmetic does not
+depend on the other modes of its group, so every trajectory, and every
+artifact written from it, is the same bit for bit for any split.
+
 Truncation hygiene: states must stay away from the top of the basis (the
 leakage monitor aborts otherwise), and algebra residuals are measured on
 interior matrix blocks where the truncated ladder operators act exactly.
@@ -38,13 +45,21 @@ interior matrix blocks where the truncated ladder operators act exactly.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from qbm.coefficients import CoefficientTable
-from qbm.errors import LeakageError, StabilityError, TruncationError, ValidationError
+from qbm.errors import (
+    LeakageError,
+    NumericalError,
+    StabilityError,
+    TruncationError,
+    ValidationError,
+)
 from qbm.runio import write_text
 
 INTERIOR_MARGIN = 5  # test operators / residuals live on levels 0 .. d-1-margin
@@ -306,28 +321,134 @@ def integrate_modes(
 ) -> dict:
     """RK4 integration of the master equation in several modes at once.
 
-    Every mode starts from ``rho0``; the modes are stacked on a leading axis
-    and share one loop, and each gets its own trajectory and guards.  Only
-    the parity sectors in which rho0 has a nonzero entry are stepped; L
+    Every mode starts from ``rho0`` and gets its own trajectory and guards.
+    Only the parity sectors in which rho0 has a nonzero entry are stepped; L
     keeps the other one exactly zero.  Coefficients at half-steps come from
     linear interpolation, each rho is re-hermitized every step with the
     drift recorded, and population in the top three levels above the
     threshold aborts the run, naming the mode; so does a final rho with an
     entry |rho_mn| > 1 (StabilityError).  Returns ``{mode: OracleTrajectory}``.
+
+    The modes are split, in order, into as many groups of near-equal size as
+    there are usable CPUs (at most one per mode).  This process steps the
+    first group; each other group runs in a forked child that sends its
+    trajectories back over a pipe.  A mode's arithmetic does not depend on
+    its group, so the trajectories are bit for bit the same for any split.
+    Of the groups' guard failures the one at the earliest step is raised,
+    and at equal steps the one whose mode comes first in ``modes``: the
+    error that one loop over all the modes raises.
     """
     modes = tuple(modes)
     if not modes or len(set(modes)) != len(modes):
         raise ValidationError(f"oracle modes must be distinct and non-empty, got {modes}")
+    for mode in modes:
+        if mode not in MODES:
+            raise ValidationError(f"unknown oracle mode {mode!r}; expected one of {MODES}")
     rho0 = np.array(rho0, dtype=complex)
     d = rho0.shape[0]
     ops = fock_operators(d)
-    t = coeffs.grid
-    n = len(t)
-    m = len(modes)
-
+    lk = float(np.sum(np.diagonal(rho0).real[-3:]))
+    if not lk <= leakage_threshold:  # NaN trips it too
+        raise LeakageError(
+            f"initial state already leaks {lk:.2e} into the top levels; increase d beyond {d}"
+        )
     parity = np.add.outer(np.arange(d), np.arange(d)) % 2
     occupied = [s for s in (0, 1) if np.any(rho0[parity == s])]
     sectors = tuple(occupied) if len(occupied) == 1 else (0, 1)
+
+    # k groups of near-equal size in mode order, the larger first: ceil(i m / k)
+    k = min(len(modes), _usable_cpus())
+    bounds = [-(-i * len(modes) // k) for i in range(k + 1)]
+    groups = [modes[a:b] for a, b in zip(bounds, bounds[1:])]
+    args = (rho0, ops, coeffs, sectors, leakage_threshold)
+    if k == 1:
+        outcomes = [_integrate_group(modes, *args)]
+    else:
+        children = []
+        try:
+            for group in groups[1:]:
+                children.append((group, *_fork_group(group, *args)))
+            own = _integrate_group(groups[0], *args)
+        finally:
+            replies = _replies(children)
+        outcomes = [own, *replies]
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):  # a child's error other than a guard failure
+            raise outcome
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda f: (f[0], modes.index(f[1])))[2]
+    return {mode: traj for trajs, _ in outcomes for mode, traj in trajs.items()}
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot tell."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _fork_group(modes, *args) -> tuple:
+    """Run ``_integrate_group`` in a forked child: its pid and the read end of its reply pipe.
+
+    The child pickles the group's outcome, or the exception it raised, into
+    the pipe and ends with ``os._exit``, so it never returns into the
+    caller's code or runs its exit handlers; an interrupt ends it with
+    status 1 and no reply.
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            try:
+                reply = _integrate_group(modes, *args)
+            except Exception as error:  # raised again by the parent
+                reply = error
+            with os.fdopen(write, "wb") as pipe:
+                pickle.dump(reply, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _replies(children) -> list:
+    """The reply of each ``(modes, pid, read end)`` child, once every child is reaped.
+
+    A child that ends without a reply gives a ``NumericalError`` naming its
+    modes and exit status in place of one.
+    """
+    replies = []
+    for modes, pid, read in children:
+        with os.fdopen(read, "rb") as pipe:
+            data = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status == 0:
+            replies.append(pickle.loads(data))
+        else:
+            replies.append(
+                NumericalError(
+                    f"the oracle worker for modes {modes} ended with exit status "
+                    f"{status} before it sent its trajectories"
+                )
+            )
+    return replies
+
+
+def _integrate_group(modes, rho0, ops, coeffs, sectors, leakage_threshold) -> tuple:
+    """Step one group of modes from ``rho0`` through one RK4 loop, on the given sectors.
+
+    The modes are stacked on a leading axis.  Returns ``({mode:
+    OracleTrajectory}, None)``, or ``({}, (step, mode, error))`` when a guard
+    trips: leakage after step i (0-based) is step i, and the end-of-run
+    |rho_mn| <= 1 check is step n - 1, after the last step's leakage check.
+    """
+    d = ops.d
+    t = coeffs.grid
+    n = len(t)
+    m = len(modes)
     gens = _Stencil(ops, modes, sectors)
     rows = np.column_stack([np.ones(n)] + [getattr(coeffs, k) for k in WEIGHTS[1:]])
 
@@ -352,12 +473,7 @@ def integrate_modes(
     rho[...] = rho0
     v, v_stage = gens.stepped(state), gens.stepped(stage)
     reads, stage_reads = gens.neighbours(state), gens.neighbours(stage)
-    lk = float(leakage(rho0[None])[0])
-    if not lk <= leakage_threshold:  # NaN trips it too
-        raise LeakageError(
-            f"initial state already leaks {lk:.2e} into the top levels; increase d beyond {d}"
-        )
-    max_leak = np.full(m, lk)
+    max_leak = np.full(m, float(leakage(rho0[None])[0]))
     record(0, state)
 
     node = gens.at(rows[0])
@@ -389,10 +505,11 @@ def integrate_modes(
         over = np.flatnonzero(lk > leakage_threshold)
         if over.size:
             j = over[0]
-            raise LeakageError(
+            error = LeakageError(
                 f"oracle mode {modes[j]!r}: truncation leakage {lk[j]:.2e} exceeded "
                 f"{leakage_threshold:.2e} at t={t[i + 1]:g}; {_remedy(d, h)}"
             )
+            return {}, (i, modes[j], error)
         traces = record(i + 1, state)
         np.maximum(trace_err, np.abs(traces - 1.0), out=trace_err)
 
@@ -403,13 +520,14 @@ def integrate_modes(
     broken = np.flatnonzero(~(largest <= _DENSITY_ENTRY_BOUND))  # NaN trips it too
     if broken.size:
         j = broken[0]
-        raise StabilityError(
+        error = StabilityError(
             f"oracle mode {modes[j]!r}: |rho_mn| reached {largest[j]:.3g} > 1 by "
             f"t={t[-1]:g}, so rho is no longer a density matrix; "
             f"{_remedy(d, np.diff(t).max())}"
         )
+        return {}, (n - 1, modes[j], error)
     rho_final = np.array(rho)
-    return {
+    trajectories = {
         mode: OracleTrajectory(
             grid=t,
             mean_x=moments[j, 0],
@@ -426,6 +544,7 @@ def integrate_modes(
         )
         for j, mode in enumerate(modes)
     }
+    return trajectories, None
 
 
 def _remedy(d: int, h: float) -> str:

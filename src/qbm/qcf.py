@@ -216,6 +216,15 @@ class TabulatedChi:
         self.fd_step = float(max(x_nodes[i0 + 1] - x_nodes[i0], p_nodes[j0 + 1] - p_nodes[j0]))
         edges = np.concatenate([values[0], values[-1], values[:, 0], values[:, -1]])
         self.zero_outside = bool(np.max(np.abs(edges)) < CHI_DECAY_TOL)
+        reach = 2.0 * self.fd_step  # the outermost probe of ``_moments_fd``
+        for name, nodes in (("x", x_nodes), ("p", p_nodes)):
+            if not self.zero_outside and (-reach < nodes[0] or reach > nodes[-1]):
+                raise ValidationError(
+                    f"{name} nodes end at +-{nodes[-1]:g}, inside the moment stencil's "
+                    f"probes at +-2*fd_step: fd_step = {self.fd_step:g} (the wider central "
+                    f"cell), so a table that does not decay at its edge needs {name} nodes "
+                    f"out to +-{reach:g}"
+                )
         # real and imaginary parts side by side, interpolated together
         self._parts = values.view(float).reshape(values.shape + (2,))
         self.initial_moments = _moments_fd(self.chi0, self.fd_step)

@@ -1,3 +1,4 @@
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from qbm import oracle, qcf
 from qbm.coefficients import CoefficientTable, compute_coefficients
-from qbm.errors import LeakageError, TruncationError, ValidationError
+from qbm.errors import LeakageError, NumericalError, TruncationError, ValidationError
 from qbm.kernels import ReservoirSpec, tabulate_kernels
 
 
@@ -161,14 +162,10 @@ def test_modes_differ_under_coupling(pipeline):
     assert np.max(np.abs(full.xx - rwa.xx)) > 1e-4
 
 
-def test_leakage_abort_suggests_bigger_dimension():
+def heated_coeffs():
+    """Diffusion strong enough to heat the d = 12 vacuum out of its basis within t = 0.2."""
     coeffs = zero_coeffs(t_max=0.2)
-    rho0 = oracle.to_density_matrix(qcf.CoherentState(x0=4.2), 12)
-    with pytest.raises(LeakageError, match="dimension|increase"):
-        oracle.integrate_modes(rho0, coeffs, ["full"])
-    # in a batch, strong diffusion heats the vacuum out of the basis in rwa
-    # while the unitary mode leaves it in place: the abort names rwa
-    heated = CoefficientTable(
+    return CoefficientTable(
         grid=coeffs.grid,
         delta_bar=np.full_like(coeffs.grid, 5.0),
         pi=coeffs.pi,
@@ -176,6 +173,16 @@ def test_leakage_abort_suggests_bigger_dimension():
         gamma=coeffs.gamma,
         big_gamma=coeffs.big_gamma,
     )
+
+
+def test_leakage_abort_suggests_bigger_dimension():
+    coeffs = zero_coeffs(t_max=0.2)
+    rho0 = oracle.to_density_matrix(qcf.CoherentState(x0=4.2), 12)
+    with pytest.raises(LeakageError, match="dimension|increase"):
+        oracle.integrate_modes(rho0, coeffs, ["full"])
+    # in a batch, strong diffusion heats the vacuum out of the basis in rwa
+    # while the unitary mode leaves it in place: the abort names rwa
+    heated = heated_coeffs()
     vacuum = oracle.to_density_matrix(qcf.CoherentState(), 12)
     with pytest.raises(LeakageError, match=r"mode 'rwa'.*t=.*beyond 12"):
         oracle.integrate_modes(vacuum, heated, ("unitary", "rwa"))
@@ -183,6 +190,27 @@ def test_leakage_abort_suggests_bigger_dimension():
     # a NaN leakage trips the initial check instead of slipping past ``>``
     with pytest.raises(LeakageError, match="initial state"):
         oracle.integrate_modes(np.full((12, 12), np.nan), coeffs, ["full"])
+
+
+def leakage_error(rho0, coeffs, modes) -> LeakageError:
+    with pytest.raises(LeakageError) as caught:
+        oracle.integrate_modes(rho0, coeffs, modes)
+    return caught.value
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_batch_raises_the_earliest_leak(monkeypatch, cpus):
+    # full leaks at t = 0.04 and rwa at t = 0.06; listed first, rwa is the
+    # group this process steps and full the forked one
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+    heated = heated_coeffs()
+    vacuum = oracle.to_density_matrix(qcf.CoherentState(), 12)
+    full, rwa = (leakage_error(vacuum, heated, [mode]) for mode in ("full", "rwa"))
+    assert "t=0.04" in str(full) and "t=0.06" in str(rwa)
+    batch = leakage_error(vacuum, heated, ("rwa", "full"))
+    assert type(batch) is LeakageError and str(batch) == str(full)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 COEFFS = ("delta_bar", "pi", "r", "gamma")
@@ -256,8 +284,66 @@ def test_batched_modes_match_reference_and_single_runs(pipeline, state_name, sec
         single = oracle.integrate_modes(rho0, head(coeffs, n), [mode])[mode]
         for guard in ("trace_error", "herm_drift", "max_leakage"):
             assert getattr(traj, guard) == getattr(single, guard), (mode, guard)
-        assert np.array_equal(traj.rho_final, single.rho_final), mode
+        for name in MOMENT_NAMES + ("energy", "rho_final"):
+            assert np.array_equal(getattr(traj, name), getattr(single, name)), (mode, name)
         assert traj.herm_drift <= 1e-10
+
+
+@pytest.mark.parametrize("state_name", ["coherent2", "fock2"])
+def test_forked_groups_match_one_loop(pipeline, monkeypatch, state_name):
+    # with two usable CPUs the first group is stepped here and the second in
+    # a forked child; the trajectories are bit for bit those of one loop
+    coeffs = head(pipeline.coeffs(2.0), 301)
+    rho0 = oracle.to_density_matrix(pipeline.state(state_name), 30)
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+        runs[cpus] = oracle.integrate_modes(rho0, coeffs, oracle.MODES)
+        with pytest.raises(ChildProcessError):  # every child has been reaped
+            os.waitpid(-1, os.WNOHANG)
+    assert tuple(runs[2]) == oracle.MODES
+    for mode in oracle.MODES:
+        one, forked = runs[1][mode], runs[2][mode]
+        for name in MOMENT_NAMES + ("energy", "rho_final"):
+            assert np.array_equal(getattr(one, name), getattr(forked, name)), (mode, name)
+        for name in ("trace_error", "herm_drift", "max_leakage", "sectors"):
+            assert getattr(one, name) == getattr(forked, name), (mode, name)
+    # one mode is one group, stepped in this process: nothing is forked
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a one-mode run forked"))
+    assert oracle.integrate_modes(rho0, coeffs, ["rwa"])["rwa"].sectors == runs[2]["rwa"].sectors
+
+
+def test_forked_group_errors_reach_the_caller(monkeypatch):
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    vacuum = oracle.to_density_matrix(qcf.CoherentState(), 12)
+    # a guard failure in the child is raised here, with its message
+    heated = heated_coeffs()
+    error = leakage_error(vacuum, heated, ("unitary", "rwa"))
+    assert str(error) == str(leakage_error(vacuum, heated, ["rwa"]))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    parent, group = os.getpid(), oracle._integrate_group
+
+    def failing(modes, *args):
+        if os.getpid() != parent:
+            raise ValidationError("no such group")
+        return group(modes, *args)
+
+    def dying(modes, *args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return group(modes, *args)
+
+    # any other error of the child is raised here as it is
+    monkeypatch.setattr(oracle, "_integrate_group", failing)
+    with pytest.raises(ValidationError, match="no such group"):
+        oracle.integrate_modes(vacuum, zero_coeffs(t_max=0.1), ("full", "rwa"))
+    # a child that ends without a reply names its modes and exit status
+    monkeypatch.setattr(oracle, "_integrate_group", dying)
+    with pytest.raises(NumericalError, match=r"modes \('rwa',\) ended with exit status 1"):
+        oracle.integrate_modes(vacuum, zero_coeffs(t_max=0.1), ("full", "rwa"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_integrate_modes_rejects_repeated_or_unknown_modes():

@@ -386,6 +386,20 @@ def test_tabulated_chi_validation():
         qcf.TabulatedChi(nodes[9:12], nodes, good[9:12])
 
 
+def test_tabulated_chi_axis_must_reach_the_moment_stencil():
+    # the central p cell (0.5) is narrower than the x cell (1), so fd_step = 1
+    # and the stencil probes p = +-2, past the p nodes' end at +-1
+    xn, pn = np.linspace(-4.0, 4.0, 9), np.linspace(-1.0, 1.0, 5)
+    vals = np.exp(-(xn[:, None] ** 2 + pn[None, :] ** 2) / 4.0).astype(complex)
+    with pytest.raises(ValidationError, match=r"p nodes end at \+-1.*fd_step = 1.*out to \+-2"):
+        qcf.TabulatedChi(xn, pn, vals)
+    # a decayed table reads 0 beyond its grid, so the same nodes load
+    decayed = vals.copy()
+    decayed[[0, -1], :] = decayed[:, [0, -1]] = 0.0
+    tab = qcf.TabulatedChi(xn, pn, decayed)
+    assert tab.zero_outside and tab.chi0(0.0, 2.0) == 0.0
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_tabulated_chi_rejects_non_finite_values(bad):
     # a symmetric pair of non-finite values has a NaN symmetry residue,

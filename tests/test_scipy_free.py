@@ -4,7 +4,9 @@ Each config is parsed and run in a fresh interpreter, which then reports
 the scipy modules it has loaded.  The analytic pipeline, both reservoir
 families, every state kind (a tabulated chi included), the Wigner maps and
 the oracle run on numpy alone.  scipy serves only the quadrature
-references the tests compare against, through ``kernels.quad``.
+references the tests compare against, through ``kernels.quad``.  Nor does
+a run load a process-pool module: the oracle forks its mode groups with
+``os.fork`` alone, so the import cost of a run stays that of numpy.
 """
 
 import ast
@@ -21,10 +23,12 @@ from qbm.kernels import ReservoirSpec, tabulate_kernels
 
 RUN_AND_LIST = """
 import json, sys
+import qbm.cli
 from qbm.config import parse_config
 from qbm.runner import run
 run(parse_config(sys.argv[1]))
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+packages = sys.argv[2].split(",")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in packages)))
 """
 
 OHMIC = "reservoir.family = ohmic_exp_cutoff\nreservoir.alpha = 0.1\n"
@@ -73,12 +77,13 @@ def write_tables(tmp_path):
     (tmp_path / "kernel.csv").write_text("tau,kappa,mu\n" + "\n".join(rows) + "\n")
 
 
-def scipy_modules_after_run(tmp_path, env, name):
+def modules_after_run(tmp_path, env, name, packages=("scipy",)):
+    """The modules of ``packages`` loaded by a fresh interpreter that runs config ``name``."""
     write_tables(tmp_path)
     path = tmp_path / "run.conf"
     path.write_text(CONFIGS[name] + TINY)
     proc = subprocess.run(
-        [sys.executable, "-c", RUN_AND_LIST, str(path)],
+        [sys.executable, "-c", RUN_AND_LIST, str(path), ",".join(packages)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -88,7 +93,12 @@ def scipy_modules_after_run(tmp_path, env, name):
 
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_run_loads_no_scipy(tmp_path, subprocess_env, name):
-    assert scipy_modules_after_run(tmp_path, subprocess_env, name) == []
+    assert modules_after_run(tmp_path, subprocess_env, name) == []
+
+
+def test_one_mode_oracle_run_loads_no_process_pool(tmp_path, subprocess_env):
+    pools = ("multiprocessing", "concurrent")
+    assert modules_after_run(tmp_path, subprocess_env, "squeezed_oracle", pools) == []
 
 
 def scipy_import_sites(node, scope):
