@@ -50,6 +50,7 @@ def main():
     t_nr, t_rwa = trajs["norenorm"], trajs["rwa"]
     print("oracle residuals:")
     print(f"  xx   {np.max(np.abs((t_nr.xx - t_rwa.xx) + norenorm.lam)):.2e}")
+    print(f"  pp   {np.max(np.abs((t_nr.pp - t_rwa.pp) - norenorm.lam)):.2e}")
     print(f"  corr {np.max(np.abs((t_nr.xp_sym - t_rwa.xp_sym) + 2 * norenorm.theta)):.2e}")
 
     rows = np.column_stack([

@@ -13,11 +13,11 @@ why det R(t) = 1:
     R(t) = [[c, s], [-s_r, c_r]],   c_r = s' - gamma s,
                                     s_r = gamma c - c'.
 
-gamma'(t) is not available in closed form for quadrature-built tables and is
-taken by second-order centered differences on the stored grid (one-sided at
-the ends).  The integrator is classical RK4 with the effective frequency
-linearly interpolated at half-steps, matching how the Fock-space oracle
-consumes the same table.
+gamma(t) is stored on the grid as a trapezoid sum (``qbm.coefficients``), so
+gamma'(t) is taken by second-order centered differences on that grid
+(one-sided at the ends).  The integrator is classical RK4 with the effective
+frequency linearly interpolated at half-steps, matching how the Fock-space
+oracle consumes the same table.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ the -i[Hbar_0, .] term (rotation-law checks).
 Each mode is one term table: five fixed operator triples weighted by the
 coefficient row (1, delta_bar, pi, r, gamma).  Every term moves the entry
 rho_mn by one of nine offsets, so ``stencil_table`` rewrites the table as a
-nine-point stencil on rho, and ``_Stencil`` applies the stencils of several
-modes with numpy alone.  The master equation is quadratic in X and P, so it
+nine-point stencil on rho, and ``_Stencil`` applies one mode's stencil
+with numpy alone.  The master equation is quadratic in X and P, so it
 is invariant under (X, P) -> (-X, -P) and never mixes entries of even and
 odd m + n: the RK4 loop steps only the parity sectors in which rho0 has a
 nonzero entry (the Fock, thermal and squeezed states occupy the even one
@@ -30,12 +30,12 @@ alone).  ``generator(coeffs_at_t, d, mode)`` returns the same kernel for one
 mode, on both sectors, as the function rho -> L(rho) on d x d matrices, and
 the algebra suite checks it, so there is one master equation.
 
-``integrate_modes`` splits its modes, in order, into one group per usable
-CPU.  Each group's modes share one RK4 loop; the caller steps the first
-group and a child made with ``os.fork`` steps each other one, sending its
-trajectories back pickled over a pipe.  A mode's arithmetic does not
-depend on the other modes of its group, so every trajectory, and every
-artifact written from it, is the same bit for bit for any split.
+``integrate_modes`` steps each mode through its own RK4 loop.  The caller
+steps the first mode and, where more than one CPU is usable, a child made
+with ``os.fork`` steps each other one, sending its trajectory back pickled
+over a pipe.  A mode's arithmetic does not depend on the other modes, so
+every trajectory, and every artifact written from it, is the same bit for
+bit whether the modes run in turn or in parallel.
 
 Truncation hygiene: states must stay away from the top of the basis (the
 leakage monitor aborts otherwise), and algebra residuals are measured on
@@ -205,70 +205,63 @@ def stencil_table(ops: FockOperators, mode: str) -> np.ndarray:
 
 
 class _Stencil:
-    """The generators L(t) of several modes as one nine-point stencil each.
+    """The generator L(t) of one mode as a nine-point stencil.
 
-    Each mode's rho is one row of a ``buffer``: row-major with the odd row
-    stride D = d | 1 (a zero pad column when d is even) and 2 D zeros on
-    either side.  The flat index m D + n then has the parity of m + n, and
-    the offset (u + v, u - v) is u (D + 1) + v (D - 1), so one strided view
-    reads all nine neighbours of every entry.  L never mixes the two
-    parities, so only the ``sectors`` given are stepped: every entry from
-    the first sector on (both sectors) or every other one (one sector), the
-    ``size`` stepped entries of each mode.
+    rho is held in a ``buffer``: row-major with the odd row stride D = d | 1
+    (a zero pad column when d is even) and 2 D zeros on either side.  The
+    flat index m D + n then has the parity of m + n, and the offset
+    (u + v, u - v) is u (D + 1) + v (D - 1), so one strided view reads all
+    nine neighbours of every entry.  L never mixes the two parities, so only
+    the ``sectors`` given are stepped: every entry from the first sector on
+    (both sectors) or every other one (one sector), the ``size`` stepped
+    entries.
 
-    ``weights`` holds, per mode, the stencil of the weights that are nonzero
-    in that mode (``live``) on the stepped entries, as a real (w, 18 size)
-    view, so the generator at one time is one product with the coefficient
-    row.  Each mode's block is its own call, so a mode gets the same
-    generator alone or batched.
+    ``weights`` holds the stencil of the weights that are nonzero in the
+    mode (``live``) on the stepped entries, as a real (w, 18 size) matrix,
+    so the generator at one time is one product with the coefficient row.
     """
 
-    def __init__(self, ops: FockOperators, modes, sectors=(0, 1)):
+    def __init__(self, ops: FockOperators, mode: str, sectors=(0, 1)):
         d = ops.d
-        self.d, self.stride, self.modes = d, d | 1, tuple(modes)
+        self.d, self.stride = d, d | 1
         self.pad = 2 * self.stride
         self.step = 2 if len(sectors) == 1 else 1
         self.first = self.pad + sectors[0]
         self.size = len(range(sectors[0], d * self.stride, self.step))
-        self.live, self.weights = [], []
-        for mode in self.modes:
-            table = stencil_table(ops, mode)
-            live = np.flatnonzero(np.any(table != 0, axis=(1, 2, 3)))
-            padded = np.zeros((len(live), 9, d, self.stride), dtype=complex)
-            padded[..., :d] = table[live]
-            stepped = padded.reshape(len(live), 9, -1)[..., sectors[0] :: self.step]
-            self.live.append(live)
-            self.weights.append(np.ascontiguousarray(stepped).view(float).reshape(len(live), -1))
-        self._products = np.empty((len(self.modes), 9, self.size), dtype=complex)
+        table = stencil_table(ops, mode)
+        self.live = np.flatnonzero(np.any(table != 0, axis=(1, 2, 3)))
+        padded = np.zeros((len(self.live), 9, d, self.stride), dtype=complex)
+        padded[..., :d] = table[self.live]
+        stepped = padded.reshape(len(self.live), 9, -1)[..., sectors[0] :: self.step]
+        self.weights = np.ascontiguousarray(stepped).view(float).reshape(len(self.live), -1)
+        self._products = np.empty((9, self.size), dtype=complex)
 
     def buffer(self) -> np.ndarray:
-        """A zero buffer for the rho of every mode."""
-        return np.zeros((len(self.modes), self.d * self.stride + 2 * self.pad), dtype=complex)
+        """A zero buffer for rho."""
+        return np.zeros(self.d * self.stride + 2 * self.pad, dtype=complex)
 
     def rho(self, buffer: np.ndarray) -> np.ndarray:
-        """The (modes, d, d) view of the rho held in ``buffer``."""
-        inner = buffer[:, self.pad : self.pad + self.d * self.stride]
-        return inner.reshape(-1, self.d, self.stride)[..., : self.d]
+        """The (d, d) view of the rho held in ``buffer``."""
+        inner = buffer[self.pad : self.pad + self.d * self.stride]
+        return inner.reshape(self.d, self.stride)[:, : self.d]
 
     def stepped(self, buffer: np.ndarray) -> np.ndarray:
-        """The (modes, size) view of the stepped entries in ``buffer``."""
-        return buffer[:, self.first : self.pad + self.d * self.stride : self.step]
+        """The (size,) view of the stepped entries in ``buffer``."""
+        return buffer[self.first : self.pad + self.d * self.stride : self.step]
 
     def at(self, row, out=None) -> np.ndarray:
-        """The (modes, 9, size) stencil at one coefficient row, written into ``out`` if given."""
-        out = np.empty((len(self.modes), 9, self.size), dtype=complex) if out is None else out
-        data = out.view(float).reshape(len(self.modes), -1)
-        for j, (live, w) in enumerate(zip(self.live, self.weights)):
-            np.dot(row[live], w, out=data[j])
+        """The (9, size) stencil at one coefficient row, written into ``out`` if given."""
+        out = np.empty((9, self.size), dtype=complex) if out is None else out
+        np.dot(row[self.live], self.weights, out=out.view(float).reshape(-1))
         return out
 
     def neighbours(self, buffer: np.ndarray) -> np.ndarray:
-        """The (modes, 3, 3, size) read-only view of the nine neighbours of each stepped entry."""
+        """The (3, 3, size) read-only view of the nine neighbours of each stepped entry."""
         row, item = self.stride, buffer.itemsize
         return as_strided(
-            buffer[:, self.first - 2 * row :],
-            shape=(len(self.modes), 3, 3, self.size),
-            strides=(buffer.strides[0], (row + 1) * item, (row - 1) * item, self.step * item),
+            buffer[self.first - 2 * row :],
+            shape=(3, 3, self.size),
+            strides=((row + 1) * item, (row - 1) * item, self.step * item),
             writeable=False,
         )
 
@@ -276,18 +269,18 @@ class _Stencil:
         """L(rho) on the stepped entries into ``out``, from the ``neighbours`` view of rho."""
         products = self._products.reshape(neighbours.shape)
         np.multiply(stencil.reshape(neighbours.shape), neighbours, out=products)
-        return np.add.reduce(self._products, axis=1, out=out)
+        return np.add.reduce(self._products, axis=0, out=out)
 
 
 def generator(coeffs_at_t: dict, d: int, mode: str):
     """L at one time for one mode as rho -> L(rho): the RK4 loop's kernel, both sectors."""
-    stencil = _Stencil(fock_operators(d), (mode,))
+    stencil = _Stencil(fock_operators(d), mode)
     coef = stencil.at(np.array([1.0] + [coeffs_at_t.get(k, 0.0) for k in WEIGHTS[1:]]))
 
     def apply(rho: np.ndarray) -> np.ndarray:
         buffer = stencil.buffer()
-        stencil.rho(buffer)[0] = rho
-        out = stencil.apply(coef, stencil.neighbours(buffer), np.empty((1, stencil.size), complex))
+        stencil.rho(buffer)[...] = rho
+        out = stencil.apply(coef, stencil.neighbours(buffer), np.empty(stencil.size, complex))
         return out.reshape(d, stencil.stride)[:, :d]
 
     return apply
@@ -319,7 +312,7 @@ def integrate_modes(
     *,
     leakage_threshold: float = 1e-6,
 ) -> dict:
-    """RK4 integration of the master equation in several modes at once.
+    """RK4 integration of the master equation in several modes.
 
     Every mode starts from ``rho0`` and gets its own trajectory and guards.
     Only the parity sectors in which rho0 has a nonzero entry are stepped; L
@@ -329,14 +322,10 @@ def integrate_modes(
     threshold aborts the run, naming the mode; so does a final rho with an
     entry |rho_mn| > 1 (StabilityError).  Returns ``{mode: OracleTrajectory}``.
 
-    The modes are split, in order, into as many groups of near-equal size as
-    there are usable CPUs (at most one per mode).  This process steps the
-    first group; each other group runs in a forked child that sends its
-    trajectories back over a pipe.  A mode's arithmetic does not depend on
-    its group, so the trajectories are bit for bit the same for any split.
-    Of the groups' guard failures the one at the earliest step is raised,
-    and at equal steps the one whose mode comes first in ``modes``: the
-    error that one loop over all the modes raises.
+    Each mode is one RK4 loop, run in this process, or in a forked child for
+    every mode after the first where more than one CPU is usable; the
+    trajectories are the same bit for bit.  Of the modes' guard failures the
+    one at the earliest step is raised, at equal steps the mode listed first.
     """
     modes = tuple(modes)
     if not modes or len(set(modes)) != len(modes):
@@ -356,29 +345,26 @@ def integrate_modes(
     occupied = [s for s in (0, 1) if np.any(rho0[parity == s])]
     sectors = tuple(occupied) if len(occupied) == 1 else (0, 1)
 
-    # k groups of near-equal size in mode order, the larger first: ceil(i m / k)
-    k = min(len(modes), _usable_cpus())
-    bounds = [-(-i * len(modes) // k) for i in range(k + 1)]
-    groups = [modes[a:b] for a, b in zip(bounds, bounds[1:])]
     args = (rho0, ops, coeffs, sectors, leakage_threshold)
-    if k == 1:
-        outcomes = [_integrate_group(modes, *args)]
+    if _usable_cpus() == 1:
+        outcomes = [_integrate_mode(mode, *args) for mode in modes]
     else:
         children = []
         try:
-            for group in groups[1:]:
-                children.append((group, *_fork_group(group, *args)))
-            own = _integrate_group(groups[0], *args)
+            for mode in modes[1:]:
+                children.append((mode, *_fork_mode(mode, *args)))
+            own = _integrate_mode(modes[0], *args)
         finally:
             replies = _replies(children)
         outcomes = [own, *replies]
     for outcome in outcomes:
         if isinstance(outcome, Exception):  # a child's error other than a guard failure
             raise outcome
+    # min keeps the first of equal steps, and the outcomes are in mode order
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
-        raise min(failures, key=lambda f: (f[0], modes.index(f[1])))[2]
-    return {mode: traj for trajs, _ in outcomes for mode, traj in trajs.items()}
+        raise min(failures, key=lambda f: f[0])[1]
+    return {mode: traj for mode, (traj, _) in zip(modes, outcomes)}
 
 
 def _usable_cpus() -> int:
@@ -387,10 +373,10 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else 1
 
 
-def _fork_group(modes, *args) -> tuple:
-    """Run ``_integrate_group`` in a forked child: its pid and the read end of its reply pipe.
+def _fork_mode(mode, *args) -> tuple:
+    """Run ``_integrate_mode`` in a forked child: its pid and the read end of its reply pipe.
 
-    The child pickles the group's outcome, or the exception it raised, into
+    The child pickles the mode's outcome, or the exception it raised, into
     the pipe and ends with ``os._exit``, so it never returns into the
     caller's code or runs its exit handlers; an interrupt ends it with
     status 1 and no reply.
@@ -402,7 +388,7 @@ def _fork_group(modes, *args) -> tuple:
         try:
             os.close(read)
             try:
-                reply = _integrate_group(modes, *args)
+                reply = _integrate_mode(mode, *args)
             except Exception as error:  # raised again by the parent
                 reply = error
             with os.fdopen(write, "wb") as pipe:
@@ -415,13 +401,13 @@ def _fork_group(modes, *args) -> tuple:
 
 
 def _replies(children) -> list:
-    """The reply of each ``(modes, pid, read end)`` child, once every child is reaped.
+    """The reply of each ``(mode, pid, read end)`` child, once every child is reaped.
 
     A child that ends without a reply gives a ``NumericalError`` naming its
-    modes and exit status in place of one.
+    mode and exit status in place of one.
     """
     replies = []
-    for modes, pid, read in children:
+    for mode, pid, read in children:
         with os.fdopen(read, "rb") as pipe:
             data = pipe.read()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -430,121 +416,106 @@ def _replies(children) -> list:
         else:
             replies.append(
                 NumericalError(
-                    f"the oracle worker for modes {modes} ended with exit status "
-                    f"{status} before it sent its trajectories"
+                    f"the oracle worker for mode {mode!r} ended with exit status "
+                    f"{status} before it sent its trajectory"
                 )
             )
     return replies
 
 
-def _integrate_group(modes, rho0, ops, coeffs, sectors, leakage_threshold) -> tuple:
-    """Step one group of modes from ``rho0`` through one RK4 loop, on the given sectors.
+def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> tuple:
+    """Step one mode from ``rho0`` through one RK4 loop, on the given sectors.
 
-    The modes are stacked on a leading axis.  Returns ``({mode:
-    OracleTrajectory}, None)``, or ``({}, (step, mode, error))`` when a guard
-    trips: leakage after step i (0-based) is step i, and the end-of-run
+    Returns ``(OracleTrajectory, None)``, or ``(None, (step, error))`` when a
+    guard trips: leakage after step i (0-based) is step i, and the end-of-run
     |rho_mn| <= 1 check is step n - 1, after the last step's leakage check.
     """
     d = ops.d
     t = coeffs.grid
     n = len(t)
-    m = len(modes)
-    gens = _Stencil(ops, modes, sectors)
+    gen = _Stencil(ops, mode, sectors)
     rows = np.column_stack([np.ones(n)] + [getattr(coeffs, k) for k in WEIGHTS[1:]])
 
-    moments = np.empty((m, len(MOMENTS), n))
-    trace_err = np.zeros(m)
-    herm_drift = np.zeros(m)
+    moments = np.empty((len(MOMENTS), n))
+    trace_err = herm_drift = 0.0
     # the entries of the moment map, as indices into a buffer
     level, column = np.divmod(ops.moment_support, d)
-    support = gens.pad + level * gens.stride + column
+    support = gen.pad + level * gen.stride + column
 
-    def leakage(rho) -> np.ndarray:
-        return np.sum(np.diagonal(rho, axis1=1, axis2=2).real[:, -3:], axis=1)
+    def leakage(rho) -> float:
+        return float(np.sum(np.diagonal(rho).real[-3:]))
 
-    def record(i, state) -> np.ndarray:
-        """Store the moments at node i and return the traces."""
-        traces = np.matmul(state[:, None, support], ops.moment_map)[:, 0].real
-        moments[:, :, i] = traces[:, : len(MOMENTS)]
-        return traces[:, -1]
+    def record(i, state) -> float:
+        """Store the moments at node i and return the trace."""
+        # a (1, k) @ (k, 6) matmul: a vector-matrix product may round differently
+        traces = (state[None, support] @ ops.moment_map)[0].real
+        moments[:, i] = traces[: len(MOMENTS)]
+        return traces[-1]
 
-    state, stage = gens.buffer(), gens.buffer()
-    rho = gens.rho(state)
+    state, stage = gen.buffer(), gen.buffer()
+    rho = gen.rho(state)
     rho[...] = rho0
-    v, v_stage = gens.stepped(state), gens.stepped(stage)
-    reads, stage_reads = gens.neighbours(state), gens.neighbours(stage)
-    max_leak = np.full(m, float(leakage(rho0[None])[0]))
+    v, v_stage = gen.stepped(state), gen.stepped(stage)
+    reads, stage_reads = gen.neighbours(state), gen.neighbours(stage)
+    max_leak = leakage(rho0)
     record(0, state)
 
-    node = gens.at(rows[0])
+    node = gen.at(rows[0])
     mid, nxt = np.empty_like(node), np.empty_like(node)
     acc, k, scaled = np.empty_like(v), np.empty_like(v), np.empty_like(v)
     dag, diff, size = np.empty_like(rho), np.empty_like(rho), np.empty(rho.shape)
     for i in range(n - 1):
         h = t[i + 1] - t[i]
-        gens.at(0.5 * (rows[i] + rows[i + 1]), mid)
-        gens.at(rows[i + 1], nxt)
+        gen.at(0.5 * (rows[i] + rows[i + 1]), mid)
+        gen.at(rows[i + 1], nxt)
         # rho + (h/6)(k1 + 2 k2 + 2 k3 + k4), summed in that order, on the
-        # stepped entries of every mode's rho; each stage's argument is
-        # written into the stepped entries of ``stage``
-        ki = gens.apply(node, reads, acc)
-        for weight, step, gen in ((2.0, 0.5 * h, mid), (2.0, 0.5 * h, mid), (1.0, h, nxt)):
+        # stepped entries of rho; each stage's argument is written into the
+        # stepped entries of ``stage``
+        ki = gen.apply(node, reads, acc)
+        for weight, step, stencil in ((2.0, 0.5 * h, mid), (2.0, 0.5 * h, mid), (1.0, h, nxt)):
             np.add(v, np.multiply(step, ki, out=scaled), out=v_stage)
-            ki = gens.apply(gen, stage_reads, k)
+            ki = gen.apply(stencil, stage_reads, k)
             acc += np.multiply(weight, ki, out=scaled)
         v += np.multiply(h / 6.0, acc, out=acc)
         node, nxt = nxt, node
 
-        np.conjugate(rho.swapaxes(-1, -2), out=dag)
+        np.conjugate(rho.T, out=dag)
         np.abs(np.subtract(rho, dag, out=diff), out=size)
-        np.maximum(herm_drift, size.max(axis=(1, 2)), out=herm_drift)
+        herm_drift = max(herm_drift, float(size.max()))
         np.multiply(0.5, np.add(rho, dag, out=diff), out=rho)
 
         lk = leakage(rho)
-        np.maximum(max_leak, lk, out=max_leak)
-        over = np.flatnonzero(lk > leakage_threshold)
-        if over.size:
-            j = over[0]
+        max_leak = max(max_leak, lk)
+        if lk > leakage_threshold:
             error = LeakageError(
-                f"oracle mode {modes[j]!r}: truncation leakage {lk[j]:.2e} exceeded "
+                f"oracle mode {mode!r}: truncation leakage {lk:.2e} exceeded "
                 f"{leakage_threshold:.2e} at t={t[i + 1]:g}; {_remedy(d, h)}"
             )
-            return {}, (i, modes[j], error)
-        traces = record(i + 1, state)
-        np.maximum(trace_err, np.abs(traces - 1.0), out=trace_err)
+            return None, (i, error)
+        trace_err = max(trace_err, abs(float(record(i + 1, state)) - 1.0))
 
     # the leakage guard reads only the top populations, which an unstable
     # step need not move: at alpha = 0 nothing couples the growing
     # off-diagonal entries to them
-    largest = np.abs(rho).max(axis=(1, 2))
-    broken = np.flatnonzero(~(largest <= _DENSITY_ENTRY_BOUND))  # NaN trips it too
-    if broken.size:
-        j = broken[0]
+    largest = float(np.abs(rho).max())
+    if not largest <= _DENSITY_ENTRY_BOUND:  # NaN trips it too
         error = StabilityError(
-            f"oracle mode {modes[j]!r}: |rho_mn| reached {largest[j]:.3g} > 1 by "
+            f"oracle mode {mode!r}: |rho_mn| reached {largest:.3g} > 1 by "
             f"t={t[-1]:g}, so rho is no longer a density matrix; "
             f"{_remedy(d, np.diff(t).max())}"
         )
-        return {}, (n - 1, modes[j], error)
-    rho_final = np.array(rho)
-    trajectories = {
-        mode: OracleTrajectory(
-            grid=t,
-            mean_x=moments[j, 0],
-            mean_p=moments[j, 1],
-            xx=moments[j, 2],
-            pp=moments[j, 3],
-            xp_sym=moments[j, 4],
-            energy=0.5 * (moments[j, 2] + moments[j, 3]),
-            trace_error=float(trace_err[j]),
-            herm_drift=float(herm_drift[j]),
-            max_leakage=float(max_leak[j]),
-            rho_final=rho_final[j],
-            sectors=tuple(SECTORS[s] for s in sectors),
-        )
-        for j, mode in enumerate(modes)
-    }
-    return trajectories, None
+        return None, (n - 1, error)
+    trajectory = OracleTrajectory(
+        grid=t,
+        **dict(zip(MOMENTS, moments)),
+        energy=0.5 * (moments[2] + moments[3]),
+        trace_error=trace_err,
+        herm_drift=herm_drift,
+        max_leakage=max_leak,
+        rho_final=np.array(rho),
+        sectors=tuple(SECTORS[s] for s in sectors),
+    )
+    return trajectory, None
 
 
 def _remedy(d: int, h: float) -> str:

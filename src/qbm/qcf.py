@@ -46,6 +46,10 @@ _Z_POINTS = 256
 _Z_EXTENTS = (8.0, 16.0, 32.0, 64.0)
 # |chi| below which the Wigner transform counts chi as decayed
 CHI_DECAY_TOL = 1e-12
+_NARROW_REMEDY = (
+    "the state is too narrow in phase space, as under strong squeezing; lower state.r, "
+    "or move wigner.times later, where damping and diffusion have widened it"
+)
 
 
 @dataclass(frozen=True)
@@ -323,6 +327,14 @@ class ObservableSeries:
     energy: np.ndarray
 
     def __post_init__(self):
+        # inf < inf is False, so a non-finite column would slip past the floor
+        for name in ("mean_x", "mean_p", "xx", "pp", "xp_sym", "energy"):
+            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
+            if bad.size:
+                raise NumericalError(
+                    f"moment column {name} is not finite at t={self.grid[bad[0]]:g}: the "
+                    "analytic moments overflow double precision"
+                )
         bad_x = np.any(self.xx < self.mean_x**2 - 1e-10)
         bad_p = np.any(self.pp < self.mean_p**2 - 1e-10)
         if bad_x or bad_p:
@@ -440,7 +452,11 @@ def wigner(bundle: PropagatorBundle, state, t_index: int, q_grid, p_grid):
     W(u) = (2 pi)^{-2} Int chi_t(z) exp(-i u.J.z) d^2 z, discretized by a
     separable trapezoid on a square z-grid of ``_Z_POINTS`` nodes per side.
     The half-width steps through ``_Z_EXTENTS`` until |chi_t| < ``CHI_DECAY_TOL``
-    on the boundary; a chi_t still above that at the widest grid raises.
+    on the boundary; a chi_t still above that at the widest grid raises.  The
+    sampled transform repeats W with period 2 pi / h in q and in p, h the
+    node spacing, so it also raises unless each output point lies 8 standard
+    deviations of W (from C_t) inside the period, counted from W's mean:
+    otherwise a copy of W would alias into the map.
     """
     q_grid = np.asarray(q_grid, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
@@ -448,9 +464,8 @@ def wigner(bundle: PropagatorBundle, state, t_index: int, q_grid, p_grid):
         raise ValidationError("phase-space grids must be 1-d")
 
     for ext in _Z_EXTENTS:
-        zx = np.linspace(-ext, ext, _Z_POINTS)
-        zp = np.linspace(-ext, ext, _Z_POINTS)
-        chi_vals = evolve_chi(bundle, state, t_index, zx[:, None], zp[None, :])
+        z = np.linspace(-ext, ext, _Z_POINTS)
+        chi_vals = evolve_chi(bundle, state, t_index, z[:, None], z[None, :])
         boundary = max(
             np.max(np.abs(chi_vals[0, :])),
             np.max(np.abs(chi_vals[-1, :])),
@@ -462,19 +477,28 @@ def wigner(bundle: PropagatorBundle, state, t_index: int, q_grid, p_grid):
     else:
         raise DomainTooSmallError(
             f"chi_t at t_index {t_index} has not decayed below {CHI_DECAY_TOL:g} at "
-            f"|z| = {_Z_EXTENTS[-1]:g}, the widest Wigner integration grid: the state is "
-            "too narrow in phase space, as under strong squeezing; lower state.r, or "
-            "move wigner.times later, where damping and diffusion have widened it"
+            f"|z| = {_Z_EXTENTS[-1]:g}, the widest Wigner integration grid: {_NARROW_REMEDY}"
+        )
+    t = _node_index(bundle, t_index)
+    b_t, c_t = evolve_moments(bundle, state.initial_moments, slice(t, t + 1))
+    h = z[1] - z[0]
+    period = 2.0 * np.pi / h
+    reach = max(np.max(np.abs(q_grid - b_t[0, 1])), np.max(np.abs(p_grid + b_t[0, 0])))
+    reach += 8.0 * np.sqrt(np.linalg.eigvalsh(c_t[0])[-1])
+    if not period >= reach:
+        raise DomainTooSmallError(
+            f"the Wigner integration grid that chi_t at t_index {t_index} needs repeats W "
+            f"every {period:.3g} in q and in p, less than the {reach:.3g} that the output "
+            f"grid and the state's width need, so the map would alias: {_NARROW_REMEDY}"
         )
 
-    wx = np.full(_Z_POINTS, zx[1] - zx[0])
-    wx[0] = wx[-1] = 0.5 * (zx[1] - zx[0])
-    wp = np.full(_Z_POINTS, zp[1] - zp[0])
-    wp[0] = wp[-1] = 0.5 * (zp[1] - zp[0])
+    # trapezoid weights, the same on both axes of the square z-grid
+    w = np.full(_Z_POINTS, h)
+    w[0] = w[-1] = 0.5 * h
 
-    # W[q, p_out] = (2pi)^-2 sum_{x,pz} chi(x,pz) e^{-i p_out x} e^{+i q pz} wx wp
-    phase_q = np.exp(1j * np.outer(zp, q_grid)) * wp[:, None]  # (zp, q)
-    phase_p = np.exp(-1j * np.outer(p_grid, zx)) * wx[None, :]  # (p, zx)
+    # W[q, p_out] = (2pi)^-2 sum_{x,pz} chi(x,pz) e^{-i p_out x} e^{+i q pz} w_x w_pz
+    phase_q = np.exp(1j * np.outer(z, q_grid)) * w[:, None]  # (pz, q)
+    phase_p = np.exp(-1j * np.outer(p_grid, z)) * w[None, :]  # (p, x)
     field = (phase_p @ (chi_vals @ phase_q)).T / (2.0 * np.pi) ** 2  # (q, p)
     max_imag = np.max(np.abs(field.imag))
     if not max_imag <= 1e-8:  # NaN trips it too

@@ -11,7 +11,7 @@ from qbm.propagator import build_propagator
 
 OHMIC = dict(family="ohmic_exp_cutoff", alpha=0.1, wc=5.0)
 
-# every mode of a (temperature, state) pair comes from one batched integration
+# every mode of a (temperature, state) pair comes from one integrate_modes call
 ORACLE_MODES = ("full", "norenorm", "rwa")
 
 STATES = {

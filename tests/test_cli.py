@@ -587,6 +587,16 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     assert not (tmp_path / "o2" / "oracle_observables.csv").exists()
 
 
+def test_non_finite_analytic_moments_exit_with_numerical_code(tmp_path, capsys):
+    # <X^2> = x0^2 + 1/2 overflows to inf, which the variance floor's
+    # comparisons never flag
+    out = tmp_path / "o"
+    conf = write_conf(tmp_path, MINIMAL + f"state.x0 = 1e200\nrun.output_dir = {out}\n")
+    assert main(["run", str(conf)]) == 2
+    assert "moment column xx is not finite" in capsys.readouterr().err
+    assert not (out / "observables_full.csv").exists()
+
+
 @pytest.mark.parametrize("alpha", ["0.1", "0.0"])
 def test_unstable_oracle_step_names_the_step_not_the_dimension(tmp_path, capsys, alpha):
     # at d = 30, (d - 1) dt = 4.35 is past RK4's reach 2 sqrt 2 on the

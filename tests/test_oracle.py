@@ -201,7 +201,7 @@ def leakage_error(rho0, coeffs, modes) -> LeakageError:
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_batch_raises_the_earliest_leak(monkeypatch, cpus):
     # full leaks at t = 0.04 and rwa at t = 0.06; listed first, rwa is the
-    # group this process steps and full the forked one
+    # mode this process steps and full the forked one
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
     heated = heated_coeffs()
     vacuum = oracle.to_density_matrix(qcf.CoherentState(), 12)
@@ -291,8 +291,9 @@ def test_batched_modes_match_reference_and_single_runs(pipeline, state_name, sec
 
 @pytest.mark.parametrize("state_name", ["coherent2", "fock2"])
 def test_forked_groups_match_one_loop(pipeline, monkeypatch, state_name):
-    # with two usable CPUs the first group is stepped here and the second in
-    # a forked child; the trajectories are bit for bit those of one loop
+    # with two usable CPUs the first mode is stepped here and each other one
+    # in a forked child; the trajectories are bit for bit those of the loops
+    # run in turn
     coeffs = head(pipeline.coeffs(2.0), 301)
     rho0 = oracle.to_density_matrix(pipeline.state(state_name), 30)
     runs = {}
@@ -308,12 +309,35 @@ def test_forked_groups_match_one_loop(pipeline, monkeypatch, state_name):
             assert np.array_equal(getattr(one, name), getattr(forked, name)), (mode, name)
         for name in ("trace_error", "herm_drift", "max_leakage", "sectors"):
             assert getattr(one, name) == getattr(forked, name), (mode, name)
-    # one mode is one group, stepped in this process: nothing is forked
+    # a single mode is stepped in this process: nothing is forked
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("a one-mode run forked"))
     assert oracle.integrate_modes(rho0, coeffs, ["rwa"])["rwa"].sectors == runs[2]["rwa"].sectors
 
 
-def test_forked_group_errors_reach_the_caller(monkeypatch):
+@pytest.mark.parametrize(
+    "cpus, modes, forks",
+    [(2, ("full", "norenorm", "rwa"), 2), (1, ("full", "norenorm", "rwa"), 0), (2, ("rwa",), 0)],
+    ids=["three_modes_two_cpus", "three_modes_one_cpu", "one_mode_two_cpus"],
+)
+def test_one_child_per_mode_after_the_first(monkeypatch, cpus, modes, forks):
+    # the caller steps the first mode and a forked child each other one,
+    # unless a single CPU is usable
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+    calls, fork = [], os.fork
+
+    def counted_fork():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    rho0 = oracle.to_density_matrix(qcf.CoherentState(1.0), 12)
+    assert tuple(oracle.integrate_modes(rho0, zero_coeffs(t_max=0.1), modes)) == modes
+    assert len(calls) == forks
+    with pytest.raises(ChildProcessError):  # every child has been reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_mode_errors_reach_the_caller(monkeypatch):
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
     vacuum = oracle.to_density_matrix(qcf.CoherentState(), 12)
     # a guard failure in the child is raised here, with its message
@@ -322,25 +346,27 @@ def test_forked_group_errors_reach_the_caller(monkeypatch):
     assert str(error) == str(leakage_error(vacuum, heated, ["rwa"]))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    parent, group = os.getpid(), oracle._integrate_group
+    parent, integrate = os.getpid(), oracle._integrate_mode
 
-    def failing(modes, *args):
+    def failing(mode, *args):
         if os.getpid() != parent:
-            raise ValidationError("no such group")
-        return group(modes, *args)
+            raise ValidationError("no such mode")
+        return integrate(mode, *args)
 
-    def dying(modes, *args):
+    def dying(mode, *args):
         if os.getpid() != parent:
             os._exit(1)
-        return group(modes, *args)
+        return integrate(mode, *args)
 
     # any other error of the child is raised here as it is
-    monkeypatch.setattr(oracle, "_integrate_group", failing)
-    with pytest.raises(ValidationError, match="no such group"):
+    monkeypatch.setattr(oracle, "_integrate_mode", failing)
+    with pytest.raises(ValidationError, match="no such mode"):
         oracle.integrate_modes(vacuum, zero_coeffs(t_max=0.1), ("full", "rwa"))
-    # a child that ends without a reply names its modes and exit status
-    monkeypatch.setattr(oracle, "_integrate_group", dying)
-    with pytest.raises(NumericalError, match=r"modes \('rwa',\) ended with exit status 1"):
+    # a child that ends without a reply names its mode and exit status
+    monkeypatch.setattr(oracle, "_integrate_mode", dying)
+    with pytest.raises(
+        NumericalError, match="the oracle worker for mode 'rwa' ended with exit status 1"
+    ):
         oracle.integrate_modes(vacuum, zero_coeffs(t_max=0.1), ("full", "rwa"))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

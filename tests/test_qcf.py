@@ -505,9 +505,33 @@ def test_wigner_domain_guard(free_bundle):
                    np.linspace(-2, 2, 11))
 
 
+@pytest.mark.parametrize(
+    "r, phi", [(0.5, 0.0), (1.0, 0.7), (1.2, 0.0), (1.2, 0.7), (1.5, 0.0), (2.0, 0.7), (5.0, 0.0)]
+)
+def test_squeezed_wigner_is_exact_or_raises(free_bundle, r, phi):
+    # a strongly squeezed chi_t decays only on a wide z-grid, whose coarse
+    # spacing would alias the copies of W that the sampled transform repeats
+    axis = np.linspace(-6.0, 6.0, 64)
+    state = qcf.SqueezedVacuum(r, phi)
+    try:
+        w = qcf.wigner(free_bundle, state, 0, axis, axis)
+    except DomainTooSmallError as error:
+        assert (r, phi) not in ((0.5, 0.0), (1.0, 0.7), (1.2, 0.7)), error
+        assert "state.r" in str(error)
+        return
+    assert (r, phi) not in ((1.5, 0.0), (5.0, 0.0)), "an aliased map passed"
+    cov_inv = np.linalg.inv(state.covariance())
+    q, p = np.meshgrid(axis, axis, indexing="ij")
+    form = cov_inv[0, 0] * q**2 + 2.0 * cov_inv[0, 1] * q * p + cov_inv[1, 1] * p**2
+    exact = np.exp(-0.5 * form) / (2.0 * np.pi * np.sqrt(np.linalg.det(state.covariance())))
+    assert np.max(np.abs(w - exact)) <= 1e-9
+
+
 def test_wigner_rejects_a_non_finite_field(free_bundle):
     class Holed:
         """The vacuum chi with NaN inside the unit disc, away from the boundary check."""
+
+        initial_moments = qcf.CoherentState().initial_moments
 
         def chi0(self, x, p):
             return np.where(x**2 + p**2 < 1.0, np.nan, qcf.CoherentState().chi0(x, p))

@@ -5,8 +5,9 @@ the scipy modules it has loaded.  The analytic pipeline, both reservoir
 families, every state kind (a tabulated chi included), the Wigner maps and
 the oracle run on numpy alone.  scipy serves only the quadrature
 references the tests compare against, through ``kernels.quad``.  Nor does
-a run load a process-pool module: the oracle forks its mode groups with
-``os.fork`` alone, so the import cost of a run stays that of numpy.
+a run load a process-pool module: the oracle forks one child per mode after
+the first with ``os.fork`` alone, so the import cost of a run stays that of
+numpy.
 """
 
 import ast
@@ -96,9 +97,13 @@ def test_run_loads_no_scipy(tmp_path, subprocess_env, name):
     assert modules_after_run(tmp_path, subprocess_env, name) == []
 
 
-def test_one_mode_oracle_run_loads_no_process_pool(tmp_path, subprocess_env):
+def test_oracle_runs_load_no_process_pool(tmp_path, subprocess_env):
+    # one oracle mode, stepped in the run's process, and three, two of them
+    # in forked children where more than one CPU is usable
     pools = ("multiprocessing", "concurrent")
-    assert modules_after_run(tmp_path, subprocess_env, "squeezed_oracle", pools) == []
+    for name in ("squeezed_oracle", "tabulated_reservoir"):
+        (tmp_path / name).mkdir()
+        assert modules_after_run(tmp_path / name, subprocess_env, name, pools) == [], name
 
 
 def scipy_import_sites(node, scope):

@@ -14,5 +14,11 @@ def test_counter_rotating_gaps_script_writes_its_csv(tmp_path, subprocess_env):
         env=subprocess_env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    # three identities, each checked on the analytic series and on the oracle
+    blocks = proc.stdout.split("oracle residuals:")
+    assert len(blocks) == 2
+    for block in blocks:
+        residuals = [line.split() for line in block.splitlines() if line.startswith("  ")]
+        assert [name for name, _ in residuals] == ["xx", "pp", "corr"], proc.stdout
     lines = out.read_text().splitlines()
     assert lines[0].startswith("#") and len(lines) > 2
