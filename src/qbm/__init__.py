@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 from qbm.kernels import ReservoirSpec, KernelTable, kappa, mu, tabulate_kernels
 from qbm.coefficients import CoefficientTable, compute_coefficients
-from qbm.homogeneous import FundamentalSolutions, solve_fundamental, build_rotation
+from qbm.homogeneous import solve_fundamental
 from qbm.propagator import PropagatorBundle, build_propagator
 from qbm.qcf import (
     CoherentState,
@@ -26,7 +26,7 @@ from qbm.qcf import (
     FockState,
     TabulatedChi,
     evolve_chi,
-    moments,
+    observable_series,
 )
 
 __all__ = [
@@ -38,9 +38,7 @@ __all__ = [
     "tabulate_kernels",
     "CoefficientTable",
     "compute_coefficients",
-    "FundamentalSolutions",
     "solve_fundamental",
-    "build_rotation",
     "PropagatorBundle",
     "build_propagator",
     "CoherentState",
@@ -49,5 +47,5 @@ __all__ = [
     "FockState",
     "TabulatedChi",
     "evolve_chi",
-    "moments",
+    "observable_series",
 ]

@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from qbm import __version__
@@ -42,11 +41,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             from qbm.config import parse_config
-            from qbm.errors import FileError
             from qbm.runner import run
 
-            if not os.path.exists(args.config):
-                raise FileError(f"config file not found: {args.config}")
             result = run(parse_config(args.config))
             for path in result.files:
                 print(path)

@@ -50,7 +50,9 @@ def _check_grid(grid: np.ndarray):
         raise ValidationError("coefficient grid needs at least two nodes")
     hmax = np.diff(grid).max()
     if hmax > MAX_STEP_RADIANS:
-        raise ValidationError(f"grid too coarse: use dt <= {MAX_STEP_RADIANS:.3g}, not {hmax:.3g}")
+        raise ValidationError(
+            f"grid too coarse: use grid.dt <= {MAX_STEP_RADIANS:.3g}, not {hmax:.3g}"
+        )
 
 
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Homogeneous dynamics: fundamental solutions and the 2x2 evolution matrix.
+"""Homogeneous dynamics: the 2x2 evolution matrix R(t).
 
 The unitary part of the evolution moves phase-space arguments by a real
 2x2 matrix R(t) built from two independent solutions of
@@ -7,8 +7,8 @@ The unitary part of the evolution moves phase-space arguments by a real
 
 (frequencies in units of the oscillator frequency, w0 = 1) with c(0) = 1,
 c'(0) = 0 and s(0) = 0, s'(0) = 1.  The equation has no first-derivative
-term, so the Wronskian c s' - s c' stays pinned at 1 (Abel), which is also
-why det R(t) = 1:
+term, so the Wronskian c s' - s c' stays pinned at 1 (Abel), and it is
+det R(t):
 
     R(t) = [[c, s], [-s_r, c_r]],   c_r = s' - gamma s,
                                     s_r = gamma c - c'.
@@ -23,30 +23,17 @@ oracle consumes the same table.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from qbm.coefficients import CoefficientTable
-from qbm.errors import NumericalError, StabilityError, ValidationError
+from qbm.errors import NumericalError, StabilityError
 from qbm.runio import write_csv
 
 log = logging.getLogger(__name__)
 
 MAX_FREQUENCY_STEP = 0.5  # refuse when effective frequency * dt exceeds this
 DET_DRIFT_WARN = 1e-6
-
-
-@dataclass(frozen=True)
-class FundamentalSolutions:
-    grid: np.ndarray
-    c: np.ndarray
-    s: np.ndarray
-    c_dot: np.ndarray
-    s_dot: np.ndarray
-
-    def wronskian(self) -> np.ndarray:
-        return self.c * self.s_dot - self.s * self.c_dot
 
 
 def gamma_derivative(coeffs: CoefficientTable) -> np.ndarray:
@@ -58,21 +45,27 @@ def effective_frequency_sq(coeffs: CoefficientTable) -> np.ndarray:
     return 1.0 - coeffs.r - coeffs.gamma**2 - gamma_derivative(coeffs)
 
 
-def solve_fundamental(coeffs: CoefficientTable) -> FundamentalSolutions:
-    """Integrate both Cauchy problems with RK4 on the coefficient grid."""
+def solve_fundamental(coeffs: CoefficientTable) -> np.ndarray:
+    """Per-node evolution matrices R(t), shape (n, 2, 2), det R = 1.
+
+    Both Cauchy problems are integrated with RK4 on the coefficient grid.
+    """
     grid = coeffs.grid
     w2 = effective_frequency_sq(coeffs)
     if np.any(w2 < 0):
         t_bad = grid[np.argmax(w2 < 0)]
         raise NumericalError(
             f"effective squared frequency turns negative at t={t_bad:g}: "
-            "the coupling is outside the weak, under-damped regime this solver supports"
+            "the coupling is outside the weak, under-damped regime this solver supports; "
+            "lower reservoir.alpha, or the kernels in reservoir.kernel_csv for the "
+            "tabulated family"
         )
     steps = np.diff(grid)
     if np.sqrt(w2.max()) * steps.max() > MAX_FREQUENCY_STEP:
         raise StabilityError(
             f"step {steps.max():g} too large for effective frequency "
-            f"{np.sqrt(w2.max()):g}; need dt <= {MAX_FREQUENCY_STEP / np.sqrt(w2.max()):g}"
+            f"{np.sqrt(w2.max()):g}; need grid.dt <= "
+            f"{MAX_FREQUENCY_STEP / np.sqrt(w2.max()):g}"
         )
 
     w2_mid = 0.5 * (w2[:-1] + w2[1:])
@@ -93,18 +86,11 @@ def solve_fundamental(coeffs: CoefficientTable) -> FundamentalSolutions:
         y[i + 1] = y0 + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
         v[i + 1] = v0 + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
 
-    return FundamentalSolutions(grid=grid, c=y[:, 0], s=y[:, 1], c_dot=v[:, 0], s_dot=v[:, 1])
-
-
-def build_rotation(fund: FundamentalSolutions, coeffs: CoefficientTable) -> np.ndarray:
-    """Per-node evolution matrices R(t), shape (n, 2, 2), det R = 1."""
-    if fund.grid.shape != coeffs.grid.shape or not np.array_equal(fund.grid, coeffs.grid):
-        raise ValidationError("fundamental solutions and coefficients must share the grid")
-    c_r = fund.s_dot - coeffs.gamma * fund.s
-    s_r = coeffs.gamma * fund.c - fund.c_dot
-    rot = np.empty((len(fund.grid), 2, 2))
-    rot[:, 0, 0] = fund.c
-    rot[:, 0, 1] = fund.s
+    c_r = v[:, 1] - coeffs.gamma * y[:, 1]
+    s_r = coeffs.gamma * y[:, 0] - v[:, 0]
+    rot = np.empty((n, 2, 2))
+    rot[:, 0, 0] = y[:, 0]
+    rot[:, 0, 1] = y[:, 1]
     rot[:, 1, 0] = -s_r
     rot[:, 1, 1] = c_r
     return rot
@@ -153,7 +139,7 @@ ROTATION_CSV_COLUMNS = "t,c,s,sr,cr,det"
 
 
 def write_rotation_csv(grid: np.ndarray, rot: np.ndarray, path) -> None:
-    """Write the (n, 2, 2) matrices of :func:`build_rotation` on their grid."""
+    """Write the (n, 2, 2) matrices of :func:`solve_fundamental` on their grid."""
     columns = np.column_stack(
         [grid, rot[:, 0, 0], rot[:, 0, 1], -rot[:, 1, 0], rot[:, 1, 1], rotation_det(rot)]
     )

@@ -35,7 +35,8 @@ steps the first mode and, where more than one CPU is usable, a child made
 with ``os.fork`` steps each other one, sending its trajectory back pickled
 over a pipe.  A mode's arithmetic does not depend on the other modes, so
 every trajectory, and every artifact written from it, is the same bit for
-bit whether the modes run in turn or in parallel.
+bit whether the modes run in turn or in parallel; so is the error of a run
+that aborts, that of the first failing mode in the order given.
 
 Truncation hygiene: states must stay away from the top of the basis (the
 leakage monitor aborts otherwise), and algebra residuals are measured on
@@ -60,6 +61,7 @@ from qbm.errors import (
     TruncationError,
     ValidationError,
 )
+from qbm.qcf import ObservableSeries
 from qbm.runio import write_text
 
 INTERIOR_MARGIN = 5  # test operators / residuals live on levels 0 .. d-1-margin
@@ -286,23 +288,15 @@ def generator(coeffs_at_t: dict, d: int, mode: str):
     return apply
 
 
-@dataclass
-class OracleTrajectory:
-    grid: np.ndarray
-    mean_x: np.ndarray
-    mean_p: np.ndarray
-    xx: np.ndarray
-    pp: np.ndarray
-    xp_sym: np.ndarray
-    energy: np.ndarray
+@dataclass(frozen=True)
+class OracleTrajectory(ObservableSeries):
+    """The moments of one oracle mode, with its guard readings and final rho."""
+
     trace_error: float
     herm_drift: float
     max_leakage: float
     rho_final: np.ndarray
     sectors: tuple  # the parity sectors stepped, names from ``SECTORS``
-
-
-MOMENTS = ("mean_x", "mean_p", "xx", "pp", "xp_sym")
 
 
 def integrate_modes(
@@ -324,8 +318,8 @@ def integrate_modes(
 
     Each mode is one RK4 loop, run in this process, or in a forked child for
     every mode after the first where more than one CPU is usable; the
-    trajectories are the same bit for bit.  Of the modes' guard failures the
-    one at the earliest step is raised, at equal steps the mode listed first.
+    trajectories are the same bit for bit.  Either way the error raised is
+    that of the first failing mode in the order given.
     """
     modes = tuple(modes)
     if not modes or len(set(modes)) != len(modes):
@@ -347,24 +341,18 @@ def integrate_modes(
 
     args = (rho0, ops, coeffs, sectors, leakage_threshold)
     if _usable_cpus() == 1:
-        outcomes = [_integrate_mode(mode, *args) for mode in modes]
-    else:
-        children = []
-        try:
-            for mode in modes[1:]:
-                children.append((mode, *_fork_mode(mode, *args)))
-            own = _integrate_mode(modes[0], *args)
-        finally:
-            replies = _replies(children)
-        outcomes = [own, *replies]
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):  # a child's error other than a guard failure
-            raise outcome
-    # min keeps the first of equal steps, and the outcomes are in mode order
-    failures = [failure for _, failure in outcomes if failure is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return {mode: traj for mode, (traj, _) in zip(modes, outcomes)}
+        return {mode: _integrate_mode(mode, *args) for mode in modes}
+    children = []
+    try:
+        for mode in modes[1:]:
+            children.append((mode, *_fork_mode(mode, *args)))
+        own = _integrate_mode(modes[0], *args)
+    finally:
+        replies = _replies(children)
+    for reply in replies:
+        if isinstance(reply, Exception):
+            raise reply
+    return dict(zip(modes, [own, *replies]))
 
 
 def _usable_cpus() -> int:
@@ -376,7 +364,7 @@ def _usable_cpus() -> int:
 def _fork_mode(mode, *args) -> tuple:
     """Run ``_integrate_mode`` in a forked child: its pid and the read end of its reply pipe.
 
-    The child pickles the mode's outcome, or the exception it raised, into
+    The child pickles the mode's trajectory, or the exception it raised, into
     the pipe and ends with ``os._exit``, so it never returns into the
     caller's code or runs its exit handlers; an interrupt ends it with
     status 1 and no reply.
@@ -423,12 +411,11 @@ def _replies(children) -> list:
     return replies
 
 
-def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> tuple:
+def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> OracleTrajectory:
     """Step one mode from ``rho0`` through one RK4 loop, on the given sectors.
 
-    Returns ``(OracleTrajectory, None)``, or ``(None, (step, error))`` when a
-    guard trips: leakage after step i (0-based) is step i, and the end-of-run
-    |rho_mn| <= 1 check is step n - 1, after the last step's leakage check.
+    Raises the error of the first guard that trips: leakage after a step, or
+    the |rho_mn| <= 1 check at the end of the run.
     """
     d = ops.d
     t = coeffs.grid
@@ -436,7 +423,7 @@ def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> tupl
     gen = _Stencil(ops, mode, sectors)
     rows = np.column_stack([np.ones(n)] + [getattr(coeffs, k) for k in WEIGHTS[1:]])
 
-    moments = np.empty((len(MOMENTS), n))
+    moments = np.empty((ops.moment_map.shape[1] - 1, n))
     trace_err = herm_drift = 0.0
     # the entries of the moment map, as indices into a buffer
     level, column = np.divmod(ops.moment_support, d)
@@ -449,7 +436,7 @@ def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> tupl
         """Store the moments at node i and return the trace."""
         # a (1, k) @ (k, 6) matmul: a vector-matrix product may round differently
         traces = (state[None, support] @ ops.moment_map)[0].real
-        moments[:, i] = traces[: len(MOMENTS)]
+        moments[:, i] = traces[:-1]
         return traces[-1]
 
     state, stage = gen.buffer(), gen.buffer()
@@ -487,11 +474,10 @@ def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> tupl
         lk = leakage(rho)
         max_leak = max(max_leak, lk)
         if lk > leakage_threshold:
-            error = LeakageError(
+            raise LeakageError(
                 f"oracle mode {mode!r}: truncation leakage {lk:.2e} exceeded "
                 f"{leakage_threshold:.2e} at t={t[i + 1]:g}; {_remedy(d, h)}"
             )
-            return None, (i, error)
         trace_err = max(trace_err, abs(float(record(i + 1, state)) - 1.0))
 
     # the leakage guard reads only the top populations, which an unstable
@@ -499,23 +485,21 @@ def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> tupl
     # off-diagonal entries to them
     largest = float(np.abs(rho).max())
     if not largest <= _DENSITY_ENTRY_BOUND:  # NaN trips it too
-        error = StabilityError(
+        raise StabilityError(
             f"oracle mode {mode!r}: |rho_mn| reached {largest:.3g} > 1 by "
             f"t={t[-1]:g}, so rho is no longer a density matrix; "
             f"{_remedy(d, np.diff(t).max())}"
         )
-        return None, (n - 1, error)
-    trajectory = OracleTrajectory(
-        grid=t,
-        **dict(zip(MOMENTS, moments)),
-        energy=0.5 * (moments[2] + moments[3]),
+    # the rows of ``moments`` are X, P, X^2, P^2, XP+PX: the fields' order
+    return OracleTrajectory(
+        t,
+        *moments,
         trace_error=trace_err,
         herm_drift=herm_drift,
         max_leakage=max_leak,
         rho_final=np.array(rho),
         sectors=tuple(SECTORS[s] for s in sectors),
     )
-    return trajectory, None
 
 
 def _remedy(d: int, h: float) -> str:

@@ -43,12 +43,7 @@ import numpy as np
 
 from qbm.coefficients import CoefficientTable, compute_coefficients, cumulative_trapezoid
 from qbm.errors import ValidationError
-from qbm.homogeneous import (
-    approx_rotation,
-    build_rotation,
-    invert_rotation,
-    solve_fundamental,
-)
+from qbm.homogeneous import approx_rotation, invert_rotation, solve_fundamental
 from qbm.kernels import ReservoirSpec, tabulate_kernels
 from qbm.runio import write_csv
 
@@ -135,7 +130,7 @@ def build_propagator(
     grid = coeffs.grid
 
     if mode == "full":
-        rot = build_rotation(solve_fundamental(coeffs), coeffs)
+        rot = solve_fundamental(coeffs)
     else:
         rot = approx_rotation(grid)
     rot_inv = invert_rotation(rot)

@@ -32,7 +32,7 @@ them once from 4th-order central differences of its table at the origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -307,33 +307,37 @@ def evolve_moments(bundle: PropagatorBundle, m0: ChiMoments, nodes: slice = slic
     return b_t, c_t
 
 
-@dataclass(frozen=True)
-class MomentRow:
-    mean_x: float
-    mean_p: float
-    xx: float
-    pp: float
-    xp_sym: float
+# the columns of every moment trajectory, analytic or oracle, in CSV order
+OBSERVABLES = ("mean_x", "mean_p", "xx", "pp", "xp_sym", "energy")
 
 
 @dataclass(frozen=True)
 class ObservableSeries:
+    """First and second moments over the grid, with energy = (<X^2> + <P^2>)/2.
+
+    The one trajectory record of both routes: the analytic moment map and
+    the Fock-space oracle.  Every column must be finite and respect the
+    variance floor <A^2> >= <A>^2, else ``NumericalError``.
+    """
+
     grid: np.ndarray
     mean_x: np.ndarray
     mean_p: np.ndarray
     xx: np.ndarray
     pp: np.ndarray
     xp_sym: np.ndarray
-    energy: np.ndarray
+    energy: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "energy", 0.5 * (self.xx + self.pp))
         # inf < inf is False, so a non-finite column would slip past the floor
-        for name in ("mean_x", "mean_p", "xx", "pp", "xp_sym", "energy"):
+        for name in OBSERVABLES:
             bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
             if bad.size:
                 raise NumericalError(
                     f"moment column {name} is not finite at t={self.grid[bad[0]]:g}: the "
-                    "analytic moments overflow double precision"
+                    "moments overflow double precision"
                 )
         bad_x = np.any(self.xx < self.mean_x**2 - 1e-10)
         bad_p = np.any(self.pp < self.mean_p**2 - 1e-10)
@@ -342,14 +346,18 @@ class ObservableSeries:
 
 
 def _moment_columns(b, c):
-    """(<X>, <P>, <X^2>, <P^2>, <XP+PX>) from chi-form b (..., 2) and C (..., 2, 2)."""
-    return (
-        b[..., 1],
-        -b[..., 0],
-        c[..., 1, 1] + b[..., 1] ** 2,
-        c[..., 0, 0] + b[..., 0] ** 2,
-        -2.0 * c[..., 0, 1] - 2.0 * b[..., 0] * b[..., 1],
-    )
+    """(<X>, <P>, <X^2>, <P^2>, <XP+PX>) from chi-form b (..., 2) and C (..., 2, 2).
+
+    An overflow gives inf, which ``ObservableSeries`` reports by column name.
+    """
+    with np.errstate(over="ignore"):
+        return (
+            b[..., 1],
+            -b[..., 0],
+            c[..., 1, 1] + b[..., 1] ** 2,
+            c[..., 0, 0] + b[..., 0] ** 2,
+            -2.0 * c[..., 0, 1] - 2.0 * b[..., 0] * b[..., 1],
+        )
 
 
 _STENCIL_OFFSETS = np.array([2.0, 1.0, -1.0, -2.0])
@@ -395,26 +403,10 @@ def _moments_fd(chi, h: float) -> ChiMoments:
     )
 
 
-def moments(bundle: PropagatorBundle, state, t_index: int) -> MomentRow:
-    """First and second moments at one node, from the affine moment map."""
-    t = _node_index(bundle, t_index)
-    b_t, c_t = evolve_moments(bundle, state.initial_moments, slice(t, t + 1))
-    return MomentRow(*(float(col[0]) for col in _moment_columns(b_t, c_t)))
-
-
 def observable_series(bundle: PropagatorBundle, state) -> ObservableSeries:
-    """Moment trajectories over the whole grid; energy is moment-based."""
+    """Moment trajectories over the whole grid, from the affine moment map."""
     b_t, c_t = evolve_moments(bundle, state.initial_moments)
-    mean_x, mean_p, xx, pp, xp_sym = _moment_columns(b_t, c_t)
-    return ObservableSeries(
-        grid=bundle.grid,
-        mean_x=mean_x,
-        mean_p=mean_p,
-        xx=xx,
-        pp=pp,
-        xp_sym=xp_sym,
-        energy=0.5 * (xx + pp),
-    )
+    return ObservableSeries(bundle.grid, *_moment_columns(b_t, c_t))
 
 
 def closed_form_energy(bundle: PropagatorBundle, e0: float, delta_gamma) -> np.ndarray:

@@ -26,7 +26,6 @@ from qbm.propagator import build_propagator, delta_gamma_series, write_propagato
 from qbm.runio import write_csv, write_text
 
 OBSERVABLES_CSV_COLUMNS = "t,mean_x,mean_p,xx,pp,xp_sym,energy,energy_rwa,lambda,theta"
-DIFF_OBSERVABLES = ("mean_x", "mean_p", "xx", "pp", "xp_sym", "energy")
 
 
 @dataclass
@@ -131,7 +130,7 @@ def run(config: RunConfig) -> RunResult:
                 series = analytic_series[mode]
                 diffs = {
                     name: float(np.max(np.abs(getattr(series, name) - getattr(traj, name))))
-                    for name in DIFF_OBSERVABLES
+                    for name in qcf.OBSERVABLES
                 }
                 result.diffs[mode] = diffs
                 diff_lines.append(f"mode={mode}")

@@ -13,7 +13,7 @@ import pytest
 
 from qbm import oracle, qcf
 from qbm.coefficients import compute_coefficients
-from qbm.homogeneous import build_rotation, rotation_det, solve_fundamental
+from qbm.homogeneous import rotation_det, solve_fundamental
 from qbm.kernels import ReservoirSpec, tabulate_kernels
 from qbm.propagator import build_propagator
 from qbm.runner import ellipse_points
@@ -151,7 +151,7 @@ def test_criterion_5_rotation_law(pipeline):
     dt = 0.0025
     grid = dt * np.arange(int(round(30.0 / dt)) + 1)
     coeffs = compute_coefficients(tabulate_kernels(pipeline.spec(0.0), grid))
-    rot = build_rotation(solve_fundamental(coeffs), coeffs)
+    rot = solve_fundamental(coeffs)
     means0 = np.array([1.0, 0.5])
     rho0 = oracle.to_density_matrix(qcf.CoherentState(x0=1.0, p0=0.5), 30)
     traj = oracle.integrate_modes(rho0, coeffs, ["unitary"])["unitary"]
@@ -182,9 +182,6 @@ def test_criterion_6_structural_invariants(pipeline):
         # diffusion matrix symmetric by construction, bit for bit
         assert np.array_equal(bundle.w_bar[:, 0, 1], bundle.w_bar[:, 1, 0])
         assert np.max(np.abs(rotation_det(bundle.rotations) - 1.0)) < 1e-8
-    coeffs = pipeline.coeffs(0.0)
-    fund = solve_fundamental(coeffs)
-    assert np.max(np.abs(fund.wronskian() - 1.0)) < 1e-8
     traj = pipeline.oracle_traj(0.0, "coherent2", "full")
     assert traj.trace_error < 1e-8
     assert traj.herm_drift < 1e-10

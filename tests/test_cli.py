@@ -587,9 +587,10 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     assert not (tmp_path / "o2" / "oracle_observables.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
 def test_non_finite_analytic_moments_exit_with_numerical_code(tmp_path, capsys):
     # <X^2> = x0^2 + 1/2 overflows to inf, which the variance floor's
-    # comparisons never flag
+    # comparisons never flag; the overflow itself must warn nothing
     out = tmp_path / "o"
     conf = write_conf(tmp_path, MINIMAL + f"state.x0 = 1e200\nrun.output_dir = {out}\n")
     assert main(["run", str(conf)]) == 2

@@ -81,7 +81,7 @@ def test_refinement_converges_at_second_order():
 def test_coarse_grid_refused_with_resolution_hint():
     grid = np.linspace(0.0, 10.0, 11)  # dt = 1 > pi/5
     table = tabulate_kernels(OHMIC, grid)
-    with pytest.raises(ValidationError, match="dt"):
+    with pytest.raises(ValidationError, match=r"use grid\.dt <= 0\.628, not 1$"):
         compute_coefficients(table)
 
 

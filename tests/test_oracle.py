@@ -199,18 +199,47 @@ def leakage_error(rho0, coeffs, modes) -> LeakageError:
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_batch_raises_the_earliest_leak(monkeypatch, cpus):
-    # full leaks at t = 0.04 and rwa at t = 0.06; listed first, rwa is the
-    # mode this process steps and full the forked one
+def test_batch_raises_the_first_listed_failure(monkeypatch, cpus):
+    # full leaks at t = 0.04 and rwa at t = 0.06; whichever is listed first
+    # is raised, stepped in this process or not, however early the other leaks
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
     heated = heated_coeffs()
     vacuum = oracle.to_density_matrix(qcf.CoherentState(), 12)
     full, rwa = (leakage_error(vacuum, heated, [mode]) for mode in ("full", "rwa"))
     assert "t=0.04" in str(full) and "t=0.06" in str(rwa)
-    batch = leakage_error(vacuum, heated, ("rwa", "full"))
-    assert type(batch) is LeakageError and str(batch) == str(full)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    for modes, first in ((("rwa", "full"), rwa), (("full", "rwa"), full)):
+        batch = leakage_error(vacuum, heated, modes)
+        assert type(batch) is LeakageError and str(batch) == str(first), modes
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_trajectory_is_an_observable_series(monkeypatch):
+    # the forked rwa trajectory comes back pickled, with the energy its
+    # child computed
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    rho0 = oracle.to_density_matrix(qcf.SqueezedVacuum(0.5), 20)
+    for traj in oracle.integrate_modes(rho0, zero_coeffs(t_max=0.2), ("full", "rwa")).values():
+        assert isinstance(traj, qcf.ObservableSeries)
+        assert np.array_equal(traj.energy, 0.5 * (traj.xx + traj.pp))
+
+
+def test_trajectory_below_the_variance_floor_raises():
+    one = np.array([1.0])
+    with pytest.raises(NumericalError, match="variance floor"):
+        oracle.OracleTrajectory(
+            np.array([0.0]),
+            mean_x=one,
+            mean_p=0.0 * one,
+            xx=0.5 * one,
+            pp=0.5 * one,
+            xp_sym=0.0 * one,
+            trace_error=0.0,
+            herm_drift=0.0,
+            max_leakage=0.0,
+            rho_final=np.eye(1),
+            sectors=("even",),
+        )
 
 
 COEFFS = ("delta_bar", "pi", "r", "gamma")
@@ -423,9 +452,9 @@ def test_initial_moments_match_qcf_convention():
     ):
         rho = oracle.to_density_matrix(state, 40)
         traj = oracle.integrate_modes(rho, head(coeffs, 1), ["full"])["full"]
-        m = qcf.moments(free, state, 0)
+        m = qcf.observable_series(free, state)
         for name in MOMENT_NAMES:
-            expected = pytest.approx(getattr(m, name), abs=1e-7)
+            expected = pytest.approx(getattr(m, name)[0], abs=1e-7)
             assert getattr(traj, name)[0] == expected, (state, name)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from qbm.coefficients import compute_coefficients
 from qbm.errors import ValidationError
-from qbm.homogeneous import approx_rotation, build_rotation, invert_rotation, solve_fundamental
+from qbm.homogeneous import approx_rotation, invert_rotation, solve_fundamental
 from qbm.kernels import ReservoirSpec, tabulate_kernels
 from qbm.propagator import (
     build_propagator,
@@ -25,7 +25,7 @@ def coeffs():
 
 @pytest.fixture(scope="module")
 def rotations(coeffs):
-    return build_rotation(solve_fundamental(coeffs), coeffs)
+    return solve_fundamental(coeffs)
 
 
 def test_m_matrices_assembly(coeffs):
@@ -55,7 +55,7 @@ def test_w_zero_for_zero_coupling():
     free = compute_coefficients(
         tabulate_kernels(ReservoirSpec("ohmic_exp_cutoff", alpha=0.0, wc=5.0), grid)
     )
-    rot = build_rotation(solve_fundamental(free), free)
+    rot = solve_fundamental(free)
     w = w_matrix(free, rot)
     assert np.all(w == 0.0)
     wb = w_bar_matrix(w, invert_rotation(rot), free.big_gamma)
@@ -80,7 +80,7 @@ def test_w_matrix_step_halving_convergence():
     for dt in (0.04, 0.02, 0.01):
         grid = dt * np.arange(int(round(10.0 / dt)) + 1)
         c = compute_coefficients(tabulate_kernels(OHMIC, grid))
-        rot = build_rotation(solve_fundamental(c), c)
+        rot = solve_fundamental(c)
         vals[dt] = w_matrix(c, rot)[-1]
     num = np.max(np.abs(vals[0.04] - vals[0.02]))
     den = np.max(np.abs(vals[0.02] - vals[0.01]))

@@ -15,9 +15,9 @@ MOMENT_NAMES = ("mean_x", "mean_p", "xx", "pp", "xp_sym")
 
 
 def fd_moments(bundle, state, t):
-    """Moments at node t from 4th-order central differences of chi_t (the reference)."""
+    """{name: moment} at node t from 4th-order central differences of chi_t (the reference)."""
     m = qcf._moments_fd(lambda x, p: qcf.evolve_chi(bundle, state, t, x, p), 1e-4)
-    return qcf.MomentRow(*qcf._moment_columns(m.b, m.c))
+    return dict(zip(MOMENT_NAMES, qcf._moment_columns(m.b, m.c)))
 
 
 @pytest.fixture(scope="module")
@@ -167,18 +167,18 @@ def test_memory_loss_argument_contraction(bundles):
 
 
 def test_coherent_moment_anchors(bundles):
-    m = qcf.moments(bundles["full"], qcf.CoherentState(x0=2.0), 0)
-    assert m.mean_x == pytest.approx(2.0, abs=1e-14)
-    assert m.mean_p == pytest.approx(0.0, abs=1e-14)
-    assert m.xx == pytest.approx(4.5, abs=1e-14)
-    assert m.pp == pytest.approx(0.5, abs=1e-14)
-    assert m.xp_sym == pytest.approx(0.0, abs=1e-14)
+    m = qcf.observable_series(bundles["full"], qcf.CoherentState(x0=2.0))
+    assert m.mean_x[0] == pytest.approx(2.0, abs=1e-14)
+    assert m.mean_p[0] == pytest.approx(0.0, abs=1e-14)
+    assert m.xx[0] == pytest.approx(4.5, abs=1e-14)
+    assert m.pp[0] == pytest.approx(0.5, abs=1e-14)
+    assert m.xp_sym[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_thermal_moment_anchors(bundles):
-    m = qcf.moments(bundles["full"], qcf.ThermalState(1.0), 0)
-    assert m.xx == pytest.approx(1.5, abs=1e-14)
-    assert m.pp == pytest.approx(1.5, abs=1e-14)
+    m = qcf.observable_series(bundles["full"], qcf.ThermalState(1.0))
+    assert m.xx[0] == pytest.approx(1.5, abs=1e-14)
+    assert m.pp[0] == pytest.approx(1.5, abs=1e-14)
 
 
 def test_free_coherent_rotates(free_bundle):
@@ -189,11 +189,11 @@ def test_free_coherent_rotates(free_bundle):
 
 def test_fd_moments_match_gaussian_path(bundles):
     state = qcf.CoherentState(1.5, -0.5)
+    closed = qcf.observable_series(bundles["full"], state)
     for t in (0, 300, 900):
-        closed = qcf.moments(bundles["full"], state, t)
         fd = fd_moments(bundles["full"], state, t)
         for name in MOMENT_NAMES:
-            assert getattr(fd, name) == pytest.approx(getattr(closed, name), abs=5e-8)
+            assert fd[name] == pytest.approx(getattr(closed, name)[t], abs=5e-8)
 
 
 @pytest.mark.parametrize("temperature", (0.0, 2.0))
@@ -207,19 +207,16 @@ def test_fock_moment_map_matches_finite_differences(pipeline, n, temperature):
         series = qcf.observable_series(bundle, state)
         for t in range(0, len(bundle), 50):
             fd = fd_moments(bundle, state, t)
-            one = qcf.moments(bundle, state, t)
             for name in MOMENT_NAMES:
-                assert getattr(fd, name) == pytest.approx(
-                    getattr(series, name)[t], abs=1e-7
-                ), (mode, t, name)
-                assert getattr(one, name) == pytest.approx(getattr(series, name)[t], abs=1e-14)
+                expected = pytest.approx(getattr(series, name)[t], abs=1e-7)
+                assert fd[name] == expected, (mode, t, name)
 
 
 def test_fock_moments_match_number_expectation(bundles):
-    m = qcf.moments(bundles["full"], qcf.FockState(2), 0)
-    assert m.mean_x == pytest.approx(0.0, abs=1e-9)
-    assert m.xx == pytest.approx(2.5, abs=1e-7)  # n + 1/2
-    assert m.pp == pytest.approx(2.5, abs=1e-7)
+    m = qcf.observable_series(bundles["full"], qcf.FockState(2))
+    assert m.mean_x[0] == pytest.approx(0.0, abs=1e-9)
+    assert m.xx[0] == pytest.approx(2.5, abs=1e-7)  # n + 1/2
+    assert m.pp[0] == pytest.approx(2.5, abs=1e-7)
 
 
 def test_variance_floor_guard():
@@ -231,7 +228,6 @@ def test_variance_floor_guard():
             xx=np.array([3.9]),
             pp=np.array([0.5]),
             xp_sym=np.array([0.0]),
-            energy=np.array([2.2]),
         )
 
 
@@ -464,14 +460,13 @@ def test_tabulated_chi_moments_near_reference(bundles):
     # probes sit on table nodes; curvature read through a bilinear interpolant
     # is table-resolution-limited, and the moment map carries that error on
     tab, ref = make_tabulated_coherent(x0=0.5, extent=12.0, n=481)
+    m_tab = qcf.observable_series(bundles["rwa"], tab)
+    m_ref = qcf.observable_series(bundles["rwa"], ref)
     for t in (0, 500, 1000):
-        m_tab = qcf.moments(bundles["rwa"], tab, t)
-        m_ref = qcf.moments(bundles["rwa"], ref, t)
-        assert m_tab.mean_x == pytest.approx(m_ref.mean_x, abs=1e-3)
-        assert m_tab.xx == pytest.approx(m_ref.xx, abs=1e-2)
-        assert m_tab.pp == pytest.approx(m_ref.pp, abs=1e-2)
-    e_tab = qcf.observable_series(bundles["rwa"], tab).energy[0]
-    assert e_tab == pytest.approx(qcf.observable_series(bundles["rwa"], ref).energy[0], abs=1e-2)
+        assert m_tab.mean_x[t] == pytest.approx(m_ref.mean_x[t], abs=1e-3)
+        assert m_tab.xx[t] == pytest.approx(m_ref.xx[t], abs=1e-2)
+        assert m_tab.pp[t] == pytest.approx(m_ref.pp[t], abs=1e-2)
+    assert m_tab.energy[0] == pytest.approx(m_ref.energy[0], abs=1e-2)
 
 
 # --- wigner --------------------------------------------------------------

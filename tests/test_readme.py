@@ -27,7 +27,7 @@ def test_readme_config_block_parses(tmp_path):
 def test_readme_library_sketch_runs(capsys):
     exec(compile(fenced_block("## Library sketch", "python"), "README.md", "exec"), {})
     out = capsys.readouterr().out
-    assert "MomentRow" in out
+    assert out.startswith("ObservableSeries(grid=array(")
 
 
 def test_readme_oracle_list_names_exist():
