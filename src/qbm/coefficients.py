@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qbm.errors import ValidationError
-from qbm.kernels import TABULATED, KernelTable, ReservoirSpec, kappa, mu, quad, spectral_density
+from qbm.kernels import KernelTable, ReservoirSpec, kappa, mu, quad, spectral_density
 from qbm.runio import write_csv
 
 # refuse grids coarser than ~pi/5 radians of oscillation per step
@@ -97,8 +97,6 @@ def markovian_asymptotes(spec: ReservoirSpec) -> dict:
     t = 200 with the oscillation tail averaged out (integrals at horizons
     half a period apart are averaged, one Richardson-style step).
     """
-    if spec.family == TABULATED:
-        raise ValidationError("markovian asymptotes are undefined for tabulated kernels")
     if spec.alpha == 0.0:
         return {"delta_bar_inf": 0.0, "pi_inf": 0.0, "r_inf": 0.0, "gamma_inf": 0.0}
 

@@ -9,16 +9,21 @@ number.
 from __future__ import annotations
 
 import difflib
+import inspect
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from qbm import qcf
 from qbm.errors import FileError, ValidationError
-from qbm.kernels import FAMILIES, TABULATED, ReservoirSpec, load_kernel_csv
+from qbm.kernels import FAMILIES, KernelTable, ReservoirSpec, load_kernel_csv
 from qbm.oracle import INTERIOR_MARGIN
+from qbm.propagator import MODES
+from qbm.runio import read_csv
 
-RUN_MODES = ("full", "norenorm", "rwa", "oracle")
+RUN_MODES = (*MODES, "oracle")
 
 _KEY_TYPES = {
     "reservoir.family": str,
@@ -49,17 +54,8 @@ _KEY_TYPES = {
 
 _REQUIRED = ("reservoir.family", "grid.dt", "grid.t_max", "run.modes")
 
-# the tabulated family's table holds alpha^2 kappa and alpha^2 mu at its own
-# temperature, so these keys would be read and then ignored
-_NOT_TABULATED_KEYS = ("reservoir.alpha", "reservoir.wc", "reservoir.temperature")
-
-_STATE_PARAM_KEYS = {
-    "coherent": {"state.x0", "state.p0"},
-    "thermal": {"state.nbar"},
-    "squeezed": {"state.r", "state.phi"},
-    "fock": {"state.n"},
-    "tabulated_chi": {"state.chi_csv"},
-}
+# files named in the config are found relative to it
+_PATH_KEYS = ("reservoir.kernel_csv", "state.chi_csv")
 
 
 @dataclass(frozen=True)
@@ -136,6 +132,49 @@ def _typed(seen: dict, key: str, default=None):
     return value
 
 
+def _bounded(seen: dict, key: str, default, ok, bound: str):
+    """The typed value of ``key``, which ``ok`` must accept (``default`` always is)."""
+    value = _typed(seen, key, default)
+    if not ok(value):
+        raise ValidationError(f"line {seen[key][1]}: {key} must be {bound}")
+    return value
+
+
+def _build(seen: dict, selector: str, builders: dict, default=None):
+    """The object that the ``selector`` key names, built from its keys in ``seen``.
+
+    ``builders`` maps each value of ``selector`` to a constructor and the
+    keys it takes, ``{key: parameter}``; a key of the same section that the
+    constructor does not take is an error.  Required keys and defaults are
+    the constructor's own.  The keys join the call one at a time, the
+    required ones first, so that a ``ValidationError`` or ``FileError`` the
+    constructor raises is reported with the key and line that caused it.
+    """
+    kind = _typed(seen, selector, default)
+    if kind not in builders:
+        where = f"line {seen[selector][1]}: " if selector in seen else ""
+        raise ValidationError(f"{where}{selector} must be one of {tuple(builders)}, got {kind!r}")
+    build, fields = builders[kind]
+    section = selector.split(".")[0] + "."
+    for key, (_raw, lineno) in seen.items():
+        if key.startswith(section) and key != selector and key not in fields:
+            raise ValidationError(f"line {lineno}: {key} does not apply to {selector} = {kind}")
+    params = inspect.signature(build).parameters
+    required = [key for key, name in fields.items() if params[name].default is params[name].empty]
+    for key in required:
+        if key not in seen:
+            raise ValidationError(f"missing required key {key!r} for {selector} = {kind}")
+    values = {}
+    for keys in (required, *([key] for key in fields if key in seen and key not in required)):
+        values.update((fields[key], _typed(seen, key)) for key in keys)
+        try:
+            built = build(**values)
+        except (ValidationError, FileError) as exc:
+            where = ", ".join(f"line {seen[key][1]}: {key}" for key in keys)
+            raise type(exc)(f"{where}: {exc}") from exc
+    return built
+
+
 def parse_config(path) -> RunConfig:
     """Parse and validate a run configuration file."""
     seen = _read_assignments(path)
@@ -144,79 +183,31 @@ def parse_config(path) -> RunConfig:
             raise ValidationError(f"missing required key {key!r}")
 
     base_dir = os.path.dirname(os.path.abspath(path))
+    for key in _PATH_KEYS:
+        if key in seen:
+            raw, lineno = seen[key]
+            seen[key] = (os.path.join(base_dir, raw), lineno)
 
-    def resolve(p: str) -> str:
-        return p if os.path.isabs(p) else os.path.join(base_dir, p)
-
-    family = _typed(seen, "reservoir.family")
-    if family not in FAMILIES:
-        lineno = seen["reservoir.family"][1]
-        raise ValidationError(
-            f"line {lineno}: reservoir.family must be one of {FAMILIES}, got {family!r}"
-        )
-    table = None
-    if family == TABULATED:
-        for key in _NOT_TABULATED_KEYS:
-            if key in seen:
-                raise ValidationError(
-                    f"line {seen[key][1]}: {key} does not apply to the tabulated family, "
-                    "whose kernel table already includes the coupling and temperature"
-                )
-        if "reservoir.kernel_csv" not in seen:
-            raise ValidationError("tabulated reservoir requires reservoir.kernel_csv")
-        table = load_kernel_csv(resolve(_typed(seen, "reservoir.kernel_csv")))
-        alpha = 1.0  # the kernels read from the table are used as they stand
-    elif "reservoir.kernel_csv" in seen:
-        raise ValidationError(
-            f"line {seen['reservoir.kernel_csv'][1]}: reservoir.kernel_csv applies only "
-            "to the tabulated family"
-        )
-    elif "reservoir.alpha" not in seen:
-        raise ValidationError("missing required key 'reservoir.alpha'")
-    else:
-        alpha = _typed(seen, "reservoir.alpha")
-
-    try:
-        reservoir = ReservoirSpec(
-            family=family,
-            alpha=alpha,
-            wc=_typed(seen, "reservoir.wc", 5.0),
-            temperature=_typed(seen, "reservoir.temperature", 0.0),
-            table=table,
-        )
-    except ValidationError as exc:
-        raise ValidationError(f"reservoir section: {exc}") from exc
+    reservoir = _build(seen, "reservoir.family", _RESERVOIRS)
 
     # the oscillator frequency is the unit of frequency, so the key can only restate it
     if _typed(seen, "oscillator.omega0", 1.0) != 1.0:
         raise ValidationError(
-            "oscillator.omega0 is documentation metadata pinned to 1 (internal units)"
+            f"line {seen['oscillator.omega0'][1]}: oscillator.omega0 is documentation "
+            "metadata pinned to 1 (internal units)"
         )
 
-    kind = _typed(seen, "state.kind", "coherent")
-    if kind not in _STATE_PARAM_KEYS:
-        raise ValidationError(
-            f"state.kind must be one of {tuple(_STATE_PARAM_KEYS)}, got {kind!r}"
-        )
-    for key in seen:
-        if key.startswith("state.") and key != "state.kind":
-            if key not in _STATE_PARAM_KEYS[kind]:
-                raise ValidationError(f"{key} does not apply to state.kind = {kind}")
-    state = _build_state(kind, seen, resolve)
+    state = _build(seen, "state.kind", _STATE_KINDS, "coherent")
 
-    dt = _typed(seen, "grid.dt")
-    t_max = _typed(seen, "grid.t_max")
-    if dt <= 0:
-        raise ValidationError("grid.dt must be > 0")
-    if t_max < dt:
-        raise ValidationError("grid.t_max must be >= grid.dt")
-    if table is not None:
+    dt = _bounded(seen, "grid.dt", None, lambda v: v > 0, "> 0")
+    t_max = _bounded(seen, "grid.t_max", None, lambda v: v >= dt, ">= grid.dt")
+    if isinstance(reservoir, KernelTable):
         # the condition the kernel interpolation raises on, at the run's last node
         last = build_grid(dt, t_max)[-1]
-        if last > table.grid[-1]:
+        if last > reservoir.grid[-1]:
             raise ValidationError(
                 f"line {seen['reservoir.kernel_csv'][1]}: the reservoir.kernel_csv table ends "
-                f"at tau = {table.grid[-1]:g}, short of the last grid node t = {last:g} "
+                f"at tau = {reservoir.grid[-1]:g}, short of the last grid node t = {last:g} "
                 f"of grid.t_max = {t_max:g} (line {seen['grid.t_max'][1]}); extend the "
                 "table or lower grid.t_max"
             )
@@ -233,25 +224,22 @@ def parse_config(path) -> RunConfig:
     # canonical order, duplicates collapsed
     modes = tuple(m for m in RUN_MODES if m in modes)
 
-    oracle_dim = _typed(seen, "oracle.dimension", 30)
-    if oracle_dim < 8:
-        raise ValidationError("oracle.dimension must be >= 8")
-    if "oracle" in modes and kind == "fock" and state.n >= oracle_dim - INTERIOR_MARGIN:
+    oracle_dim = _bounded(seen, "oracle.dimension", 30, lambda v: v >= 8, ">= 8")
+    fock = isinstance(state, qcf.FockState)
+    if "oracle" in modes and fock and state.n >= oracle_dim - INTERIOR_MARGIN:
         where = f"line {seen['oracle.dimension'][1]}" if "oracle.dimension" in seen else "default"
         raise ValidationError(
             f"line {seen['state.n'][1]}: state.n = {state.n} is too close to the oracle "
             f"truncation oracle.dimension = {oracle_dim} ({where}); the oracle needs "
             f"oracle.dimension >= {state.n + INTERIOR_MARGIN + 1}"
         )
-    if "oracle" in modes and kind == "tabulated_chi":
+    if "oracle" in modes and isinstance(state, qcf.TabulatedChi):
         raise ValidationError(
             f"line {seen['state.kind'][1]}: state.kind = tabulated_chi has no Fock-space "
             "density matrix, so it cannot run with the oracle mode of run.modes "
             f"(line {seen['run.modes'][1]}); remove oracle from run.modes"
         )
-    leakage = _typed(seen, "oracle.leakage_threshold", 1e-6)
-    if leakage <= 0:
-        raise ValidationError("oracle.leakage_threshold must be > 0")
+    leakage = _bounded(seen, "oracle.leakage_threshold", 1e-6, lambda v: v > 0, "> 0")
 
     wigner_times = ()
     if "wigner.times" in seen:
@@ -266,21 +254,15 @@ def parse_config(path) -> RunConfig:
                 f"line {lineno}: wigner.times {outside[0]:g} lies outside "
                 f"[0, grid.t_max = {t_max:g}]"
             )
-    wigner_points = _typed(seen, "wigner.points", 64)
-    if wigner_points < 8:
-        raise ValidationError("wigner.points must be >= 8")
-    wigner_extent = _typed(seen, "wigner.extent", 6.0)
-    if wigner_extent <= 0:
-        raise ValidationError("wigner.extent must be > 0")
+    wigner_points = _bounded(seen, "wigner.points", 64, lambda v: v >= 8, ">= 8")
+    wigner_extent = _bounded(seen, "wigner.extent", 6.0, lambda v: v > 0, "> 0")
     wigner_enabled = _typed(seen, "wigner.enabled", False)
-    if wigner_enabled and kind == "tabulated_chi" and not state.zero_outside:
-        from qbm.qcf import _Z_EXTENTS
-
+    if wigner_enabled and isinstance(state, qcf.TabulatedChi) and not state.zero_outside:
         # a table that has not decayed at its boundary cannot stand for chi
         # beyond it, and the Wigner transform starts on a square z-grid of
         # half-width _Z_EXTENTS[0]; the evolution can rotate its corners onto
         # an axis
-        radius = _Z_EXTENTS[0] * np.sqrt(2.0)
+        radius = qcf._Z_EXTENTS[0] * np.sqrt(2.0)
         half_width = min(state.x_nodes[-1], state.p_nodes[-1])
         if half_width < radius:
             raise ValidationError(
@@ -307,37 +289,12 @@ def parse_config(path) -> RunConfig:
     )
 
 
-def _build_state(kind: str, seen: dict, resolve):
-    from qbm import qcf
-
-    if kind == "coherent":
-        return qcf.CoherentState(x0=_typed(seen, "state.x0", 0.0), p0=_typed(seen, "state.p0", 0.0))
-    if kind == "thermal":
-        if "state.nbar" not in seen:
-            raise ValidationError("thermal state requires state.nbar")
-        return qcf.ThermalState(nbar=_typed(seen, "state.nbar"))
-    if kind == "squeezed":
-        if "state.r" not in seen:
-            raise ValidationError("squeezed state requires state.r")
-        return qcf.SqueezedVacuum(r_sq=_typed(seen, "state.r"), phi=_typed(seen, "state.phi", 0.0))
-    if kind == "fock":
-        if "state.n" not in seen:
-            raise ValidationError("fock state requires state.n")
-        return qcf.FockState(n=_typed(seen, "state.n"))
-    if "state.chi_csv" not in seen:
-        raise ValidationError("tabulated_chi state requires state.chi_csv")
-    return load_chi_csv(resolve(_typed(seen, "state.chi_csv")))
-
-
 def load_chi_csv(path):
     """Load a tabulated characteristic function.
 
     Long format with header ``x,p,re_chi,im_chi``; the (x, p) points must
     form a full rectangular grid, symmetric about the origin.
     """
-    from qbm import qcf
-    from qbm.runio import read_csv
-
     header, data = read_csv(path)
     if header != ["x", "p", "re_chi", "im_chi"]:
         raise ValidationError(f"chi CSV {path} must have header 'x,p,re_chi,im_chi'")
@@ -354,3 +311,25 @@ def load_chi_csv(path):
     if not covered.all():
         raise ValidationError(f"chi CSV {path} has duplicate or missing grid points")
     return qcf.TabulatedChi(x_nodes, p_nodes, values)
+
+
+# each reservoir.family and state.kind: its constructor and the keys it
+# takes, by parameter name
+_SPEC_KEYS = {
+    "reservoir.alpha": "alpha",
+    "reservoir.wc": "wc",
+    "reservoir.temperature": "temperature",
+}
+_RESERVOIRS = {
+    **{family: (partial(ReservoirSpec, family), _SPEC_KEYS) for family in FAMILIES},
+    # a table holds alpha^2 kappa and alpha^2 mu at its own temperature
+    "tabulated": (load_kernel_csv, {"reservoir.kernel_csv": "path"}),
+}
+
+_STATE_KINDS = {
+    "coherent": (qcf.CoherentState, {"state.x0": "x0", "state.p0": "p0"}),
+    "thermal": (qcf.ThermalState, {"state.nbar": "nbar"}),
+    "squeezed": (qcf.SqueezedVacuum, {"state.r": "r_sq", "state.phi": "phi"}),
+    "fock": (qcf.FockState, {"state.n": "n"}),
+    "tabulated_chi": (load_chi_csv, {"state.chi_csv": "path"}),
+}

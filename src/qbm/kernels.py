@@ -21,11 +21,14 @@ ohmic_exp_cutoff
     the Bose expansion coth(w/2T) = 1 + 2 sum_n exp(-n w/T) sums kappa to
     alpha^2 Re[z^-2 + 2T^2 psi'(1 + T z)] with z = 1/wc - i tau and psi' the
     complex trigamma.  The quadrature path cross-checks every closed form.
-tabulated
-    (tau, kappa, mu) samples, alpha^2 included, with linear interpolation.
+
+A tabulated bath is not a family: it is the ``KernelTable`` of its (tau,
+kappa, mu) samples, alpha^2 included, that ``load_kernel_csv`` returns.
 
 ``kappa`` and ``mu`` take one lag or an array of lags through one code
-path; ``tabulate_kernels`` calls each once on the whole grid.
+path.  ``tabulate_kernels`` is the one place that tells the two kinds of
+bath apart: it evaluates a family's kappa and mu once each on the whole
+grid, or interpolates a table linearly.
 
 Quadrature (``kappa_quadrature``, ``mu_quadrature``): scipy's QUADPACK
 adaptive panels, kept as the reference the closed forms are tested
@@ -37,7 +40,7 @@ package's only scipy import, so no ``qbm run`` loads scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,8 +48,7 @@ from qbm.errors import QuadratureError, ValidationError
 from qbm.runio import read_csv
 
 OHMIC_EXP_CUTOFF = "ohmic_exp_cutoff"
-TABULATED = "tabulated"
-FAMILIES = (OHMIC_EXP_CUTOFF, TABULATED)
+FAMILIES = (OHMIC_EXP_CUTOFF,)
 
 # w*coth(w/2T) is replaced by its 2T limit below this frequency
 _COTH_CROSSOVER = 1e-8
@@ -90,17 +92,16 @@ class KernelTable:
 
 @dataclass(frozen=True)
 class ReservoirSpec:
-    """Reservoir model: family, coupling alpha, cutoff wc, temperature.
+    """A closed-form reservoir: family, coupling alpha, cutoff wc, temperature.
 
-    ``table`` carries the samples for the tabulated family and is ignored
-    otherwise.
+    A tabulated bath is its ``KernelTable`` instead, whose samples already
+    hold the coupling and the temperature.
     """
 
     family: str
     alpha: float
     wc: float = 5.0
     temperature: float = 0.0
-    table: KernelTable | None = field(default=None)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -113,16 +114,12 @@ class ReservoirSpec:
             raise ValidationError("cutoff wc must be > 0")
         if self.temperature < 0:
             raise ValidationError("temperature must be >= 0")
-        if self.family == TABULATED and self.table is None:
-            raise ValidationError("tabulated family requires a kernel table")
 
 
 def spectral_density(spec: ReservoirSpec, w):
-    """J(w) without the alpha^2 prefactor."""
+    """J(w) = w exp(-w/wc), without the alpha^2 prefactor."""
     w = np.asarray(w, dtype=float)
-    if spec.family == OHMIC_EXP_CUTOFF:
-        return w * np.exp(-w / spec.wc)
-    raise ValidationError(f"no spectral density for family {spec.family!r}")
+    return w * np.exp(-w / spec.wc)
 
 
 def quad(*args, **kwargs):
@@ -200,8 +197,6 @@ def mu_quadrature(spec: ReservoirSpec, tau: float) -> float:
 
 def _quadrature(spec: ReservoirSpec, tau: float, integral) -> float:
     _require_tau(tau)
-    if spec.family == TABULATED:
-        raise ValidationError("the tabulated family has no spectral density to integrate")
     if spec.alpha == 0.0:
         return 0.0
     return spec.alpha**2 * integral(spec, tau)
@@ -258,8 +253,6 @@ def mu(spec: ReservoirSpec, tau):
 
 
 def _kappa_lags(spec: ReservoirSpec, tau: np.ndarray) -> np.ndarray:
-    if spec.family == TABULATED:
-        return _interp_table(spec.table, tau, spec.table.kappa)
     if spec.alpha == 0.0:
         return np.zeros_like(tau)
     T = spec.temperature
@@ -274,26 +267,29 @@ def _kappa_lags(spec: ReservoirSpec, tau: np.ndarray) -> np.ndarray:
 
 
 def _mu_lags(spec: ReservoirSpec, tau: np.ndarray) -> np.ndarray:
-    if spec.family == TABULATED:
-        return _interp_table(spec.table, tau, spec.table.mu)
     if spec.alpha == 0.0:
         return np.zeros_like(tau)
     x2 = (spec.wc * tau) ** 2
     return spec.alpha**2 * 2.0 * spec.wc**3 * tau / (1.0 + x2) ** 2
 
 
-def _interp_table(table: KernelTable, tau: np.ndarray, column: np.ndarray) -> np.ndarray:
-    if np.any(tau > table.grid[-1]):
-        raise ValidationError(
-            f"tau={tau.max():g} outside tabulated kernel range [0, {table.grid[-1]:g}]"
-        )
-    return np.interp(tau, table.grid, column)
+def tabulate_kernels(reservoir: ReservoirSpec | KernelTable, grid) -> KernelTable:
+    """kappa and mu on ``grid``; ``KernelTable`` validates the grid.
 
-
-def tabulate_kernels(spec: ReservoirSpec, grid) -> KernelTable:
-    """Sample kappa and mu on ``grid``; ``KernelTable`` validates the grid."""
+    A closed-form reservoir is sampled, a table interpolated linearly.
+    """
     grid = np.asarray(grid, dtype=float)
-    return KernelTable(grid=grid, kappa=kappa(spec, grid), mu=mu(spec, grid))
+    if not isinstance(reservoir, KernelTable):
+        return KernelTable(grid=grid, kappa=kappa(reservoir, grid), mu=mu(reservoir, grid))
+    if np.any(_require_tau(grid) > reservoir.grid[-1]):
+        raise ValidationError(
+            f"tau={grid.max():g} outside tabulated kernel range [0, {reservoir.grid[-1]:g}]"
+        )
+    return KernelTable(
+        grid=grid,
+        kappa=np.interp(grid, reservoir.grid, reservoir.kappa),
+        mu=np.interp(grid, reservoir.grid, reservoir.mu),
+    )
 
 
 def load_kernel_csv(path) -> KernelTable:

@@ -44,7 +44,7 @@ import numpy as np
 from qbm.coefficients import CoefficientTable, compute_coefficients, cumulative_trapezoid
 from qbm.errors import ValidationError
 from qbm.homogeneous import approx_rotation, invert_rotation, solve_fundamental
-from qbm.kernels import ReservoirSpec, tabulate_kernels
+from qbm.kernels import KernelTable, ReservoirSpec, tabulate_kernels
 from qbm.runio import write_csv
 
 MODES = ("full", "norenorm", "rwa")
@@ -112,13 +112,13 @@ def lambda_theta_series(w_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_propagator(
-    spec: ReservoirSpec,
+    spec: ReservoirSpec | KernelTable,
     grid,
     mode: str = "full",
     *,
     coeffs: CoefficientTable | None = None,
 ) -> PropagatorBundle:
-    """Assemble the per-mode bundle from a reservoir spec and time grid.
+    """Assemble the per-mode bundle from a reservoir (spec or kernel table) and time grid.
 
     Passing a precomputed coefficient table skips the kernel tabulation,
     which the CLI uses to share one table across modes.

@@ -75,8 +75,19 @@ def covariance_to_chi_form(v: np.ndarray) -> np.ndarray:
     return _SYMPLECTIC_J @ np.asarray(v, dtype=float) @ _SYMPLECTIC_J.T
 
 
+class _GaussianChi:
+    """chi_0(z) = exp(i b.z - z.C.z/2), read from the state's ``initial_moments``."""
+
+    def chi0(self, x, p):
+        m = self.initial_moments
+        x = np.asarray(x, dtype=float)
+        p = np.asarray(p, dtype=float)
+        quad = m.c[0, 0] * x**2 + 2.0 * m.c[0, 1] * x * p + m.c[1, 1] * p**2
+        return np.exp(-0.5 * quad + 1j * (m.b[1] * p + m.b[0] * x))
+
+
 @dataclass(frozen=True)
-class CoherentState:
+class CoherentState(_GaussianChi):
     x0: float = 0.0
     p0: float = 0.0
 
@@ -84,14 +95,9 @@ class CoherentState:
     def initial_moments(self) -> ChiMoments:
         return ChiMoments(b=np.array([-self.p0, self.x0]), c=0.5 * np.eye(2))
 
-    def chi0(self, x, p):
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(p, dtype=float)
-        return np.exp(-(x**2 + p**2) / 4.0 + 1j * (p * self.x0 - x * self.p0))
-
 
 @dataclass(frozen=True)
-class ThermalState:
+class ThermalState(_GaussianChi):
     nbar: float
 
     def __post_init__(self):
@@ -102,14 +108,9 @@ class ThermalState:
     def initial_moments(self) -> ChiMoments:
         return ChiMoments(b=np.zeros(2), c=0.5 * (2.0 * self.nbar + 1.0) * np.eye(2))
 
-    def chi0(self, x, p):
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(p, dtype=float)
-        return np.exp(-(2.0 * self.nbar + 1.0) * (x**2 + p**2) / 4.0) + 0j
-
 
 @dataclass(frozen=True)
-class SqueezedVacuum:
+class SqueezedVacuum(_GaussianChi):
     """Squeezed vacuum: position variance e^{-2r}/2 at phi = 0.
 
     phi rotates the squeezing axis along the free-evolution flow, i.e. the
@@ -129,13 +130,6 @@ class SqueezedVacuum:
     @property
     def initial_moments(self) -> ChiMoments:
         return ChiMoments(b=np.zeros(2), c=covariance_to_chi_form(self.covariance()))
-
-    def chi0(self, x, p):
-        g = self.initial_moments
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(p, dtype=float)
-        quad = g.c[0, 0] * x**2 + 2.0 * g.c[0, 1] * x * p + g.c[1, 1] * p**2
-        return np.exp(-0.5 * quad) + 0j
 
 
 @dataclass(frozen=True)

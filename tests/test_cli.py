@@ -1,3 +1,4 @@
+import inspect
 import os
 import re
 
@@ -6,7 +7,7 @@ import pytest
 
 from qbm import kernels, qcf
 from qbm.cli import main
-from qbm.config import _KEY_TYPES, _STATE_PARAM_KEYS, RUN_MODES, load_chi_csv, parse_config
+from qbm.config import _KEY_TYPES, _STATE_KINDS, RUN_MODES, load_chi_csv, parse_config
 from qbm.errors import ValidationError
 from qbm.runio import read_csv
 from qbm.runner import build_grid, ellipse_points, run
@@ -84,7 +85,8 @@ def test_tabulated_family_rejects_ignored_reservoir_keys(tmp_path, key):
 
 
 def test_other_families_reject_kernel_csv_and_require_alpha(tmp_path):
-    with pytest.raises(ValidationError, match="line 7: reservoir.kernel_csv applies only"):
+    message = "line 7: reservoir.kernel_csv does not apply to reservoir.family = ohmic_exp_cutoff"
+    with pytest.raises(ValidationError, match=message):
         parse_config(write_conf(tmp_path, MINIMAL + "reservoir.kernel_csv = kernel.csv\n"))
     with pytest.raises(ValidationError, match="missing required key 'reservoir.alpha'"):
         parse_config(write_conf(tmp_path, MINIMAL.replace("reservoir.alpha = 0.0\n", "")))
@@ -96,7 +98,7 @@ def test_tabulated_family_without_alpha_runs(tmp_path):
     hot = kernels.ReservoirSpec("ohmic_exp_cutoff", alpha=0.1, wc=5.0, temperature=2.0)
     write_kernel_csv(tmp_path, hot, build_grid(0.01, 1.0))
     tab_conf = write_conf(tmp_path, TABULATED + f"run.output_dir = {tmp_path / 'tab'}\n")
-    assert parse_config(tab_conf).reservoir.family == "tabulated"
+    assert isinstance(parse_config(tab_conf).reservoir, kernels.KernelTable)
     assert main(["run", str(tab_conf)]) == 0
     ref_conf = write_conf(
         tmp_path,
@@ -150,6 +152,59 @@ def test_mode_list_parsing_and_validation(tmp_path):
     assert cfg.modes == ("rwa", "oracle")
     with pytest.raises(ValidationError, match="mode"):
         parse_config(write_conf(tmp_path, MINIMAL.replace("full", "fast")))
+
+
+def test_every_state_key_belongs_to_one_kind_and_names_a_parameter():
+    state_keys = [key for key in _KEY_TYPES if key.startswith("state.") and key != "state.kind"]
+    for key in state_keys:
+        owners = [kind for kind, (_, fields) in _STATE_KINDS.items() if key in fields]
+        assert len(owners) == 1, key
+        build, fields = _STATE_KINDS[owners[0]]
+        assert fields[key] in inspect.signature(build).parameters, key
+    assert sorted(key for _, fields in _STATE_KINDS.values() for key in fields) == sorted(state_keys)
+
+
+# each case: a MINIMAL line replaced (or None), lines appended (line 7 on), the
+# number of the bad line and what follows "line N: " in the message
+LINE_ERRORS = {
+    "grid.dt": (("grid.dt = 0.01", "grid.dt = -0.01"), [], 4, "grid.dt must be > 0"),
+    "grid.t_max": (
+        ("grid.t_max = 1.0", "grid.t_max = 0.001"), [], 5, "grid.t_max must be >= grid.dt"
+    ),
+    "oracle.dimension": (None, ["oracle.dimension = 4"], 7, "oracle.dimension must be >= 8"),
+    "oracle.leakage_threshold": (
+        None, ["oracle.leakage_threshold = 0"], 7, "oracle.leakage_threshold must be > 0"
+    ),
+    "wigner.points": (None, ["wigner.points = 4"], 7, "wigner.points must be >= 8"),
+    "wigner.extent": (None, ["wigner.extent = -1"], 7, "wigner.extent must be > 0"),
+    "state.x0": (
+        None,
+        ["state.kind = fock", "state.n = 1", "state.x0 = 1.0"],
+        9,
+        "state.x0 does not apply to state.kind = fock",
+    ),
+    "state.kind": (None, ["state.kind = cat"], 7, "state.kind must be one of "),
+    "reservoir.wc": (None, ["reservoir.wc = 0"], 7, "reservoir.wc: cutoff wc must be > 0"),
+    "oscillator.omega0": (
+        None, ["oscillator.omega0 = 2.0"], 7, "oscillator.omega0 is documentation metadata"
+    ),
+    "state.nbar": (
+        None,
+        ["state.kind = thermal", "state.nbar = -0.5"],
+        8,
+        "state.nbar: thermal occupation nbar must be >= 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LINE_ERRORS))
+def test_value_errors_name_their_key_and_line(tmp_path, case):
+    replaced, appended, lineno, message = LINE_ERRORS[case]
+    text = MINIMAL.replace(*replaced) if replaced else MINIMAL
+    path = write_conf(tmp_path, text + "".join(f"{line}\n" for line in appended))
+    with pytest.raises(ValidationError, match=rf"^line {lineno}: {re.escape(message)}"):
+        parse_config(path)
+    assert main(["run", str(path)]) == 1
 
 
 def test_state_params_must_match_kind(tmp_path):
@@ -351,7 +406,7 @@ STATE_KEYS = {
 
 
 @pytest.mark.parametrize("mode", RUN_MODES)
-@pytest.mark.parametrize("kind", list(_STATE_PARAM_KEYS))
+@pytest.mark.parametrize("kind", list(_STATE_KINDS))
 def test_every_state_kind_and_mode_runs_or_is_rejected_at_parse_time(tmp_path, kind, mode):
     write_chi_csv(tmp_path)
     out = tmp_path / "o"

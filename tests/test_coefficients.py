@@ -123,13 +123,6 @@ def test_asymptotes_match_transient_tail():
     assert coeffs.pi[-1] == pytest.approx(out["pi_inf"], abs=1e-4)
 
 
-def test_asymptotes_unsupported_for_tabulated():
-    table = tabulate_kernels(OHMIC, np.linspace(0.0, 3.0, 31))
-    spec_tab = ReservoirSpec("tabulated", alpha=0.1, table=table)
-    with pytest.raises(ValidationError):
-        markovian_asymptotes(spec_tab)
-
-
 def test_gamma_nondecreasing_integral_when_gamma_positive():
     coeffs = make_coeffs(OHMIC, t_max=20.0)
     if np.all(coeffs.gamma >= 0):

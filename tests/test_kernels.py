@@ -126,14 +126,6 @@ def test_array_lags_rejected_like_scalar_lags(bad):
                 f(spec, np.array([0.0, 1.0, bad, 2.0]))
 
 
-def test_quadrature_rejects_the_tabulated_family():
-    table = tabulate_kernels(OHMIC, np.linspace(0.0, 1.0, 11))
-    spec = ReservoirSpec("tabulated", alpha=1.0, table=table)
-    for f in (kappa_quadrature, mu_quadrature):
-        with pytest.raises(ValidationError, match="no spectral density"):
-            f(spec, 0.5)
-
-
 def test_negative_lag_rejected():
     with pytest.raises(ValidationError):
         kappa(OHMIC, -0.1)
@@ -170,17 +162,16 @@ def test_tabulate_zero_coupling_gives_zero_table():
 def test_tabulated_roundtrip_is_exact_at_nodes():
     grid = np.linspace(0.0, 4.0, 41)
     base = tabulate_kernels(OHMIC, grid)
-    spec_tab = ReservoirSpec("tabulated", alpha=0.1, table=base)
-    again = tabulate_kernels(spec_tab, grid)
+    again = tabulate_kernels(base, grid)
     assert np.array_equal(again.kappa, base.kappa)
     assert np.array_equal(again.mu, base.mu)
 
 
 def test_tabulated_rejects_out_of_range():
     grid = np.linspace(0.0, 4.0, 41)
-    spec_tab = ReservoirSpec("tabulated", alpha=0.1, table=tabulate_kernels(OHMIC, grid))
+    table = tabulate_kernels(OHMIC, grid)
     with pytest.raises(ValidationError):
-        kappa(spec_tab, 5.0)
+        tabulate_kernels(table, [0.0, 5.0])
 
 
 def test_kernel_table_validation():
@@ -219,9 +210,8 @@ def test_kernel_csv_roundtrip(tmp_path):
     path.write_text("tau,kappa,mu\n0.0,0.25,0.0\n0.5,0.1,0.02\n1.0,0.01,0.001\n")
     table = load_kernel_csv(path)
     assert table.kappa[1] == 0.1
-    spec_tab = ReservoirSpec("tabulated", alpha=1.0, table=table)
     # linear interpolation between nodes
-    assert kappa(spec_tab, 0.25) == pytest.approx(0.175)
+    assert tabulate_kernels(table, [0.0, 0.25]).kappa[1] == pytest.approx(0.175)
     bad = tmp_path / "bad.csv"
     bad.write_text("time,k,m\n0,1,0\n")
     with pytest.raises(ValidationError):
