@@ -1,23 +1,19 @@
 """Homogeneous dynamics: the 2x2 evolution matrix R(t).
 
-The unitary part of the evolution moves phase-space arguments by a real
-2x2 matrix R(t) built from two independent solutions of
+Under the unitary part -i[Hbar_0(t), .] of the master equation the first
+moments u = (<X>, <P>) obey
 
-    y'' + [1 - r(t) - gamma(t)^2 - gamma'(t)] y = 0
+    u' = B(t) u,   B = [[gamma, 1], [r - 1, -gamma]]
 
-(frequencies in units of the oscillator frequency, w0 = 1) with c(0) = 1,
-c'(0) = 0 and s(0) = 0, s'(0) = 1.  The equation has no first-derivative
-term, so the Wronskian c s' - s c' stays pinned at 1 (Abel), and it is
-det R(t):
+(frequencies in units of the oscillator frequency, w0 = 1), and R(t) is the
+fundamental matrix of that system: R' = B R, R(0) = I.  tr B = 0, so
+det R(t) = 1 (Liouville).  In the paper's notation R = [[c, s], [-s_r, c_r]].
 
-    R(t) = [[c, s], [-s_r, c_r]],   c_r = s' - gamma s,
-                                    s_r = gamma c - c'.
-
-gamma(t) is stored on the grid as a trapezoid sum (``qbm.coefficients``), so
-gamma'(t) is taken by second-order centered differences on that grid
-(one-sided at the ends).  The integrator is classical RK4 with the effective
-frequency linearly interpolated at half-steps, matching how the Fock-space
-oracle consumes the same table.
+B's eigenvalues are +-i sqrt(det B), det B = 1 - r - gamma^2: the solver
+supports the weak, under-damped regime det B > 0.  The integrator is
+classical RK4 with B linearly interpolated at half-steps, the interpolation
+the Fock-space oracle uses for the same table.  On a linear system each RK4
+step is a matrix M_i, built for the whole grid at once; R_{i+1} = M_i R_i.
 """
 
 from __future__ import annotations
@@ -36,22 +32,10 @@ MAX_FREQUENCY_STEP = 0.5  # refuse when effective frequency * dt exceeds this
 DET_DRIFT_WARN = 1e-6
 
 
-def gamma_derivative(coeffs: CoefficientTable) -> np.ndarray:
-    """Centered second-order differences of gamma, one-sided at the ends."""
-    return np.gradient(coeffs.gamma, coeffs.grid, edge_order=2)
-
-
-def effective_frequency_sq(coeffs: CoefficientTable) -> np.ndarray:
-    return 1.0 - coeffs.r - coeffs.gamma**2 - gamma_derivative(coeffs)
-
-
 def solve_fundamental(coeffs: CoefficientTable) -> np.ndarray:
-    """Per-node evolution matrices R(t), shape (n, 2, 2), det R = 1.
-
-    Both Cauchy problems are integrated with RK4 on the coefficient grid.
-    """
+    """Per-node evolution matrices R(t), shape (n, 2, 2), det R = 1."""
     grid = coeffs.grid
-    w2 = effective_frequency_sq(coeffs)
+    w2 = 1.0 - coeffs.r - coeffs.gamma**2  # det B, the effective squared frequency
     if np.any(w2 < 0):
         t_bad = grid[np.argmax(w2 < 0)]
         raise NumericalError(
@@ -68,31 +52,24 @@ def solve_fundamental(coeffs: CoefficientTable) -> np.ndarray:
             f"{MAX_FREQUENCY_STEP / np.sqrt(w2.max()):g}"
         )
 
-    w2_mid = 0.5 * (w2[:-1] + w2[1:])
-    n = len(grid)
-    # columns: (c, s); rows of y/v: value and derivative
-    y = np.empty((n, 2))
-    v = np.empty((n, 2))
-    y[0] = (1.0, 0.0)
-    v[0] = (0.0, 1.0)
-    for i in range(n - 1):
-        h = steps[i]
-        w2_0, w2_m, w2_1 = w2[i], w2_mid[i], w2[i + 1]
-        y0, v0 = y[i], v[i]
-        k1y, k1v = v0, -w2_0 * y0
-        k2y, k2v = v0 + 0.5 * h * k1v, -w2_m * (y0 + 0.5 * h * k1y)
-        k3y, k3v = v0 + 0.5 * h * k2v, -w2_m * (y0 + 0.5 * h * k2y)
-        k4y, k4v = v0 + h * k3v, -w2_1 * (y0 + h * k3y)
-        y[i + 1] = y0 + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-        v[i + 1] = v0 + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+    b = np.empty((len(grid), 2, 2))
+    b[:, 0, 0] = coeffs.gamma
+    b[:, 0, 1] = 1.0
+    b[:, 1, 0] = coeffs.r - 1.0
+    b[:, 1, 1] = -coeffs.gamma
+    b_mid = 0.5 * (b[:-1] + b[1:])
+    h = steps[:, None, None]
+    eye = np.eye(2)
+    k1 = b[:-1]
+    k2 = b_mid @ (eye + 0.5 * h * k1)
+    k3 = b_mid @ (eye + 0.5 * h * k2)
+    k4 = b[1:] @ (eye + h * k3)
+    step = eye + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    c_r = v[:, 1] - coeffs.gamma * y[:, 1]
-    s_r = coeffs.gamma * y[:, 0] - v[:, 0]
-    rot = np.empty((n, 2, 2))
-    rot[:, 0, 0] = y[:, 0]
-    rot[:, 0, 1] = y[:, 1]
-    rot[:, 1, 0] = -s_r
-    rot[:, 1, 1] = c_r
+    rot = np.empty_like(b)
+    rot[0] = eye
+    for i, m in enumerate(step):
+        np.matmul(m, rot[i], out=rot[i + 1])
     return rot
 
 

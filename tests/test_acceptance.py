@@ -145,10 +145,10 @@ def test_criterion_4_algebra(pipeline):
 
 @criterion(5, "first moments follow the homogeneous evolution matrix")
 def test_criterion_5_rotation_law(pipeline):
-    # the criterion pins no grid; the centered-difference gamma-dot feeding
-    # the effective frequency is second-order, so the 1e-6 band needs a
-    # finer step than the moment benchmarks use
-    dt = 0.0025
+    # both routes step the same linear system u' = B(t) u by RK4 with the
+    # same half-step interpolation of the table, so they agree to rounding
+    # on the run grid
+    dt = 0.01
     grid = dt * np.arange(int(round(30.0 / dt)) + 1)
     coeffs = compute_coefficients(tabulate_kernels(pipeline.spec(0.0), grid))
     rot = solve_fundamental(coeffs)
@@ -160,7 +160,7 @@ def test_criterion_5_rotation_law(pipeline):
         np.max(np.abs(traj.mean_x - predicted[:, 0])),
         np.max(np.abs(traj.mean_p - predicted[:, 1])),
     )
-    assert dev < 1e-6, dev
+    assert dev < 1e-12, dev
 
 
 @criterion(6, "structural invariants of every representation")

@@ -65,7 +65,7 @@ def test_step_halving_shows_fourth_order_convergence_free_case():
 
 
 def test_step_halving_converges_on_coupled_run():
-    # with quadrature-built tables the half-step interpolation of the
+    # with trapezoid-built tables the half-step interpolation of the
     # coefficients limits consistency to second order; refinement must still
     # contract at least that fast
     sols = {}
@@ -118,9 +118,7 @@ def test_approx_rotation_error_scales_as_alpha_squared():
 def test_rotation_is_continuous():
     coeffs = make_coeffs(0.1, t_max=10.0)
     rot = solve_fundamental(coeffs)
-    from qbm.homogeneous import effective_frequency_sq
-
-    w_max = np.sqrt(np.max(effective_frequency_sq(coeffs)))
+    w_max = np.sqrt(np.max(1.0 - coeffs.r - coeffs.gamma**2))
     norm_max = np.max(np.abs(rot))
     step = np.max(np.abs(np.diff(rot, axis=0)))
     assert step <= w_max * 0.01 * (1.0 + norm_max)
@@ -131,6 +129,8 @@ def test_large_step_refused():
         solve_fundamental(constant_table(dt=0.6, t_max=6.0))
 
 
-def test_negative_effective_frequency_aborts():
+@pytest.mark.parametrize("r, gamma", [(2.0, 0.0), (0.0, 1.2)], ids=["r", "gamma"])
+def test_negative_effective_frequency_aborts(r, gamma):
+    # det B = 1 - r - gamma^2 turns negative through either term
     with pytest.raises(NumericalError, match=r"weak.*lower reservoir\.alpha"):
-        solve_fundamental(constant_table(dt=0.01, t_max=1.0, r=2.0))
+        solve_fundamental(constant_table(dt=0.01, t_max=1.0, r=r, gamma=gamma))
