@@ -114,6 +114,17 @@ class ReservoirSpec:
             raise ValidationError("cutoff wc must be > 0")
         if self.temperature < 0:
             raise ValidationError("temperature must be >= 0")
+        # the kernels at tau = 0 take every power of the parameters, and
+        # |kappa|, |mu| <= kappa(0); Python's float ** raises where numpy gives inf
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = all(np.isfinite(f(self, np.zeros(1))) for f in (_kappa_lags, _mu_lags))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValidationError(
+                "alpha, wc and temperature give kernels that overflow double precision"
+            )
 
 
 def spectral_density(spec: ReservoirSpec, w):

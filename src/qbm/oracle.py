@@ -86,8 +86,9 @@ class FockOperators:
     p2: np.ndarray = field(repr=False, default=None)
     xppx: np.ndarray = field(repr=False, default=None)
     h0: np.ndarray = field(repr=False, default=None)
-    # tr(A rho) for A in X, P, X^2, P^2, XP+PX, 1 (the moments, then the
-    # trace) is rho.ravel()[moment_support] @ moment_map: columns A^T.ravel()
+    # tr(A rho) for A in X, P, X^2, P^2, XP+PX, 1 and the projector on the
+    # top three levels (the moments, the trace, then the leakage) is
+    # rho.ravel()[moment_support] @ moment_map: seven columns A^T.ravel()
     # restricted to the entries where some A is nonzero
     moment_support: np.ndarray = field(repr=False, default=None)
     moment_map: np.ndarray = field(repr=False, default=None)
@@ -105,7 +106,8 @@ def fock_operators(d: int) -> FockOperators:
     x2 = x @ x
     p2 = p @ p
     xppx = x @ p + p @ x
-    traced = np.stack([op.T.reshape(-1) for op in (x, p, x2, p2, xppx, np.eye(d))], axis=1)
+    top = np.diag((np.arange(d) >= d - 3).astype(float))
+    traced = np.stack([op.T.reshape(-1) for op in (x, p, x2, p2, xppx, np.eye(d), top)], axis=1)
     support = np.flatnonzero(np.any(traced != 0, axis=1))
     return FockOperators(
         d=d,
@@ -311,10 +313,10 @@ def integrate_modes(
     Every mode starts from ``rho0`` and gets its own trajectory and guards.
     Only the parity sectors in which rho0 has a nonzero entry are stepped; L
     keeps the other one exactly zero.  Coefficients at half-steps come from
-    linear interpolation, each rho is re-hermitized every step with the
-    drift recorded, and population in the top three levels above the
-    threshold aborts the run, naming the mode; so does a final rho with an
-    entry |rho_mn| > 1 (StabilityError).  Returns ``{mode: OracleTrajectory}``.
+    linear interpolation, and population in the top three levels above the
+    threshold, at t = 0 or after a step, aborts the run, naming the mode; so
+    does a final rho with an entry |rho_mn| > 1 (StabilityError).  Returns
+    ``{mode: OracleTrajectory}``.
 
     Each mode is one RK4 loop, run in this process, or in a forked child for
     every mode after the first where more than one CPU is usable; the
@@ -330,7 +332,7 @@ def integrate_modes(
     rho0 = np.array(rho0, dtype=complex)
     d = rho0.shape[0]
     ops = fock_operators(d)
-    lk = float(np.sum(np.diagonal(rho0).real[-3:]))
+    lk = float((rho0.ravel()[None, ops.moment_support] @ ops.moment_map)[0, -1].real)
     if not lk <= leakage_threshold:  # NaN trips it too
         raise LeakageError(
             f"initial state already leaks {lk:.2e} into the top levels; increase d beyond {d}"
@@ -414,8 +416,10 @@ def _replies(children) -> list:
 def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> OracleTrajectory:
     """Step one mode from ``rho0`` through one RK4 loop, on the given sectors.
 
-    Raises the error of the first guard that trips: leakage after a step, or
-    the |rho_mn| <= 1 check at the end of the run.
+    Each node is read by one product with ``moment_map``: the moments, the
+    trace and the leakage.  rho is never corrected, so the drift read off
+    the final rho is that of the whole run.  Raises the error of the first
+    guard that trips: leakage after a step, or |rho_mn| <= 1 at the end.
     """
     d = ops.d
     t = coeffs.grid
@@ -423,34 +427,22 @@ def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> Orac
     gen = _Stencil(ops, mode, sectors)
     rows = np.column_stack([np.ones(n)] + [getattr(coeffs, k) for k in WEIGHTS[1:]])
 
-    moments = np.empty((ops.moment_map.shape[1] - 1, n))
-    trace_err = herm_drift = 0.0
     # the entries of the moment map, as indices into a buffer
     level, column = np.divmod(ops.moment_support, d)
     support = gen.pad + level * gen.stride + column
-
-    def leakage(rho) -> float:
-        return float(np.sum(np.diagonal(rho).real[-3:]))
-
-    def record(i, state) -> float:
-        """Store the moments at node i and return the trace."""
-        # a (1, k) @ (k, 6) matmul: a vector-matrix product may round differently
-        traces = (state[None, support] @ ops.moment_map)[0].real
-        moments[:, i] = traces[:-1]
-        return traces[-1]
+    # one (1, k) @ (k, 7) matmul per node: a vector-matrix product may round differently
+    readout = np.empty((n, ops.moment_map.shape[1]), dtype=complex)
 
     state, stage = gen.buffer(), gen.buffer()
     rho = gen.rho(state)
     rho[...] = rho0
     v, v_stage = gen.stepped(state), gen.stepped(stage)
     reads, stage_reads = gen.neighbours(state), gen.neighbours(stage)
-    max_leak = leakage(rho0)
-    record(0, state)
+    np.matmul(state[None, support], ops.moment_map, out=readout[:1])
 
     node = gen.at(rows[0])
     mid, nxt = np.empty_like(node), np.empty_like(node)
     acc, k, scaled = np.empty_like(v), np.empty_like(v), np.empty_like(v)
-    dag, diff, size = np.empty_like(rho), np.empty_like(rho), np.empty(rho.shape)
     for i in range(n - 1):
         h = t[i + 1] - t[i]
         gen.at(0.5 * (rows[i] + rows[i + 1]), mid)
@@ -466,19 +458,13 @@ def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> Orac
         v += np.multiply(h / 6.0, acc, out=acc)
         node, nxt = nxt, node
 
-        np.conjugate(rho.T, out=dag)
-        np.abs(np.subtract(rho, dag, out=diff), out=size)
-        herm_drift = max(herm_drift, float(size.max()))
-        np.multiply(0.5, np.add(rho, dag, out=diff), out=rho)
-
-        lk = leakage(rho)
-        max_leak = max(max_leak, lk)
+        np.matmul(state[None, support], ops.moment_map, out=readout[i + 1 : i + 2])
+        lk = readout[i + 1, -1].real
         if lk > leakage_threshold:
             raise LeakageError(
                 f"oracle mode {mode!r}: truncation leakage {lk:.2e} exceeded "
                 f"{leakage_threshold:.2e} at t={t[i + 1]:g}; {_remedy(d, h)}"
             )
-        trace_err = max(trace_err, abs(float(record(i + 1, state)) - 1.0))
 
     # the leakage guard reads only the top populations, which an unstable
     # step need not move: at alpha = 0 nothing couples the growing
@@ -490,13 +476,14 @@ def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> Orac
             f"t={t[-1]:g}, so rho is no longer a density matrix; "
             f"{_remedy(d, np.diff(t).max())}"
         )
-    # the rows of ``moments`` are X, P, X^2, P^2, XP+PX: the fields' order
+    # moment_map's columns: X, P, X^2, P^2, XP+PX (the fields' order), trace, leakage
+    *moments, trace, leakage = readout.real.T
     return OracleTrajectory(
         t,
         *moments,
-        trace_error=trace_err,
-        herm_drift=herm_drift,
-        max_leakage=max_leak,
+        trace_error=float(np.max(np.abs(trace[1:] - 1.0), initial=0.0)),
+        herm_drift=float(np.abs(rho - rho.conj().T).max()),
+        max_leakage=float(leakage.max()),
         rho_final=np.array(rho),
         sectors=tuple(SECTORS[s] for s in sectors),
     )
@@ -529,17 +516,11 @@ def to_density_matrix(state, d: int) -> np.ndarray:
         n = np.arange(d)
         log_fact = np.array([math.lgamma(k + 1.0) for k in n])
         amp = np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * log_fact) * np.abs(alpha) ** n
-        phase = np.exp(1j * n * np.angle(alpha)) if alpha != 0 else np.ones(d)
-        psi = amp * phase
+        psi = amp * np.exp(1j * n * np.angle(alpha))
         rho = np.outer(psi, psi.conj())
     elif isinstance(state, qcf.ThermalState):
         nb = state.nbar
-        if nb == 0:
-            rho = np.zeros((d, d), dtype=complex)
-            rho[0, 0] = 1.0
-        else:
-            w = (nb / (nb + 1.0)) ** np.arange(d) / (nb + 1.0)
-            rho = np.diag(w).astype(complex)
+        rho = np.diag((nb / (nb + 1.0)) ** np.arange(d) / (nb + 1.0)).astype(complex)
     elif isinstance(state, qcf.FockState):
         if state.n >= d - INTERIOR_MARGIN:
             raise ValidationError(f"Fock level {state.n} too close to truncation d={d}")

@@ -75,7 +75,20 @@ def covariance_to_chi_form(v: np.ndarray) -> np.ndarray:
     return _SYMPLECTIC_J @ np.asarray(v, dtype=float) @ _SYMPLECTIC_J.T
 
 
-class _GaussianChi:
+class _State:
+    """A state whose ``initial_moments`` are built by its ``_moments()``, and checked, once."""
+
+    def __post_init__(self):
+        # an overflow gives inf or nan, which ChiMoments rejects, or an
+        # OverflowError from an int too large for a float
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                object.__setattr__(self, "initial_moments", ChiMoments(*self._moments()))
+        except OverflowError as exc:
+            raise ValidationError(f"chi moments must be finite: {exc}") from exc
+
+
+class _GaussianChi(_State):
     """chi_0(z) = exp(i b.z - z.C.z/2), read from the state's ``initial_moments``."""
 
     def chi0(self, x, p):
@@ -91,22 +104,18 @@ class CoherentState(_GaussianChi):
     x0: float = 0.0
     p0: float = 0.0
 
-    @property
-    def initial_moments(self) -> ChiMoments:
-        return ChiMoments(b=np.array([-self.p0, self.x0]), c=0.5 * np.eye(2))
+    def _moments(self):
+        return np.array([-self.p0, self.x0]), 0.5 * np.eye(2)
 
 
 @dataclass(frozen=True)
 class ThermalState(_GaussianChi):
     nbar: float
 
-    def __post_init__(self):
+    def _moments(self):
         if self.nbar < 0:
             raise ValidationError("thermal occupation nbar must be >= 0")
-
-    @property
-    def initial_moments(self) -> ChiMoments:
-        return ChiMoments(b=np.zeros(2), c=0.5 * (2.0 * self.nbar + 1.0) * np.eye(2))
+        return np.zeros(2), 0.5 * (2.0 * self.nbar + 1.0) * np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -127,23 +136,22 @@ class SqueezedVacuum(_GaussianChi):
         core = 0.5 * np.diag([np.exp(-2.0 * self.r_sq), np.exp(2.0 * self.r_sq)])
         return rot @ core @ rot.T
 
-    @property
-    def initial_moments(self) -> ChiMoments:
-        return ChiMoments(b=np.zeros(2), c=covariance_to_chi_form(self.covariance()))
+    def _moments(self):
+        return np.zeros(2), covariance_to_chi_form(self.covariance())
 
 
 @dataclass(frozen=True)
-class FockState:
+class FockState(_State):
     n: int
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 0:
             raise ValidationError("Fock level n must be a non-negative integer")
         object.__setattr__(self, "n", int(self.n))
+        super().__post_init__()
 
-    @property
-    def initial_moments(self) -> ChiMoments:
-        return ChiMoments(b=np.zeros(2), c=(self.n + 0.5) * np.eye(2))
+    def _moments(self):
+        return np.zeros(2), (self.n + 0.5) * np.eye(2)
 
     def chi0(self, x, p):
         x = np.asarray(x, dtype=float)
@@ -412,23 +420,6 @@ def closed_form_energy(bundle: PropagatorBundle, e0: float, delta_gamma) -> np.n
     it is the rotating-wave reference energy of any bundle.
     """
     return np.exp(-bundle.big_gamma) * e0 + delta_gamma
-
-
-def rwa_moment_gaps(bundle: PropagatorBundle, t_index: int) -> tuple[float, float, float]:
-    """Second-moment gaps relative to the rotating-wave solution.
-
-    From a norenorm bundle the counter-rotating terms shift the second
-    moments by (d<X^2>, d<P^2>, d<XP+PX>) = (-lambda, +lambda, -2*theta);
-    only the sigma_z / sigma_x components of Wbar enter, so the gaps track
-    the oscillating part of the diffusion matrix node by node.
-    """
-    if bundle.mode == "rwa":
-        return (0.0, 0.0, 0.0)
-    if bundle.mode != "norenorm":
-        raise ValidationError("moment gaps are defined for norenorm bundles")
-    lam = float(bundle.lam[t_index])
-    theta = float(bundle.theta[t_index])
-    return (-lam, lam, -2.0 * theta)
 
 
 def wigner(bundle: PropagatorBundle, state, t_index: int, q_grid, p_grid):

@@ -122,7 +122,8 @@ def test_criterion_3_rwa_gaps(pipeline):
             state = pipeline.state(state_name)
             s_nr = qcf.observable_series(norenorm, state)
             s_rwa = qcf.observable_series(rwa, state)
-            gaps = np.array([qcf.rwa_moment_gaps(norenorm, t) for t in range(len(norenorm))])
+            # the counter-rotating gaps (d<X^2>, d<P^2>, d<XP+PX>) = (-lam, lam, -2 theta)
+            gaps = np.column_stack([-norenorm.lam, norenorm.lam, -2.0 * norenorm.theta])
             assert np.max(np.abs((s_nr.xx - s_rwa.xx) - gaps[:, 0])) < 1e-8
             assert np.max(np.abs((s_nr.pp - s_rwa.pp) - gaps[:, 1])) < 1e-8
             assert np.max(np.abs((s_nr.xp_sym - s_rwa.xp_sym) - gaps[:, 2])) < 1e-8

@@ -195,16 +195,46 @@ LINE_ERRORS = {
         "state.nbar: thermal occupation nbar must be >= 0",
     ),
 }
+# parameters whose kernels or initial moments overflow double precision
+_KERNELS = "alpha, wc and temperature give kernels that overflow double precision"
+_MOMENTS = "chi moments must be finite"
+_ALPHA = "reservoir.alpha = 0.0"
+LINE_ERRORS |= {
+    "reservoir.alpha overflow": (
+        (_ALPHA, "reservoir.alpha = 1e200"), [], 3, f"reservoir.alpha: {_KERNELS}"
+    ),
+    "reservoir.wc overflow": (
+        (_ALPHA, "reservoir.alpha = 0.1\nreservoir.wc = 1e200"), [], 4, f"reservoir.wc: {_KERNELS}"
+    ),
+    "reservoir.temperature overflow": (
+        (_ALPHA, "reservoir.alpha = 0.1\nreservoir.temperature = 1e160"),
+        [],
+        4,
+        f"reservoir.temperature: {_KERNELS}",
+    ),
+    "state.r overflow": (
+        None, ["state.kind = squeezed", "state.r = 400"], 8, f"state.r: {_MOMENTS}"
+    ),
+    "state.nbar overflow": (
+        None, ["state.kind = thermal", "state.nbar = 1e308"], 8, f"state.nbar: {_MOMENTS}"
+    ),
+    "state.n overflow": (
+        None, ["state.kind = fock", "state.n = 1" + "0" * 310], 8, f"state.n: {_MOMENTS}"
+    ),
+}
 
 
 @pytest.mark.parametrize("case", list(LINE_ERRORS))
-def test_value_errors_name_their_key_and_line(tmp_path, case):
+def test_value_errors_name_their_key_and_line(tmp_path, capsys, case):
     replaced, appended, lineno, message = LINE_ERRORS[case]
     text = MINIMAL.replace(*replaced) if replaced else MINIMAL
     path = write_conf(tmp_path, text + "".join(f"{line}\n" for line in appended))
     with pytest.raises(ValidationError, match=rf"^line {lineno}: {re.escape(message)}"):
         parse_config(path)
     assert main(["run", str(path)]) == 1
+    # the error line alone: no traceback and no warning before it
+    err = capsys.readouterr().err
+    assert err.startswith(f"qbm: error: line {lineno}: ") and err.count("\n") == 1
 
 
 def test_state_params_must_match_kind(tmp_path):

@@ -130,7 +130,6 @@ def test_integration_steps_on_the_generator():
             k = gen(rho0 + step * k)
             acc += weight * k
         rho = rho0 + (h / 6.0) * acc
-        rho = 0.5 * (rho + rho.conj().T)
         assert np.array_equal(batch[mode].rho_final, rho), mode
 
 
@@ -282,7 +281,6 @@ def reference_integrate(rho, coeffs, mode, ops, n):
         k3 = reference_rhs(rho + 0.5 * h * k2, *mid[:, i], ops, mode)
         k4 = reference_rhs(rho + h * k3, *node[:, i + 1], ops, mode)
         rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
         moments[:, i + 1] = [np.trace(a @ rho).real for a in traced]
     return moments, rho
 
@@ -316,6 +314,7 @@ def test_batched_modes_match_reference_and_single_runs(pipeline, state_name, sec
         for name in MOMENT_NAMES + ("energy", "rho_final"):
             assert np.array_equal(getattr(traj, name), getattr(single, name)), (mode, name)
         assert traj.herm_drift <= 1e-10
+        assert traj.herm_drift == np.abs(traj.rho_final - traj.rho_final.conj().T).max()
 
 
 @pytest.mark.parametrize("state_name", ["coherent2", "fock2"])

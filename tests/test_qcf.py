@@ -281,29 +281,22 @@ def test_norenorm_energy_equals_rwa_energy(bundles):
 # --- moment gaps ---------------------------------------------------------
 
 
-def test_gaps_zero_for_rwa_bundle(bundles):
-    assert qcf.rwa_moment_gaps(bundles["rwa"], 500) == (0.0, 0.0, 0.0)
-
-
 def test_gaps_zero_for_zero_coupling(grids):
     bundle = build_propagator(FREE, grids, "norenorm")
-    assert qcf.rwa_moment_gaps(bundle, 700) == (0.0, 0.0, 0.0)
+    assert np.all(bundle.lam == 0.0) and np.all(bundle.theta == 0.0)
 
 
 def test_gaps_track_moment_differences(bundles):
+    # the counter-rotating terms shift the second moments of a norenorm
+    # bundle from the rwa ones by (-lambda, +lambda, -2 theta)
     state = qcf.ThermalState(1.0)
     s_nr = qcf.observable_series(bundles["norenorm"], state)
     s_rwa = qcf.observable_series(bundles["rwa"], state)
+    lam, theta = bundles["norenorm"].lam, bundles["norenorm"].theta
     for t in (150, 600, 1000):
-        dxx, dpp, dcorr = qcf.rwa_moment_gaps(bundles["norenorm"], t)
-        assert s_nr.xx[t] - s_rwa.xx[t] == pytest.approx(dxx, abs=1e-8)
-        assert s_nr.pp[t] - s_rwa.pp[t] == pytest.approx(dpp, abs=1e-8)
-        assert s_nr.xp_sym[t] - s_rwa.xp_sym[t] == pytest.approx(dcorr, abs=1e-8)
-
-
-def test_gaps_undefined_for_full_bundle(bundles):
-    with pytest.raises(ValidationError):
-        qcf.rwa_moment_gaps(bundles["full"], 10)
+        assert s_nr.xx[t] - s_rwa.xx[t] == pytest.approx(-lam[t], abs=1e-8)
+        assert s_nr.pp[t] - s_rwa.pp[t] == pytest.approx(lam[t], abs=1e-8)
+        assert s_nr.xp_sym[t] - s_rwa.xp_sym[t] == pytest.approx(-2.0 * theta[t], abs=1e-8)
 
 
 def test_full_vs_norenorm_difference_scales_as_alpha_squared():
