@@ -3,7 +3,8 @@
 Zero-dependency format: one assignment per line, ``#`` starts a comment,
 UTF-8.  Unknown keys are hard errors with a close-match suggestion so typos
 cannot silently fall back to defaults; every parse error carries its line
-number.
+number.  ``parse_config`` builds each run input through the function that owns
+its rules, and reports that function's error with the keys and lines it concerns.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from functools import partial
 import numpy as np
 
 from qbm import qcf
-from qbm.errors import FileError, ValidationError
-from qbm.kernels import FAMILIES, KernelTable, ReservoirSpec, load_kernel_csv
-from qbm.oracle import INTERIOR_MARGIN
+from qbm.errors import FileError, LeakageError, ValidationError
+from qbm.kernels import FAMILIES, KernelTable, ReservoirSpec, load_kernel_csv, tabulate_kernels
+from qbm.oracle import check_initial_leakage, to_density_matrix
 from qbm.propagator import MODES
 from qbm.runio import read_csv
 
@@ -60,13 +61,11 @@ _PATH_KEYS = ("reservoir.kernel_csv", "state.chi_csv")
 
 @dataclass(frozen=True)
 class RunConfig:
-    reservoir: ReservoirSpec
+    kernels: KernelTable  # on the run grid
     state: object
-    dt: float
-    t_max: float
+    rho0: np.ndarray | None  # the oracle's initial state, None without the oracle
     modes: tuple
     output_dir: str
-    oracle_dim: int
     leakage_threshold: float
     wigner_enabled: bool
     wigner_times: tuple
@@ -140,6 +139,15 @@ def _bounded(seen: dict, key: str, default, ok, bound: str):
     return value
 
 
+def _owned(seen: dict, keys, call, *args, **kwargs):
+    """``call(*args, **kwargs)``; an input error it raises names the ``keys`` in ``seen``."""
+    try:
+        return call(*args, **kwargs)
+    except (ValidationError, FileError, LeakageError) as exc:
+        where = ", ".join(f"line {n}: {key}" for key, (_, n) in seen.items() if key in keys)
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def _build(seen: dict, selector: str, builders: dict, default=None):
     """The object that the ``selector`` key names, built from its keys in ``seen``.
 
@@ -167,11 +175,7 @@ def _build(seen: dict, selector: str, builders: dict, default=None):
     values = {}
     for keys in (required, *([key] for key in fields if key in seen and key not in required)):
         values.update((fields[key], _typed(seen, key)) for key in keys)
-        try:
-            built = build(**values)
-        except (ValidationError, FileError) as exc:
-            where = ", ".join(f"line {seen[key][1]}: {key}" for key in keys)
-            raise type(exc)(f"{where}: {exc}") from exc
+        built = _owned(seen, keys, build, **values)
     return built
 
 
@@ -201,16 +205,8 @@ def parse_config(path) -> RunConfig:
 
     dt = _bounded(seen, "grid.dt", None, lambda v: v > 0, "> 0")
     t_max = _bounded(seen, "grid.t_max", None, lambda v: v >= dt, ">= grid.dt")
-    if isinstance(reservoir, KernelTable):
-        # the condition the kernel interpolation raises on, at the run's last node
-        last = build_grid(dt, t_max)[-1]
-        if last > reservoir.grid[-1]:
-            raise ValidationError(
-                f"line {seen['reservoir.kernel_csv'][1]}: the reservoir.kernel_csv table ends "
-                f"at tau = {reservoir.grid[-1]:g}, short of the last grid node t = {last:g} "
-                f"of grid.t_max = {t_max:g} (line {seen['grid.t_max'][1]}); extend the "
-                "table or lower grid.t_max"
-            )
+    kernel_keys = (*(key for key in seen if key.startswith("reservoir.")), "grid.t_max")
+    kernels = _owned(seen, kernel_keys, tabulate_kernels, reservoir, build_grid(dt, t_max))
 
     raw_modes, lineno = seen["run.modes"]
     modes = tuple(m.strip() for m in raw_modes.split(",") if m.strip())
@@ -225,21 +221,12 @@ def parse_config(path) -> RunConfig:
     modes = tuple(m for m in RUN_MODES if m in modes)
 
     oracle_dim = _bounded(seen, "oracle.dimension", 30, lambda v: v >= 8, ">= 8")
-    fock = isinstance(state, qcf.FockState)
-    if "oracle" in modes and fock and state.n >= oracle_dim - INTERIOR_MARGIN:
-        where = f"line {seen['oracle.dimension'][1]}" if "oracle.dimension" in seen else "default"
-        raise ValidationError(
-            f"line {seen['state.n'][1]}: state.n = {state.n} is too close to the oracle "
-            f"truncation oracle.dimension = {oracle_dim} ({where}); the oracle needs "
-            f"oracle.dimension >= {state.n + INTERIOR_MARGIN + 1}"
-        )
-    if "oracle" in modes and isinstance(state, qcf.TabulatedChi):
-        raise ValidationError(
-            f"line {seen['state.kind'][1]}: state.kind = tabulated_chi has no Fock-space "
-            "density matrix, so it cannot run with the oracle mode of run.modes "
-            f"(line {seen['run.modes'][1]}); remove oracle from run.modes"
-        )
     leakage = _bounded(seen, "oracle.leakage_threshold", 1e-6, lambda v: v > 0, "> 0")
+    rho0 = None
+    if "oracle" in modes:
+        rho0_keys = ("run.modes", *(key for key in seen if key.startswith(("state.", "oracle."))))
+        rho0 = _owned(seen, rho0_keys, to_density_matrix, state, oracle_dim)
+        _owned(seen, rho0_keys, check_initial_leakage, rho0, leakage)
 
     wigner_times = ()
     if "wigner.times" in seen:
@@ -254,33 +241,19 @@ def parse_config(path) -> RunConfig:
                 f"line {lineno}: wigner.times {outside[0]:g} lies outside "
                 f"[0, grid.t_max = {t_max:g}]"
             )
-    wigner_points = _bounded(seen, "wigner.points", 64, lambda v: v >= 8, ">= 8")
+    # a map and its CSV rows hold about 64 * points^2 bytes: 64 MiB at 1024
+    wigner_points = _bounded(seen, "wigner.points", 64, lambda v: 8 <= v <= 1024, ">= 8, <= 1024")
     wigner_extent = _bounded(seen, "wigner.extent", 6.0, lambda v: v > 0, "> 0")
     wigner_enabled = _typed(seen, "wigner.enabled", False)
-    if wigner_enabled and isinstance(state, qcf.TabulatedChi) and not state.zero_outside:
-        # a table that has not decayed at its boundary cannot stand for chi
-        # beyond it, and the Wigner transform starts on a square z-grid of
-        # half-width _Z_EXTENTS[0]; the evolution can rotate its corners onto
-        # an axis
-        radius = qcf._Z_EXTENTS[0] * np.sqrt(2.0)
-        half_width = min(state.x_nodes[-1], state.p_nodes[-1])
-        if half_width < radius:
-            raise ValidationError(
-                f"line {seen['state.chi_csv'][1]}: the state.chi_csv table reaches only "
-                f"|x|, |p| <= {half_width:g}, but wigner.enabled (line "
-                f"{seen['wigner.enabled'][1]}) evaluates chi out to |z| = {radius:.4g}; "
-                f"widen the table to a half-width of at least {radius:.4g} or set "
-                "wigner.enabled = false"
-            )
+    if wigner_enabled:
+        _owned(seen, ("state.chi_csv", "wigner.enabled"), qcf.check_wigner_reach, state)
 
     return RunConfig(
-        reservoir=reservoir,
+        kernels=kernels,
         state=state,
-        dt=dt,
-        t_max=t_max,
+        rho0=rho0,
         modes=modes,
         output_dir=_typed(seen, "run.output_dir", "out"),
-        oracle_dim=oracle_dim,
         leakage_threshold=leakage,
         wigner_enabled=wigner_enabled,
         wigner_times=wigner_times or (0.0,),

@@ -294,7 +294,8 @@ def tabulate_kernels(reservoir: ReservoirSpec | KernelTable, grid) -> KernelTabl
         return KernelTable(grid=grid, kappa=kappa(reservoir, grid), mu=mu(reservoir, grid))
     if np.any(_require_tau(grid) > reservoir.grid[-1]):
         raise ValidationError(
-            f"tau={grid.max():g} outside tabulated kernel range [0, {reservoir.grid[-1]:g}]"
+            f"the kernel table ends at tau = {reservoir.grid[-1]:g}, short of the last grid "
+            f"node t = {grid.max():g}; extend the table or lower grid.t_max"
         )
     return KernelTable(
         grid=grid,

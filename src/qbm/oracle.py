@@ -61,7 +61,7 @@ from qbm.errors import (
     TruncationError,
     ValidationError,
 )
-from qbm.qcf import ObservableSeries
+from qbm import qcf
 from qbm.runio import write_text
 
 INTERIOR_MARGIN = 5  # test operators / residuals live on levels 0 .. d-1-margin
@@ -291,7 +291,7 @@ def generator(coeffs_at_t: dict, d: int, mode: str):
 
 
 @dataclass(frozen=True)
-class OracleTrajectory(ObservableSeries):
+class OracleTrajectory(qcf.ObservableSeries):
     """The moments of one oracle mode, with its guard readings and final rho."""
 
     trace_error: float
@@ -330,13 +330,9 @@ def integrate_modes(
         if mode not in MODES:
             raise ValidationError(f"unknown oracle mode {mode!r}; expected one of {MODES}")
     rho0 = np.array(rho0, dtype=complex)
+    check_initial_leakage(rho0, leakage_threshold)
     d = rho0.shape[0]
     ops = fock_operators(d)
-    lk = float((rho0.ravel()[None, ops.moment_support] @ ops.moment_map)[0, -1].real)
-    if not lk <= leakage_threshold:  # NaN trips it too
-        raise LeakageError(
-            f"initial state already leaks {lk:.2e} into the top levels; increase d beyond {d}"
-        )
     parity = np.add.outer(np.arange(d), np.arange(d)) % 2
     occupied = [s for s in (0, 1) if np.any(rho0[parity == s])]
     sectors = tuple(occupied) if len(occupied) == 1 else (0, 1)
@@ -355,6 +351,18 @@ def integrate_modes(
         if isinstance(reply, Exception):
             raise reply
     return dict(zip(modes, [own, *replies]))
+
+
+def check_initial_leakage(rho0: np.ndarray, leakage_threshold: float = 1e-6) -> None:
+    """Raise ``LeakageError`` if rho0's top three levels hold more than the threshold."""
+    rho0 = np.asarray(rho0, dtype=complex)
+    ops = fock_operators(len(rho0))
+    lk = float((rho0.ravel()[None, ops.moment_support] @ ops.moment_map)[0, -1].real)
+    if not lk <= leakage_threshold:  # NaN trips it too
+        raise LeakageError(
+            f"initial state already leaks {lk:.2e} into the top levels of the d={ops.d} basis, "
+            f"above {leakage_threshold:.2e}; increase oracle.dimension beyond {ops.d}"
+        )
 
 
 def _usable_cpus() -> int:
@@ -461,9 +469,11 @@ def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> Orac
         np.matmul(state[None, support], ops.moment_map, out=readout[i + 1 : i + 2])
         lk = readout[i + 1, -1].real
         if lk > leakage_threshold:
+            # more than the whole trace in the top levels is a blow-up, not truncation
             raise LeakageError(
                 f"oracle mode {mode!r}: truncation leakage {lk:.2e} exceeded "
-                f"{leakage_threshold:.2e} at t={t[i + 1]:g}; {_remedy(d, h)}"
+                f"{leakage_threshold:.2e} at t={t[i + 1]:g}; "
+                f"{_remedy(d, h, rows if lk > 1.0 else None)}"
             )
 
     # the leakage guard reads only the top populations, which an unstable
@@ -474,7 +484,7 @@ def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> Orac
         raise StabilityError(
             f"oracle mode {mode!r}: |rho_mn| reached {largest:.3g} > 1 by "
             f"t={t[-1]:g}, so rho is no longer a density matrix; "
-            f"{_remedy(d, np.diff(t).max())}"
+            f"{_remedy(d, np.diff(t).max(), rows)}"
         )
     # moment_map's columns: X, P, X^2, P^2, XP+PX (the fields' order), trace, leakage
     *moments, trace, leakage = readout.real.T
@@ -489,18 +499,23 @@ def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> Orac
     )
 
 
-def _remedy(d: int, h: float) -> str:
-    """What an abort at step h and dimension d asks for: a smaller step, then a larger d."""
-    remedy = f"increase the oracle dimension beyond {d}"
+def _remedy(d: int, h: float, rows=None) -> str:
+    """What an abort at step h and dimension d asks for; ``rows`` given marks a blow-up."""
     if (d - 1) * h > _RK4_IMAGINARY_REACH:
         # the rotation -i[h0, .] has eigenvalues +-i(m - n) up to +-i(d - 1)
         limit = _RK4_IMAGINARY_REACH / (d - 1)
-        remedy = (
+        return (
             f"the RK4 step h={h:.3g} is past its stability limit "
             f"2*sqrt(2)/(d-1)={limit:.3g} at d={d}, so lower grid.dt below "
-            f"{limit:.3g} before you {remedy}"
+            f"{limit:.3g} before you increase oracle.dimension beyond {d}"
         )
-    return remedy
+    if rows is not None:  # within the step limit no larger d mends a blow-up
+        return (
+            f"rho blew up within RK4's step limit: the coefficients reach "
+            f"{np.abs(rows[:, 1:]).max():.3g}, too large for h={h:.3g}; lower grid.dt, "
+            "or the reservoir.alpha or reservoir.temperature that sets them"
+        )
+    return f"increase oracle.dimension beyond {d}"
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +524,6 @@ def _remedy(d: int, h: float) -> str:
 
 def to_density_matrix(state, d: int) -> np.ndarray:
     """Truncated density matrix for a qcf initial state (renormalized)."""
-    from qbm import qcf
-
     if isinstance(state, qcf.CoherentState):
         alpha = (state.x0 + 1j * state.p0) / np.sqrt(2.0)
         n = np.arange(d)
@@ -523,7 +536,10 @@ def to_density_matrix(state, d: int) -> np.ndarray:
         rho = np.diag((nb / (nb + 1.0)) ** np.arange(d) / (nb + 1.0)).astype(complex)
     elif isinstance(state, qcf.FockState):
         if state.n >= d - INTERIOR_MARGIN:
-            raise ValidationError(f"Fock level {state.n} too close to truncation d={d}")
+            raise ValidationError(
+                f"Fock level {state.n} is too close to truncation d={d}; the oracle "
+                f"needs oracle.dimension >= {state.n + INTERIOR_MARGIN + 1}"
+            )
         rho = np.zeros((d, d), dtype=complex)
         rho[state.n, state.n] = 1.0
     elif isinstance(state, qcf.SqueezedVacuum):
@@ -541,7 +557,7 @@ def to_density_matrix(state, d: int) -> np.ndarray:
         rho = np.outer(psi, psi.conj())
     else:
         raise ValidationError(
-            f"no Fock-space representation for state {type(state).__name__}"
+            f"{type(state).__name__} has no Fock-space form; remove oracle from run.modes"
         )
     tr = np.trace(rho).real
     if not tr > 0:  # every amplitude underflowed: 0/0 would hand NaN to the guards

@@ -55,7 +55,6 @@ class PropagatorBundle:
     """Everything needed to evaluate chi_t at every grid node, one mode."""
 
     grid: np.ndarray
-    mode: str
     big_gamma: np.ndarray  # (n,)
     rotations: np.ndarray  # (n, 2, 2)
     rotations_inv: np.ndarray  # (n, 2, 2)
@@ -147,7 +146,6 @@ def build_propagator(
     lam, theta = lambda_theta_series(w_bar)
     return PropagatorBundle(
         grid=grid,
-        mode=mode,
         big_gamma=coeffs.big_gamma,
         rotations=rot,
         rotations_inv=rot_inv,

@@ -422,6 +422,20 @@ def closed_form_energy(bundle: PropagatorBundle, e0: float, delta_gamma) -> np.n
     return np.exp(-bundle.big_gamma) * e0 + delta_gamma
 
 
+def check_wigner_reach(state) -> None:
+    """Raise ``ValidationError`` if ``state`` is a chi table too narrow for ``wigner``."""
+    # a table that has not decayed at its edge cannot stand for chi beyond it,
+    # and the evolution can rotate the corners of the first z-grid onto an axis
+    radius = _Z_EXTENTS[0] * np.sqrt(2.0)
+    if isinstance(state, TabulatedChi) and not state.zero_outside:
+        half_width = min(state.x_nodes[-1], state.p_nodes[-1])
+        if half_width < radius:
+            raise ValidationError(
+                f"the chi table reaches only |x|, |p| <= {half_width:g}, short of the |z| = "
+                f"{radius:.4g} that wigner reads; widen it that far or set wigner.enabled = false"
+            )
+
+
 def wigner(bundle: PropagatorBundle, state, t_index: int, q_grid, p_grid):
     """Wigner function on the given phase-space grid.
 
@@ -435,6 +449,7 @@ def wigner(bundle: PropagatorBundle, state, t_index: int, q_grid, p_grid):
     deviations of W (from C_t) inside the period, counted from W's mean:
     otherwise a copy of W would alias into the map.
     """
+    check_wigner_reach(state)
     q_grid = np.asarray(q_grid, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
     if q_grid.ndim != 1 or p_grid.ndim != 1:

@@ -1,7 +1,7 @@
 """Pipeline orchestration: one config in, CSV artifacts out.
 
-Modes run independently off a shared coefficient table, so a multi-mode run
-costs one kernel tabulation.  When the oracle mode is requested alongside
+The config brings the kernel table and, for the oracle, rho0.  Modes run
+independently off one coefficient table.  With the oracle mode alongside
 analytic modes, each analytic mode gets a matching brute-force integration
 and ``diff_report.txt`` collects the max deviation per observable.  Plain
 ``observables.csv`` / ``oracle_observables.csv`` / ``propagator.csv`` mirror
@@ -18,10 +18,9 @@ import numpy as np
 from qbm import oracle as oracle_mod
 from qbm import qcf
 from qbm.coefficients import compute_coefficients, write_coefficients_csv
-from qbm.config import RunConfig, build_grid
+from qbm.config import RunConfig
 from qbm.errors import FileError, ValidationError
 from qbm.homogeneous import write_rotation_csv
-from qbm.kernels import tabulate_kernels
 from qbm.propagator import build_propagator, delta_gamma_series, write_propagator_csv
 from qbm.runio import write_csv, write_text
 
@@ -30,7 +29,6 @@ OBSERVABLES_CSV_COLUMNS = "t,mean_x,mean_p,xx,pp,xp_sym,energy,energy_rwa,lambda
 
 @dataclass
 class RunResult:
-    output_dir: str
     files: list = field(default_factory=list)
     diffs: dict = field(default_factory=dict)
 
@@ -47,7 +45,7 @@ def run(config: RunConfig) -> RunResult:
     except OSError as exc:
         raise FileError(f"output directory {outdir!r} is not writable: {exc}") from exc
 
-    result = RunResult(output_dir=outdir)
+    result = RunResult()
 
     def emit(name, writer):
         path = os.path.join(outdir, name)
@@ -60,9 +58,8 @@ def run(config: RunConfig) -> RunResult:
         if mode == first_mode:
             emit(f"{stem}.csv", writer)
 
-    grid = build_grid(config.dt, config.t_max)
-    kernels = tabulate_kernels(config.reservoir, grid)
-    coeffs = compute_coefficients(kernels)
+    grid = config.kernels.grid
+    coeffs = compute_coefficients(config.kernels)
     emit("coefficients.csv", lambda p: write_coefficients_csv(coeffs, p))
 
     report_lines = [
@@ -94,7 +91,7 @@ def run(config: RunConfig) -> RunResult:
     bundles = {}
     analytic_series = {}
     for mode in analytic_modes:
-        bundle = build_propagator(config.reservoir, grid, mode, coeffs=coeffs)
+        bundle = build_propagator(config.kernels, grid, mode, coeffs=coeffs)
         bundles[mode] = bundle
         min_eig = float(np.min(np.linalg.eigvalsh(bundle.w_bar)))
         report_lines.append(f"w_bar_min_eigenvalue[{mode}] {min_eig:.17g}")
@@ -112,9 +109,8 @@ def run(config: RunConfig) -> RunResult:
             emit("rotation.csv", lambda p, b=bundle: write_rotation_csv(b.grid, b.rotations, p))
 
     if "oracle" in config.modes:
-        rho0 = oracle_mod.to_density_matrix(config.state, config.oracle_dim)
         trajs = oracle_mod.integrate_modes(
-            rho0, coeffs, oracle_modes, leakage_threshold=config.leakage_threshold
+            config.rho0, coeffs, oracle_modes, leakage_threshold=config.leakage_threshold
         )
         report_lines.append(f"oracle_parity_sectors {','.join(trajs[oracle_modes[0]].sectors)}")
         diff_lines = []
@@ -143,7 +139,7 @@ def run(config: RunConfig) -> RunResult:
         if analytic_modes:
             bundle = bundles[analytic_modes[0]]
         else:
-            bundle = build_propagator(config.reservoir, grid, "full", coeffs=coeffs)
+            bundle = build_propagator(config.kernels, grid, "full", coeffs=coeffs)
         axis = np.linspace(-config.wigner_extent, config.wigner_extent, config.wigner_points)
         # times that snap to one node give one map, in first-seen order
         for index in dict.fromkeys(int(np.argmin(np.abs(grid - t))) for t in config.wigner_times):

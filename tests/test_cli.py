@@ -5,12 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from qbm import kernels, qcf
+from qbm import kernels, oracle, qcf
 from qbm.cli import main
-from qbm.config import _KEY_TYPES, _STATE_KINDS, RUN_MODES, load_chi_csv, parse_config
-from qbm.errors import ValidationError
+from qbm.config import _KEY_TYPES, _STATE_KINDS, RUN_MODES, build_grid, load_chi_csv, parse_config
+from qbm.errors import LeakageError, ValidationError
 from qbm.runio import read_csv
-from qbm.runner import build_grid, ellipse_points, run
+from qbm.runner import ellipse_points, run
 
 MINIMAL = """
 reservoir.family = ohmic_exp_cutoff
@@ -30,14 +30,30 @@ def write_conf(tmp_path, text, name="run.conf"):
 # --- parsing ---------------------------------------------------------------
 
 
+def assert_same_kernels(table, expected):
+    for name in ("grid", "kappa", "mu"):
+        assert np.array_equal(getattr(table, name), getattr(expected, name)), name
+
+
 def test_minimal_config_fills_defaults(tmp_path):
-    cfg = parse_config(write_conf(tmp_path, MINIMAL))
-    assert cfg.reservoir.wc == 5.0
-    assert cfg.reservoir.temperature == 0.0
+    cfg = parse_config(write_conf(tmp_path, MINIMAL.replace("alpha = 0.0", "alpha = 0.1")))
+    # the kernels of wc = 5 and T = 0 on the run grid
+    spec = kernels.ReservoirSpec("ohmic_exp_cutoff", alpha=0.1, wc=5.0, temperature=0.0)
+    assert_same_kernels(cfg.kernels, kernels.tabulate_kernels(spec, build_grid(0.01, 1.0)))
     assert isinstance(cfg.state, qcf.CoherentState)
-    assert cfg.oracle_dim == 30
+    assert cfg.rho0 is None
     assert cfg.modes == ("full",)
     assert cfg.output_dir == "out"
+
+
+@pytest.mark.parametrize("kind", ["coherent", "thermal", "squeezed", "fock"])
+def test_oracle_rho0_built_at_parse_time(tmp_path, kind):
+    text = MINIMAL.replace("run.modes = full", "run.modes = rwa,oracle")
+    cfg = parse_config(write_conf(tmp_path, text + f"state.kind = {kind}\n{STATE_KEYS[kind]}"))
+    assert np.array_equal(cfg.rho0, oracle.to_density_matrix(cfg.state, 30))
+    text += "oracle.dimension = 40\n"
+    cfg = parse_config(write_conf(tmp_path, text + f"state.kind = {kind}\n{STATE_KEYS[kind]}"))
+    assert np.array_equal(cfg.rho0, oracle.to_density_matrix(cfg.state, 40))
 
 
 def test_negative_alpha_names_the_key(tmp_path):
@@ -98,7 +114,9 @@ def test_tabulated_family_without_alpha_runs(tmp_path):
     hot = kernels.ReservoirSpec("ohmic_exp_cutoff", alpha=0.1, wc=5.0, temperature=2.0)
     write_kernel_csv(tmp_path, hot, build_grid(0.01, 1.0))
     tab_conf = write_conf(tmp_path, TABULATED + f"run.output_dir = {tmp_path / 'tab'}\n")
-    assert isinstance(parse_config(tab_conf).reservoir, kernels.KernelTable)
+    table = kernels.load_kernel_csv(tmp_path / "kernel.csv")
+    expected = kernels.tabulate_kernels(table, build_grid(0.01, 1.0))
+    assert_same_kernels(parse_config(tab_conf).kernels, expected)
     assert main(["run", str(tab_conf)]) == 0
     ref_conf = write_conf(
         tmp_path,
@@ -117,14 +135,18 @@ def test_tabulated_kernel_shorter_than_grid_rejected_before_any_file(tmp_path, c
     out = tmp_path / "o"
     text = TABULATED.replace("grid.t_max = 1.0", "grid.t_max = 3.0")
     path = write_conf(tmp_path, text + f"run.output_dir = {out}\n")
-    message = r"line 3: the reservoir\.kernel_csv table ends at tau = 1, .* \(line 5\)"
+    message = (
+        r"^line 2: reservoir\.family, line 3: reservoir\.kernel_csv, line 5: grid\.t_max: "
+        r"the kernel table ends at tau = 1, short of the last grid node t = 3; "
+        r"extend the table or lower grid\.t_max$"
+    )
     with pytest.raises(ValidationError, match=message):
         parse_config(path)
     assert main(["run", str(path)]) == 1
     assert "grid.t_max" in capsys.readouterr().err
     assert not out.exists()
     # a table that reaches the last node runs
-    assert parse_config(write_conf(tmp_path, TABULATED, "ok.conf")).t_max == 1.0
+    assert parse_config(write_conf(tmp_path, TABULATED, "ok.conf")).kernels.grid[-1] == 1.0
 
 
 def test_unknown_key_suggests_correction(tmp_path):
@@ -176,6 +198,10 @@ LINE_ERRORS = {
         None, ["oracle.leakage_threshold = 0"], 7, "oracle.leakage_threshold must be > 0"
     ),
     "wigner.points": (None, ["wigner.points = 4"], 7, "wigner.points must be >= 8"),
+    # past 1024 a map and its rows would take more than 64 MiB
+    "wigner.points large": (
+        None, ["wigner.points = 1025"], 7, "wigner.points must be >= 8, <= 1024"
+    ),
     "wigner.extent": (None, ["wigner.extent = -1"], 7, "wigner.extent must be > 0"),
     "state.x0": (
         None,
@@ -256,7 +282,7 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     noisy = "# header\n\n" + MINIMAL.replace(
         "grid.dt = 0.01", "grid.dt = 0.01  # step"
     )
-    assert parse_config(write_conf(tmp_path, noisy)).dt == 0.01
+    assert parse_config(write_conf(tmp_path, noisy)).kernels.grid[1] == 0.01
 
 
 def test_wigner_times_outside_grid_rejected(tmp_path):
@@ -295,7 +321,10 @@ def test_fock_level_near_oracle_truncation_rejected_before_any_file(tmp_path, ca
     text = MINIMAL.replace("run.modes = full", "run.modes = full,oracle")
     text += f"state.kind = fock\nstate.n = 26\noracle.dimension = 30\nrun.output_dir = {out}\n"
     path = write_conf(tmp_path, text)
-    message = r"line 8: state\.n = 26 .* oracle\.dimension = 30 \(line 9\)"
+    message = (
+        r"^line 6: run\.modes, line 7: state\.kind, line 8: state\.n, line 9: oracle\.dimension: "
+        r"Fock level 26 is too close to truncation d=30; the oracle needs oracle\.dimension >= 32$"
+    )
     with pytest.raises(ValidationError, match=message):
         parse_config(path)
     assert main(["run", str(path)]) == 1
@@ -303,7 +332,7 @@ def test_fock_level_near_oracle_truncation_rejected_before_any_file(tmp_path, ca
     assert not out.exists()
     # the same level runs once the basis leaves the interior margin free
     cfg = parse_config(write_conf(tmp_path, text.replace("= 30", "= 32"), "ok.conf"))
-    assert cfg.state.n == 26 and cfg.oracle_dim == 32
+    assert cfg.state.n == 26 and cfg.rho0.shape == (32, 32)
 
 
 def write_chi_csv(tmp_path, cell=lambda v: f"{v:.17g}", half_width=3.0, count=13):
@@ -328,7 +357,11 @@ def test_tabulated_chi_with_oracle_rejected_before_any_file(tmp_path, capsys):
     text = MINIMAL.replace("run.modes = full", "run.modes = full,oracle")
     text += f"state.kind = tabulated_chi\nstate.chi_csv = chi.csv\nrun.output_dir = {out}\n"
     path = write_conf(tmp_path, text)
-    with pytest.raises(ValidationError, match=r"line 7: state\.kind = tabulated_chi .* \(line 6\)"):
+    message = (
+        r"^line 6: run\.modes, line 7: state\.kind, line 8: state\.chi_csv: TabulatedChi has "
+        r"no Fock-space form; remove oracle from run\.modes$"
+    )
+    with pytest.raises(ValidationError, match=message):
         parse_config(path)
     assert main(["run", str(path)]) == 1
     assert "run.modes" in capsys.readouterr().err
@@ -352,7 +385,11 @@ def test_tabulated_chi_narrower_than_wigner_grid_rejected_before_any_file(tmp_pa
     text += f"state.kind = tabulated_chi\nstate.chi_csv = chi.csv\nrun.output_dir = {out}\n"
     text += "wigner.enabled = true\n"
     path = write_conf(tmp_path, text)
-    with pytest.raises(ValidationError, match=r"line 8: the state\.chi_csv table .* \(line 10\)"):
+    message = (
+        r"^line 8: state\.chi_csv, line 10: wigner\.enabled: the chi table reaches only "
+        r"\|x\|, \|p\| <= 3, .* or set wigner\.enabled = false$"
+    )
+    with pytest.raises(ValidationError, match=message):
         parse_config(path)
     assert main(["run", str(path)]) == 1
     err = capsys.readouterr().err
@@ -649,9 +686,9 @@ def test_unwritable_text_report_exits_with_io_code(tmp_path, capsys, modes, repo
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     # a coherent state far beyond the tiny truncated basis trips the
-    # leakage guard, which is a numerical failure (exit 2); at x0 = 60 every
-    # Fock amplitude underflows, and the 0/0 of its normalization must not
-    # reach the guards as NaN
+    # leakage guard at parse time, which is a numerical failure (exit 2); at
+    # x0 = 60 every Fock amplitude underflows, and the 0/0 of its
+    # normalization must not reach the guards as NaN
     for x0 in (4.5, 60.0):
         text = (
             "reservoir.family = ohmic_exp_cutoff\n"
@@ -665,11 +702,24 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
             f"run.output_dir = {tmp_path / 'o2'}\n"
         )
         conf = write_conf(tmp_path, text, "leaky.conf")
+        with pytest.raises(LeakageError, match="^line 5: run.modes, .*line 8: oracle.dimension: "):
+            parse_config(conf)
         assert main(["run", str(conf)]) == 2, x0
         err = capsys.readouterr().err
         assert "leak" in err, x0
+        assert not (tmp_path / "o2").exists()
     assert "CoherentState(x0=60.0, p0=0.0) leaks" in err and "d=10" in err
-    assert not (tmp_path / "o2" / "oracle_observables.csv").exists()
+
+
+def test_leaky_initial_state_at_the_default_dimension_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "o"
+    text = MINIMAL.replace("run.modes = full", "run.modes = full,oracle")
+    conf = write_conf(tmp_path, text + f"state.x0 = 8\nrun.output_dir = {out}\n")
+    assert main(["run", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qbm: error: line 6: run.modes, line 7: state.x0: initial state")
+    assert "increase oracle.dimension beyond 30" in err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -700,6 +750,25 @@ def test_unstable_oracle_step_names_the_step_not_the_dimension(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "h=0.15" in err and "2*sqrt(2)/(d-1)=0.0975" in err
     assert "lower grid.dt below 0.0975 before" in err
+
+
+@pytest.mark.parametrize("temperature", ["1e20", "1e4"])
+def test_oracle_abort_tells_a_blow_up_from_truncation(tmp_path, capsys, temperature):
+    # h = 0.01 is inside RK4's limit on the rotation at d = 30.  At T = 1e20
+    # the coefficients reach 2.6e18 and the first step puts 1.7e13, more
+    # than the whole trace, into the top levels: no d mends that.  At
+    # T = 1e4 the top levels hold 1.1e-5 by t = 0.05, which is truncation
+    text = MINIMAL.replace("run.modes = full", "run.modes = oracle")
+    text = text.replace("reservoir.alpha = 0.0", "reservoir.alpha = 0.1")
+    text += f"reservoir.temperature = {temperature}\nstate.x0 = 1.0\n"
+    conf = write_conf(tmp_path, text + f"run.output_dir = {tmp_path / 'o'}\n")
+    assert main(["run", str(conf)]) == 2
+    err = capsys.readouterr().err
+    if temperature == "1e20":
+        assert "coefficients reach 2.61e+18" in err and "lower grid.dt" in err
+        assert "oracle.dimension" not in err
+    else:
+        assert "leakage 1.10e-05" in err and err.endswith("increase oracle.dimension beyond 30\n")
 
 
 def test_run_report_records_monitored_properties(free_run_config, tmp_path):

@@ -170,7 +170,8 @@ def test_tabulated_roundtrip_is_exact_at_nodes():
 def test_tabulated_rejects_out_of_range():
     grid = np.linspace(0.0, 4.0, 41)
     table = tabulate_kernels(OHMIC, grid)
-    with pytest.raises(ValidationError):
+    message = r"ends at tau = 4, short of .* t = 5; extend the table or lower grid\.t_max$"
+    with pytest.raises(ValidationError, match=message):
         tabulate_kernels(table, [0.0, 5.0])
 
 

@@ -6,7 +6,13 @@ import pytest
 
 from qbm import oracle, qcf
 from qbm.coefficients import CoefficientTable, compute_coefficients
-from qbm.errors import LeakageError, NumericalError, TruncationError, ValidationError
+from qbm.errors import (
+    LeakageError,
+    NumericalError,
+    StabilityError,
+    TruncationError,
+    ValidationError,
+)
 from qbm.kernels import ReservoirSpec, tabulate_kernels
 
 
@@ -161,12 +167,12 @@ def test_modes_differ_under_coupling(pipeline):
     assert np.max(np.abs(full.xx - rwa.xx)) > 1e-4
 
 
-def heated_coeffs():
+def heated_coeffs(delta_bar=5.0):
     """Diffusion strong enough to heat the d = 12 vacuum out of its basis within t = 0.2."""
     coeffs = zero_coeffs(t_max=0.2)
     return CoefficientTable(
         grid=coeffs.grid,
-        delta_bar=np.full_like(coeffs.grid, 5.0),
+        delta_bar=np.full_like(coeffs.grid, delta_bar),
         pi=coeffs.pi,
         r=coeffs.r,
         gamma=coeffs.gamma,
@@ -177,7 +183,7 @@ def heated_coeffs():
 def test_leakage_abort_suggests_bigger_dimension():
     coeffs = zero_coeffs(t_max=0.2)
     rho0 = oracle.to_density_matrix(qcf.CoherentState(x0=4.2), 12)
-    with pytest.raises(LeakageError, match="dimension|increase"):
+    with pytest.raises(LeakageError, match=r"increase oracle\.dimension beyond 12$"):
         oracle.integrate_modes(rho0, coeffs, ["full"])
     # in a batch, strong diffusion heats the vacuum out of the basis in rwa
     # while the unitary mode leaves it in place: the abort names rwa
@@ -189,6 +195,35 @@ def test_leakage_abort_suggests_bigger_dimension():
     # a NaN leakage trips the initial check instead of slipping past ``>``
     with pytest.raises(LeakageError, match="initial state"):
         oracle.integrate_modes(np.full((12, 12), np.nan), coeffs, ["full"])
+
+
+def test_initial_leakage_check_names_the_dimension():
+    leaky = oracle.to_density_matrix(qcf.CoherentState(x0=4.5), 10)
+    message = r"initial state already leaks .* d=10 basis.*; increase oracle\.dimension beyond 10$"
+    with pytest.raises(LeakageError, match=message):
+        oracle.check_initial_leakage(leaky)
+    with pytest.raises(LeakageError, match=message):
+        oracle.integrate_modes(leaky, zero_coeffs(t_max=0.1), ["full"])
+    with pytest.raises(LeakageError, match="initial state"):
+        oracle.check_initial_leakage(np.full((10, 10), np.nan))
+    oracle.check_initial_leakage(oracle.to_density_matrix(qcf.CoherentState(), 10))
+    oracle.check_initial_leakage(leaky, leakage_threshold=1.0)
+
+
+def test_blow_up_within_the_step_limit_asks_for_a_smaller_step():
+    # h = 0.01 is well inside RK4's limit on the rotation at d = 12, but
+    # delta_bar = 1e3 makes rho grow without bound.  From x0 = 1 the top
+    # levels hold 5.4 after one step, more than the whole trace; from the
+    # vacuum they never read above the threshold, and |rho_mn| exceeds 1 by
+    # the end.  Neither is truncation, so a larger d is no remedy
+    blown = heated_coeffs(delta_bar=1e3)
+    for error, x0 in ((LeakageError, 1.0), (StabilityError, 0.0)):
+        rho0 = oracle.to_density_matrix(qcf.CoherentState(x0), 12)
+        with pytest.raises(error) as caught:
+            oracle.integrate_modes(rho0, blown, ["full"])
+        message = str(caught.value)
+        assert "coefficients reach 1e+03" in message and "lower grid.dt" in message
+        assert "oracle.dimension" not in message
 
 
 def leakage_error(rho0, coeffs, modes) -> LeakageError:
@@ -468,8 +503,14 @@ def test_tabulated_chi_has_no_fock_representation():
     nodes = np.linspace(-3.0, 3.0, 31)
     vals = np.exp(-(nodes[:, None] ** 2 + nodes[None, :] ** 2) / 4.0).astype(complex)
     tab = qcf.TabulatedChi(nodes, nodes, vals)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="remove oracle from run.modes$"):
         oracle.to_density_matrix(tab, 20)
+
+
+def test_fock_level_must_leave_the_interior_margin_free():
+    assert oracle.to_density_matrix(qcf.FockState(24), 30)[24, 24] == 1.0
+    with pytest.raises(ValidationError, match=r"level 25 .* oracle\.dimension >= 31$"):
+        oracle.to_density_matrix(qcf.FockState(25), 30)
 
 
 # --- chi from rho ----------------------------------------------------------

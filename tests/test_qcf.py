@@ -358,6 +358,24 @@ def test_tabulated_chi_out_of_range():
             tab.chi0(bad, 0.0)
 
 
+def test_wigner_refuses_a_chi_table_narrower_than_its_z_grid(free_bundle):
+    # the first z-grid reaches |z| = 8 sqrt 2 in its corners
+    axis = np.linspace(-2.0, 2.0, 11)
+    tab, _ = make_tabulated_coherent(extent=4.0, n=81)
+    message = r"reaches only \|x\|, \|p\| <= 4, .* or set wigner\.enabled = false$"
+    with pytest.raises(ValidationError, match=message):
+        qcf.check_wigner_reach(tab)
+    with pytest.raises(ValidationError, match=message):
+        qcf.wigner(free_bundle, tab, 0, axis, axis)
+    qcf.check_wigner_reach(make_tabulated_coherent(extent=12.0)[0])  # decayed: chi = 0 outside
+    # a strongly squeezed chi has not decayed at 11.4, just past 8 sqrt 2
+    nodes = np.linspace(-11.4, 11.4, 115)
+    chi = qcf.SqueezedVacuum(2.0).chi0(nodes[:, None], nodes[None, :])
+    wide = qcf.TabulatedChi(nodes, nodes, chi)
+    assert not wide.zero_outside
+    qcf.check_wigner_reach(wide)
+
+
 def test_tabulated_chi_validation():
     nodes = np.linspace(-2.0, 2.0, 21)
     good = np.exp(-(nodes[:, None] ** 2 + nodes[None, :] ** 2) / 4.0).astype(complex)
