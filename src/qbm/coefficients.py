@@ -44,7 +44,7 @@ class CoefficientTable:
                 raise ValidationError(f"coefficient column {name} does not match grid length")
 
 
-def _check_grid(grid: np.ndarray):
+def check_grid(grid: np.ndarray):
     """What a coefficient table needs beyond a valid ``KernelTable`` grid."""
     if grid.size < 2:
         raise ValidationError("coefficient grid needs at least two nodes")
@@ -70,7 +70,7 @@ def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 def compute_coefficients(kernels: KernelTable) -> CoefficientTable:
     """Build the coefficient table from sampled kernels by cumulative trapezoid."""
     grid = kernels.grid
-    _check_grid(grid)
+    check_grid(grid)
     c = np.cos(grid)
     s = np.sin(grid)
 

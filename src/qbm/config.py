@@ -18,6 +18,7 @@ from functools import partial
 import numpy as np
 
 from qbm import qcf
+from qbm.coefficients import check_grid
 from qbm.errors import FileError, LeakageError, ValidationError
 from qbm.kernels import FAMILIES, KernelTable, ReservoirSpec, load_kernel_csv, tabulate_kernels
 from qbm.oracle import check_initial_leakage, to_density_matrix
@@ -205,8 +206,10 @@ def parse_config(path) -> RunConfig:
 
     dt = _bounded(seen, "grid.dt", None, lambda v: v > 0, "> 0")
     t_max = _bounded(seen, "grid.t_max", None, lambda v: v >= dt, ">= grid.dt")
+    grid = build_grid(dt, t_max)
+    _owned(seen, ("grid.dt", "grid.t_max"), check_grid, grid)
     kernel_keys = (*(key for key in seen if key.startswith("reservoir.")), "grid.t_max")
-    kernels = _owned(seen, kernel_keys, tabulate_kernels, reservoir, build_grid(dt, t_max))
+    kernels = _owned(seen, kernel_keys, tabulate_kernels, reservoir, grid)
 
     raw_modes, lineno = seen["run.modes"]
     modes = tuple(m.strip() for m in raw_modes.split(",") if m.strip())

@@ -22,21 +22,24 @@ Each mode is one term table: five fixed operator triples weighted by the
 coefficient row (1, delta_bar, pi, r, gamma).  Every term moves the entry
 rho_mn by one of nine offsets, so ``stencil_table`` rewrites the table as a
 nine-point stencil on rho, and ``_Stencil`` applies one mode's stencil
-with numpy alone.  The master equation is quadratic in X and P, so it
-is invariant under (X, P) -> (-X, -P) and never mixes entries of even and
-odd m + n: the RK4 loop steps only the parity sectors in which rho0 has a
-nonzero entry (the Fock, thermal and squeezed states occupy the even one
-alone).  ``generator(coeffs_at_t, d, mode)`` returns the same kernel for one
+with numpy alone, on the offsets the mode moves rho by: all nine in full
+and norenorm, three in rwa, whose L keeps m - n.  The master equation is
+quadratic in X and P, so it is invariant under (X, P) -> (-X, -P) and
+never mixes entries of even and odd m + n: the RK4 loop steps only the
+parity sectors in which rho0 has a nonzero entry (the Fock, thermal and
+squeezed states occupy the even one alone).  ``generator(coeffs_at_t, d, mode)`` returns the same kernel for one
 mode, on both sectors, as the function rho -> L(rho) on d x d matrices, and
 the algebra suite checks it, so there is one master equation.
 
-``integrate_modes`` steps each mode through its own RK4 loop.  The caller
-steps the first mode and, where more than one CPU is usable, a child made
-with ``os.fork`` steps each other one, sending its trajectory back pickled
-over a pipe.  A mode's arithmetic does not depend on the other modes, so
-every trajectory, and every artifact written from it, is the same bit for
-bit whether the modes run in turn or in parallel; so is the error of a run
-that aborts, that of the first failing mode in the order given.
+``integrate_modes`` steps each mode through its own RK4 loop.  Where more
+than one CPU is usable, a child made with ``os.fork`` steps each mode but
+the last, sending its trajectory back pickled over a pipe, while the caller
+runs other work (``meanwhile``: in ``qbm run``, the analytic modes) and
+then steps the last mode.  A mode's arithmetic does not depend on the other
+modes, so every trajectory, and every artifact written from it, is the
+same bit for bit whether the modes run in turn or in parallel; so is the
+error of a run that aborts, that of the first failing mode in the order
+given.
 
 Truncation hygiene: states must stay away from the top of the basis (the
 leakage monitor aborts otherwise), and algebra residuals are measured on
@@ -48,6 +51,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,20 +213,24 @@ def stencil_table(ops: FockOperators, mode: str) -> np.ndarray:
 
 
 class _Stencil:
-    """The generator L(t) of one mode as a nine-point stencil.
+    """The generator L(t) of one mode as a stencil on the offsets it moves rho by.
 
     rho is held in a ``buffer``: row-major with the odd row stride D = d | 1
     (a zero pad column when d is even) and 2 D zeros on either side.  The
     flat index m D + n then has the parity of m + n, and the offset
-    (u + v, u - v) is u (D + 1) + v (D - 1), so one strided view reads all
-    nine neighbours of every entry.  L never mixes the two parities, so only
-    the ``sectors`` given are stepped: every entry from the first sector on
-    (both sectors) or every other one (one sector), the ``size`` stepped
-    entries.
+    (u + v, u - v) is u (D + 1) + v (D - 1), so one strided view reads the
+    neighbours of every entry.  The view spans the box of (u, v) in which
+    the mode's ``stencil_table`` is nonzero, its ``cells``: (3, 3) for full
+    and norenorm, the (3, 1) column v = 0 for rwa.  The blocks outside it
+    are exactly zero, so leaving them out changes no sum.  L never mixes the
+    two parities, so only the ``sectors`` given are stepped: every entry
+    from the first sector on (both sectors) or every other one (one
+    sector), the ``size`` stepped entries.
 
     ``weights`` holds the stencil of the weights that are nonzero in the
-    mode (``live``) on the stepped entries, as a real (w, 18 size) matrix,
-    so the generator at one time is one product with the coefficient row.
+    mode (``live``) on the stepped entries, as a real (w, 2 offsets size)
+    matrix, so the generator at one time is one product with the
+    coefficient row.
     """
 
     def __init__(self, ops: FockOperators, mode: str, sectors=(0, 1)):
@@ -232,13 +240,20 @@ class _Stencil:
         self.step = 2 if len(sectors) == 1 else 1
         self.first = self.pad + sectors[0]
         self.size = len(range(sectors[0], d * self.stride, self.step))
-        table = stencil_table(ops, mode)
-        self.live = np.flatnonzero(np.any(table != 0, axis=(1, 2, 3)))
-        padded = np.zeros((len(self.live), 9, d, self.stride), dtype=complex)
-        padded[..., :d] = table[self.live]
-        stepped = padded.reshape(len(self.live), 9, -1)[..., sectors[0] :: self.step]
+        table = stencil_table(ops, mode).reshape(len(WEIGHTS), 3, 3, d, d)
+        nonzero = table != 0
+        self.live = np.flatnonzero(np.any(nonzero, axis=(1, 2, 3, 4)))
+        # the (u, v) box of the offsets the mode moves rho by
+        u, v = (np.flatnonzero(np.any(nonzero, axis=(0, other, 3, 4))) for other in (2, 1))
+        table = table[self.live, u[0] : u[-1] + 1, v[0] : v[-1] + 1]
+        self.cells = table.shape[1:3]
+        self.corner = (u[0] - 1) * (self.stride + 1) + (v[0] - 1) * (self.stride - 1)
+        offsets = self.cells[0] * self.cells[1]
+        padded = np.zeros((len(self.live), offsets, d, self.stride), dtype=complex)
+        padded[..., :d] = table.reshape(len(self.live), offsets, d, d)
+        stepped = padded.reshape(len(self.live), offsets, -1)[..., sectors[0] :: self.step]
         self.weights = np.ascontiguousarray(stepped).view(float).reshape(len(self.live), -1)
-        self._products = np.empty((9, self.size), dtype=complex)
+        self._products = np.empty((offsets, self.size), dtype=complex)
 
     def buffer(self) -> np.ndarray:
         """A zero buffer for rho."""
@@ -254,17 +269,17 @@ class _Stencil:
         return buffer[self.first : self.pad + self.d * self.stride : self.step]
 
     def at(self, row, out=None) -> np.ndarray:
-        """The (9, size) stencil at one coefficient row, written into ``out`` if given."""
-        out = np.empty((9, self.size), dtype=complex) if out is None else out
+        """The (offsets, size) stencil at one coefficient row, written into ``out`` if given."""
+        out = np.empty_like(self._products) if out is None else out
         np.dot(row[self.live], self.weights, out=out.view(float).reshape(-1))
         return out
 
     def neighbours(self, buffer: np.ndarray) -> np.ndarray:
-        """The (3, 3, size) read-only view of the nine neighbours of each stepped entry."""
+        """The (u, v, size) read-only view of the neighbours of each stepped entry."""
         row, item = self.stride, buffer.itemsize
         return as_strided(
-            buffer[self.first - 2 * row :],
-            shape=(3, 3, self.size),
+            buffer[self.first + self.corner :],
+            shape=(*self.cells, self.size),
             strides=((row + 1) * item, (row - 1) * item, self.step * item),
             writeable=False,
         )
@@ -307,21 +322,24 @@ def integrate_modes(
     modes,
     *,
     leakage_threshold: float = 1e-6,
+    meanwhile=lambda: None,
 ) -> dict:
     """RK4 integration of the master equation in several modes.
 
     Every mode starts from ``rho0`` and gets its own trajectory and guards.
     Only the parity sectors in which rho0 has a nonzero entry are stepped; L
     keeps the other one exactly zero.  Coefficients at half-steps come from
-    linear interpolation, and population in the top three levels above the
+    linear interpolation, and population in the top three levels beyond the
     threshold, at t = 0 or after a step, aborts the run, naming the mode; so
     does a final rho with an entry |rho_mn| > 1 (StabilityError).  Returns
     ``{mode: OracleTrajectory}``.
 
-    Each mode is one RK4 loop, run in this process, or in a forked child for
-    every mode after the first where more than one CPU is usable; the
-    trajectories are the same bit for bit.  Either way the error raised is
-    that of the first failing mode in the order given.
+    Each mode is one RK4 loop.  Where more than one CPU is usable, a forked
+    child steps each mode but the last, this process calls ``meanwhile()``
+    and then steps the last mode; on one CPU ``meanwhile()`` comes first and
+    the modes follow in turn.  The trajectories are the same bit for bit
+    either way, and the error raised is that of ``meanwhile`` or else that
+    of the first failing mode in the order given.
     """
     modes = tuple(modes)
     if not modes or len(set(modes)) != len(modes):
@@ -338,19 +356,28 @@ def integrate_modes(
     sectors = tuple(occupied) if len(occupied) == 1 else (0, 1)
 
     args = (rho0, ops, coeffs, sectors, leakage_threshold)
-    if _usable_cpus() == 1:
-        return {mode: _integrate_mode(mode, *args) for mode in modes}
+    forked = modes[:-1] if _usable_cpus() > 1 else ()
     children = []
     try:
-        for mode in modes[1:]:
+        for mode in forked:
             children.append((mode, *_fork_mode(mode, *args)))
-        own = _integrate_mode(modes[0], *args)
+        meanwhile()
+    except BaseException:
+        for _mode, pid, read in children:
+            os.kill(pid, signal.SIGKILL)
+            os.close(read)
+            os.waitpid(pid, 0)
+        raise
+    try:
+        own = [_integrate_mode(mode, *args) for mode in modes[len(forked) :]]
+    except Exception as error:  # a forked mode's error, listed earlier, is raised first
+        own = [error]
     finally:
         replies = _replies(children)
-    for reply in replies:
+    for reply in (*replies, *own):
         if isinstance(reply, Exception):
             raise reply
-    return dict(zip(modes, [own, *replies]))
+    return dict(zip(modes, (*replies, *own)))
 
 
 def check_initial_leakage(rho0: np.ndarray, leakage_threshold: float = 1e-6) -> None:
@@ -468,12 +495,13 @@ def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> Orac
 
         np.matmul(state[None, support], ops.moment_map, out=readout[i + 1 : i + 2])
         lk = readout[i + 1, -1].real
-        if lk > leakage_threshold:
-            # more than the whole trace in the top levels is a blow-up, not truncation
+        if not abs(lk) <= leakage_threshold:  # NaN trips it too
+            # more than the whole trace in the top levels, of either sign, is
+            # a blow-up, not truncation
             raise LeakageError(
                 f"oracle mode {mode!r}: truncation leakage {lk:.2e} exceeded "
-                f"{leakage_threshold:.2e} at t={t[i + 1]:g}; "
-                f"{_remedy(d, h, rows if lk > 1.0 else None)}"
+                f"{leakage_threshold:.2e} in magnitude at t={t[i + 1]:g}; "
+                f"{_remedy(d, h, None if abs(lk) <= 1.0 else rows)}"
             )
 
     # the leakage guard reads only the top populations, which an unstable

@@ -3,7 +3,9 @@
 The config brings the kernel table and, for the oracle, rho0.  Modes run
 independently off one coefficient table.  With the oracle mode alongside
 analytic modes, each analytic mode gets a matching brute-force integration
-and ``diff_report.txt`` collects the max deviation per observable.  Plain
+and ``diff_report.txt`` collects the max deviation per observable.  The
+analytic modes run as the oracle's ``meanwhile``: where two CPUs are
+usable, while forked children step every oracle mode but the last.  Plain
 ``observables.csv`` / ``oracle_observables.csv`` / ``propagator.csv`` mirror
 the first mode of the run; mode-suffixed copies are always written.
 """
@@ -90,27 +92,37 @@ def run(config: RunConfig) -> RunResult:
 
     bundles = {}
     analytic_series = {}
-    for mode in analytic_modes:
-        bundle = build_propagator(config.kernels, grid, mode, coeffs=coeffs)
-        bundles[mode] = bundle
-        min_eig = float(np.min(np.linalg.eigvalsh(bundle.w_bar)))
-        report_lines.append(f"w_bar_min_eigenvalue[{mode}] {min_eig:.17g}")
-        series = qcf.observable_series(bundle, config.state)
-        analytic_series[mode] = series
-        e0 = series.energy[0]
-        if mode == "full":
-            energy = series.energy
-        else:
-            energy = qcf.closed_form_energy(bundle, e0, bundle.delta_gamma)
-        writer = observables_writer(bundle, series, energy, e0)
-        emit_mode("observables", mode, analytic_modes[0], writer)
-        emit_mode("propagator", mode, analytic_modes[0], lambda p: write_propagator_csv(bundle, p))
-        if mode == "full":
-            emit("rotation.csv", lambda p, b=bundle: write_rotation_csv(b.grid, b.rotations, p))
+
+    def analytic_phase():
+        """Every analytic mode: its bundle, moments and files."""
+        for mode in analytic_modes:
+            bundle = build_propagator(config.kernels, grid, mode, coeffs=coeffs)
+            bundles[mode] = bundle
+            min_eig = float(np.min(np.linalg.eigvalsh(bundle.w_bar)))
+            report_lines.append(f"w_bar_min_eigenvalue[{mode}] {min_eig:.17g}")
+            series = qcf.observable_series(bundle, config.state)
+            analytic_series[mode] = series
+            e0 = series.energy[0]
+            if mode == "full":
+                energy = series.energy
+            else:
+                energy = qcf.closed_form_energy(bundle, e0, bundle.delta_gamma)
+            writer = observables_writer(bundle, series, energy, e0)
+            emit_mode("observables", mode, analytic_modes[0], writer)
+            emit_mode(
+                "propagator", mode, analytic_modes[0], lambda p: write_propagator_csv(bundle, p)
+            )
+            if mode == "full":
+                emit("rotation.csv", lambda p, b=bundle: write_rotation_csv(b.grid, b.rotations, p))
 
     if "oracle" in config.modes:
+        # the analytic phase runs while forked children step the oracle modes
         trajs = oracle_mod.integrate_modes(
-            config.rho0, coeffs, oracle_modes, leakage_threshold=config.leakage_threshold
+            config.rho0,
+            coeffs,
+            oracle_modes,
+            leakage_threshold=config.leakage_threshold,
+            meanwhile=analytic_phase,
         )
         report_lines.append(f"oracle_parity_sectors {','.join(trajs[oracle_modes[0]].sectors)}")
         diff_lines = []
@@ -134,6 +146,8 @@ def run(config: RunConfig) -> RunResult:
         if diff_lines:
             header = "# max absolute deviation, analytic vs oracle, per observable"
             emit("diff_report.txt", lambda p: write_text(p, [header, *diff_lines]))
+    else:
+        analytic_phase()
 
     if config.wigner_enabled:
         if analytic_modes:

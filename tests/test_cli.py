@@ -149,6 +149,18 @@ def test_tabulated_kernel_shorter_than_grid_rejected_before_any_file(tmp_path, c
     assert parse_config(write_conf(tmp_path, TABULATED, "ok.conf")).kernels.grid[-1] == 1.0
 
 
+def test_coarse_grid_rejected_before_any_file(tmp_path, capsys):
+    out = tmp_path / "o"
+    text = MINIMAL.replace("grid.dt = 0.01\ngrid.t_max = 1.0", "grid.dt = 1.0\ngrid.t_max = 5.0")
+    path = write_conf(tmp_path, text + f"run.output_dir = {out}\n")
+    message = r"^line 4: grid\.dt, line 5: grid\.t_max: grid too coarse: use grid\.dt <= 0\.628, not 1$"
+    with pytest.raises(ValidationError, match=message):
+        parse_config(path)
+    assert main(["run", str(path)]) == 1
+    assert "line 4: grid.dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_key_suggests_correction(tmp_path):
     bad = MINIMAL.replace("reservoir.alpha", "reservoir.aplha")
     with pytest.raises(ValidationError, match="reservoir.alpha"):

@@ -1,4 +1,5 @@
 import os
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -139,6 +140,51 @@ def test_integration_steps_on_the_generator():
         assert np.array_equal(batch[mode].rho_final, rho), mode
 
 
+def nine_offset_rhs(rho, row, mode):
+    """L(rho) as the whole nine-offset ``stencil_table``, zero blocks included, in offset order."""
+    d = len(rho)
+    table = oracle.stencil_table(oracle.fock_operators(d), mode)
+    live = np.flatnonzero(np.any(table != 0, axis=(1, 2, 3)))
+    weights = table[live].view(float).reshape(len(live), -1)
+    stencil = np.dot(row[live], weights).view(complex).reshape(9, d, d)
+    padded = np.pad(rho, 2)
+    out = None
+    for offset in range(9):  # o = 3 (u + 1) + (v + 1) moves rho_mn by (u + v, u - v)
+        u, v = offset // 3 - 1, offset % 3 - 1
+        a, b = u + v, u - v
+        term = stencil[offset] * padded[2 + a : 2 + a + d, 2 + b : 2 + b + d]
+        out = term if out is None else out + term
+    return out
+
+
+def test_each_mode_steps_only_its_offsets():
+    # rwa moves rho_mn by (0, 0) and (+-1, +-1) only, the v = 0 column of
+    # the stencil; full and norenorm move it by all nine offsets
+    ops = oracle.fock_operators(12)
+    row = np.array([1.0, 0.25, 0.125, 0.5, 0.0625])
+    for mode, cells in (("full", (3, 3)), ("norenorm", (3, 3)), ("rwa", (3, 1))):
+        stencil = oracle._Stencil(ops, mode)
+        assert stencil.neighbours(stencil.buffer()).shape == (*cells, stencil.size), mode
+        assert stencil.at(row).shape == (cells[0] * cells[1], stencil.size), mode
+        assert stencil.weights.shape == (len(stencil.live), 2 * cells[0] * cells[1] * stencil.size)
+
+
+def test_generator_is_the_nine_offset_stencil_bit_for_bit():
+    # dropping the offsets a mode never uses drops only terms that are
+    # exactly zero.  The row is dyadic and every entry of rho is real or
+    # imaginary, +- a power of two, so each product is exact and the
+    # comparison does not depend on how the platform fuses multiply-adds
+    rng = np.random.default_rng(4)
+    d = 12
+    unit = rng.choice([1.0, -1.0, 1j, -1j], size=(d, d))
+    rho = unit * 2.0 ** rng.integers(-3, 4, size=(d, d))
+    coeffs = {"delta_bar": 0.25, "pi": 0.125, "r": 0.5, "gamma": 0.0625}
+    row = np.array([1.0] + [coeffs[k] for k in oracle.WEIGHTS[1:]])
+    for mode in oracle.MODES:
+        got = np.ascontiguousarray(oracle.generator(coeffs, d, mode)(rho))
+        assert got.tobytes() == nine_offset_rhs(rho, row, mode).tobytes(), mode
+
+
 def test_generator_unknown_mode():
     with pytest.raises(ValidationError):
         oracle.generator({}, 10, "lindblad")
@@ -214,14 +260,13 @@ def test_blow_up_within_the_step_limit_asks_for_a_smaller_step():
     # h = 0.01 is well inside RK4's limit on the rotation at d = 12, but
     # delta_bar = 1e3 makes rho grow without bound.  From x0 = 1 the top
     # levels hold 5.4 after one step, more than the whole trace; from the
-    # vacuum they never read above the threshold, and |rho_mn| exceeds 1 by
-    # the end.  Neither is truncation, so a larger d is no remedy
+    # vacuum they go negative, to -3.7e21 by t = 0.03, and the guard reads
+    # the magnitude.  Neither is truncation, so a larger d is no remedy
     blown = heated_coeffs(delta_bar=1e3)
-    for error, x0 in ((LeakageError, 1.0), (StabilityError, 0.0)):
+    for x0, when in ((1.0, "t=0.01;"), (0.0, "t=0.03;")):
         rho0 = oracle.to_density_matrix(qcf.CoherentState(x0), 12)
-        with pytest.raises(error) as caught:
-            oracle.integrate_modes(rho0, blown, ["full"])
-        message = str(caught.value)
+        message = str(leakage_error(rho0, blown, ["full"]))
+        assert when in message, message
         assert "coefficients reach 1e+03" in message and "lower grid.dt" in message
         assert "oracle.dimension" not in message
 
@@ -249,7 +294,7 @@ def test_batch_raises_the_first_listed_failure(monkeypatch, cpus):
 
 
 def test_trajectory_is_an_observable_series(monkeypatch):
-    # the forked rwa trajectory comes back pickled, with the energy its
+    # the forked full trajectory comes back pickled, with the energy its
     # child computed
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
     rho0 = oracle.to_density_matrix(qcf.SqueezedVacuum(0.5), 20)
@@ -354,7 +399,7 @@ def test_batched_modes_match_reference_and_single_runs(pipeline, state_name, sec
 
 @pytest.mark.parametrize("state_name", ["coherent2", "fock2"])
 def test_forked_groups_match_one_loop(pipeline, monkeypatch, state_name):
-    # with two usable CPUs the first mode is stepped here and each other one
+    # with two usable CPUs the last mode is stepped here and each other one
     # in a forked child; the trajectories are bit for bit those of the loops
     # run in turn
     coeffs = head(pipeline.coeffs(2.0), 301)
@@ -377,25 +422,41 @@ def test_forked_groups_match_one_loop(pipeline, monkeypatch, state_name):
     assert oracle.integrate_modes(rho0, coeffs, ["rwa"])["rwa"].sectors == runs[2]["rwa"].sectors
 
 
+THREE_MODES = ("full", "norenorm", "rwa")
+
+
 @pytest.mark.parametrize(
-    "cpus, modes, forks",
-    [(2, ("full", "norenorm", "rwa"), 2), (1, ("full", "norenorm", "rwa"), 0), (2, ("rwa",), 0)],
+    "cpus, modes, events",
+    [
+        (2, THREE_MODES, ["fork full", "fork norenorm", "meanwhile", "step rwa"]),
+        (1, THREE_MODES, ["meanwhile", "step full", "step norenorm", "step rwa"]),
+        (2, ("rwa",), ["meanwhile", "step rwa"]),
+    ],
     ids=["three_modes_two_cpus", "three_modes_one_cpu", "one_mode_two_cpus"],
 )
-def test_one_child_per_mode_after_the_first(monkeypatch, cpus, modes, forks):
-    # the caller steps the first mode and a forked child each other one,
-    # unless a single CPU is usable
+def test_one_child_per_mode_but_the_last(monkeypatch, cpus, modes, events):
+    # a forked child steps each mode but the last; the caller runs
+    # ``meanwhile`` after the forks, then steps the last mode.  On one CPU
+    # ``meanwhile`` comes first and the caller steps every mode
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
-    calls, fork = [], os.fork
+    seen, fork_mode, integrate = [], oracle._fork_mode, oracle._integrate_mode
 
-    def counted_fork():
-        calls.append(os.getpid())
-        return fork()
+    def forking(mode, *args):
+        seen.append(f"fork {mode}")
+        return fork_mode(mode, *args)
 
-    monkeypatch.setattr(os, "fork", counted_fork)
+    def stepping(mode, *args):
+        seen.append(f"step {mode}")  # a child's list is its own copy
+        return integrate(mode, *args)
+
+    monkeypatch.setattr(oracle, "_fork_mode", forking)
+    monkeypatch.setattr(oracle, "_integrate_mode", stepping)
     rho0 = oracle.to_density_matrix(qcf.CoherentState(1.0), 12)
-    assert tuple(oracle.integrate_modes(rho0, zero_coeffs(t_max=0.1), modes)) == modes
-    assert len(calls) == forks
+    batch = oracle.integrate_modes(
+        rho0, zero_coeffs(t_max=0.1), modes, meanwhile=lambda: seen.append("meanwhile")
+    )
+    assert tuple(batch) == modes
+    assert seen == events
     with pytest.raises(ChildProcessError):  # every child has been reaped
         os.waitpid(-1, os.WNOHANG)
 
@@ -403,9 +464,9 @@ def test_one_child_per_mode_after_the_first(monkeypatch, cpus, modes, forks):
 def test_forked_mode_errors_reach_the_caller(monkeypatch):
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
     vacuum = oracle.to_density_matrix(qcf.CoherentState(), 12)
-    # a guard failure in the child is raised here, with its message
+    # a guard failure in the child (rwa) is raised here, with its message
     heated = heated_coeffs()
-    error = leakage_error(vacuum, heated, ("unitary", "rwa"))
+    error = leakage_error(vacuum, heated, ("rwa", "unitary"))
     assert str(error) == str(leakage_error(vacuum, heated, ["rwa"]))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -428,10 +489,36 @@ def test_forked_mode_errors_reach_the_caller(monkeypatch):
     # a child that ends without a reply names its mode and exit status
     monkeypatch.setattr(oracle, "_integrate_mode", dying)
     with pytest.raises(
-        NumericalError, match="the oracle worker for mode 'rwa' ended with exit status 1"
+        NumericalError, match="the oracle worker for mode 'full' ended with exit status 1"
     ):
         oracle.integrate_modes(vacuum, zero_coeffs(t_max=0.1), ("full", "rwa"))
     with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_meanwhile_error_ends_the_children(monkeypatch, cpus):
+    # an error of ``meanwhile`` is raised in place of any mode's: on two CPUs
+    # the children are killed, not waited for, and reaped; on one no mode is
+    # stepped
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+    parent = os.getpid()
+
+    def stalling(mode, *args):
+        if os.getpid() == parent:
+            pytest.fail(f"mode {mode!r} stepped in the caller after meanwhile failed")
+        time.sleep(60)
+
+    def failing():
+        raise ValidationError("analytic phase failed")
+
+    monkeypatch.setattr(oracle, "_integrate_mode", stalling)
+    vacuum = oracle.to_density_matrix(qcf.CoherentState(), 12)
+    start = time.monotonic()
+    with pytest.raises(ValidationError, match="analytic phase failed"):
+        oracle.integrate_modes(vacuum, zero_coeffs(t_max=0.1), THREE_MODES, meanwhile=failing)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):  # every child has been reaped
         os.waitpid(-1, os.WNOHANG)
 
 
