@@ -22,14 +22,15 @@ Each mode is one term table: five fixed operator triples weighted by the
 coefficient row (1, delta_bar, pi, r, gamma).  Every term moves the entry
 rho_mn by one of nine offsets, so ``stencil_table`` rewrites the table as a
 nine-point stencil on rho, and ``_Stencil`` applies one mode's stencil
-with numpy alone, on the offsets the mode moves rho by: all nine in full
-and norenorm, three in rwa, whose L keeps m - n.  The master equation is
-quadratic in X and P, so it is invariant under (X, P) -> (-X, -P) and
-never mixes entries of even and odd m + n: the RK4 loop steps only the
-parity sectors in which rho0 has a nonzero entry (the Fock, thermal and
-squeezed states occupy the even one alone).  ``generator(coeffs_at_t, d, mode)`` returns the same kernel for one
-mode, on both sectors, as the function rho -> L(rho) on d x d matrices, and
-the algebra suite checks it, so there is one master equation.
+with numpy alone, on the offsets the mode moves rho by (all nine in full
+and norenorm, three in rwa, whose L keeps m - n) and on one Hermitian half
+of rho, its diagonals m - n >= 0 folded into a rectangle.  L is invariant
+under (X, P) -> (-X, -P), so it never mixes entries of even and odd m + n:
+the RK4 loop steps only the parity sectors in which rho0 has a nonzero
+entry (the Fock, thermal and squeezed states occupy the even one alone).
+``generator(coeffs_at_t, d, mode)`` returns the same kernel, on both
+sectors, as the function rho -> L(rho) on d x d matrices, and the algebra
+suite checks it, so there is one master equation.
 
 ``integrate_modes`` steps each mode through its own RK4 loop.  Where more
 than one CPU is usable, a child made with ``os.fork`` steps each mode but
@@ -92,10 +93,8 @@ class FockOperators:
     h0: np.ndarray = field(repr=False, default=None)
     # tr(A rho) for A in X, P, X^2, P^2, XP+PX, 1 and the projector on the
     # top three levels (the moments, the trace, then the leakage) is
-    # rho.ravel()[moment_support] @ moment_map: seven columns A^T.ravel()
-    # restricted to the entries where some A is nonzero
-    moment_support: np.ndarray = field(repr=False, default=None)
-    moment_map: np.ndarray = field(repr=False, default=None)
+    # rho.ravel() @ traced: seven columns A^T.ravel()
+    traced: np.ndarray = field(repr=False, default=None)
 
 
 def fock_operators(d: int) -> FockOperators:
@@ -111,8 +110,6 @@ def fock_operators(d: int) -> FockOperators:
     p2 = p @ p
     xppx = x @ p + p @ x
     top = np.diag((np.arange(d) >= d - 3).astype(float))
-    traced = np.stack([op.T.reshape(-1) for op in (x, p, x2, p2, xppx, np.eye(d), top)], axis=1)
-    support = np.flatnonzero(np.any(traced != 0, axis=1))
     return FockOperators(
         d=d,
         a=a,
@@ -122,8 +119,7 @@ def fock_operators(d: int) -> FockOperators:
         p2=p2,
         xppx=xppx,
         h0=0.5 * (x2 + p2),
-        moment_support=support,
-        moment_map=traced[support].astype(complex),
+        traced=np.stack([op.T.reshape(-1) for op in (x, p, x2, p2, xppx, np.eye(d), top)], axis=1),
     )
 
 
@@ -213,33 +209,30 @@ def stencil_table(ops: FockOperators, mode: str) -> np.ndarray:
 
 
 class _Stencil:
-    """The generator L(t) of one mode as a stencil on the offsets it moves rho by.
+    """The generator L(t) of one mode as a stencil on one Hermitian half of rho.
 
-    rho is held in a ``buffer``: row-major with the odd row stride D = d | 1
-    (a zero pad column when d is even) and 2 D zeros on either side.  The
-    flat index m D + n then has the parity of m + n, and the offset
-    (u + v, u - v) is u (D + 1) + v (D - 1), so one strided view reads the
-    neighbours of every entry.  The view spans the box of (u, v) in which
-    the mode's ``stencil_table`` is nonzero, its ``cells``: (3, 3) for full
-    and norenorm, the (3, 1) column v = 0 for rwa.  The blocks outside it
-    are exactly zero, so leaving them out changes no sum.  L never mixes the
-    two parities, so only the ``sectors`` given are stepped: every entry
-    from the first sector on (both sectors) or every other one (one
-    sector), the ``size`` stepped entries.
+    One half of rho is stepped, folded into a rectangle as in the rectangular
+    full packed format (Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS
+    37(2), 18, 2010).  A parity sector has the diagonals K = (s, s + 2, ...)
+    of m - n >= 0; S = K[0] + K[-1].  In rows of ``width`` L = max(2d - S),
+    row i holds the entry (n + K[i], n) at slot n and, at slot L - d + n,
+    (n + K[i] - S, n) of K[-1-i]'s conjugate partner; the rows i < len(K) / 2
+    own every diagonal once (an odd middle one twice).  The offset
+    (u + v, u - v) moves m - n by 2v and n by u - v, so it is the slot offset
+    u + v (L - 1): one strided view reads the neighbours over the mode's
+    ``cells``, the (u, v) box where its ``stencil_table`` is nonzero.
+    ``weights`` holds each slot's stencil in that order for the ``live``
+    weights: the generator at one time is one product with the row.
 
-    ``weights`` holds the stencil of the weights that are nonzero in the
-    mode (``live``) on the stepped entries, as a real (w, 2 offsets size)
-    matrix, so the generator at one time is one product with the
-    coefficient row.
+    Each of the ``sectors`` has a ghost row i = -1, its owned rows and a seam
+    row; the ``size`` stepped slots run from the first owned row to the last.
+    ``fill`` writes into the ghost slots that owned slots read the conjugates
+    of their mirrors (rwa reads none).  The moments are one real product over
+    the entries held ``once``: tr(A rho) = sum A_mm rho_mm + 2 Re A_nm rho_mn.
     """
 
     def __init__(self, ops: FockOperators, mode: str, sectors=(0, 1)):
-        d = ops.d
-        self.d, self.stride = d, d | 1
-        self.pad = 2 * self.stride
-        self.step = 2 if len(sectors) == 1 else 1
-        self.first = self.pad + sectors[0]
-        self.size = len(range(sectors[0], d * self.stride, self.step))
+        d = self.d = ops.d
         table = stencil_table(ops, mode).reshape(len(WEIGHTS), 3, 3, d, d)
         nonzero = table != 0
         self.live = np.flatnonzero(np.any(nonzero, axis=(1, 2, 3, 4)))
@@ -247,26 +240,62 @@ class _Stencil:
         u, v = (np.flatnonzero(np.any(nonzero, axis=(0, other, 3, 4))) for other in (2, 1))
         table = table[self.live, u[0] : u[-1] + 1, v[0] : v[-1] + 1]
         self.cells = table.shape[1:3]
-        self.corner = (u[0] - 1) * (self.stride + 1) + (v[0] - 1) * (self.stride - 1)
+        rows = []  # per row i = -1 .. seam of each sector: its diagonal k, S and if owned
+        for s in sectors:
+            count = len(range(s, d, 2))
+            i = np.arange(-1, (count + 3) // 2)
+            rows.append((s + 2 * i, np.full(len(i), 2 * (s + count - 1)), (i >= 0) & (2 * i < count)))
+        k, span, owned_row = (np.concatenate(a)[:, None] for a in zip(*rows))
+        self.width = width = int(np.max(2 * d - span))
+        # the entry (m, n) each slot holds, if any: rho is loaded as buffer[held] = rho[entries]
+        slot = np.arange(width)
+        negative = slot - (width - d)
+        positive = (slot < d) & (slot + k >= 0) & (slot + k < d)
+        m = np.where(positive, slot + k, negative + k - span).ravel()
+        n = np.where(positive, slot, negative).ravel()
+        held = (m >= 0) & (n >= 0)
+        self.length, self.held, self.entries = m.size, np.flatnonzero(held), (m[held], n[held])
+        owned = held & np.repeat(owned_row, width)
+        slots, rm, rn = np.flatnonzero(owned), m[owned], n[owned]
+        slot_of = np.full((d, d), -1)
+        slot_of[rm, rn] = slots
+        self.first = int(np.argmax(owned_row)) * width
+        self.size = int(np.flatnonzero(owned_row)[-1] + 1) * width - self.first
+        self.stepped = slice(self.first, self.first + self.size)  # the stepped slots
         offsets = self.cells[0] * self.cells[1]
-        padded = np.zeros((len(self.live), offsets, d, self.stride), dtype=complex)
-        padded[..., :d] = table.reshape(len(self.live), offsets, d, d)
-        stepped = padded.reshape(len(self.live), offsets, -1)[..., sectors[0] :: self.step]
-        self.weights = np.ascontiguousarray(stepped).view(float).reshape(len(self.live), -1)
+        weights = np.zeros((len(self.live), offsets, self.size), dtype=complex)
+        table = table.reshape(len(self.live), offsets, d, d)
+        weights[..., slots - self.first] = table[:, :, rm, rn]
+        self.weights = weights.view(float).reshape(len(self.live), -1)
         self._products = np.empty((offsets, self.size), dtype=complex)
+        self.corner = (u[0] - 1) + (v[0] - 1) * (width - 1)
+        reads = self.neighbours(np.arange(self.length)).reshape(offsets, -1)
+        read = np.bincount(reads[np.any(weights != 0, axis=0)], minlength=self.length) > 0
+        self.ghosts = np.flatnonzero(read & ~owned)
+        self.mirrors = slot_of[n[self.ghosts], m[self.ghosts]]
+        once = (rm >= rn) | (slot_of[rn, rm] < 0)
+        self.once = slots[once], rm[once], rn[once]
+        traced = ops.traced[rm * d + rn] * np.where(rm == rn, 1.0, 2.0)[:, None]
+        support = once & np.any(traced != 0, axis=1)
+        self.support = slots[support]
+        self.moment_map = np.stack([traced.real, -traced.imag], axis=1)[support].reshape(-1, 7)
 
     def buffer(self) -> np.ndarray:
         """A zero buffer for rho."""
-        return np.zeros(self.d * self.stride + 2 * self.pad, dtype=complex)
+        return np.zeros(self.length, dtype=complex)
 
-    def rho(self, buffer: np.ndarray) -> np.ndarray:
-        """The (d, d) view of the rho held in ``buffer``."""
-        inner = buffer[self.pad : self.pad + self.d * self.stride]
-        return inner.reshape(self.d, self.stride)[:, : self.d]
+    def fill(self, buffer: np.ndarray) -> None:
+        """Write into each ghost slot that an owned slot reads the conjugate of its mirror."""
+        if len(self.ghosts):
+            buffer[self.ghosts] = np.conjugate(buffer[self.mirrors])
 
-    def stepped(self, buffer: np.ndarray) -> np.ndarray:
-        """The (size,) view of the stepped entries in ``buffer``."""
-        return buffer[self.first : self.pad + self.d * self.stride : self.step]
+    def matrix(self, buffer: np.ndarray) -> np.ndarray:
+        """The Hermitian (d, d) rho whose half ``buffer`` holds."""
+        slots, m, n = self.once
+        rho = np.zeros((self.d, self.d), dtype=complex)
+        rho[n, m] = buffer[slots].conj()
+        rho[m, n] = buffer[slots]
+        return rho
 
     def at(self, row, out=None) -> np.ndarray:
         """The (offsets, size) stencil at one coefficient row, written into ``out`` if given."""
@@ -275,32 +304,42 @@ class _Stencil:
         return out
 
     def neighbours(self, buffer: np.ndarray) -> np.ndarray:
-        """The (u, v, size) read-only view of the neighbours of each stepped entry."""
-        row, item = self.stride, buffer.itemsize
+        """The (u, v, size) read-only view of the neighbours of each stepped slot."""
+        item = buffer.itemsize
         return as_strided(
             buffer[self.first + self.corner :],
             shape=(*self.cells, self.size),
-            strides=((row + 1) * item, (row - 1) * item, self.step * item),
+            strides=(item, (self.width - 1) * item, item),
             writeable=False,
         )
 
     def apply(self, stencil: np.ndarray, neighbours: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """L(rho) on the stepped entries into ``out``, from the ``neighbours`` view of rho."""
+        """L(rho) on the stepped slots into ``out``, from the ``neighbours`` view of rho."""
         products = self._products.reshape(neighbours.shape)
         np.multiply(stencil.reshape(neighbours.shape), neighbours, out=products)
         return np.add.reduce(self._products, axis=0, out=out)
 
 
 def generator(coeffs_at_t: dict, d: int, mode: str):
-    """L at one time for one mode as rho -> L(rho): the RK4 loop's kernel, both sectors."""
+    """L at one time for one mode as rho -> L(rho): the RK4 loop's kernel, both sectors.
+
+    L(rho) on the entries the kernel holds ``once``, the other half as L(rho^dag)^dag.
+    """
     stencil = _Stencil(fock_operators(d), mode)
     coef = stencil.at(np.array([1.0] + [coeffs_at_t.get(k, 0.0) for k in WEIGHTS[1:]]))
+    _, m, n = stencil.once
+
+    def half(rho: np.ndarray) -> np.ndarray:
+        buffer, out = stencil.buffer(), stencil.buffer()
+        buffer[stencil.held] = rho[stencil.entries]
+        stencil.apply(coef, stencil.neighbours(buffer), out[stencil.stepped])
+        return stencil.matrix(out)
 
     def apply(rho: np.ndarray) -> np.ndarray:
-        buffer = stencil.buffer()
-        stencil.rho(buffer)[...] = rho
-        out = stencil.apply(coef, stencil.neighbours(buffer), np.empty(stencil.size, complex))
-        return out.reshape(d, stencil.stride)[:, :d]
+        rho = np.asarray(rho, dtype=complex)
+        out = half(rho.conj().T).conj().T
+        out[m, n] = half(rho)[m, n]
+        return out
 
     return apply
 
@@ -327,6 +366,7 @@ def integrate_modes(
     """RK4 integration of the master equation in several modes.
 
     Every mode starts from ``rho0`` and gets its own trajectory and guards.
+    One Hermitian half is stepped: a rho0 not Hermitian to 1e-12 raises ValidationError.
     Only the parity sectors in which rho0 has a nonzero entry are stepped; L
     keeps the other one exactly zero.  Coefficients at half-steps come from
     linear interpolation, and population in the top three levels beyond the
@@ -349,6 +389,8 @@ def integrate_modes(
             raise ValidationError(f"unknown oracle mode {mode!r}; expected one of {MODES}")
     rho0 = np.array(rho0, dtype=complex)
     check_initial_leakage(rho0, leakage_threshold)
+    if not (drift := np.abs(rho0 - rho0.conj().T).max()) <= 1e-12:  # far above rounding
+        raise ValidationError(f"rho0 is not Hermitian: max|rho0 - rho0^dag| = {drift:.2e} > 1e-12")
     d = rho0.shape[0]
     ops = fock_operators(d)
     parity = np.add.outer(np.arange(d), np.arange(d)) % 2
@@ -384,7 +426,7 @@ def check_initial_leakage(rho0: np.ndarray, leakage_threshold: float = 1e-6) -> 
     """Raise ``LeakageError`` if rho0's top three levels hold more than the threshold."""
     rho0 = np.asarray(rho0, dtype=complex)
     ops = fock_operators(len(rho0))
-    lk = float((rho0.ravel()[None, ops.moment_support] @ ops.moment_map)[0, -1].real)
+    lk = float((rho0.reshape(1, -1) @ ops.traced)[0, -1].real)
     if not lk <= leakage_threshold:  # NaN trips it too
         raise LeakageError(
             f"initial state already leaks {lk:.2e} into the top levels of the d={ops.d} basis, "
@@ -451,9 +493,9 @@ def _replies(children) -> list:
 def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> OracleTrajectory:
     """Step one mode from ``rho0`` through one RK4 loop, on the given sectors.
 
-    Each node is read by one product with ``moment_map``: the moments, the
-    trace and the leakage.  rho is never corrected, so the drift read off
-    the final rho is that of the whole run.  Raises the error of the first
+    One Hermitian half of rho is stepped, its ghosts filled before each
+    stage.  Each node is read by one real product with ``moment_map``: the
+    moments, the trace and the leakage.  Raises the error of the first
     guard that trips: leakage after a step, or |rho_mn| <= 1 at the end.
     """
     d = ops.d
@@ -461,19 +503,14 @@ def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> Orac
     n = len(t)
     gen = _Stencil(ops, mode, sectors)
     rows = np.column_stack([np.ones(n)] + [getattr(coeffs, k) for k in WEIGHTS[1:]])
-
-    # the entries of the moment map, as indices into a buffer
-    level, column = np.divmod(ops.moment_support, d)
-    support = gen.pad + level * gen.stride + column
-    # one (1, k) @ (k, 7) matmul per node: a vector-matrix product may round differently
-    readout = np.empty((n, ops.moment_map.shape[1]), dtype=complex)
+    # one (1, 2k) @ (2k, 7) matmul per node: a vector-matrix product may round differently
+    readout = np.empty((n, gen.moment_map.shape[1]))
 
     state, stage = gen.buffer(), gen.buffer()
-    rho = gen.rho(state)
-    rho[...] = rho0
-    v, v_stage = gen.stepped(state), gen.stepped(stage)
+    state[gen.held] = rho0[gen.entries]
+    v, v_stage = state[gen.stepped], stage[gen.stepped]
     reads, stage_reads = gen.neighbours(state), gen.neighbours(stage)
-    np.matmul(state[None, support], ops.moment_map, out=readout[:1])
+    np.matmul(state[None, gen.support].view(float), gen.moment_map, out=readout[:1])
 
     node = gen.at(rows[0])
     mid, nxt = np.empty_like(node), np.empty_like(node)
@@ -483,18 +520,20 @@ def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> Orac
         gen.at(0.5 * (rows[i] + rows[i + 1]), mid)
         gen.at(rows[i + 1], nxt)
         # rho + (h/6)(k1 + 2 k2 + 2 k3 + k4), summed in that order, on the
-        # stepped entries of rho; each stage's argument is written into the
-        # stepped entries of ``stage``
+        # stepped slots of rho; each stage's argument is written into the
+        # stepped slots of ``stage``, and its ghosts filled
         ki = gen.apply(node, reads, acc)
         for weight, step, stencil in ((2.0, 0.5 * h, mid), (2.0, 0.5 * h, mid), (1.0, h, nxt)):
             np.add(v, np.multiply(step, ki, out=scaled), out=v_stage)
+            gen.fill(stage)
             ki = gen.apply(stencil, stage_reads, k)
             acc += np.multiply(weight, ki, out=scaled)
         v += np.multiply(h / 6.0, acc, out=acc)
+        gen.fill(state)
         node, nxt = nxt, node
 
-        np.matmul(state[None, support], ops.moment_map, out=readout[i + 1 : i + 2])
-        lk = readout[i + 1, -1].real
+        np.matmul(state[None, gen.support].view(float), gen.moment_map, out=readout[i + 1 : i + 2])
+        lk = readout[i + 1, -1]
         if not abs(lk) <= leakage_threshold:  # NaN trips it too
             # more than the whole trace in the top levels, of either sign, is
             # a blow-up, not truncation
@@ -504,6 +543,7 @@ def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> Orac
                 f"{_remedy(d, h, None if abs(lk) <= 1.0 else rows)}"
             )
 
+    rho = gen.matrix(state)
     # the leakage guard reads only the top populations, which an unstable
     # step need not move: at alpha = 0 nothing couples the growing
     # off-diagonal entries to them
@@ -515,14 +555,14 @@ def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> Orac
             f"{_remedy(d, np.diff(t).max(), rows)}"
         )
     # moment_map's columns: X, P, X^2, P^2, XP+PX (the fields' order), trace, leakage
-    *moments, trace, leakage = readout.real.T
+    *moments, trace, leakage = readout.T
     return OracleTrajectory(
         t,
         *moments,
         trace_error=float(np.max(np.abs(trace[1:] - 1.0), initial=0.0)),
         herm_drift=float(np.abs(rho - rho.conj().T).max()),
         max_leakage=float(leakage.max()),
-        rho_final=np.array(rho),
+        rho_final=rho,
         sectors=tuple(SECTORS[s] for s in sectors),
     )
 

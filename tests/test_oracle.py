@@ -119,7 +119,9 @@ def test_generator_matches_matrix_free_rhs():
 
 def test_integration_steps_on_the_generator():
     # one RK4 step of the loop is the same arithmetic on the same matrices as
-    # a step built here from ``generator``, bit for bit, for every mode of a batch
+    # a step built here from ``generator``, bit for bit, for every mode of a
+    # batch.  The loop steps one half of rho: each stage reads the other half
+    # as the conjugate of the stepped one, and so does each stage here
     grid = np.array([0.0, 0.01])
     rows = {"delta_bar": (0.3, 0.31), "pi": (0.1, 0.12), "r": (0.2, 0.19), "gamma": (0.05, 0.06)}
     coeffs = CoefficientTable(
@@ -130,14 +132,33 @@ def test_integration_steps_on_the_generator():
     node, nxt = ({k: v[i] for k, v in rows.items()} for i in (0, 1))
     mid = {k: 0.5 * (node[k] + nxt[k]) for k in rows}
     h = grid[1] - grid[0]
+    _, m, n = oracle._Stencil(oracle.fock_operators(12), "full").once
+
+    def stepped_half(mat):
+        out = np.zeros_like(mat)
+        out[n, m] = mat[m, n].conj()
+        out[m, n] = mat[m, n]
+        return out
+
     for mode in oracle.MODES:
         g_node, g_mid, g_nxt = (oracle.generator(row, 12, mode) for row in (node, mid, nxt))
         k = acc = g_node(rho0)
         for weight, step, gen in ((2.0, 0.5 * h, g_mid), (2.0, 0.5 * h, g_mid), (1.0, h, g_nxt)):
-            k = gen(rho0 + step * k)
+            k = gen(stepped_half(rho0 + step * k))
             acc += weight * k
-        rho = rho0 + (h / 6.0) * acc
+        rho = stepped_half(rho0 + (h / 6.0) * acc)
         assert np.array_equal(batch[mode].rho_final, rho), mode
+
+
+def test_generator_commutes_with_the_adjoint():
+    # L(rho^dag) = L(rho)^dag: the loop steps one Hermitian half of rho and
+    # takes the other as its conjugate, which rests on this identity
+    rng = np.random.default_rng(3)
+    rho = rng.normal(size=(14, 14)) + 1j * rng.normal(size=(14, 14))
+    row = {"delta_bar": 0.3, "pi": 0.1, "r": 0.2, "gamma": 0.05}
+    for mode in oracle.MODES:
+        gen = oracle.generator(row, 14, mode)
+        assert np.max(np.abs(gen(rho.conj().T) - gen(rho).conj().T)) <= 1e-13, mode
 
 
 def nine_offset_rhs(rho, row, mode):
@@ -173,16 +194,22 @@ def test_generator_is_the_nine_offset_stencil_bit_for_bit():
     # dropping the offsets a mode never uses drops only terms that are
     # exactly zero.  The row is dyadic and every entry of rho is real or
     # imaginary, +- a power of two, so each product is exact and the
-    # comparison does not depend on how the platform fuses multiply-adds
+    # comparison does not depend on how the platform fuses multiply-adds.
+    # The generator reads the stepped half of L(rho) off rho and the other
+    # half off rho^dag, both on the stencil of the loop
     rng = np.random.default_rng(4)
     d = 12
     unit = rng.choice([1.0, -1.0, 1j, -1j], size=(d, d))
     rho = unit * 2.0 ** rng.integers(-3, 4, size=(d, d))
     coeffs = {"delta_bar": 0.25, "pi": 0.125, "r": 0.5, "gamma": 0.0625}
     row = np.array([1.0] + [coeffs[k] for k in oracle.WEIGHTS[1:]])
+    _, m, n = oracle._Stencil(oracle.fock_operators(d), "full").once
     for mode in oracle.MODES:
-        got = np.ascontiguousarray(oracle.generator(coeffs, d, mode)(rho))
-        assert got.tobytes() == nine_offset_rhs(rho, row, mode).tobytes(), mode
+        got = oracle.generator(coeffs, d, mode)(rho)
+        stepped, mirrored = nine_offset_rhs(rho, row, mode), nine_offset_rhs(rho.conj().T, row, mode)
+        assert got[m, n].tobytes() == stepped[m, n].tobytes(), mode
+        off = m != n
+        assert got[n[off], m[off]].tobytes() == mirrored[m[off], n[off]].conj().tobytes(), mode
 
 
 def test_generator_unknown_mode():
@@ -366,29 +393,46 @@ def reference_integrate(rho, coeffs, mode, ops, n):
 
 
 # coherent x0 = 2 occupies both parity sectors of m + n; the Fock and the
-# squeezed vacuum occupy the even one only, so the loop steps half the entries
+# squeezed vacuum occupy the even one only, so the loop steps half the entries.
+# Each sector folds its diagonals k >= 0 in pairs: at d = 30 both sectors have
+# 15 (the middle one pairs with itself), at d = 20 both have 10, and at d = 21
+# the even one has 11 and the odd one 10
 @pytest.mark.parametrize(
-    "state_name, sectors",
-    [("coherent2", ("even", "odd")), ("fock2", ("even",)), ("squeezed05", ("even",))],
-    ids=["coherent2", "fock2", "squeezed05"],
+    "state_name, sectors, d",
+    [
+        ("coherent2", ("even", "odd"), 30),
+        ("fock2", ("even",), 30),
+        ("squeezed05", ("even",), 30),
+        ("coherent2", ("even", "odd"), 20),
+        ("squeezed05", ("even",), 20),
+        ("coherent2", ("even", "odd"), 21),
+        ("squeezed05", ("even",), 21),
+    ],
+    ids=["coherent2", "fock2", "squeezed05", "coherent2_d20", "squeezed05_d20", "coherent2_d21", "squeezed05_d21"],
 )
-def test_batched_modes_match_reference_and_single_runs(pipeline, state_name, sectors):
+def test_batched_modes_match_reference_and_single_runs(pipeline, state_name, sectors, d):
     n = 301
     coeffs = pipeline.coeffs(2.0)
-    rho0 = oracle.to_density_matrix(pipeline.state(state_name), 30)
-    batch = oracle.integrate_modes(rho0, head(coeffs, n), oracle.MODES)
+    rho0 = oracle.to_density_matrix(pipeline.state(state_name), d)
+    # the squeezed vacuum puts 1e-6 into the top levels of d = 20 by t = 0.96;
+    # the smaller bases check the fold, not the truncation
+    threshold = 1e-6 if d == 30 else 1e-4
+    batch = oracle.integrate_modes(rho0, head(coeffs, n), oracle.MODES, leakage_threshold=threshold)
     assert tuple(batch) == oracle.MODES
-    odd = np.add.outer(np.arange(30), np.arange(30)) % 2 == 1
+    odd = np.add.outer(np.arange(d), np.arange(d)) % 2 == 1
+    ops = oracle.fock_operators(d)
     for mode, traj in batch.items():
         assert traj.sectors == sectors, mode
-        moments, rho_final = reference_integrate(rho0, coeffs, mode, pipeline.ops, n)
+        moments, rho_final = reference_integrate(rho0, coeffs, mode, ops, n)
         for name, ref in zip(MOMENT_NAMES, moments):
             assert np.max(np.abs(getattr(traj, name) - ref)) <= 1e-12, (mode, name)
         assert np.max(np.abs(traj.rho_final - rho_final)) <= 1e-12, mode
         if sectors == ("even",):
             assert np.all(traj.rho_final[odd] == 0.0), mode
             assert np.all(traj.mean_x == 0.0) and np.all(traj.mean_p == 0.0), mode
-        single = oracle.integrate_modes(rho0, head(coeffs, n), [mode])[mode]
+        single = oracle.integrate_modes(
+            rho0, head(coeffs, n), [mode], leakage_threshold=threshold
+        )[mode]
         for guard in ("trace_error", "herm_drift", "max_leakage"):
             assert getattr(traj, guard) == getattr(single, guard), (mode, guard)
         for name in MOMENT_NAMES + ("energy", "rho_final"):
@@ -520,6 +564,24 @@ def test_meanwhile_error_ends_the_children(monkeypatch, cpus):
     assert time.monotonic() - start < 30
     with pytest.raises(ChildProcessError):  # every child has been reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_integrate_modes_rejects_a_rho0_that_is_not_hermitian():
+    # the loop steps one Hermitian half of rho, so it must not be handed
+    # another; the error gives the measured drift
+    rho0 = oracle.to_density_matrix(qcf.CoherentState(1.0, 0.5), 12)
+    skewed = rho0.copy()
+    skewed[3, 1] += 2e-9
+    with pytest.raises(ValidationError, match=r"not Hermitian: max\|rho0 - rho0\^dag\| = 2\.00e-09"):
+        oracle.integrate_modes(skewed, zero_coeffs(t_max=0.1), ["full"])
+    within = rho0.copy()
+    within[3, 1] += 5e-13
+    oracle.integrate_modes(within, zero_coeffs(t_max=0.1), ["full"])
+    # every state the config builds is Hermitian to rounding
+    for state in (qcf.CoherentState(1.2, -0.8), qcf.ThermalState(0.5), qcf.FockState(4), qcf.SqueezedVacuum(0.5, 0.7)):
+        rho = oracle.to_density_matrix(state, 30)
+        assert np.abs(rho - rho.conj().T).max() <= 1e-16, state
+        oracle.integrate_modes(rho, zero_coeffs(t_max=0.02), ["rwa"])
 
 
 def test_integrate_modes_rejects_repeated_or_unknown_modes():
