@@ -269,7 +269,8 @@ def _kappa_lags(spec: ReservoirSpec, tau: np.ndarray) -> np.ndarray:
     T = spec.temperature
     if T == 0.0:
         x2 = (spec.wc * tau) ** 2
-        return spec.alpha**2 * spec.wc**2 * (1.0 - x2) / (1.0 + x2) ** 2
+        with np.errstate(over="ignore"):  # an infinite denominator gives the exact limit 0
+            return spec.alpha**2 * spec.wc**2 * (1.0 - x2) / (1.0 + x2) ** 2
     # coth(w/2T) = 1 + 2 sum_n exp(-n w/T) turns the transform into the
     # Bose sum Re[z^-2 + 2 sum_{n>=1} (z + n/T)^-2] with z = 1/wc - i tau
     z = 1.0 / spec.wc - 1j * tau
@@ -277,6 +278,7 @@ def _kappa_lags(spec: ReservoirSpec, tau: np.ndarray) -> np.ndarray:
     return spec.alpha**2 * (inv * inv + 2.0 * T**2 * trigamma(1.0 + T * z)).real
 
 
+@np.errstate(over="ignore")  # an infinite denominator gives the exact limit 0
 def _mu_lags(spec: ReservoirSpec, tau: np.ndarray) -> np.ndarray:
     if spec.alpha == 0.0:
         return np.zeros_like(tau)

@@ -28,8 +28,8 @@ of rho, its diagonals m - n >= 0 folded into a rectangle.  L is invariant
 under (X, P) -> (-X, -P), so it never mixes entries of even and odd m + n:
 the RK4 loop steps only the parity sectors in which rho0 has a nonzero
 entry (the Fock, thermal and squeezed states occupy the even one alone).
-``generator(coeffs_at_t, d, mode)`` returns the same kernel, on both
-sectors, as the function rho -> L(rho) on d x d matrices, and the algebra
+``generator(coeffs_at_t, d, mode)`` returns the same kernel, on every
+diagonal, as the function rho -> L(rho) on d x d matrices, and the algebra
 suite checks it, so there is one master equation.
 
 ``integrate_modes`` steps each mode through its own RK4 loop.  Where more
@@ -69,6 +69,8 @@ from qbm.errors import (
 from qbm import qcf
 from qbm.runio import write_text
 
+MIN_DIMENSION = 8  # the smallest Fock truncation d
+LEAKAGE_THRESHOLD = 1e-6  # default bound on the population of the top three levels
 INTERIOR_MARGIN = 5  # test operators / residuals live on levels 0 .. d-1-margin
 _WEYL_WINDOW_TOP = 14  # fixed window so the Weyl residual shrinks as d grows
 _WEYL_Z = (1.5, 1.5)  # phase-space point of the Weyl eigenrelation check
@@ -98,8 +100,8 @@ class FockOperators:
 
 
 def fock_operators(d: int) -> FockOperators:
-    if d < 8:
-        raise ValidationError("Fock truncation needs d >= 8")
+    if d < MIN_DIMENSION:
+        raise ValidationError(f"Fock truncation needs d >= {MIN_DIMENSION}")
     a = np.zeros((d, d), dtype=complex)
     ns = np.sqrt(np.arange(1, d, dtype=float))
     a[np.arange(d - 1), np.arange(1, d)] = ns
@@ -213,25 +215,24 @@ class _Stencil:
 
     One half of rho is stepped, folded into a rectangle as in the rectangular
     full packed format (Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS
-    37(2), 18, 2010).  A parity sector has the diagonals K = (s, s + 2, ...)
-    of m - n >= 0; S = K[0] + K[-1].  In rows of ``width`` L = max(2d - S),
-    row i holds the entry (n + K[i], n) at slot n and, at slot L - d + n,
-    (n + K[i] - S, n) of K[-1-i]'s conjugate partner; the rows i < len(K) / 2
-    own every diagonal once (an odd middle one twice).  The offset
-    (u + v, u - v) moves m - n by 2v and n by u - v, so it is the slot offset
-    u + v (L - 1): one strided view reads the neighbours over the mode's
-    ``cells``, the (u, v) box where its ``stencil_table`` is nonzero.
-    ``weights`` holds each slot's stencil in that order for the ``live``
-    weights: the generator at one time is one product with the row.
-
-    Each of the ``sectors`` has a ghost row i = -1, its owned rows and a seam
-    row; the ``size`` stepped slots run from the first owned row to the last.
-    ``fill`` writes into the ghost slots that owned slots read the conjugates
-    of their mirrors (rwa reads none).  The moments are one real product over
-    the entries held ``once``: tr(A rho) = sum A_mm rho_mm + 2 Re A_nm rho_mn.
+    37(2), 18, 2010).  The ``diagonals`` K = m - n >= 0 stepped are
+    range(s, d, 2) for a state in parity sector s alone (m + n and m - n
+    share their parity), else range(d).  In rows of L = 2d - K[0] - K[-1]
+    slots, row i holds (n + K[i], n) at slot n and (n - K[-1-i], n), of
+    K[-1-i]'s conjugate partner, at slot L - d + n; the ``size`` slots of the
+    rows i < len(K) / 2 are stepped and own every diagonal once (an odd middle
+    one twice).  The offset (u + v, u - v) moves m - n by 2v, 2v / step rows,
+    and n by u - v: the slot offset u + v ``stride``, stride = (2 // step) L - 1,
+    so one strided view reads the neighbours over the mode's ``cells``, the
+    (u, v) box where its ``stencil_table`` is nonzero.  ``weights`` holds each
+    slot's stencil in that order for the ``live`` weights.  ``fill`` writes
+    the conjugates of their mirrors into the slots read in the 2 // step ghost
+    rows (k < 0) before the stepped ones and the seam rows after (rwa reads
+    none).  The moments are one real product over the entries held ``once``:
+    tr(A rho) = sum A_mm rho_mm + 2 Re A_nm rho_mn.
     """
 
-    def __init__(self, ops: FockOperators, mode: str, sectors=(0, 1)):
+    def __init__(self, ops: FockOperators, mode: str, diagonals: range):
         d = self.d = ops.d
         table = stencil_table(ops, mode).reshape(len(WEIGHTS), 3, 3, d, d)
         nonzero = table != 0
@@ -240,13 +241,11 @@ class _Stencil:
         u, v = (np.flatnonzero(np.any(nonzero, axis=(0, other, 3, 4))) for other in (2, 1))
         table = table[self.live, u[0] : u[-1] + 1, v[0] : v[-1] + 1]
         self.cells = table.shape[1:3]
-        rows = []  # per row i = -1 .. seam of each sector: its diagonal k, S and if owned
-        for s in sectors:
-            count = len(range(s, d, 2))
-            i = np.arange(-1, (count + 3) // 2)
-            rows.append((s + 2 * i, np.full(len(i), 2 * (s + count - 1)), (i >= 0) & (2 * i < count)))
-        k, span, owned_row = (np.concatenate(a)[:, None] for a in zip(*rows))
-        self.width = width = int(np.max(2 * d - span))
+        reach, rows = 2 // diagonals.step, (len(diagonals) + 1) // 2
+        span = diagonals[0] + diagonals[-1]
+        width = 2 * d - span
+        self.stride = reach * width - 1
+        k = diagonals[0] + diagonals.step * np.arange(-reach, rows + reach)[:, None]
         # the entry (m, n) each slot holds, if any: rho is loaded as buffer[held] = rho[entries]
         slot = np.arange(width)
         negative = slot - (width - d)
@@ -255,23 +254,21 @@ class _Stencil:
         n = np.where(positive, slot, negative).ravel()
         held = (m >= 0) & (n >= 0)
         self.length, self.held, self.entries = m.size, np.flatnonzero(held), (m[held], n[held])
-        owned = held & np.repeat(owned_row, width)
-        slots, rm, rn = np.flatnonzero(owned), m[owned], n[owned]
+        self.first, self.size = reach * width, rows * width
+        self.stepped = slice(self.first, self.first + self.size)
+        slots = np.arange(self.length)[self.stepped]
+        rm, rn = m[self.stepped], n[self.stepped]
         slot_of = np.full((d, d), -1)
         slot_of[rm, rn] = slots
-        self.first = int(np.argmax(owned_row)) * width
-        self.size = int(np.flatnonzero(owned_row)[-1] + 1) * width - self.first
-        self.stepped = slice(self.first, self.first + self.size)  # the stepped slots
         offsets = self.cells[0] * self.cells[1]
-        weights = np.zeros((len(self.live), offsets, self.size), dtype=complex)
-        table = table.reshape(len(self.live), offsets, d, d)
-        weights[..., slots - self.first] = table[:, :, rm, rn]
+        weights = np.ascontiguousarray(table.reshape(len(self.live), offsets, d, d)[:, :, rm, rn])
         self.weights = weights.view(float).reshape(len(self.live), -1)
         self._products = np.empty((offsets, self.size), dtype=complex)
-        self.corner = (u[0] - 1) + (v[0] - 1) * (width - 1)
+        self.corner = (u[0] - 1) + (v[0] - 1) * self.stride
         reads = self.neighbours(np.arange(self.length)).reshape(offsets, -1)
         read = np.bincount(reads[np.any(weights != 0, axis=0)], minlength=self.length) > 0
-        self.ghosts = np.flatnonzero(read & ~owned)
+        read[self.stepped] = False
+        self.ghosts = np.flatnonzero(read)
         self.mirrors = slot_of[n[self.ghosts], m[self.ghosts]]
         once = (rm >= rn) | (slot_of[rn, rm] < 0)
         self.once = slots[once], rm[once], rn[once]
@@ -309,7 +306,7 @@ class _Stencil:
         return as_strided(
             buffer[self.first + self.corner :],
             shape=(*self.cells, self.size),
-            strides=(item, (self.width - 1) * item, item),
+            strides=(item, self.stride * item, item),
             writeable=False,
         )
 
@@ -321,11 +318,11 @@ class _Stencil:
 
 
 def generator(coeffs_at_t: dict, d: int, mode: str):
-    """L at one time for one mode as rho -> L(rho): the RK4 loop's kernel, both sectors.
+    """L at one time for one mode as rho -> L(rho): the RK4 loop's kernel on every diagonal.
 
     L(rho) on the entries the kernel holds ``once``, the other half as L(rho^dag)^dag.
     """
-    stencil = _Stencil(fock_operators(d), mode)
+    stencil = _Stencil(fock_operators(d), mode, range(d))
     coef = stencil.at(np.array([1.0] + [coeffs_at_t.get(k, 0.0) for k in WEIGHTS[1:]]))
     _, m, n = stencil.once
 
@@ -360,7 +357,7 @@ def integrate_modes(
     coeffs: CoefficientTable,
     modes,
     *,
-    leakage_threshold: float = 1e-6,
+    leakage_threshold: float = LEAKAGE_THRESHOLD,
     meanwhile=lambda: None,
 ) -> dict:
     """RK4 integration of the master equation in several modes.
@@ -393,11 +390,10 @@ def integrate_modes(
         raise ValidationError(f"rho0 is not Hermitian: max|rho0 - rho0^dag| = {drift:.2e} > 1e-12")
     d = rho0.shape[0]
     ops = fock_operators(d)
-    parity = np.add.outer(np.arange(d), np.arange(d)) % 2
-    occupied = [s for s in (0, 1) if np.any(rho0[parity == s])]
-    sectors = tuple(occupied) if len(occupied) == 1 else (0, 1)
+    occupied = {k % 2 for k in range(1 - d, d) if np.any(np.diagonal(rho0, k))}
+    diagonals = range(min(occupied), d, 2) if len(occupied) == 1 else range(d)
 
-    args = (rho0, ops, coeffs, sectors, leakage_threshold)
+    args = (rho0, ops, coeffs, diagonals, leakage_threshold)
     forked = modes[:-1] if _usable_cpus() > 1 else ()
     children = []
     try:
@@ -422,7 +418,7 @@ def integrate_modes(
     return dict(zip(modes, (*replies, *own)))
 
 
-def check_initial_leakage(rho0: np.ndarray, leakage_threshold: float = 1e-6) -> None:
+def check_initial_leakage(rho0: np.ndarray, leakage_threshold: float = LEAKAGE_THRESHOLD) -> None:
     """Raise ``LeakageError`` if rho0's top three levels hold more than the threshold."""
     rho0 = np.asarray(rho0, dtype=complex)
     ops = fock_operators(len(rho0))
@@ -490,8 +486,8 @@ def _replies(children) -> list:
     return replies
 
 
-def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> OracleTrajectory:
-    """Step one mode from ``rho0`` through one RK4 loop, on the given sectors.
+def _integrate_mode(mode, rho0, ops, coeffs, diagonals, leakage_threshold) -> OracleTrajectory:
+    """Step one mode from ``rho0`` through one RK4 loop, on the ``diagonals`` m - n >= 0 given.
 
     One Hermitian half of rho is stepped, its ghosts filled before each
     stage.  Each node is read by one real product with ``moment_map``: the
@@ -501,7 +497,7 @@ def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> Orac
     d = ops.d
     t = coeffs.grid
     n = len(t)
-    gen = _Stencil(ops, mode, sectors)
+    gen = _Stencil(ops, mode, diagonals)
     rows = np.column_stack([np.ones(n)] + [getattr(coeffs, k) for k in WEIGHTS[1:]])
     # one (1, 2k) @ (2k, 7) matmul per node: a vector-matrix product may round differently
     readout = np.empty((n, gen.moment_map.shape[1]))
@@ -563,7 +559,7 @@ def _integrate_mode(mode, rho0, ops, coeffs, sectors, leakage_threshold) -> Orac
         herm_drift=float(np.abs(rho - rho.conj().T).max()),
         max_leakage=float(leakage.max()),
         rho_final=rho,
-        sectors=tuple(SECTORS[s] for s in sectors),
+        sectors=SECTORS[diagonals.start :: diagonals.step],
     )
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -151,6 +153,17 @@ def test_kernels_scale_exactly_as_alpha_squared(alpha, tau, wc, temperature):
             assert v2 / v1 == pytest.approx(4.0, rel=1e-12)
         else:
             assert v2 == 0.0
+
+
+def test_kernels_past_the_double_range_of_their_denominator_are_exact_zeros():
+    # at wc tau > 1e77 the denominator (1 + (wc tau)^2)^2 overflows to inf,
+    # whose quotient is the exact limit 0: no overflow warning, a finite table
+    spec = ReservoirSpec("ohmic_exp_cutoff", alpha=1e-50, wc=1e90)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = tabulate_kernels(spec, np.linspace(0.0, 1.0, 11))
+    assert table.kappa[0] == pytest.approx(1e80, rel=1e-15)
+    assert np.all(table.kappa[1:] == 0.0) and np.all(table.mu == 0.0)
 
 
 def test_tabulate_zero_coupling_gives_zero_table():

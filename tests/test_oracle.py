@@ -132,7 +132,7 @@ def test_integration_steps_on_the_generator():
     node, nxt = ({k: v[i] for k, v in rows.items()} for i in (0, 1))
     mid = {k: 0.5 * (node[k] + nxt[k]) for k in rows}
     h = grid[1] - grid[0]
-    _, m, n = oracle._Stencil(oracle.fock_operators(12), "full").once
+    _, m, n = oracle._Stencil(oracle.fock_operators(12), "full", range(12)).once
 
     def stepped_half(mat):
         out = np.zeros_like(mat)
@@ -184,10 +184,51 @@ def test_each_mode_steps_only_its_offsets():
     ops = oracle.fock_operators(12)
     row = np.array([1.0, 0.25, 0.125, 0.5, 0.0625])
     for mode, cells in (("full", (3, 3)), ("norenorm", (3, 3)), ("rwa", (3, 1))):
-        stencil = oracle._Stencil(ops, mode)
+        stencil = oracle._Stencil(ops, mode, range(12))
         assert stencil.neighbours(stencil.buffer()).shape == (*cells, stencil.size), mode
         assert stencil.at(row).shape == (cells[0] * cells[1], stencil.size), mode
         assert stencil.weights.shape == (len(stencil.live), 2 * cells[0] * cells[1] * stencil.size)
+
+
+@pytest.mark.parametrize("d", [8, 9, 20, 21, 30, 31])
+def test_every_fold_steps_each_entry_of_its_half_and_reads_inside_its_buffer(d):
+    # for one parity sector (every other diagonal) and for both (every
+    # diagonal), each stepped slot holds an entry of the Hermitian half on
+    # those diagonals, each entry once but a self-paired middle diagonal's
+    # twice; each weighted neighbour read is the entry the offset names, and
+    # the strided view starts and ends inside the buffer
+    ops = oracle.fock_operators(d)
+    for diagonals in (range(d), range(0, d, 2), range(1, d, 2)):
+        middle = diagonals[len(diagonals) // 2] if len(diagonals) % 2 else None
+        expected = {(n + k, n) for k in diagonals for n in range(d - k)}
+        for mode in oracle.MODES:
+            stencil = oracle._Stencil(ops, mode, diagonals)
+            m, n = np.full(stencil.length, -d), np.full(stencil.length, -d)
+            m[stencil.held], n[stencil.held] = stencil.entries
+            slots = np.arange(stencil.length)[stencil.stepped]
+            assert np.all(m[slots] >= 0), (diagonals, mode)
+            pairs, counts = np.unique(
+                np.stack([np.maximum(m, n), np.minimum(m, n)])[:, slots], axis=1, return_counts=True
+            )
+            assert set(zip(*pairs.tolist())) == expected, (diagonals, mode)
+            assert np.all(counts == np.where(pairs[0] - pairs[1] == middle, 2, 1)), (diagonals, mode)
+            assert not np.isin(stencil.ghosts, slots).any(), (diagonals, mode)
+            assert np.array_equal(m[stencil.mirrors], n[stencil.ghosts]), (diagonals, mode)
+            assert np.array_equal(n[stencil.mirrors], m[stencil.ghosts]), (diagonals, mode)
+
+            buffer = stencil.buffer()
+            view = stencil.neighbours(buffer)
+            low = view.ctypes.data - buffer.ctypes.data
+            high = low + sum((e - 1) * s for e, s in zip(view.shape, view.strides)) + view.itemsize
+            assert 0 <= low and high <= buffer.nbytes, (diagonals, mode)
+            reads = stencil.neighbours(np.arange(stencil.length))
+            weighted = np.any(stencil.weights.view(complex).reshape(-1, *view.shape) != 0, axis=0)
+            iu, iv, slot = np.nonzero(weighted)
+            read, here = reads[iu, iv, slot], slots[slot]
+            # every mode's (u, v) box is all of {-1, 0, 1}, or its middle alone
+            u, v = (i - (extent // 2) for i, extent in zip((iu, iv), stencil.cells))
+            assert np.array_equal(m[read], m[here] + u + v), (diagonals, mode)
+            assert np.array_equal(n[read], n[here] + u - v), (diagonals, mode)
 
 
 def test_generator_is_the_nine_offset_stencil_bit_for_bit():
@@ -203,7 +244,7 @@ def test_generator_is_the_nine_offset_stencil_bit_for_bit():
     rho = unit * 2.0 ** rng.integers(-3, 4, size=(d, d))
     coeffs = {"delta_bar": 0.25, "pi": 0.125, "r": 0.5, "gamma": 0.0625}
     row = np.array([1.0] + [coeffs[k] for k in oracle.WEIGHTS[1:]])
-    _, m, n = oracle._Stencil(oracle.fock_operators(d), "full").once
+    _, m, n = oracle._Stencil(oracle.fock_operators(d), "full", range(d)).once
     for mode in oracle.MODES:
         got = oracle.generator(coeffs, d, mode)(rho)
         stepped, mirrored = nine_offset_rhs(rho, row, mode), nine_offset_rhs(rho.conj().T, row, mode)
@@ -394,9 +435,9 @@ def reference_integrate(rho, coeffs, mode, ops, n):
 
 # coherent x0 = 2 occupies both parity sectors of m + n; the Fock and the
 # squeezed vacuum occupy the even one only, so the loop steps half the entries.
-# Each sector folds its diagonals k >= 0 in pairs: at d = 30 both sectors have
-# 15 (the middle one pairs with itself), at d = 20 both have 10, and at d = 21
-# the even one has 11 and the odd one 10
+# The loop folds the diagonals k >= 0 it steps in pairs, an odd count's middle
+# one with itself: both sectors have 30 diagonals at d = 30, 20 at d = 20 and
+# 21 at d = 21, the even one alone 15, 10 and 11
 @pytest.mark.parametrize(
     "state_name, sectors, d",
     [
