@@ -24,8 +24,8 @@ from qbm.errors import ValidationError
 from qbm.kernels import KernelTable, ReservoirSpec, kappa, mu, quad, spectral_density
 from qbm.runio import write_csv
 
-# refuse grids coarser than ~pi/5 radians of oscillation per step
-MAX_STEP_RADIANS = np.pi / 5.0
+# refuse grids coarser than 0.5 radians per step: R(t)'s RK4 needs w dt <= 0.5, and w(0) = 1
+MAX_STEP_RADIANS = 0.5
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from qbm import qcf
 from qbm.coefficients import check_grid
 from qbm.errors import FileError, LeakageError, ValidationError
 from qbm.kernels import FAMILIES, KernelTable, ReservoirSpec, load_kernel_csv, tabulate_kernels
-from qbm.oracle import LEAKAGE_THRESHOLD, MIN_DIMENSION, check_initial_leakage, to_density_matrix
+from qbm.oracle import LEAKAGE_THRESHOLD, MAX_DIMENSION, MIN_DIMENSION, check_initial_leakage, to_density_matrix
 from qbm.propagator import MODES
 from qbm.runio import read_csv
 
@@ -223,8 +223,8 @@ def parse_config(path) -> RunConfig:
     # canonical order, duplicates collapsed
     modes = tuple(m for m in RUN_MODES if m in modes)
 
-    floor = MIN_DIMENSION
-    oracle_dim = _bounded(seen, "oracle.dimension", 30, lambda v: v >= floor, f">= {floor}")
+    low, high = MIN_DIMENSION, MAX_DIMENSION
+    oracle_dim = _bounded(seen, "oracle.dimension", 30, lambda v: low <= v <= high, f">= {low}, <= {high}")
     leakage = _bounded(seen, "oracle.leakage_threshold", LEAKAGE_THRESHOLD, lambda v: v > 0, "> 0")
     rho0 = None
     if "oracle" in modes:

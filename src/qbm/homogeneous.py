@@ -22,13 +22,12 @@ import logging
 
 import numpy as np
 
-from qbm.coefficients import CoefficientTable
+from qbm.coefficients import MAX_STEP_RADIANS, CoefficientTable
 from qbm.errors import NumericalError, StabilityError
 from qbm.runio import write_csv
 
 log = logging.getLogger(__name__)
 
-MAX_FREQUENCY_STEP = 0.5  # refuse when effective frequency * dt exceeds this
 DET_DRIFT_WARN = 1e-6
 
 
@@ -45,11 +44,11 @@ def solve_fundamental(coeffs: CoefficientTable) -> np.ndarray:
             "tabulated family"
         )
     steps = np.diff(grid)
-    if np.sqrt(w2.max()) * steps.max() > MAX_FREQUENCY_STEP:
+    if np.sqrt(w2.max()) * steps.max() > MAX_STEP_RADIANS:
         raise StabilityError(
             f"step {steps.max():g} too large for effective frequency "
             f"{np.sqrt(w2.max()):g}; need grid.dt <= "
-            f"{MAX_FREQUENCY_STEP / np.sqrt(w2.max()):g}"
+            f"{MAX_STEP_RADIANS / np.sqrt(w2.max()):g}"
         )
 
     b = np.empty((len(grid), 2, 2))

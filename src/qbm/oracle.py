@@ -70,6 +70,7 @@ from qbm import qcf
 from qbm.runio import write_text
 
 MIN_DIMENSION = 8  # the smallest Fock truncation d
+MAX_DIMENSION = 256  # the largest: each mode's (5, 9, d, d) stencil_table takes 720 d^2 B, 45 MiB
 LEAKAGE_THRESHOLD = 1e-6  # default bound on the population of the top three levels
 INTERIOR_MARGIN = 5  # test operators / residuals live on levels 0 .. d-1-margin
 _WEYL_WINDOW_TOP = 14  # fixed window so the Weyl residual shrinks as d grows
@@ -100,8 +101,8 @@ class FockOperators:
 
 
 def fock_operators(d: int) -> FockOperators:
-    if d < MIN_DIMENSION:
-        raise ValidationError(f"Fock truncation needs d >= {MIN_DIMENSION}")
+    if not MIN_DIMENSION <= d <= MAX_DIMENSION:
+        raise ValidationError(f"Fock truncation needs {MIN_DIMENSION} <= d <= {MAX_DIMENSION}, not {d}")
     a = np.zeros((d, d), dtype=complex)
     ns = np.sqrt(np.arange(1, d, dtype=float))
     a[np.arange(d - 1), np.arange(1, d)] = ns
@@ -219,17 +220,17 @@ class _Stencil:
     range(s, d, 2) for a state in parity sector s alone (m + n and m - n
     share their parity), else range(d).  In rows of L = 2d - K[0] - K[-1]
     slots, row i holds (n + K[i], n) at slot n and (n - K[-1-i], n), of
-    K[-1-i]'s conjugate partner, at slot L - d + n; the ``size`` slots of the
-    rows i < len(K) / 2 are stepped and own every diagonal once (an odd middle
-    one twice).  The offset (u + v, u - v) moves m - n by 2v, 2v / step rows,
-    and n by u - v: the slot offset u + v ``stride``, stride = (2 // step) L - 1,
-    so one strided view reads the neighbours over the mode's ``cells``, the
-    (u, v) box where its ``stencil_table`` is nonzero.  ``weights`` holds each
-    slot's stencil in that order for the ``live`` weights.  ``fill`` writes
-    the conjugates of their mirrors into the slots read in the 2 // step ghost
-    rows (k < 0) before the stepped ones and the seam rows after (rwa reads
-    none).  The moments are one real product over the entries held ``once``:
-    tr(A rho) = sum A_mm rho_mm + 2 Re A_nm rho_mn.
+    K[-1-i]'s conjugate partner, at slot L - d + n; the first ``size`` slots
+    from row 0 hold each entry of the half ``once`` (an odd middle row's
+    conjugate half lies past them).  The offset (u + v, u - v) moves m - n by
+    2v, 2v / step rows, and n by u - v: the slot offset u + v ``stride``,
+    stride = (2 // step) L - 1, so one strided view reads the neighbours over
+    the mode's ``cells``, the (u, v) box where its ``stencil_table`` is
+    nonzero.  ``weights`` holds each slot's stencil in that order for the
+    ``live`` weights.  ``fill`` writes the conjugates of their mirrors into
+    the slots read in the 2 // step ghost rows (k < 0) before the stepped
+    ones and in those after (rwa reads none).  The moments are one real
+    product over the stepped entries: tr(A rho) = sum A_mm rho_mm + 2 Re A_nm rho_mn.
     """
 
     def __init__(self, ops: FockOperators, mode: str, diagonals: range):
@@ -254,7 +255,7 @@ class _Stencil:
         n = np.where(positive, slot, negative).ravel()
         held = (m >= 0) & (n >= 0)
         self.length, self.held, self.entries = m.size, np.flatnonzero(held), (m[held], n[held])
-        self.first, self.size = reach * width, rows * width
+        self.first, self.size = reach * width, sum(d - k for k in diagonals)
         self.stepped = slice(self.first, self.first + self.size)
         slots = np.arange(self.length)[self.stepped]
         rm, rn = m[self.stepped], n[self.stepped]
@@ -270,10 +271,9 @@ class _Stencil:
         read[self.stepped] = False
         self.ghosts = np.flatnonzero(read)
         self.mirrors = slot_of[n[self.ghosts], m[self.ghosts]]
-        once = (rm >= rn) | (slot_of[rn, rm] < 0)
-        self.once = slots[once], rm[once], rn[once]
+        self.once = slots, rm, rn
         traced = ops.traced[rm * d + rn] * np.where(rm == rn, 1.0, 2.0)[:, None]
-        support = once & np.any(traced != 0, axis=1)
+        support = np.any(traced != 0, axis=1)
         self.support = slots[support]
         self.moment_map = np.stack([traced.real, -traced.imag], axis=1)[support].reshape(-1, 7)
 
@@ -320,7 +320,7 @@ class _Stencil:
 def generator(coeffs_at_t: dict, d: int, mode: str):
     """L at one time for one mode as rho -> L(rho): the RK4 loop's kernel on every diagonal.
 
-    L(rho) on the entries the kernel holds ``once``, the other half as L(rho^dag)^dag.
+    L(rho) on the entries the kernel steps, the other half as L(rho^dag)^dag.
     """
     stencil = _Stencil(fock_operators(d), mode, range(d))
     coef = stencil.at(np.array([1.0] + [coeffs_at_t.get(k, 0.0) for k in WEIGHTS[1:]]))

@@ -150,15 +150,18 @@ def test_tabulated_kernel_shorter_than_grid_rejected_before_any_file(tmp_path, c
 
 
 def test_coarse_grid_rejected_before_any_file(tmp_path, capsys):
-    out = tmp_path / "o"
-    text = MINIMAL.replace("grid.dt = 0.01\ngrid.t_max = 1.0", "grid.dt = 1.0\ngrid.t_max = 5.0")
-    path = write_conf(tmp_path, text + f"run.output_dir = {out}\n")
-    message = r"^line 4: grid\.dt, line 5: grid\.t_max: grid too coarse: use grid\.dt <= 0\.628, not 1$"
-    with pytest.raises(ValidationError, match=message):
-        parse_config(path)
-    assert main(["run", str(path)]) == 1
-    assert "line 4: grid.dt" in capsys.readouterr().err
-    assert not out.exists()
+    # dt = 0.6 would also fail full mode's homogeneous solve, whose effective
+    # frequency is 1 at t = 0, so it must fail before any file is written
+    for dt, t_max in (("1", "5.0"), ("0.6", "6.0")):
+        out = tmp_path / f"o{dt}"
+        text = MINIMAL.replace("grid.dt = 0.01\ngrid.t_max = 1.0", f"grid.dt = {dt}\ngrid.t_max = {t_max}")
+        path = write_conf(tmp_path, text + f"run.output_dir = {out}\n")
+        message = rf"^line 4: grid\.dt, line 5: grid\.t_max: grid too coarse: use grid\.dt <= 0\.5, not {dt}$"
+        with pytest.raises(ValidationError, match=message):
+            parse_config(path)
+        assert main(["run", str(path)]) == 1
+        assert "line 4: grid.dt" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_unknown_key_suggests_correction(tmp_path):
@@ -206,6 +209,10 @@ LINE_ERRORS = {
         ("grid.t_max = 1.0", "grid.t_max = 0.001"), [], 5, "grid.t_max must be >= grid.dt"
     ),
     "oracle.dimension": (None, ["oracle.dimension = 4"], 7, "oracle.dimension must be >= 8"),
+    # past 256 each mode's stencil table would take more than 45 MiB
+    "oracle.dimension large": (
+        None, ["oracle.dimension = 257"], 7, "oracle.dimension must be >= 8, <= 256"
+    ),
     "oracle.leakage_threshold": (
         None, ["oracle.leakage_threshold = 0"], 7, "oracle.leakage_threshold must be > 0"
     ),

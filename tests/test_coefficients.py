@@ -79,9 +79,9 @@ def test_refinement_converges_at_second_order():
 
 
 def test_coarse_grid_refused_with_resolution_hint():
-    grid = np.linspace(0.0, 10.0, 11)  # dt = 1 > pi/5
+    grid = np.linspace(0.0, 10.0, 11)  # dt = 1 > 0.5
     table = tabulate_kernels(OHMIC, grid)
-    with pytest.raises(ValidationError, match=r"use grid\.dt <= 0\.628, not 1$"):
+    with pytest.raises(ValidationError, match=r"use grid\.dt <= 0\.5, not 1$"):
         compute_coefficients(table)
 
 

@@ -61,6 +61,13 @@ def test_algebra_suite_rejects_small_dimension():
         oracle.algebra_suite(12)
 
 
+def test_fock_operators_bound_the_dimension():
+    # the bound is checked before any d x d array is made
+    for d in (oracle.MIN_DIMENSION - 1, oracle.MAX_DIMENSION + 1):
+        with pytest.raises(ValidationError, match=rf"8 <= d <= 256, not {d}$"):
+            oracle.fock_operators(d)
+
+
 def test_algebra_report_file(tmp_path):
     rep = oracle.algebra_suite(20)
     path = tmp_path / "report.txt"
@@ -194,12 +201,11 @@ def test_each_mode_steps_only_its_offsets():
 def test_every_fold_steps_each_entry_of_its_half_and_reads_inside_its_buffer(d):
     # for one parity sector (every other diagonal) and for both (every
     # diagonal), each stepped slot holds an entry of the Hermitian half on
-    # those diagonals, each entry once but a self-paired middle diagonal's
-    # twice; each weighted neighbour read is the entry the offset names, and
-    # the strided view starts and ends inside the buffer
+    # those diagonals, each entry once, an odd count's middle diagonal too;
+    # each weighted neighbour read is the entry the offset names, and the
+    # strided view starts and ends inside the buffer
     ops = oracle.fock_operators(d)
     for diagonals in (range(d), range(0, d, 2), range(1, d, 2)):
-        middle = diagonals[len(diagonals) // 2] if len(diagonals) % 2 else None
         expected = {(n + k, n) for k in diagonals for n in range(d - k)}
         for mode in oracle.MODES:
             stencil = oracle._Stencil(ops, mode, diagonals)
@@ -211,8 +217,9 @@ def test_every_fold_steps_each_entry_of_its_half_and_reads_inside_its_buffer(d):
                 np.stack([np.maximum(m, n), np.minimum(m, n)])[:, slots], axis=1, return_counts=True
             )
             assert set(zip(*pairs.tolist())) == expected, (diagonals, mode)
-            assert np.all(counts == np.where(pairs[0] - pairs[1] == middle, 2, 1)), (diagonals, mode)
+            assert np.all(counts == 1), (diagonals, mode)
             assert not np.isin(stencil.ghosts, slots).any(), (diagonals, mode)
+            assert np.isin(stencil.mirrors, slots).all(), (diagonals, mode)
             assert np.array_equal(m[stencil.mirrors], n[stencil.ghosts]), (diagonals, mode)
             assert np.array_equal(n[stencil.mirrors], m[stencil.ghosts]), (diagonals, mode)
 
