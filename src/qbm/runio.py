@@ -1,10 +1,12 @@
-"""Deterministic CSV and text-report writing shared by the artifact emitters.
-
-Every output file starts with a ``#``-prefixed schema comment followed by a
-plain header row; floats are written with %.17g so reruns are byte-identical.
+"""Artifact writers: ``write_csv`` formats a table, ``write_text`` a report and
+``copy_file`` mirrors a file already written, byte for byte.  Every CSV starts
+with a ``#``-prefixed schema comment and a plain header row; floats are
+written with %.17g so reruns are byte-identical.
 """
 
 from __future__ import annotations
+
+import shutil
 
 import numpy as np
 
@@ -35,6 +37,14 @@ def write_text(path, lines) -> None:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise FileError(f"cannot write {path}: {exc}") from exc
+
+
+def copy_file(src, dst) -> None:
+    """Write ``dst`` as a byte copy of ``src``, without reformatting it."""
+    try:
+        shutil.copyfile(src, dst)
+    except OSError as exc:
+        raise FileError(f"cannot write {dst}: {exc}") from exc
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:

@@ -6,8 +6,8 @@ analytic modes, each analytic mode gets a matching brute-force integration
 and ``diff_report.txt`` collects the max deviation per observable.  The
 analytic modes run as the oracle's ``meanwhile``: where two CPUs are
 usable, while forked children step every oracle mode but the last.  Plain
-``observables.csv`` / ``oracle_observables.csv`` / ``propagator.csv`` mirror
-the first mode of the run; mode-suffixed copies are always written.
+``observables.csv`` / ``oracle_observables.csv`` / ``propagator.csv`` are
+byte copies of the first mode's files; mode-suffixed files are always written.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from qbm.config import RunConfig
 from qbm.errors import FileError, ValidationError
 from qbm.homogeneous import write_rotation_csv
 from qbm.propagator import build_propagator, delta_gamma_series, write_propagator_csv
-from qbm.runio import write_csv, write_text
+from qbm.runio import copy_file, write_csv, write_text
 
 OBSERVABLES_CSV_COLUMNS = "t,mean_x,mean_p,xx,pp,xp_sym,energy,energy_rwa,lambda,theta"
 
@@ -55,10 +55,10 @@ def run(config: RunConfig) -> RunResult:
         result.files.append(path)
 
     def emit_mode(stem, mode, first_mode, writer):
-        """``stem_mode.csv``, then its ``stem.csv`` mirror for the run's first mode."""
+        """``stem_mode.csv``, then for the run's first mode its ``stem.csv`` byte copy."""
         emit(f"{stem}_{mode}.csv", writer)
         if mode == first_mode:
-            emit(f"{stem}.csv", writer)
+            emit(f"{stem}.csv", lambda p, src=result.files[-1]: copy_file(src, p))
 
     grid = config.kernels.grid
     coeffs = compute_coefficients(config.kernels)

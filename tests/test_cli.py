@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from qbm import kernels, oracle, qcf
+from qbm import coefficients, homogeneous, kernels, oracle, propagator, qcf, runio, runner
 from qbm.cli import main
 from qbm.config import _KEY_TYPES, _STATE_KINDS, RUN_MODES, build_grid, load_chi_csv, parse_config
 from qbm.errors import LeakageError, ValidationError
@@ -607,12 +607,22 @@ def test_wigner_times_on_one_node_give_one_map(tmp_path, capsys):
     assert sorted(p.name for p in out.glob("wigner_t*.csv")) == ["wigner_t20.csv", "wigner_t50.csv"]
 
 
-def test_multi_mode_run_files_and_mirrors(tmp_path, capsys):
+def test_multi_mode_run_files_and_mirrors(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     text = MINIMAL.replace("run.modes = full", "run.modes = norenorm,rwa,oracle").replace(
         "reservoir.alpha = 0.0", "reservoir.alpha = 0.1"
     ) + f"state.x0 = 2.0\nrun.output_dir = {out}\n"
+    formatted = []
+
+    def counting_write_csv(path, columns, rows):
+        formatted.append(os.path.basename(path))
+        runio.write_csv(path, columns, rows)
+
+    for module in (runner, propagator, coefficients, homogeneous):
+        monkeypatch.setattr(module, "write_csv", counting_write_csv)
     assert main(["run", str(write_conf(tmp_path, text))]) == 0
+    # each distinct table is formatted once; the three mirrors are byte copies
+    assert len(formatted) == 7, formatted
     printed = [os.path.basename(line) for line in capsys.readouterr().out.split()]
     assert printed == [
         "coefficients.csv",
@@ -692,9 +702,15 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "modes, report", [("full", "run_report.txt"), ("full,oracle", "diff_report.txt")]
+    "modes, report",
+    [
+        ("full", "run_report.txt"),
+        ("full,oracle", "diff_report.txt"),
+        ("full", "observables.csv"),
+        ("full,oracle", "oracle_observables.csv"),
+    ],
 )
-def test_unwritable_text_report_exits_with_io_code(tmp_path, capsys, modes, report):
+def test_unwritable_report_or_mirror_exits_with_io_code(tmp_path, capsys, modes, report):
     out = tmp_path / "o"
     (out / report).mkdir(parents=True)
     text = MINIMAL.replace("run.modes = full", f"run.modes = {modes}")
