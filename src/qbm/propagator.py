@@ -59,12 +59,21 @@ class PropagatorBundle:
     rotations: np.ndarray  # (n, 2, 2)
     rotations_inv: np.ndarray  # (n, 2, 2)
     w_bar: np.ndarray  # (n, 2, 2), symmetric
-    delta_gamma: np.ndarray  # (n,)
-    lam: np.ndarray  # (n,) sigma_z component of w_bar
-    theta: np.ndarray  # (n,) sigma_x component of w_bar
 
     def __len__(self):
         return len(self.grid)
+
+    @property
+    def delta_gamma(self) -> np.ndarray:  # (n,) tr Wbar
+        return self.w_bar[:, 0, 0] + self.w_bar[:, 1, 1]
+
+    @property
+    def lam(self) -> np.ndarray:  # (n,) sigma_z component of w_bar
+        return self.w_bar[:, 0, 0] - self.w_bar[:, 1, 1]
+
+    @property
+    def theta(self) -> np.ndarray:  # (n,) sigma_x component of w_bar
+        return 2.0 * self.w_bar[:, 0, 1]
 
 
 def m_matrices(coeffs: CoefficientTable) -> np.ndarray:
@@ -105,11 +114,6 @@ def delta_gamma_series(coeffs: CoefficientTable) -> np.ndarray:
     return np.exp(-coeffs.big_gamma) * acc
 
 
-def lambda_theta_series(w_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda, theta): the sigma_z and sigma_x components of each symmetric node."""
-    return w_bar[:, 0, 0] - w_bar[:, 1, 1], 2.0 * w_bar[:, 0, 1]
-
-
 def build_propagator(
     spec: ReservoirSpec | KernelTable,
     grid,
@@ -141,22 +145,12 @@ def build_propagator(
         w_bar[:, 1, 1] = half_dg
     else:
         w_bar = w_bar_matrix(w_matrix(coeffs, rot), rot_inv, coeffs.big_gamma)
-
-    dg = w_bar[:, 0, 0] + w_bar[:, 1, 1]
-    lam, theta = lambda_theta_series(w_bar)
     return PropagatorBundle(
-        grid=grid,
-        big_gamma=coeffs.big_gamma,
-        rotations=rot,
-        rotations_inv=rot_inv,
-        w_bar=w_bar,
-        delta_gamma=dg,
-        lam=lam,
-        theta=theta,
+        grid=grid, big_gamma=coeffs.big_gamma, rotations=rot, rotations_inv=rot_inv, w_bar=w_bar
     )
 
 
-PROPAGATOR_CSV_COLUMNS = "t,big_gamma,R11,R12,R21,R22,W11,W12,W22,delta_gamma,lambda,theta"
+PROPAGATOR_CSV_COLUMNS = "t,R11,R12,R21,R22,W11,W12,W22,delta_gamma,lambda,theta"
 
 
 def write_propagator_csv(bundle: PropagatorBundle, path) -> None:
@@ -165,7 +159,6 @@ def write_propagator_csv(bundle: PropagatorBundle, path) -> None:
     columns = np.column_stack(
         [
             bundle.grid,
-            bundle.big_gamma,
             r[:, 0, 0],
             r[:, 0, 1],
             r[:, 1, 0],

@@ -411,15 +411,16 @@ def observable_series(bundle: PropagatorBundle, state) -> ObservableSeries:
     return ObservableSeries(bundle.grid, *_moment_columns(b_t, c_t))
 
 
-def closed_form_energy(bundle: PropagatorBundle, e0: float, delta_gamma) -> np.ndarray:
+def closed_form_energy(big_gamma, e0: float, delta_gamma) -> np.ndarray:
     """<H0>_t = e^{-Gamma} E0 + delta_gamma over the grid, H0 = (X^2 + P^2)/2, E0 = <H0>_0.
 
     Exact in the rwa and norenorm modes with delta_gamma = tr Wbar, because
     the counter-rotating part of Wbar is traceless; the full mode has no
-    such form.  With the rotating-wave delta_gamma of the coefficient table
-    it is the rotating-wave reference energy of any bundle.
+    such form.  With Gamma and the rotating-wave delta_gamma of the
+    coefficient table it is the rotating-wave reference energy of any route,
+    analytic or oracle, from that route's own E0.
     """
-    return np.exp(-bundle.big_gamma) * e0 + delta_gamma
+    return np.exp(-big_gamma) * e0 + delta_gamma
 
 
 def check_wigner_reach(state) -> None:

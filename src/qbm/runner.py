@@ -5,9 +5,13 @@ independently off one coefficient table.  With the oracle mode alongside
 analytic modes, each analytic mode gets a matching brute-force integration
 and ``diff_report.txt`` collects the max deviation per observable.  The
 analytic modes run as the oracle's ``meanwhile``: where two CPUs are
-usable, while forked children step every oracle mode but the last.  Plain
-``observables.csv`` / ``oracle_observables.csv`` / ``propagator.csv`` are
-byte copies of the first mode's files; mode-suffixed files are always written.
+usable, while forked children step every oracle mode but the last.  Each
+column is formatted in one file (``big_gamma`` in ``coefficients.csv``,
+``lambda``/``theta`` in the propagator files); ``energy_rwa`` needs only the
+coefficient table and a route's own E0, so an oracle-only run writes it too.
+Plain ``observables.csv`` / ``oracle_observables.csv`` / ``propagator.csv``
+are byte copies of the first mode's files; mode-suffixed files are always
+written.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from qbm.homogeneous import write_rotation_csv
 from qbm.propagator import build_propagator, delta_gamma_series, write_propagator_csv
 from qbm.runio import copy_file, write_csv, write_text
 
-OBSERVABLES_CSV_COLUMNS = "t,mean_x,mean_p,xx,pp,xp_sym,energy,energy_rwa,lambda,theta"
+OBSERVABLES_CSV_COLUMNS = "t,mean_x,mean_p,xx,pp,xp_sym,energy,energy_rwa"
 
 
 @dataclass
@@ -74,19 +78,16 @@ def run(config: RunConfig) -> RunResult:
     oracle_modes = analytic_modes if analytic_modes else ["full"]
     delta_gamma_rwa = delta_gamma_series(coeffs)
 
-    def observables_writer(bundle, moments, energy, e0):
+    def observables_writer(moments, energy):
         """Writer of the observables rows of an analytic series or an oracle trajectory.
 
-        ``energy_rwa`` is the rotating-wave closed form from ``e0``; it and
-        ``lambda``/``theta`` come from the mode's bundle, NaN without one.
+        ``energy_rwa`` is the rotating-wave closed form of the coefficient
+        table from the route's own E0 = ``energy[0]``, so an oracle-only run
+        has it too.
         """
-        if bundle is None:
-            energy_rwa = lam = theta = np.full(len(moments.grid), np.nan)
-        else:
-            energy_rwa = qcf.closed_form_energy(bundle, e0, delta_gamma_rwa)
-            lam, theta = bundle.lam, bundle.theta
+        energy_rwa = qcf.closed_form_energy(coeffs.big_gamma, energy[0], delta_gamma_rwa)
         columns = [moments.grid, moments.mean_x, moments.mean_p, moments.xx, moments.pp]
-        columns += [moments.xp_sym, energy, energy_rwa, lam, theta]
+        columns += [moments.xp_sym, energy, energy_rwa]
         matrix = np.column_stack(columns)
         return lambda path: write_csv(path, OBSERVABLES_CSV_COLUMNS, matrix)
 
@@ -106,8 +107,8 @@ def run(config: RunConfig) -> RunResult:
             if mode == "full":
                 energy = series.energy
             else:
-                energy = qcf.closed_form_energy(bundle, e0, bundle.delta_gamma)
-            writer = observables_writer(bundle, series, energy, e0)
+                energy = qcf.closed_form_energy(bundle.big_gamma, e0, bundle.delta_gamma)
+            writer = observables_writer(series, energy)
             emit_mode("observables", mode, analytic_modes[0], writer)
             emit_mode(
                 "propagator", mode, analytic_modes[0], lambda p: write_propagator_csv(bundle, p)
@@ -132,7 +133,7 @@ def run(config: RunConfig) -> RunResult:
                 f"oracle[{mode}] trace_error {traj.trace_error:.3e} "
                 f"herm_drift {traj.herm_drift:.3e} max_leakage {traj.max_leakage:.3e}"
             )
-            writer = observables_writer(bundles.get(mode), traj, traj.energy, traj.energy[0])
+            writer = observables_writer(traj, traj.energy)
             emit_mode("oracle_observables", mode, oracle_modes[0], writer)
             if mode in analytic_series:
                 series = analytic_series[mode]

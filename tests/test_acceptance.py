@@ -100,8 +100,8 @@ def test_criterion_2_energy_law(pipeline):
             e0 = moment_rwa[0]
             # (x0^2 + 1)/2 and nbar + 1/2
             assert e0 == pytest.approx({"coherent2": 2.5, "thermal1": 1.5}[state_name], abs=1e-12)
-            closed_rwa = qcf.closed_form_energy(rwa, e0, rwa.delta_gamma)
-            closed_nr = qcf.closed_form_energy(norenorm, e0, norenorm.delta_gamma)
+            closed_rwa = qcf.closed_form_energy(rwa.big_gamma, e0, rwa.delta_gamma)
+            closed_nr = qcf.closed_form_energy(norenorm.big_gamma, e0, norenorm.delta_gamma)
             assert np.max(np.abs(closed_rwa - moment_rwa)) < 1e-8
             assert np.max(np.abs(closed_nr - closed_rwa)) < 1e-8
             for mode, closed in (("rwa", closed_rwa), ("norenorm", closed_nr)):

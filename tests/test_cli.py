@@ -508,6 +508,9 @@ def test_every_state_kind_and_mode_runs_or_is_rejected_at_parse_time(tmp_path, k
         assert not out.exists()
     else:
         assert main(["run", str(path)]) == 0
+        # an oracle-only run has no analytic mode, yet writes no NaN column
+        for csv in out.glob("*.csv"):
+            assert np.all(np.isfinite(read_csv(csv)[1])), csv.name
 
 
 @pytest.mark.parametrize("value", ["0", "-6.0"])
@@ -642,8 +645,9 @@ def test_multi_mode_run_files_and_mirrors(tmp_path, capsys, monkeypatch):
         assert (out / f"{stem}.csv").read_bytes() == (out / f"{stem}_norenorm.csv").read_bytes()
     # energy_rwa is the rotating-wave closed form from each route's own E(0);
     # the oracle's E(0) of the truncated coherent state is 2.4999999999999996
+    header, table = read_csv(out / "coefficients.csv")
+    big_gamma = table[:, header.index("big_gamma")]
     header, prop = read_csv(out / "propagator_rwa.csv")
-    big_gamma = prop[:, header.index("big_gamma")]
     delta_gamma = prop[:, header.index("delta_gamma")]
     for name in ("observables_rwa.csv", "oracle_observables_rwa.csv"):
         header, data = read_csv(out / name)
@@ -651,6 +655,48 @@ def test_multi_mode_run_files_and_mirrors(tmp_path, capsys, monkeypatch):
         e0 = data[0, header.index("energy")] if name.startswith("oracle") else 2.5
         assert energy_rwa[0] == e0
         np.testing.assert_allclose(energy_rwa, np.exp(-big_gamma) * e0 + delta_gamma, rtol=1e-14)
+
+
+def test_each_column_is_written_in_one_file(tmp_path):
+    out = tmp_path / "out"
+    text = MINIMAL.replace("run.modes = full", "run.modes = full,norenorm,rwa,oracle").replace(
+        "reservoir.alpha = 0.0", "reservoir.alpha = 0.1"
+    ) + f"state.x0 = 2.0\nrun.output_dir = {out}\n"
+    run(parse_config(write_conf(tmp_path, text)))
+    schemas = {
+        "coefficients": coefficients.COEFFICIENTS_CSV_COLUMNS,
+        "rotation": homogeneous.ROTATION_CSV_COLUMNS,
+        "propagator": propagator.PROPAGATOR_CSV_COLUMNS,
+        "observables": runner.OBSERVABLES_CSV_COLUMNS,
+        "oracle_observables": runner.OBSERVABLES_CSV_COLUMNS,
+    }
+    owners = {"big_gamma": set(), "lambda": set(), "theta": set()}
+    for path in sorted(out.glob("*.csv")):
+        stem = re.sub(r"_(full|norenorm|rwa)$", "", path.stem)
+        comment, header = path.read_text().splitlines()[:2]
+        assert (comment, header) == (f"# {schemas[stem]}", schemas[stem]), path.name
+        for name in owners.keys() & set(header.split(",")):
+            owners[name].add(stem)
+    assert owners == {"big_gamma": {"coefficients"}, "lambda": {"propagator"},
+                      "theta": {"propagator"}}
+
+
+def test_oracle_only_run_writes_energy_rwa(tmp_path):
+    # energy_rwa comes from the coefficient table and the oracle's own E(0)
+    out = tmp_path / "out"
+    text = MINIMAL.replace("run.modes = full", "run.modes = oracle").replace(
+        "reservoir.alpha = 0.0", "reservoir.alpha = 0.1"
+    ) + f"state.kind = squeezed\nstate.r = 0.5\nrun.output_dir = {out}\n"
+    run(parse_config(write_conf(tmp_path, text)))
+    header, table = read_csv(out / "coefficients.csv")
+    columns = dict(zip(["grid", *header[1:]], table.T))
+    delta_gamma_rwa = propagator.delta_gamma_series(coefficients.CoefficientTable(**columns))
+    header, data = read_csv(out / "oracle_observables_full.csv")
+    e0 = data[0, header.index("energy")]
+    energy_rwa = data[:, header.index("energy_rwa")]
+    assert energy_rwa[0] == e0
+    expected = np.exp(-columns["big_gamma"]) * e0 + delta_gamma_rwa
+    np.testing.assert_allclose(energy_rwa, expected, rtol=1e-14)
 
 
 def test_full_mode_energy_column_is_moment_based(tmp_path):

@@ -6,9 +6,9 @@ from qbm.errors import ValidationError
 from qbm.homogeneous import approx_rotation, invert_rotation, solve_fundamental
 from qbm.kernels import ReservoirSpec, tabulate_kernels
 from qbm.propagator import (
+    PropagatorBundle,
     build_propagator,
     delta_gamma_series,
-    lambda_theta_series,
     m_matrices,
     w_bar_matrix,
     w_matrix,
@@ -143,9 +143,11 @@ def test_lambda_theta_components():
     nodes = np.array(
         [[[0.5, 0.0], [0.0, 0.5]], [[0.7, 0.0], [0.0, -0.7]], [[0.0, 0.3], [0.3, 0.0]]]
     )
-    lam, theta = lambda_theta_series(nodes)
-    assert np.array_equal(lam, [0.0, 1.4, 0.0])
-    assert np.array_equal(theta, [0.0, 0.0, 0.6])
+    eye = np.broadcast_to(np.eye(2), nodes.shape)
+    bundle = PropagatorBundle(np.arange(3.0), np.zeros(3), eye, eye, nodes)
+    assert np.array_equal(bundle.delta_gamma, [1.0, 0.0, 0.0])
+    assert np.array_equal(bundle.lam, [0.0, 1.4, 0.0])
+    assert np.array_equal(bundle.theta, [0.0, 0.0, 0.6])
 
 
 def test_congruence_invariant_under_orthogonal_redefinition(coeffs, rotations):

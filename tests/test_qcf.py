@@ -252,7 +252,7 @@ def test_imaginary_residue_guard():
 def closed_energy(bundle, state):
     """The closed-form energy law with the bundle's own delta_gamma = tr Wbar."""
     e0 = qcf.observable_series(bundle, state).energy[0]
-    return qcf.closed_form_energy(bundle, e0, bundle.delta_gamma)
+    return qcf.closed_form_energy(bundle.big_gamma, e0, bundle.delta_gamma)
 
 
 def test_initial_energy_values(bundles):
