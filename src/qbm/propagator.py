@@ -86,10 +86,7 @@ def m_matrices(coeffs: CoefficientTable) -> np.ndarray:
 
 
 def _symmetrize(mats: np.ndarray) -> np.ndarray:
-    sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
-    # exact symmetry: mirror one triangle onto the other
-    sym[..., 1, 0] = sym[..., 0, 1]
-    return sym
+    return 0.5 * (mats + np.swapaxes(mats, -1, -2))
 
 
 def w_matrix(coeffs: CoefficientTable, rotations: np.ndarray) -> np.ndarray:

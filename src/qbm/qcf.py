@@ -417,8 +417,9 @@ def closed_form_energy(big_gamma, e0: float, delta_gamma) -> np.ndarray:
     Exact in the rwa and norenorm modes with delta_gamma = tr Wbar, because
     the counter-rotating part of Wbar is traceless; the full mode has no
     such form.  With Gamma and the rotating-wave delta_gamma of the
-    coefficient table it is the rotating-wave reference energy of any route,
-    analytic or oracle, from that route's own E0.
+    coefficient table it is the ``energy_rwa`` column of every observables
+    file, analytic or oracle, from that route's own E0; the ``energy``
+    column beside it is always the moment energy of ``ObservableSeries``.
     """
     return np.exp(-big_gamma) * e0 + delta_gamma
 

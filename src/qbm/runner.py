@@ -7,8 +7,11 @@ and ``diff_report.txt`` collects the max deviation per observable.  The
 analytic modes run as the oracle's ``meanwhile``: where two CPUs are
 usable, while forked children step every oracle mode but the last.  Each
 column is formatted in one file (``big_gamma`` in ``coefficients.csv``,
-``lambda``/``theta`` in the propagator files); ``energy_rwa`` needs only the
-coefficient table and a route's own E0, so an oracle-only run writes it too.
+``lambda``/``theta`` in the propagator files).  Every observables file is
+its route's ``qcf.ObservableSeries`` record, so ``energy`` is the moment
+energy (<X^2> + <P^2>)/2 in every mode, plus ``energy_rwa``, the one
+closed-form energy law: it needs only the coefficient table and the
+record's own E0, so an oracle-only run writes it too.
 Plain ``observables.csv`` / ``oracle_observables.csv`` / ``propagator.csv``
 are byte copies of the first mode's files; mode-suffixed files are always
 written.
@@ -30,7 +33,7 @@ from qbm.homogeneous import write_rotation_csv
 from qbm.propagator import build_propagator, delta_gamma_series, write_propagator_csv
 from qbm.runio import copy_file, write_csv, write_text
 
-OBSERVABLES_CSV_COLUMNS = "t,mean_x,mean_p,xx,pp,xp_sym,energy,energy_rwa"
+OBSERVABLES_CSV_COLUMNS = ",".join(("t", *qcf.OBSERVABLES, "energy_rwa"))
 
 
 @dataclass
@@ -44,12 +47,8 @@ def run(config: RunConfig) -> RunResult:
     outdir = config.output_dir
     try:
         os.makedirs(outdir, exist_ok=True)
-        probe = os.path.join(outdir, ".write_probe")
-        with open(probe, "w"):
-            pass
-        os.remove(probe)
     except OSError as exc:
-        raise FileError(f"output directory {outdir!r} is not writable: {exc}") from exc
+        raise FileError(f"cannot create output directory {outdir!r}: {exc}") from exc
 
     result = RunResult()
 
@@ -78,17 +77,16 @@ def run(config: RunConfig) -> RunResult:
     oracle_modes = analytic_modes if analytic_modes else ["full"]
     delta_gamma_rwa = delta_gamma_series(coeffs)
 
-    def observables_writer(moments, energy):
+    def observables_writer(series):
         """Writer of the observables rows of an analytic series or an oracle trajectory.
 
-        ``energy_rwa`` is the rotating-wave closed form of the coefficient
-        table from the route's own E0 = ``energy[0]``, so an oracle-only run
-        has it too.
+        The record's grid and ``qcf.OBSERVABLES`` columns, its moment energy
+        included, then ``energy_rwa``: the rotating-wave closed form of the
+        coefficient table from the record's own E0 = ``series.energy[0]``.
         """
-        energy_rwa = qcf.closed_form_energy(coeffs.big_gamma, energy[0], delta_gamma_rwa)
-        columns = [moments.grid, moments.mean_x, moments.mean_p, moments.xx, moments.pp]
-        columns += [moments.xp_sym, energy, energy_rwa]
-        matrix = np.column_stack(columns)
+        energy_rwa = qcf.closed_form_energy(coeffs.big_gamma, series.energy[0], delta_gamma_rwa)
+        columns = [getattr(series, name) for name in ("grid", *qcf.OBSERVABLES)]
+        matrix = np.column_stack([*columns, energy_rwa])
         return lambda path: write_csv(path, OBSERVABLES_CSV_COLUMNS, matrix)
 
     bundles = {}
@@ -103,13 +101,7 @@ def run(config: RunConfig) -> RunResult:
             report_lines.append(f"w_bar_min_eigenvalue[{mode}] {min_eig:.17g}")
             series = qcf.observable_series(bundle, config.state)
             analytic_series[mode] = series
-            e0 = series.energy[0]
-            if mode == "full":
-                energy = series.energy
-            else:
-                energy = qcf.closed_form_energy(bundle.big_gamma, e0, bundle.delta_gamma)
-            writer = observables_writer(series, energy)
-            emit_mode("observables", mode, analytic_modes[0], writer)
+            emit_mode("observables", mode, analytic_modes[0], observables_writer(series))
             emit_mode(
                 "propagator", mode, analytic_modes[0], lambda p: write_propagator_csv(bundle, p)
             )
@@ -133,8 +125,7 @@ def run(config: RunConfig) -> RunResult:
                 f"oracle[{mode}] trace_error {traj.trace_error:.3e} "
                 f"herm_drift {traj.herm_drift:.3e} max_leakage {traj.max_leakage:.3e}"
             )
-            writer = observables_writer(traj, traj.energy)
-            emit_mode("oracle_observables", mode, oracle_modes[0], writer)
+            emit_mode("oracle_observables", mode, oracle_modes[0], observables_writer(traj))
             if mode in analytic_series:
                 series = analytic_series[mode]
                 diffs = {

@@ -699,17 +699,22 @@ def test_oracle_only_run_writes_energy_rwa(tmp_path):
     np.testing.assert_allclose(energy_rwa, expected, rtol=1e-14)
 
 
-def test_full_mode_energy_column_is_moment_based(tmp_path):
-    # full has no closed-form energy law; rwa and norenorm write the closed form
-    text = MINIMAL.replace("run.modes = full", "run.modes = full,rwa").replace(
+def test_every_energy_column_is_moment_based(tmp_path):
+    # each observables file is its route's moment record, in every mode; the
+    # closed-form law is energy_rwa alone, within criterion 2 in rwa and norenorm
+    out = tmp_path / "out"
+    text = MINIMAL.replace("run.modes = full", "run.modes = full,norenorm,rwa,oracle").replace(
         "reservoir.alpha = 0.0", "reservoir.alpha = 0.1"
-    ) + f"run.output_dir = {tmp_path / 'out'}\n"
+    ) + f"run.output_dir = {out}\n"
     run(parse_config(write_conf(tmp_path, text)))
-    header, full = read_csv(tmp_path / "out" / "observables_full.csv")
-    col = {name: full[:, i] for i, name in enumerate(header)}
-    assert np.array_equal(col["energy"], 0.5 * (col["xx"] + col["pp"]))
-    _, rwa = read_csv(tmp_path / "out" / "observables_rwa.csv")
-    assert np.array_equal(rwa[:, header.index("energy")], rwa[:, header.index("energy_rwa")])
+    names = sorted(path.name for path in out.glob("*observables*.csv"))
+    assert len(names) == 8  # two mirrors and three modes, analytic and oracle
+    for name in names:
+        header, data = read_csv(out / name)
+        col = dict(zip(header, data.T))
+        assert np.array_equal(col["energy"], 0.5 * (col["xx"] + col["pp"])), name
+        if name in ("observables_rwa.csv", "observables_norenorm.csv"):
+            assert np.max(np.abs(col["energy"] - col["energy_rwa"])) <= 1e-8, name
 
 
 # --- ellipse ---------------------------------------------------------------
@@ -763,6 +768,18 @@ def test_unwritable_report_or_mirror_exits_with_io_code(tmp_path, capsys, modes,
     conf = write_conf(tmp_path, text + f"run.output_dir = {out}\n")
     assert main(["run", str(conf)]) == 3
     assert report in capsys.readouterr().err
+
+
+def test_output_dir_under_a_regular_file_exits_with_io_code(tmp_path, capsys):
+    # makedirs fails whatever the permissions, so this holds when run as root too
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "o"
+    conf = write_conf(tmp_path, MINIMAL + f"run.output_dir = {out}\n")
+    assert main(["run", str(conf)]) == 3
+    assert str(out) in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["blocker", "run.conf"]
+    assert blocker.read_text() == ""
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
