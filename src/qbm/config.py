@@ -74,10 +74,19 @@ class RunConfig:
     wigner_points: int
 
 
+# a run with every mode peaks at about 0.7 KiB per grid node, 0.7 GiB at the bound
+MAX_GRID_NODES = 10**6
+
+
 def build_grid(dt: float, t_max: float) -> np.ndarray:
     """The run's time nodes: steps of dt from 0 until t_max is reached."""
-    n = int(np.ceil(t_max / dt - 1e-9))
-    return dt * np.arange(n + 1)
+    steps = np.ceil(t_max / dt - 1e-9)
+    if not steps < MAX_GRID_NODES:  # inf fails too
+        raise ValidationError(
+            f"t_max / dt = {t_max / dt:.3g} steps exceed the {MAX_GRID_NODES:.0e} grid nodes "
+            "a run can hold; raise grid.dt or lower grid.t_max"
+        )
+    return dt * np.arange(int(steps) + 1)
 
 
 def _parse_bool(raw: str, key: str, lineno: int) -> bool:
@@ -206,7 +215,7 @@ def parse_config(path) -> RunConfig:
 
     dt = _bounded(seen, "grid.dt", None, lambda v: v > 0, "> 0")
     t_max = _bounded(seen, "grid.t_max", None, lambda v: v >= dt, ">= grid.dt")
-    grid = build_grid(dt, t_max)
+    grid = _owned(seen, ("grid.dt", "grid.t_max"), build_grid, dt, t_max)
     _owned(seen, ("grid.dt", "grid.t_max"), check_grid, grid)
     kernel_keys = (*(key for key in seen if key.startswith("reservoir.")), "grid.t_max")
     kernels = _owned(seen, kernel_keys, tabulate_kernels, reservoir, grid)

@@ -16,18 +16,18 @@ with coth -> 1 at T = 0; mu is temperature independent.
 Families
 --------
 ohmic_exp_cutoff
-    J(w) = w exp(-w/wc).  Both kernels are closed-form at every
-    temperature: kappa at T = 0 and mu are rational in tau, and at T > 0
-    the Bose expansion coth(w/2T) = 1 + 2 sum_n exp(-n w/T) sums kappa to
-    alpha^2 Re[z^-2 + 2T^2 psi'(1 + T z)] with z = 1/wc - i tau and psi' the
-    complex trigamma.  The quadrature path cross-checks every closed form.
+    J(w) = w exp(-w/wc).  Both kernels come from Int_0^inf w exp(-w z) dw
+    = z^-2 with z = 1/wc - i tau: mu = alpha^2 Im z^-2, and the Bose
+    expansion coth(w/2T) = 1 + 2 sum_n exp(-n w/T) sums kappa to alpha^2
+    Re[z^-2 + 2T^2 psi'(1 + T z)] at every T, psi' the complex trigamma
+    (its term is exactly zero at T = 0).  Quadrature cross-checks both.
 
 A tabulated bath is not a family: it is the ``KernelTable`` of its (tau,
 kappa, mu) samples, alpha^2 included, that ``load_kernel_csv`` returns.
 
 ``kappa`` and ``mu`` take one lag or an array of lags through one code
 path.  ``tabulate_kernels`` is the one place that tells the two kinds of
-bath apart: it evaluates a family's kappa and mu once each on the whole
+bath apart: it evaluates a family's two kernels in one call on the whole
 grid, or interpolates a table linearly.
 
 Quadrature (``kappa_quadrature``, ``mu_quadrature``): scipy's QUADPACK
@@ -117,8 +117,7 @@ class ReservoirSpec:
         # the kernels at tau = 0 take every power of the parameters, and
         # |kappa|, |mu| <= kappa(0); Python's float ** raises where numpy gives inf
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                finite = all(np.isfinite(f(self, np.zeros(1))) for f in (_kappa_lags, _mu_lags))
+            finite = np.all(np.isfinite(_kernel_lags(self, np.zeros(1))))
         except OverflowError:
             finite = False
         if not finite:
@@ -254,36 +253,27 @@ def trigamma(u):
 def kappa(spec: ReservoirSpec, tau):
     """Correlation kernel kappa(tau) at a lag or an array of lags."""
     tau = _require_tau(tau)
-    return _kappa_lags(spec, tau.reshape(-1)).reshape(tau.shape)[()]
+    return _kernel_lags(spec, tau.reshape(-1))[0].reshape(tau.shape)[()]
 
 
 def mu(spec: ReservoirSpec, tau):
     """Susceptibility kernel mu(tau) at a lag or an array of lags; T independent."""
     tau = _require_tau(tau)
-    return _mu_lags(spec, tau.reshape(-1)).reshape(tau.shape)[()]
+    return _kernel_lags(spec, tau.reshape(-1))[1].reshape(tau.shape)[()]
 
 
-def _kappa_lags(spec: ReservoirSpec, tau: np.ndarray) -> np.ndarray:
+# |kappa|, |mu| <= kappa(0), so only the probe in ReservoirSpec meets an overflow
+@np.errstate(over="ignore", invalid="ignore")
+def _kernel_lags(spec: ReservoirSpec, tau: np.ndarray) -> tuple:
+    """(kappa, mu): alpha^2 Re[z^-2 + 2T^2 psi'(1 + T z)] and alpha^2 Im z^-2."""
     if spec.alpha == 0.0:
-        return np.zeros_like(tau)
+        return np.zeros_like(tau), np.zeros_like(tau)
     T = spec.temperature
-    if T == 0.0:
-        x2 = (spec.wc * tau) ** 2
-        with np.errstate(over="ignore"):  # an infinite denominator gives the exact limit 0
-            return spec.alpha**2 * spec.wc**2 * (1.0 - x2) / (1.0 + x2) ** 2
-    # coth(w/2T) = 1 + 2 sum_n exp(-n w/T) turns the transform into the
-    # Bose sum Re[z^-2 + 2 sum_{n>=1} (z + n/T)^-2] with z = 1/wc - i tau
     z = 1.0 / spec.wc - 1j * tau
     inv = 1.0 / z
-    return spec.alpha**2 * (inv * inv + 2.0 * T**2 * trigamma(1.0 + T * z)).real
-
-
-@np.errstate(over="ignore")  # an infinite denominator gives the exact limit 0
-def _mu_lags(spec: ReservoirSpec, tau: np.ndarray) -> np.ndarray:
-    if spec.alpha == 0.0:
-        return np.zeros_like(tau)
-    x2 = (spec.wc * tau) ** 2
-    return spec.alpha**2 * 2.0 * spec.wc**3 * tau / (1.0 + x2) ** 2
+    s = inv * inv
+    kap = spec.alpha**2 * (s + 2.0 * T**2 * trigamma(1.0 + T * z)).real
+    return kap, spec.alpha**2 * s.imag
 
 
 def tabulate_kernels(reservoir: ReservoirSpec | KernelTable, grid) -> KernelTable:
@@ -293,7 +283,7 @@ def tabulate_kernels(reservoir: ReservoirSpec | KernelTable, grid) -> KernelTabl
     """
     grid = np.asarray(grid, dtype=float)
     if not isinstance(reservoir, KernelTable):
-        return KernelTable(grid=grid, kappa=kappa(reservoir, grid), mu=mu(reservoir, grid))
+        return KernelTable(grid, *_kernel_lags(reservoir, _require_tau(grid)))
     if np.any(_require_tau(grid) > reservoir.grid[-1]):
         raise ValidationError(
             f"the kernel table ends at tau = {reservoir.grid[-1]:g}, short of the last grid "

@@ -175,7 +175,7 @@ def ellipse_points(r_over_w0: float, gamma_over_w0: float):
     are the image of the unit circle sampled at every whole degree under
     Q^{-1/2}.
     """
-    if abs(r_over_w0) >= 1 or abs(gamma_over_w0) >= 1:
+    if not (abs(r_over_w0) < 1 and abs(gamma_over_w0) < 1):  # NaN fails both
         raise ValidationError("ellipse inputs must satisfy |r/w0| < 1 and |gamma/w0| < 1")
     q = np.array([[1.0 - r_over_w0, gamma_over_w0], [gamma_over_w0, 1.0]])
     det = np.linalg.det(q)

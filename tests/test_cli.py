@@ -7,7 +7,15 @@ import pytest
 
 from qbm import coefficients, homogeneous, kernels, oracle, propagator, qcf, runio, runner
 from qbm.cli import main
-from qbm.config import _KEY_TYPES, _STATE_KINDS, RUN_MODES, build_grid, load_chi_csv, parse_config
+from qbm.config import (
+    _KEY_TYPES,
+    _STATE_KINDS,
+    MAX_GRID_NODES,
+    RUN_MODES,
+    build_grid,
+    load_chi_csv,
+    parse_config,
+)
 from qbm.errors import LeakageError, ValidationError
 from qbm.runio import read_csv
 from qbm.runner import ellipse_points, run
@@ -529,6 +537,17 @@ def test_build_grid_covers_horizon():
     assert len(grid) == 101
 
 
+@pytest.mark.parametrize("dt", ["1e-15", "5e-324"])
+def test_grid_too_fine_to_hold_is_rejected_at_parse_time(tmp_path, capsys, dt):
+    out = tmp_path / "o"
+    text = MINIMAL.replace("grid.dt = 0.01", f"grid.dt = {dt}") + f"run.output_dir = {out}\n"
+    assert main(["run", str(write_conf(tmp_path, text))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qbm: error: line 4: grid.dt, line 5: grid.t_max: ")
+    assert f"exceed the {MAX_GRID_NODES:.0e} grid nodes" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # --- runs ------------------------------------------------------------------
 
 
@@ -883,6 +902,14 @@ def test_cli_ellipse(tmp_path):
     header, data = read_csv(out)
     assert header == ["theta_deg", "x", "p", "x_circle", "p_circle"]
     assert len(data) == 360
+
+
+@pytest.mark.parametrize("inputs", [["--r", "nan", "--gamma", "0"], ["--r", "0", "--gamma", "nan"]])
+def test_cli_ellipse_rejects_nan(tmp_path, capsys, inputs):
+    out = tmp_path / "ellipse.csv"
+    assert main(["ellipse", *inputs, "--out", str(out)]) == 1
+    assert "|r/w0| < 1 and |gamma/w0| < 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_algebra(tmp_path):

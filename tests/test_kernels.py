@@ -138,8 +138,8 @@ def test_negative_lag_rejected():
 @settings(max_examples=25, deadline=None)
 @given(
     alpha=st.floats(1e-3, 2.0),
-    # below ~1e-300 the mu product alpha^2 2 wc^3 tau underflows to a
-    # subnormal and spoils the exact ratio, even for a normal tau
+    # below ~1e-300 mu ~ 2 alpha^2 wc^3 tau underflows to a subnormal
+    # and spoils the exact ratio, even for a normal tau
     tau=st.one_of(st.just(0.0), st.floats(1e-300, 20.0)),
     wc=st.floats(0.5, 10.0),
     temperature=st.floats(0.0, 14.0),
@@ -155,15 +155,40 @@ def test_kernels_scale_exactly_as_alpha_squared(alpha, tau, wc, temperature):
             assert v2 == 0.0
 
 
-def test_kernels_past_the_double_range_of_their_denominator_are_exact_zeros():
-    # at wc tau > 1e77 the denominator (1 + (wc tau)^2)^2 overflows to inf,
-    # whose quotient is the exact limit 0: no overflow warning, a finite table
-    spec = ReservoirSpec("ohmic_exp_cutoff", alpha=1e-50, wc=1e90)
+def test_kernels_far_past_the_cutoff_follow_their_large_lag_limits():
+    # at wc tau > 1e77 a rational form's denominator (1 + (wc tau)^2)^2 would
+    # overflow; z^-2 keeps the limits -alpha^2/tau^2 and 2 alpha^2/(wc tau^3)
+    alpha, wc = 1e-50, 1e90
+    spec = ReservoirSpec("ohmic_exp_cutoff", alpha=alpha, wc=wc)
+    tau = np.linspace(0.0, 1.0, 11)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        table = tabulate_kernels(spec, tau)
+    assert table.kappa[0] == pytest.approx(1e80, rel=1e-12)
+    assert table.kappa[1:] == pytest.approx(-(alpha**2) / tau[1:] ** 2, rel=1e-12, abs=0.0)
+    assert table.mu[1:] == pytest.approx(2.0 * alpha**2 / (wc * tau[1:] ** 3), rel=1e-12, abs=0.0)
+
+
+def test_zero_temperature_kernels_equal_their_rational_forms():
+    # the rational forms that z^-2 replaced, with x = wc tau
+    spec = ReservoirSpec("ohmic_exp_cutoff", alpha=0.3, wc=7.0)
+    tau = np.linspace(0.0, 30.0, 3001)
+    x2 = (spec.wc * tau) ** 2
+    table = tabulate_kernels(spec, tau)
+    rational_kappa = spec.alpha**2 * spec.wc**2 * (1.0 - x2) / (1.0 + x2) ** 2
+    rational_mu = 2.0 * spec.alpha**2 * spec.wc**3 * tau / (1.0 + x2) ** 2
+    for closed, rational in ((table.kappa, rational_kappa), (table.mu, rational_mu)):
+        assert np.max(np.abs(closed - rational)) <= 1e-14 * np.max(np.abs(rational))
+
+
+def test_a_finite_bath_past_the_range_of_wc_cubed_is_accepted():
+    # wc^3 = 1e330 overflows a double, yet kappa(0) = alpha^2 wc^2 = 1e20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = ReservoirSpec("ohmic_exp_cutoff", alpha=1e-100, wc=1e110)
         table = tabulate_kernels(spec, np.linspace(0.0, 1.0, 11))
-    assert table.kappa[0] == pytest.approx(1e80, rel=1e-15)
-    assert np.all(table.kappa[1:] == 0.0) and np.all(table.mu == 0.0)
+    assert table.kappa[0] == pytest.approx(1e20, rel=1e-15)
+    assert np.all(np.isfinite(table.mu))
 
 
 def test_tabulate_zero_coupling_gives_zero_table():
