@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qbm.errors import ValidationError
-from qbm.kernels import KernelTable, ReservoirSpec, kappa, mu, quad, spectral_density
+from qbm.kernels import KernelTable
 from qbm.runio import write_csv
 
 # refuse grids coarser than 0.5 radians per step: R(t)'s RK4 needs w dt <= 0.5, and w(0) = 1
@@ -86,46 +86,6 @@ def compute_coefficients(kernels: KernelTable) -> CoefficientTable:
         gamma=gamma,
         big_gamma=2.0 * cum(gamma),
     )
-
-
-def markovian_asymptotes(spec: ReservoirSpec) -> dict:
-    """Long-time limits of the coefficients (sanity checks and reporting).
-
-    gamma_inf and delta_bar_inf are the resonance integrals
-    alpha^2 (pi/2) J(1) [coth(1/2T)]; r_inf and pi_inf are the
-    slowly convergent principal-value-like tau-integrals, computed to
-    t = 200 with the oscillation tail averaged out (integrals at horizons
-    half a period apart are averaged, one Richardson-style step).
-    """
-    if spec.alpha == 0.0:
-        return {"delta_bar_inf": 0.0, "pi_inf": 0.0, "r_inf": 0.0, "gamma_inf": 0.0}
-
-    j0 = float(spectral_density(spec, 1.0))
-    gamma_inf = spec.alpha**2 * (np.pi / 2.0) * j0
-    if spec.temperature > 0.0:
-        delta_bar_inf = gamma_inf / np.tanh(1.0 / (2.0 * spec.temperature))
-    else:
-        delta_bar_inf = gamma_inf
-
-    horizon = 200.0
-
-    def tail_averaged(f) -> float:
-        vals = []
-        upper = horizon
-        for _ in range(2):
-            v, _err = quad(f, 0.0, upper, limit=4000, epsabs=1e-12, epsrel=1e-10)
-            vals.append(v)
-            upper += np.pi  # half a period
-        return 0.5 * (vals[0] + vals[1])
-
-    r_inf = 2.0 * tail_averaged(lambda t: mu(spec, t) * np.cos(t))
-    pi_inf = tail_averaged(lambda t: kappa(spec, t) * np.sin(t))
-    return {
-        "delta_bar_inf": delta_bar_inf,
-        "pi_inf": pi_inf,
-        "r_inf": r_inf,
-        "gamma_inf": gamma_inf,
-    }
 
 
 COEFFICIENTS_CSV_COLUMNS = "t,delta_bar,pi,r,gamma,big_gamma"

@@ -104,6 +104,8 @@ def _read_assignments(path) -> dict:
             raw_lines = fh.readlines()
     except OSError as exc:
         raise FileError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config {path} is not UTF-8 text: {exc.reason}") from exc
 
     seen = {}
     for lineno, raw in enumerate(raw_lines, start=1):

@@ -23,24 +23,12 @@ class NumericalError(QbmError):
     exit_code = 2
 
 
-class QuadratureError(NumericalError):
-    """Adaptive quadrature did not converge; carries the achieved estimate."""
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(f"{message} (achieved error estimate {estimate:.3e})")
-        self.estimate = estimate
-
-
 class StabilityError(NumericalError):
     """Time step too large for the explicit integrator."""
 
 
 class LeakageError(NumericalError):
     """Population reached the top of the truncated Fock basis."""
-
-
-class TruncationError(NumericalError):
-    """Requested evaluation exceeds what the truncated basis can represent."""
 
 
 class DomainTooSmallError(NumericalError):

@@ -30,12 +30,7 @@ path.  ``tabulate_kernels`` is the one place that tells the two kinds of
 bath apart: it evaluates a family's two kernels in one call on the whole
 grid, or interpolates a table linearly.
 
-Quadrature (``kappa_quadrature``, ``mu_quadrature``): scipy's QUADPACK
-adaptive panels, kept as the reference the closed forms are tested
-against.  The oscillatory factor is folded into the integrand below
-tau = 1 and handled by the dedicated Fourier-weight routine above.
-``quad``, which imports scipy.integrate on its first call, is the
-package's only scipy import, so no ``qbm run`` loads scipy.
+``quad`` imports scipy.integrate on first call, for the tests' references alone.
 """
 
 from __future__ import annotations
@@ -44,21 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qbm.errors import QuadratureError, ValidationError
+from qbm.errors import ValidationError
 from qbm.runio import read_csv
 
 OHMIC_EXP_CUTOFF = "ohmic_exp_cutoff"
 FAMILIES = (OHMIC_EXP_CUTOFF,)
-
-# w*coth(w/2T) is replaced by its 2T limit below this frequency
-_COTH_CROSSOVER = 1e-8
-
-# quadrature request and acceptance thresholds
-_EPSABS = 1e-14
-_EPSREL = 1e-10
-_ERR_FLOOR = 1e-10
-_ERR_REL = 1e-7
-
 
 @dataclass(frozen=True)
 class KernelTable:
@@ -126,90 +111,11 @@ class ReservoirSpec:
             )
 
 
-def spectral_density(spec: ReservoirSpec, w):
-    """J(w) = w exp(-w/wc), without the alpha^2 prefactor."""
-    w = np.asarray(w, dtype=float)
-    return w * np.exp(-w / spec.wc)
-
-
 def quad(*args, **kwargs):
     """scipy.integrate.quad, imported on the first call."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(*args, **kwargs)
-
-
-def _checked_quad(func, tau: float, weight: str | None, what: str) -> float:
-    """QUADPACK call with convergence check.
-
-    weight None integrates ``func`` as-is on [0, inf); otherwise ``func`` is
-    the non-oscillatory factor and QUADPACK applies cos/sin(tau*w).
-    """
-    if weight is None:
-        res = quad(func, 0.0, np.inf, epsabs=_EPSABS, epsrel=_EPSREL, limit=800, full_output=1)
-    else:
-        res = quad(
-            func,
-            0.0,
-            np.inf,
-            weight=weight,
-            wvar=tau,
-            epsabs=1.5e-13,
-            limlst=300,
-            limit=600,
-            full_output=1,
-        )
-    value, estimate = res[0], res[1]
-    if not np.isfinite(value) or estimate > max(_ERR_FLOOR, _ERR_REL * abs(value)):
-        raise QuadratureError(f"quadrature for {what} did not converge at tau={tau:g}", estimate)
-    return value
-
-
-def _kappa_integral(spec: ReservoirSpec, tau: float) -> float:
-    """Int_0^inf J(w) coth(w/2T) cos(w tau) dw of the ohmic family, alpha^2 not included."""
-    T = spec.temperature
-
-    def thermal_factor(w: float) -> float:
-        # w*coth(w/2T) -> 2T as w -> 0; substituted analytically to avoid 0/0
-        if T == 0.0:
-            return w
-        if w < _COTH_CROSSOVER:
-            return 2.0 * T
-        return w / np.tanh(w / (2.0 * T))
-
-    base = lambda w: np.exp(-w / spec.wc) * thermal_factor(w)
-    if tau == 0.0:
-        return _checked_quad(base, tau, None, "kappa")
-    if tau < 1.0:
-        return _checked_quad(lambda w: base(w) * np.cos(w * tau), tau, None, "kappa")
-    return _checked_quad(base, tau, "cos", "kappa")
-
-
-def _mu_integral(spec: ReservoirSpec, tau: float) -> float:
-    """Int_0^inf J(w) sin(w tau) dw of the ohmic family, alpha^2 not included."""
-    if tau == 0.0:
-        return 0.0
-    base = lambda w: np.exp(-w / spec.wc) * w
-    if tau < 1.0:
-        return _checked_quad(lambda w: base(w) * np.sin(w * tau), tau, None, "mu")
-    return _checked_quad(base, tau, "sin", "mu")
-
-
-def kappa_quadrature(spec: ReservoirSpec, tau: float) -> float:
-    """kappa(tau) forced through the quadrature path (cross-validation hook)."""
-    return _quadrature(spec, tau, _kappa_integral)
-
-
-def mu_quadrature(spec: ReservoirSpec, tau: float) -> float:
-    """mu(tau) forced through the quadrature path (cross-validation hook)."""
-    return _quadrature(spec, tau, _mu_integral)
-
-
-def _quadrature(spec: ReservoirSpec, tau: float, integral) -> float:
-    _require_tau(tau)
-    if spec.alpha == 0.0:
-        return 0.0
-    return spec.alpha**2 * integral(spec, tau)
 
 
 def _require_tau(tau) -> np.ndarray:

@@ -63,7 +63,6 @@ from qbm.errors import (
     LeakageError,
     NumericalError,
     StabilityError,
-    TruncationError,
     ValidationError,
 )
 from qbm import qcf
@@ -592,9 +591,12 @@ def to_density_matrix(state, d: int) -> np.ndarray:
         alpha = (state.x0 + 1j * state.p0) / np.sqrt(2.0)
         n = np.arange(d)
         log_fact = np.array([math.lgamma(k + 1.0) for k in n])
-        amp = np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * log_fact) * np.abs(alpha) ** n
-        psi = amp * np.exp(1j * n * np.angle(alpha))
-        rho = np.outer(psi, psi.conj())
+        # far past the basis |alpha|^2 (numpy's **; Python's raises) or |alpha|^n overflows,
+        # and rho is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            amp = np.exp(-0.5 * np.float64(abs(alpha)) ** 2 - 0.5 * log_fact) * np.abs(alpha) ** n
+            psi = amp * np.exp(1j * n * np.angle(alpha))
+            rho = np.outer(psi, psi.conj())
     elif isinstance(state, qcf.ThermalState):
         nb = state.nbar
         rho = np.diag((nb / (nb + 1.0)) ** np.arange(d) / (nb + 1.0)).astype(complex)
@@ -624,41 +626,14 @@ def to_density_matrix(state, d: int) -> np.ndarray:
             f"{type(state).__name__} has no Fock-space form; remove oracle from run.modes"
         )
     tr = np.trace(rho).real
-    if not tr > 0:  # every amplitude underflowed: 0/0 would hand NaN to the guards
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rho = rho / tr
+    if not np.all(np.isfinite(rho)):  # every amplitude underflowed, or one overflowed
         raise LeakageError(
             f"{state!r} leaks its whole population out of the d={d} Fock basis "
             f"(truncated trace {tr:.3g}); it cannot be represented at this dimension"
         )
-    return rho / tr
-
-
-# ---------------------------------------------------------------------------
-# characteristic function from rho
-
-
-def chi_from_rho(rho: np.ndarray, z) -> complex:
-    """tr{ exp(i (p X - x P)) rho } with a truncation-headroom guard."""
-    z = np.asarray(z, dtype=float).reshape(2)
-    x, p = z
-    d = rho.shape[0]
-    ops = fock_operators(d)
-    pops = np.clip(np.diag(rho).real, 0.0, None)
-    tail = np.cumsum(pops[::-1])[::-1]
-    occupied = np.nonzero(tail > 1e-10)[0]
-    n_eff = int(occupied[-1]) if len(occupied) else 0
-    # displaced-state headroom: population around n_eff moves up by the
-    # coherent load |z|^2/2 with Poissonian spread; five widths of margin
-    # keeps the truncated Weyl exponential accurate past 1e-8
-    load = n_eff + 0.5 * (x**2 + p**2)
-    if load + 5.0 * np.sqrt(load + 1.0) > d - 1:
-        raise TruncationError(
-            f"|z|={np.hypot(x, p):.3g} displaces past the truncation at d={d}; "
-            f"need roughly d > {int(load + 5 * np.sqrt(load + 1) + 1)}"
-        )
-    herm = p * ops.x - x * ops.p
-    evals, evecs = np.linalg.eigh(herm)
-    weyl = (evecs * np.exp(1j * evals)) @ evecs.conj().T
-    return complex(np.einsum("ij,ji->", weyl, rho))
+    return rho
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,10 @@ _NARROW_REMEDY = (
     "the state is too narrow in phase space, as under strong squeezing; lower state.r, "
     "or move wigner.times later, where damping and diffusion have widened it"
 )
+_ALIAS_REMEDY = (
+    "lower wigner.extent, the output grid's half-width, or map a state that reaches less far "
+    "(a lower state.n, state.x0, state.p0 or state.r), or move wigner.times later"
+)
 
 
 @dataclass(frozen=True)
@@ -447,9 +451,10 @@ def wigner(bundle: PropagatorBundle, state, t_index: int, q_grid, p_grid):
     The half-width steps through ``_Z_EXTENTS`` until |chi_t| < ``CHI_DECAY_TOL``
     on the boundary; a chi_t still above that at the widest grid raises.  The
     sampled transform repeats W with period 2 pi / h in q and in p, h the
-    node spacing, so it also raises unless each output point lies 8 standard
-    deviations of W (from C_t) inside the period, counted from W's mean:
-    otherwise a copy of W would alias into the map.
+    node spacing, so it raises, before chi_t is evaluated on a grid, unless
+    each output point lies 8 standard deviations of W (from C_t) inside that
+    grid's period, counted from W's mean: otherwise a copy of W would alias
+    into the map.
     """
     check_wigner_reach(state)
     q_grid = np.asarray(q_grid, dtype=float)
@@ -457,8 +462,21 @@ def wigner(bundle: PropagatorBundle, state, t_index: int, q_grid, p_grid):
     if q_grid.ndim != 1 or p_grid.ndim != 1:
         raise ValidationError("phase-space grids must be 1-d")
 
+    t = _node_index(bundle, t_index)
+    b_t, c_t = evolve_moments(bundle, state.initial_moments, slice(t, t + 1))
+    reach = max(np.max(np.abs(q_grid - b_t[0, 1])), np.max(np.abs(p_grid + b_t[0, 0])))
+    reach += 8.0 * np.sqrt(np.linalg.eigvalsh(c_t[0])[-1])
     for ext in _Z_EXTENTS:
         z = np.linspace(-ext, ext, _Z_POINTS)
+        h = z[1] - z[0]
+        period = 2.0 * np.pi / h
+        # every wider grid repeats W sooner still, so the first short period is final
+        if not period >= reach:
+            raise DomainTooSmallError(
+                f"the Wigner integration grid that chi_t at t_index {t_index} needs repeats W "
+                f"every {period:.3g} in q and in p, less than the {reach:.3g} that the output "
+                f"grid and the state's width need, so the map would alias: {_ALIAS_REMEDY}"
+            )
         chi_vals = evolve_chi(bundle, state, t_index, z[:, None], z[None, :])
         boundary = max(
             np.max(np.abs(chi_vals[0, :])),
@@ -472,18 +490,6 @@ def wigner(bundle: PropagatorBundle, state, t_index: int, q_grid, p_grid):
         raise DomainTooSmallError(
             f"chi_t at t_index {t_index} has not decayed below {CHI_DECAY_TOL:g} at "
             f"|z| = {_Z_EXTENTS[-1]:g}, the widest Wigner integration grid: {_NARROW_REMEDY}"
-        )
-    t = _node_index(bundle, t_index)
-    b_t, c_t = evolve_moments(bundle, state.initial_moments, slice(t, t + 1))
-    h = z[1] - z[0]
-    period = 2.0 * np.pi / h
-    reach = max(np.max(np.abs(q_grid - b_t[0, 1])), np.max(np.abs(p_grid + b_t[0, 0])))
-    reach += 8.0 * np.sqrt(np.linalg.eigvalsh(c_t[0])[-1])
-    if not period >= reach:
-        raise DomainTooSmallError(
-            f"the Wigner integration grid that chi_t at t_index {t_index} needs repeats W "
-            f"every {period:.3g} in q and in p, less than the {reach:.3g} that the output "
-            f"grid and the state's width need, so the map would alias: {_NARROW_REMEDY}"
         )
 
     # trapezoid weights, the same on both axes of the square z-grid

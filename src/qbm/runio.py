@@ -50,15 +50,17 @@ def copy_file(src, dst) -> None:
 def read_csv(path) -> tuple[list[str], np.ndarray]:
     """Read a CSV in the layout of :func:`write_csv`: header row, then numbers.
 
-    Blank lines and ``#`` comment lines are skipped.  A non-numeric cell or
-    a row whose length differs from the header raises ``ValidationError``
-    naming the file and the line.
+    Blank lines and ``#`` comment lines are skipped.  A file that is not
+    UTF-8, a non-numeric cell or a row whose length differs from the header
+    raises ``ValidationError`` naming the file (and the line).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [(i, ln.strip()) for i, ln in enumerate(fh, start=1)]
     except OSError as exc:
         raise FileError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"CSV {path} is not UTF-8 text: {exc.reason}") from exc
     body = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")]
     if not body:
         raise ValidationError(f"CSV {path} has no header row")

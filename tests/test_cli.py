@@ -405,6 +405,29 @@ def test_non_numeric_chi_csv_cell_names_file_and_line(tmp_path, capsys):
     assert "chi.csv line 2" in err and "np.float64(-3.0)" in err
 
 
+@pytest.mark.parametrize("where", ["config", "reservoir.kernel_csv", "state.chi_csv"])
+def test_input_that_is_not_utf8_is_a_validation_error(tmp_path, capsys, where):
+    out = tmp_path / "o"
+    text = MINIMAL
+    if where == "reservoir.kernel_csv":
+        spec = kernels.ReservoirSpec("ohmic_exp_cutoff", alpha=0.1)
+        target = write_kernel_csv(tmp_path, spec, build_grid(0.01, 1.0))
+        text = TABULATED
+    elif where == "state.chi_csv":
+        target = write_chi_csv(tmp_path)
+        text += "state.kind = tabulated_chi\nstate.chi_csv = chi.csv\n"
+    path = write_conf(tmp_path, text + f"run.output_dir = {out}\n")
+    if where == "config":
+        target = path
+    with open(target, "ab") as fh:
+        fh.write(b"# caf\xff\n")
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    named = "config" if where == "config" else f"{where}: CSV"
+    assert f"{named} {target} is not UTF-8 text" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_tabulated_chi_narrower_than_wigner_grid_rejected_before_any_file(tmp_path, capsys):
     write_chi_csv(tmp_path)
     out = tmp_path / "o"
@@ -826,6 +849,22 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
         assert "leak" in err, x0
         assert not (tmp_path / "o2").exists()
     assert "CoherentState(x0=60.0, p0=0.0) leaks" in err and "d=10" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key, value", [("x0", 1e11), ("x0", 1e140), ("x0", 1e155), ("p0", 1e160)])
+def test_huge_coherent_amplitude_leaks_without_overflow(tmp_path, capsys, key, value):
+    # |alpha|^n, and past 1e154 |alpha|^2 itself, overflows double precision
+    message = "leaks its whole population out of the d=30 Fock basis"
+    with pytest.raises(LeakageError, match=message):
+        oracle.to_density_matrix(qcf.CoherentState(**{key: value}), 30)
+    out = tmp_path / "o"
+    text = MINIMAL.replace("run.modes = full", "run.modes = rwa,oracle")
+    conf = write_conf(tmp_path, text + f"state.{key} = {value!r}\nrun.output_dir = {out}\n")
+    assert main(["run", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "cannot be represented" in err
+    assert not out.exists()
 
 
 def test_leaky_initial_state_at_the_default_dimension_writes_no_file(tmp_path, capsys):

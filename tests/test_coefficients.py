@@ -5,10 +5,10 @@ from qbm.coefficients import (
     CoefficientTable,
     compute_coefficients,
     cumulative_trapezoid,
-    markovian_asymptotes,
 )
 from qbm.errors import ValidationError
 from qbm.kernels import KernelTable, ReservoirSpec, tabulate_kernels
+from references import markovian_asymptotes
 
 OHMIC = ReservoirSpec("ohmic_exp_cutoff", alpha=0.1, wc=5.0, temperature=0.0)
 

@@ -7,18 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbm.coefficients import compute_coefficients
-from qbm.errors import QuadratureError, ValidationError
+from qbm.errors import ValidationError
 from qbm.kernels import (
     KernelTable,
     ReservoirSpec,
     kappa,
-    kappa_quadrature,
     load_kernel_csv,
     mu,
-    mu_quadrature,
     tabulate_kernels,
     trigamma,
 )
+from references import QuadratureError, _checked_quad, kappa_quadrature, mu_quadrature
 
 OHMIC = ReservoirSpec("ohmic_exp_cutoff", alpha=0.1, wc=5.0, temperature=0.0)
 
@@ -258,8 +257,6 @@ def test_kernel_csv_roundtrip(tmp_path):
 
 
 def test_quadrature_error_carries_estimate():
-    from qbm.kernels import _checked_quad
-
     with pytest.raises(QuadratureError) as err:
         _checked_quad(lambda w: np.cos(w**2) / (1.0 + 1e-6 * w), 0.0, None, "test")
     assert err.value.estimate > 0.0

@@ -511,6 +511,18 @@ def test_wigner_domain_guard(free_bundle):
                    np.linspace(-2, 2, 11))
 
 
+def test_wigner_refuses_an_aliased_map_before_it_evaluates_chi(free_bundle, monkeypatch):
+    # W of Fock 20000 is 8 * sqrt(20000.5) ~ 1131 wide, past the period 2 pi / h
+    # of every z-grid; none of them need be evaluated to know it
+    def evaluated(*args, **kwargs):
+        raise AssertionError("chi_t was evaluated")
+
+    monkeypatch.setattr(qcf, "evolve_chi", evaluated)
+    axis = np.linspace(-6.0, 6.0, 8)
+    with pytest.raises(DomainTooSmallError, match="would alias: lower wigner.extent"):
+        qcf.wigner(free_bundle, qcf.FockState(20000), 0, axis, axis)
+
+
 @pytest.mark.parametrize(
     "r, phi", [(0.5, 0.0), (1.0, 0.7), (1.2, 0.0), (1.2, 0.7), (1.5, 0.0), (2.0, 0.7), (5.0, 0.0)]
 )

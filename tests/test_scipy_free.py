@@ -4,10 +4,11 @@ Each config is parsed and run in a fresh interpreter, which then reports
 the scipy modules it has loaded.  The analytic pipeline, both reservoir
 families, every state kind (a tabulated chi included), the Wigner maps and
 the oracle run on numpy alone.  scipy serves only the quadrature
-references the tests compare against, through ``kernels.quad``.  Nor does
-a run load a process-pool module: the oracle forks one child per mode after
-the first with ``os.fork`` alone, so the import cost of a run stays that of
-numpy.
+references of ``references.py`` that the tests compare against, through
+``kernels.quad``.  Nor does a run load a process-pool module: where more
+than one CPU is usable the oracle forks one child for each mode but the
+last with ``os.fork`` alone, and steps the last mode itself, so the import
+cost of a run stays that of numpy.
 """
 
 import ast
