@@ -53,15 +53,14 @@ def main():
     print(f"  pp   {np.max(np.abs((t_nr.pp - t_rwa.pp) - norenorm.lam)):.2e}")
     print(f"  corr {np.max(np.abs((t_nr.xp_sym - t_rwa.xp_sym) + 2 * norenorm.theta)):.2e}")
 
-    rows = np.column_stack([
-        grid,
-        norenorm.lam,
-        norenorm.theta,
-        s_nr.xx - s_rwa.xx,
-        s_nr.pp - s_rwa.pp,
-        s_nr.xp_sym - s_rwa.xp_sym,
-    ])
-    write_csv(args.out, "t,lambda,theta,gap_xx,gap_pp,gap_corr", rows)
+    write_csv(args.out, {
+        "t": grid,
+        "lambda": norenorm.lam,
+        "theta": norenorm.theta,
+        "gap_xx": s_nr.xx - s_rwa.xx,
+        "gap_pp": s_nr.pp - s_rwa.pp,
+        "gap_corr": s_nr.xp_sym - s_rwa.xp_sym,
+    })
     print(f"wrote {args.out}")
 
 

@@ -52,7 +52,8 @@ def main(argv=None) -> int:
             emit_ellipse(args.r_over_w0, args.gamma_over_w0, args.out)
             print(args.out)
         elif args.command == "algebra":
-            from qbm.oracle import algebra_suite, write_algebra_report
+            from qbm.oracle import algebra_suite
+            from qbm.runner import write_algebra_report
 
             report = algebra_suite(args.d)
             write_algebra_report(report, args.out)

@@ -22,7 +22,6 @@ import numpy as np
 
 from qbm.errors import ValidationError
 from qbm.kernels import KernelTable
-from qbm.runio import write_csv
 
 # refuse grids coarser than 0.5 radians per step: R(t)'s RK4 needs w dt <= 0.5, and w(0) = 1
 MAX_STEP_RADIANS = 0.5
@@ -87,12 +86,3 @@ def compute_coefficients(kernels: KernelTable) -> CoefficientTable:
         big_gamma=2.0 * cum(gamma),
     )
 
-
-COEFFICIENTS_CSV_COLUMNS = "t,delta_bar,pi,r,gamma,big_gamma"
-
-
-def write_coefficients_csv(table: CoefficientTable, path) -> None:
-    columns = np.column_stack(
-        [table.grid, table.delta_bar, table.pi, table.r, table.gamma, table.big_gamma]
-    )
-    write_csv(path, COEFFICIENTS_CSV_COLUMNS, columns)

@@ -5,6 +5,8 @@ UTF-8.  Unknown keys are hard errors with a close-match suggestion so typos
 cannot silently fall back to defaults; every parse error carries its line
 number.  ``parse_config`` builds each run input through the function that owns
 its rules, and reports that function's error with the keys and lines it concerns.
+Every input file of a run is read here: the config itself, and the CSVs it
+names through ``load_kernel_csv`` and ``load_chi_csv``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from qbm import qcf
 from qbm.coefficients import check_grid
 from qbm.errors import FileError, LeakageError, ValidationError
-from qbm.kernels import FAMILIES, KernelTable, ReservoirSpec, load_kernel_csv, tabulate_kernels
+from qbm.kernels import FAMILIES, KernelTable, ReservoirSpec, tabulate_kernels
 from qbm.oracle import LEAKAGE_THRESHOLD, MAX_DIMENSION, MIN_DIMENSION, check_initial_leakage, to_density_matrix
 from qbm.propagator import MODES
 from qbm.runio import read_csv
@@ -275,6 +277,14 @@ def parse_config(path) -> RunConfig:
         wigner_extent=wigner_extent,
         wigner_points=wigner_points,
     )
+
+
+def load_kernel_csv(path) -> KernelTable:
+    """Read a tabulated kernel from CSV with header ``tau,kappa,mu``."""
+    header, data = read_csv(path)
+    if header != ["tau", "kappa", "mu"]:
+        raise ValidationError(f"kernel CSV {path} must start with header 'tau,kappa,mu'")
+    return KernelTable(grid=data[:, 0], kappa=data[:, 1], mu=data[:, 2])
 
 
 def load_chi_csv(path):

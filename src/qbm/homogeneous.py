@@ -24,7 +24,6 @@ import numpy as np
 
 from qbm.coefficients import MAX_STEP_RADIANS, CoefficientTable
 from qbm.errors import NumericalError, StabilityError
-from qbm.runio import write_csv
 
 log = logging.getLogger(__name__)
 
@@ -110,13 +109,3 @@ def invert_rotation(rotations: np.ndarray) -> np.ndarray:
         inv /= det[:, None, None]
     return inv
 
-
-ROTATION_CSV_COLUMNS = "t,c,s,sr,cr,det"
-
-
-def write_rotation_csv(grid: np.ndarray, rot: np.ndarray, path) -> None:
-    """Write the (n, 2, 2) matrices of :func:`solve_fundamental` on their grid."""
-    columns = np.column_stack(
-        [grid, rot[:, 0, 0], rot[:, 0, 1], -rot[:, 1, 0], rot[:, 1, 1], rotation_det(rot)]
-    )
-    write_csv(path, ROTATION_CSV_COLUMNS, columns)

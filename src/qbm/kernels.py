@@ -23,7 +23,8 @@ ohmic_exp_cutoff
     (its term is exactly zero at T = 0).  Quadrature cross-checks both.
 
 A tabulated bath is not a family: it is the ``KernelTable`` of its (tau,
-kappa, mu) samples, alpha^2 included, that ``load_kernel_csv`` returns.
+kappa, mu) samples, alpha^2 included, that ``qbm.config.load_kernel_csv``
+reads from its CSV.
 
 ``kappa`` and ``mu`` take one lag or an array of lags through one code
 path.  ``tabulate_kernels`` is the one place that tells the two kinds of
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from qbm.errors import ValidationError
-from qbm.runio import read_csv
 
 OHMIC_EXP_CUTOFF = "ohmic_exp_cutoff"
 FAMILIES = (OHMIC_EXP_CUTOFF,)
@@ -201,10 +201,3 @@ def tabulate_kernels(reservoir: ReservoirSpec | KernelTable, grid) -> KernelTabl
         mu=np.interp(grid, reservoir.grid, reservoir.mu),
     )
 
-
-def load_kernel_csv(path) -> KernelTable:
-    """Read a tabulated kernel from CSV with header ``tau,kappa,mu``."""
-    header, data = read_csv(path)
-    if header != ["tau", "kappa", "mu"]:
-        raise ValidationError(f"kernel CSV {path} must start with header 'tau,kappa,mu'")
-    return KernelTable(grid=data[:, 0], kappa=data[:, 1], mu=data[:, 2])

@@ -66,7 +66,6 @@ from qbm.errors import (
     ValidationError,
 )
 from qbm import qcf
-from qbm.runio import write_text
 
 MIN_DIMENSION = 8  # the smallest Fock truncation d
 MAX_DIMENSION = 256  # the largest: each mode's (5, 9, d, d) stencil_table takes 720 d^2 B, 45 MiB
@@ -805,6 +804,3 @@ def _weyl_bound(d: int, window: int, zx: float, zp: float) -> float:
     bound = 1e4 * np.sqrt(d) * np.exp(2.0 * min(log_amp, 0.0))
     return float(max(bound, 3e-11))
 
-
-def write_algebra_report(report: AlgebraReport, path) -> None:
-    write_text(path, [f"# superoperator algebra suite, d={report.d}", *report.lines()])

@@ -45,7 +45,6 @@ from qbm.coefficients import CoefficientTable, compute_coefficients, cumulative_
 from qbm.errors import ValidationError
 from qbm.homogeneous import approx_rotation, invert_rotation, solve_fundamental
 from qbm.kernels import KernelTable, ReservoirSpec, tabulate_kernels
-from qbm.runio import write_csv
 
 MODES = ("full", "norenorm", "rwa")
 
@@ -146,26 +145,3 @@ def build_propagator(
         grid=grid, big_gamma=coeffs.big_gamma, rotations=rot, rotations_inv=rot_inv, w_bar=w_bar
     )
 
-
-PROPAGATOR_CSV_COLUMNS = "t,R11,R12,R21,R22,W11,W12,W22,delta_gamma,lambda,theta"
-
-
-def write_propagator_csv(bundle: PropagatorBundle, path) -> None:
-    r = bundle.rotations
-    w = bundle.w_bar
-    columns = np.column_stack(
-        [
-            bundle.grid,
-            r[:, 0, 0],
-            r[:, 0, 1],
-            r[:, 1, 0],
-            r[:, 1, 1],
-            w[:, 0, 0],
-            w[:, 0, 1],
-            w[:, 1, 1],
-            bundle.delta_gamma,
-            bundle.lam,
-            bundle.theta,
-        ]
-    )
-    write_csv(path, PROPAGATOR_CSV_COLUMNS, columns)

@@ -1,7 +1,10 @@
-"""Artifact writers: ``write_csv`` formats a table, ``write_text`` a report and
-``copy_file`` mirrors a file already written, byte for byte.  Every CSV starts
-with a ``#``-prefixed schema comment and a plain header row; floats are
-written with %.17g so reruns are byte-identical.
+"""Artifact files: ``write_csv`` formats a table, ``write_text`` a report,
+``copy_file`` mirrors a file already written, byte for byte, and ``read_csv``
+reads a table back.  A table is an ordered mapping from column name to 1-d
+column, so its header is its keys.  Every CSV starts with a ``#``-prefixed
+schema comment and a plain header row; floats are written with %.17g so
+reruns are byte-identical.  ``qbm.runner`` writes every artifact and
+``qbm.config`` reads every input file; no numeric module does file I/O.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from qbm.errors import FileError, ValidationError
 _CHUNK_ROWS = 256  # rows converted to Python floats at a time, so memory stays flat
 
 
-def write_csv(path, columns: str, rows) -> None:
-    rows = np.atleast_2d(np.asarray(rows))
+def write_csv(path, table: dict) -> None:
+    """Write ``table``, ``{name: 1-d column}``, one row per index, its names as the header."""
+    columns = ",".join(table)
+    rows = np.column_stack(list(table.values()))
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -1,12 +1,15 @@
 """Pipeline orchestration: one config in, CSV artifacts out.
 
-The config brings the kernel table and, for the oracle, rho0.  Modes run
-independently off one coefficient table.  With the oracle mode alongside
-analytic modes, each analytic mode gets a matching brute-force integration
-and ``diff_report.txt`` collects the max deviation per observable.  The
-analytic modes run as the oracle's ``meanwhile``: where two CPUs are
-usable, while forked children step every oracle mode but the last.  Each
-column is formatted in one file (``big_gamma`` in ``coefficients.csv``,
+This module writes every artifact.  Each table is a mapping from column name
+to column, built here beside its file name, so a header is its table's keys;
+the numeric modules it calls do no file I/O.  The config brings the kernel
+table and, for the oracle, rho0.  Modes run independently off one
+coefficient table.  With the oracle mode alongside analytic modes, each
+analytic mode gets a matching brute-force integration and
+``diff_report.txt`` collects the max deviation per observable.  The analytic
+modes run as the oracle's ``meanwhile``: where two CPUs are usable, while
+forked children step every oracle mode but the last.  Each column is
+formatted in one file (``big_gamma`` in ``coefficients.csv``,
 ``lambda``/``theta`` in the propagator files).  Every observables file is
 its route's ``qcf.ObservableSeries`` record, so ``energy`` is the moment
 energy (<X^2> + <P^2>)/2 in every mode, plus ``energy_rwa``, the one
@@ -26,14 +29,12 @@ import numpy as np
 
 from qbm import oracle as oracle_mod
 from qbm import qcf
-from qbm.coefficients import compute_coefficients, write_coefficients_csv
+from qbm.coefficients import compute_coefficients
 from qbm.config import RunConfig
 from qbm.errors import FileError, ValidationError
-from qbm.homogeneous import write_rotation_csv
-from qbm.propagator import build_propagator, delta_gamma_series, write_propagator_csv
+from qbm.homogeneous import rotation_det
+from qbm.propagator import build_propagator, delta_gamma_series
 from qbm.runio import copy_file, write_csv, write_text
-
-OBSERVABLES_CSV_COLUMNS = ",".join(("t", *qcf.OBSERVABLES, "energy_rwa"))
 
 
 @dataclass
@@ -52,20 +53,27 @@ def run(config: RunConfig) -> RunResult:
 
     result = RunResult()
 
-    def emit(name, writer):
+    def emit(name, content):
+        """Write ``name``: a table ``{column: values}`` as CSV, else the lines of a report."""
         path = os.path.join(outdir, name)
-        writer(path)
+        if isinstance(content, dict):
+            write_csv(path, content)
+        else:
+            write_text(path, content)
         result.files.append(path)
 
-    def emit_mode(stem, mode, first_mode, writer):
+    def emit_mode(stem, mode, first_mode, table):
         """``stem_mode.csv``, then for the run's first mode its ``stem.csv`` byte copy."""
-        emit(f"{stem}_{mode}.csv", writer)
+        emit(f"{stem}_{mode}.csv", table)
         if mode == first_mode:
-            emit(f"{stem}.csv", lambda p, src=result.files[-1]: copy_file(src, p))
+            mirror = os.path.join(outdir, f"{stem}.csv")
+            copy_file(result.files[-1], mirror)
+            result.files.append(mirror)
 
     grid = config.kernels.grid
     coeffs = compute_coefficients(config.kernels)
-    emit("coefficients.csv", lambda p: write_coefficients_csv(coeffs, p))
+    emit("coefficients.csv", {"t": grid, "delta_bar": coeffs.delta_bar, "pi": coeffs.pi,
+                              "r": coeffs.r, "gamma": coeffs.gamma, "big_gamma": coeffs.big_gamma})
 
     report_lines = [
         "# monitored run properties (observed, not assumed)",
@@ -77,17 +85,16 @@ def run(config: RunConfig) -> RunResult:
     oracle_modes = analytic_modes if analytic_modes else ["full"]
     delta_gamma_rwa = delta_gamma_series(coeffs)
 
-    def observables_writer(series):
-        """Writer of the observables rows of an analytic series or an oracle trajectory.
+    def observables_table(series):
+        """The observables table of an analytic series or an oracle trajectory.
 
         The record's grid and ``qcf.OBSERVABLES`` columns, its moment energy
         included, then ``energy_rwa``: the rotating-wave closed form of the
         coefficient table from the record's own E0 = ``series.energy[0]``.
         """
         energy_rwa = qcf.closed_form_energy(coeffs.big_gamma, series.energy[0], delta_gamma_rwa)
-        columns = [getattr(series, name) for name in ("grid", *qcf.OBSERVABLES)]
-        matrix = np.column_stack([*columns, energy_rwa])
-        return lambda path: write_csv(path, OBSERVABLES_CSV_COLUMNS, matrix)
+        moments = {name: getattr(series, name) for name in qcf.OBSERVABLES}
+        return {"t": series.grid, **moments, "energy_rwa": energy_rwa}
 
     bundles = {}
     analytic_series = {}
@@ -101,12 +108,16 @@ def run(config: RunConfig) -> RunResult:
             report_lines.append(f"w_bar_min_eigenvalue[{mode}] {min_eig:.17g}")
             series = qcf.observable_series(bundle, config.state)
             analytic_series[mode] = series
-            emit_mode("observables", mode, analytic_modes[0], observables_writer(series))
-            emit_mode(
-                "propagator", mode, analytic_modes[0], lambda p: write_propagator_csv(bundle, p)
-            )
+            emit_mode("observables", mode, analytic_modes[0], observables_table(series))
+            r, w = bundle.rotations, bundle.w_bar
+            emit_mode("propagator", mode, analytic_modes[0], {
+                "t": grid, "R11": r[:, 0, 0], "R12": r[:, 0, 1], "R21": r[:, 1, 0],
+                "R22": r[:, 1, 1], "W11": w[:, 0, 0], "W12": w[:, 0, 1], "W22": w[:, 1, 1],
+                "delta_gamma": bundle.delta_gamma, "lambda": bundle.lam, "theta": bundle.theta,
+            })
             if mode == "full":
-                emit("rotation.csv", lambda p, b=bundle: write_rotation_csv(b.grid, b.rotations, p))
+                emit("rotation.csv", {"t": grid, "c": r[:, 0, 0], "s": r[:, 0, 1],
+                                      "sr": -r[:, 1, 0], "cr": r[:, 1, 1], "det": rotation_det(r)})
 
     if "oracle" in config.modes:
         # the analytic phase runs while forked children step the oracle modes
@@ -125,7 +136,7 @@ def run(config: RunConfig) -> RunResult:
                 f"oracle[{mode}] trace_error {traj.trace_error:.3e} "
                 f"herm_drift {traj.herm_drift:.3e} max_leakage {traj.max_leakage:.3e}"
             )
-            emit_mode("oracle_observables", mode, oracle_modes[0], observables_writer(traj))
+            emit_mode("oracle_observables", mode, oracle_modes[0], observables_table(traj))
             if mode in analytic_series:
                 series = analytic_series[mode]
                 diffs = {
@@ -137,7 +148,7 @@ def run(config: RunConfig) -> RunResult:
                 diff_lines.extend(f"{name} {value:.17g}" for name, value in diffs.items())
         if diff_lines:
             header = "# max absolute deviation, analytic vs oracle, per observable"
-            emit("diff_report.txt", lambda p: write_text(p, [header, *diff_lines]))
+            emit("diff_report.txt", [header, *diff_lines])
     else:
         analytic_phase()
 
@@ -150,20 +161,11 @@ def run(config: RunConfig) -> RunResult:
         # times that snap to one node give one map, in first-seen order
         for index in dict.fromkeys(int(np.argmin(np.abs(grid - t))) for t in config.wigner_times):
             field_vals = qcf.wigner(bundle, config.state, index, axis, axis)
-            rows = np.column_stack(
-                [
-                    np.repeat(axis, len(axis)),
-                    np.tile(axis, len(axis)),
-                    field_vals.reshape(-1),
-                ]
-            )
-            emit(f"wigner_t{index}.csv", lambda p, r=rows: write_csv(p, "q,p,w", r))
+            emit(f"wigner_t{index}.csv", {"q": np.repeat(axis, len(axis)),
+                                          "p": np.tile(axis, len(axis)), "w": field_vals.reshape(-1)})
 
-    emit("run_report.txt", lambda p: write_text(p, report_lines))
+    emit("run_report.txt", report_lines)
     return result
-
-
-ELLIPSE_CSV_COLUMNS = "theta_deg,x,p,x_circle,p_circle"
 
 
 def ellipse_points(r_over_w0: float, gamma_over_w0: float):
@@ -193,5 +195,9 @@ def ellipse_points(r_over_w0: float, gamma_over_w0: float):
 
 def emit_ellipse(r_over_w0: float, gamma_over_w0: float, path) -> None:
     theta, pts, circle = ellipse_points(r_over_w0, gamma_over_w0)
-    rows = np.column_stack([np.rad2deg(theta), pts[0], pts[1], circle[0], circle[1]])
-    write_csv(path, ELLIPSE_CSV_COLUMNS, rows)
+    write_csv(path, {"theta_deg": np.rad2deg(theta), "x": pts[0], "p": pts[1],
+                     "x_circle": circle[0], "p_circle": circle[1]})
+
+
+def write_algebra_report(report: oracle_mod.AlgebraReport, path) -> None:
+    write_text(path, [f"# superoperator algebra suite, d={report.d}", *report.lines()])

@@ -1,11 +1,12 @@
 import inspect
 import os
+import pathlib
 import re
 
 import numpy as np
 import pytest
 
-from qbm import coefficients, homogeneous, kernels, oracle, propagator, qcf, runio, runner
+from qbm import coefficients, kernels, oracle, propagator, qcf, runio, runner
 from qbm.cli import main
 from qbm.config import (
     _KEY_TYPES,
@@ -14,11 +15,14 @@ from qbm.config import (
     RUN_MODES,
     build_grid,
     load_chi_csv,
+    load_kernel_csv,
     parse_config,
 )
 from qbm.errors import LeakageError, ValidationError
 from qbm.runio import read_csv
 from qbm.runner import ellipse_points, run
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 MINIMAL = """
 reservoir.family = ohmic_exp_cutoff
@@ -122,7 +126,7 @@ def test_tabulated_family_without_alpha_runs(tmp_path):
     hot = kernels.ReservoirSpec("ohmic_exp_cutoff", alpha=0.1, wc=5.0, temperature=2.0)
     write_kernel_csv(tmp_path, hot, build_grid(0.01, 1.0))
     tab_conf = write_conf(tmp_path, TABULATED + f"run.output_dir = {tmp_path / 'tab'}\n")
-    table = kernels.load_kernel_csv(tmp_path / "kernel.csv")
+    table = load_kernel_csv(tmp_path / "kernel.csv")
     expected = kernels.tabulate_kernels(table, build_grid(0.01, 1.0))
     assert_same_kernels(parse_config(tab_conf).kernels, expected)
     assert main(["run", str(tab_conf)]) == 0
@@ -506,7 +510,7 @@ def test_ragged_or_empty_csv_raises_validation_error(tmp_path):
     path = tmp_path / "kern.csv"
     path.write_text("# comment\ntau,kappa,mu\n0.0,0.25,0.0\n\n0.5,0.1\n")
     with pytest.raises(ValidationError, match=r"kern\.csv line 5: expected 3 values, got 2"):
-        kernels.load_kernel_csv(path)
+        load_kernel_csv(path)
     path = tmp_path / "chi.csv"
     path.write_text("x,p,re_chi,im_chi\n")
     with pytest.raises(ValidationError, match="at least 5 nodes"):
@@ -659,12 +663,11 @@ def test_multi_mode_run_files_and_mirrors(tmp_path, capsys, monkeypatch):
     ) + f"state.x0 = 2.0\nrun.output_dir = {out}\n"
     formatted = []
 
-    def counting_write_csv(path, columns, rows):
+    def counting_write_csv(path, table):
         formatted.append(os.path.basename(path))
-        runio.write_csv(path, columns, rows)
+        runio.write_csv(path, table)
 
-    for module in (runner, propagator, coefficients, homogeneous):
-        monkeypatch.setattr(module, "write_csv", counting_write_csv)
+    monkeypatch.setattr(runner, "write_csv", counting_write_csv)
     assert main(["run", str(write_conf(tmp_path, text))]) == 0
     # each distinct table is formatted once; the three mirrors are byte copies
     assert len(formatted) == 7, formatted
@@ -699,22 +702,33 @@ def test_multi_mode_run_files_and_mirrors(tmp_path, capsys, monkeypatch):
         np.testing.assert_allclose(energy_rwa, np.exp(-big_gamma) * e0 + delta_gamma, rtol=1e-14)
 
 
+def readme_schemas() -> dict:
+    """The header of each CSV stem in README's "Output files" list."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### Output files") :]
+    bullets = re.findall(
+        r"^\* `(\w+)(?:\[_mode\]|<i>)?\.csv` - (?:`([^`]+)`|same schema as `(\w+)\.csv`)",
+        section,
+        re.M,
+    )
+    schemas = {stem: header for stem, header, _ in bullets if header}
+    schemas.update((stem, schemas[same]) for stem, _, same in bullets if same)
+    return schemas
+
+
 def test_each_column_is_written_in_one_file(tmp_path):
+    # every header is the one README lists for its file
     out = tmp_path / "out"
     text = MINIMAL.replace("run.modes = full", "run.modes = full,norenorm,rwa,oracle").replace(
         "reservoir.alpha = 0.0", "reservoir.alpha = 0.1"
-    ) + f"state.x0 = 2.0\nrun.output_dir = {out}\n"
+    ) + f"state.x0 = 2.0\nwigner.enabled = true\nwigner.points = 8\nrun.output_dir = {out}\n"
     run(parse_config(write_conf(tmp_path, text)))
-    schemas = {
-        "coefficients": coefficients.COEFFICIENTS_CSV_COLUMNS,
-        "rotation": homogeneous.ROTATION_CSV_COLUMNS,
-        "propagator": propagator.PROPAGATOR_CSV_COLUMNS,
-        "observables": runner.OBSERVABLES_CSV_COLUMNS,
-        "oracle_observables": runner.OBSERVABLES_CSV_COLUMNS,
-    }
+    schemas = readme_schemas()
+    assert set(schemas) == {"coefficients", "observables", "propagator", "rotation",
+                            "oracle_observables", "wigner_t"}
     owners = {"big_gamma": set(), "lambda": set(), "theta": set()}
     for path in sorted(out.glob("*.csv")):
-        stem = re.sub(r"_(full|norenorm|rwa)$", "", path.stem)
+        stem = re.sub(r"(_(full|norenorm|rwa)|(?<=wigner_t)\d+)$", "", path.stem)
         comment, header = path.read_text().splitlines()[:2]
         assert (comment, header) == (f"# {schemas[stem]}", schemas[stem]), path.name
         for name in owners.keys() & set(header.split(",")):

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbm.coefficients import compute_coefficients
+from qbm.config import load_kernel_csv
 from qbm.errors import ValidationError
 from qbm.kernels import (
     KernelTable,
     ReservoirSpec,
     kappa,
-    load_kernel_csv,
     mu,
     tabulate_kernels,
     trigamma,

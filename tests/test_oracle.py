@@ -14,6 +14,7 @@ from qbm.errors import (
     ValidationError,
 )
 from qbm.kernels import ReservoirSpec, tabulate_kernels
+from qbm.runner import write_algebra_report
 from references import TruncationError, chi_from_rho
 
 
@@ -71,7 +72,7 @@ def test_fock_operators_bound_the_dimension():
 def test_algebra_report_file(tmp_path):
     rep = oracle.algebra_suite(20)
     path = tmp_path / "report.txt"
-    oracle.write_algebra_report(rep, path)
+    write_algebra_report(rep, path)
     text = path.read_text()
     assert "weyl_eigen" in text and "pass" in text
 
