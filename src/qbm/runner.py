@@ -44,7 +44,26 @@ class RunResult:
 
 
 def run(config: RunConfig) -> RunResult:
-    """Execute every requested mode and write the artifact files."""
+    """Execute every requested mode and write the artifact files.
+
+    The Wigner maps are computed before the output directory is made, so a
+    map that ``qcf.wigner`` refuses leaves no file; they are written last.
+    """
+    grid = config.kernels.grid
+    coeffs = compute_coefficients(config.kernels)
+    analytic_modes = [m for m in config.modes if m != "oracle"]
+    oracle_modes = analytic_modes if analytic_modes else ["full"]
+    bundles = {}
+    wigner_maps = {}
+    if config.wigner_enabled:
+        # from the first analytic mode's bundle, "full" for an oracle-only run
+        mode = oracle_modes[0]
+        bundle = bundles[mode] = build_propagator(config.kernels, grid, mode, coeffs=coeffs)
+        axis = np.linspace(-config.wigner_extent, config.wigner_extent, config.wigner_points)
+        # times that snap to one node give one map, in first-seen order
+        for index in dict.fromkeys(int(np.argmin(np.abs(grid - t))) for t in config.wigner_times):
+            wigner_maps[index] = qcf.wigner(bundle, config.state, index, axis, axis)
+
     outdir = config.output_dir
     try:
         os.makedirs(outdir, exist_ok=True)
@@ -70,8 +89,6 @@ def run(config: RunConfig) -> RunResult:
             copy_file(result.files[-1], mirror)
             result.files.append(mirror)
 
-    grid = config.kernels.grid
-    coeffs = compute_coefficients(config.kernels)
     emit("coefficients.csv", {"t": grid, "delta_bar": coeffs.delta_bar, "pi": coeffs.pi,
                               "r": coeffs.r, "gamma": coeffs.gamma, "big_gamma": coeffs.big_gamma})
 
@@ -81,8 +98,6 @@ def run(config: RunConfig) -> RunResult:
         f"big_gamma_nondecreasing {bool(np.all(np.diff(coeffs.big_gamma) >= 0))}",
     ]
 
-    analytic_modes = [m for m in config.modes if m != "oracle"]
-    oracle_modes = analytic_modes if analytic_modes else ["full"]
     delta_gamma_rwa = delta_gamma_series(coeffs)
 
     def observables_table(series):
@@ -96,14 +111,14 @@ def run(config: RunConfig) -> RunResult:
         moments = {name: getattr(series, name) for name in qcf.OBSERVABLES}
         return {"t": series.grid, **moments, "energy_rwa": energy_rwa}
 
-    bundles = {}
     analytic_series = {}
 
     def analytic_phase():
         """Every analytic mode: its bundle, moments and files."""
         for mode in analytic_modes:
-            bundle = build_propagator(config.kernels, grid, mode, coeffs=coeffs)
-            bundles[mode] = bundle
+            if mode not in bundles:
+                bundles[mode] = build_propagator(config.kernels, grid, mode, coeffs=coeffs)
+            bundle = bundles[mode]
             min_eig = float(np.min(np.linalg.eigvalsh(bundle.w_bar)))
             report_lines.append(f"w_bar_min_eigenvalue[{mode}] {min_eig:.17g}")
             series = qcf.observable_series(bundle, config.state)
@@ -152,17 +167,9 @@ def run(config: RunConfig) -> RunResult:
     else:
         analytic_phase()
 
-    if config.wigner_enabled:
-        if analytic_modes:
-            bundle = bundles[analytic_modes[0]]
-        else:
-            bundle = build_propagator(config.kernels, grid, "full", coeffs=coeffs)
-        axis = np.linspace(-config.wigner_extent, config.wigner_extent, config.wigner_points)
-        # times that snap to one node give one map, in first-seen order
-        for index in dict.fromkeys(int(np.argmin(np.abs(grid - t))) for t in config.wigner_times):
-            field_vals = qcf.wigner(bundle, config.state, index, axis, axis)
-            emit(f"wigner_t{index}.csv", {"q": np.repeat(axis, len(axis)),
-                                          "p": np.tile(axis, len(axis)), "w": field_vals.reshape(-1)})
+    for index, field_vals in wigner_maps.items():
+        emit(f"wigner_t{index}.csv", {"q": np.repeat(axis, len(axis)),
+                                      "p": np.tile(axis, len(axis)), "w": field_vals.reshape(-1)})
 
     emit("run_report.txt", report_lines)
     return result

@@ -656,6 +656,26 @@ def test_wigner_times_on_one_node_give_one_map(tmp_path, capsys):
     assert sorted(p.name for p in out.glob("wigner_t*.csv")) == ["wigner_t20.csv", "wigner_t50.csv"]
 
 
+@pytest.mark.parametrize(
+    "modes, state, remedy",
+    [
+        ("rwa", "state.kind = fock\nstate.n = 200000\n", "lower wigner.extent"),
+        ("oracle", "state.kind = squeezed\nstate.r = 1.5\noracle.dimension = 256\n", "state.r"),
+    ],
+)
+def test_a_refused_wigner_map_leaves_no_output_directory(tmp_path, capsys, modes, state, remedy):
+    # each map would alias, which the config alone decides: every map is
+    # computed before the first file, from the first analytic mode's bundle
+    # or, in an oracle-only run, from the full mode's
+    out = tmp_path / "o"
+    text = MINIMAL.replace("run.modes = full", f"run.modes = {modes}")
+    text += f"{state}wigner.enabled = true\nwigner.points = 8\nrun.output_dir = {out}\n"
+    assert main(["run", str(write_conf(tmp_path, text))]) == 2
+    err = capsys.readouterr().err
+    assert "would alias" in err and remedy in err, err
+    assert not out.exists()
+
+
 def test_multi_mode_run_files_and_mirrors(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     text = MINIMAL.replace("run.modes = full", "run.modes = norenorm,rwa,oracle").replace(
