@@ -42,9 +42,16 @@ same bit for bit whether the modes run in turn or in parallel; so is the
 error of a run that aborts, that of the first failing mode in the order
 given.
 
-Truncation hygiene: states must stay away from the top of the basis (the
-leakage monitor aborts otherwise), and algebra residuals are measured on
-interior matrix blocks where the truncated ladder operators act exactly.
+Truncation hygiene: the oracle truncates the master equation, not its
+operators.  X^2, P^2 and XP + PX are formed on d + 1 levels and cropped to
+d, XP is ((XP + PX) + i)/2 and [X, P] is i exactly, so the generator is
+P L(P rho P) P, the projection of the untruncated equation onto the first d
+levels: exact on every entry whose neighbours lie in the basis, it drops
+only the flow out of the top level, and has no growing mode of its own.
+The moments are read with the same cropped operators.  States must still
+stay away from the top of the basis (the leakage monitor aborts
+otherwise), and algebra residuals are measured on interior matrix blocks
+where the truncated ladder operators act exactly.
 """
 
 from __future__ import annotations
@@ -101,15 +108,16 @@ class FockOperators:
 def fock_operators(d: int) -> FockOperators:
     if not MIN_DIMENSION <= d <= MAX_DIMENSION:
         raise ValidationError(f"Fock truncation needs {MIN_DIMENSION} <= d <= {MAX_DIMENSION}, not {d}")
-    a = np.zeros((d, d), dtype=complex)
-    ns = np.sqrt(np.arange(1, d, dtype=float))
-    a[np.arange(d - 1), np.arange(1, d)] = ns
+    # the products are taken on d + 1 levels and cropped to d: a product of
+    # two d-level truncations is wrong in its last entry
+    a = np.zeros((d + 1, d + 1), dtype=complex)
+    a[np.arange(d), np.arange(1, d + 1)] = np.sqrt(np.arange(1, d + 1, dtype=float))
     ad = a.conj().T
     x = (a + ad) / np.sqrt(2.0)
     p = (a - ad) / (1j * np.sqrt(2.0))
-    x2 = x @ x
-    p2 = p @ p
-    xppx = x @ p + p @ x
+    crop = np.s_[:d, :d]
+    x2, p2, xppx = (x @ x)[crop], (p @ p)[crop], (x @ p + p @ x)[crop]
+    a, x, p = a[crop], x[crop], p[crop]
     top = np.diag((np.arange(d) >= d - 3).astype(float))
     return FockOperators(
         d=d,
@@ -161,11 +169,11 @@ def term_table(ops: FockOperators, mode: str) -> np.ndarray:
         # -delta_bar [X,[X,.]] + pi [X,[P,.]]
         table[dbar, _K] = -ops.x2
         table[dbar, _RX] = 2.0 * x
-        table[piv, _K] = x @ p
+        table[piv, _K] = 0.5 * (ops.xppx + 1j * np.eye(d))  # XP, with [X, P] = i
         table[piv, _RX] = -p
         table[piv, _RP] = -x
-    # gamma (N + 2), the 2 split evenly between K and K^dag
-    table[gam, _K] += 0.5j * (x @ p - p @ x) + np.eye(d)
+    # gamma (N + 2), the 2 split evenly between K and K^dag: K = 0.5i [X, P] + 1
+    table[gam, _K] += 0.5 * np.eye(d)
     table[gam, _RX] = -1j * p
     table[gam, _RP] = 1j * x
     return table

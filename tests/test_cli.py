@@ -958,7 +958,7 @@ def test_oracle_abort_tells_a_blow_up_from_truncation(tmp_path, capsys, temperat
         assert "coefficients reach 2.61e+18" in err and "lower grid.dt" in err
         assert "oracle.dimension" not in err
     else:
-        assert "leakage 1.10e-05" in err and err.endswith("increase oracle.dimension beyond 30\n")
+        assert "leakage 1.09e-05" in err and err.endswith("increase oracle.dimension beyond 30\n")
 
 
 def test_run_report_records_monitored_properties(free_run_config, tmp_path):

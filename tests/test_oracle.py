@@ -1,6 +1,8 @@
+import functools
 import os
 import time
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -91,17 +93,19 @@ def test_generator_zero_coefficients_is_unitary_generator():
 
 
 def test_generator_rwa_assembly():
-    # every column of L: its action on each matrix unit E_mn
-    ops = oracle.fock_operators(12)
+    # every column of L: its action on each matrix unit E_mn, the explicit
+    # form taken on two more levels and cropped (the projected equation)
+    ops = padded_operators(12)
     gen = oracle.generator({"delta_bar": 0.4, "pi": 0.0, "r": 0.0, "gamma": 0.0}, 12, "rwa")
 
     def comm(a, b):
         return a @ b - b @ a
 
     for unit in np.eye(12 * 12, dtype=complex).reshape(-1, 12, 12):
+        unit = padded(unit)
         x_part, p_part = comm(ops.x, comm(ops.x, unit)), comm(ops.p, comm(ops.p, unit))
-        explicit = -1j * comm(ops.h0, unit) - 0.2 * (x_part + p_part)
-        assert np.max(np.abs(gen(unit) - explicit)) < 1e-13
+        explicit = (-1j * comm(ops.h0, unit) - 0.2 * (x_part + p_part))[:12, :12]
+        assert np.max(np.abs(gen(unit[:12, :12]) - explicit)) < 1e-13
 
 
 def test_generator_trace_preserving_on_interior_states():
@@ -115,13 +119,12 @@ def test_generator_trace_preserving_on_interior_states():
 
 
 def test_generator_matches_matrix_free_rhs():
-    ops = oracle.fock_operators(12)
     rng = np.random.default_rng(5)
     rho = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     rho = 0.5 * (rho + rho.conj().T) / 12.0
     row = {"delta_bar": 0.3, "pi": 0.1, "r": 0.2, "gamma": 0.05}
     for mode in oracle.MODES:
-        expected = reference_rhs(rho, *(row[k] for k in COEFFS), ops, mode)
+        expected = reference_rhs(rho, *(row[k] for k in COEFFS), mode)
         assert np.max(np.abs(oracle.generator(row, 12, mode)(rho) - expected)) < 1e-13, mode
 
 
@@ -261,6 +264,30 @@ def test_generator_is_the_nine_offset_stencil_bit_for_bit():
         assert got[n[off], m[off]].tobytes() == mirrored[m[off], n[off]].conj().tobytes(), mode
 
 
+def benchmark_coeffs(dt, t_max):
+    """The benchmark bath at T = 0 (alpha = 0.1, wc = 5) on steps of dt to t_max."""
+    grid = dt * np.arange(int(round(t_max / dt)) + 1)
+    return compute_coefficients(tabulate_kernels(ReservoirSpec("ohmic_exp_cutoff", alpha=0.1), grid))
+
+
+@pytest.mark.parametrize("d", [10, 30])
+def test_generator_has_no_growing_mode_at_late_coefficients(d):
+    # products of d-level truncations gave the top level an eigenvalue of +2 gamma
+    # (2.57e-2 here) in every mode; the projected equation has none
+    coeffs = benchmark_coeffs(0.01, 50.0)
+    row = {k: getattr(coeffs, k)[-1] for k in COEFFS}
+    units = np.eye(d * d, dtype=complex).reshape(-1, d, d)
+    # L keeps the parity of m + n, so its spectrum is that of the two sectors
+    parity = np.add.outer(np.arange(d), np.arange(d)).ravel() % 2
+    sectors = [np.flatnonzero(parity == s) for s in (0, 1)]
+    for mode in ("full", "norenorm", "rwa"):
+        gen = oracle.generator(row, d, mode)
+        matrix = np.stack([gen(unit).ravel() for unit in units], axis=1)
+        for sector in sectors:
+            block = matrix[np.ix_(sector, sector)]
+            assert np.linalg.eigvals(block).real.max() <= 1e-12, mode
+
+
 def test_generator_unknown_mode():
     with pytest.raises(ValidationError):
         oracle.generator({}, 10, "lindblad")
@@ -287,6 +314,15 @@ def test_modes_differ_under_coupling(pipeline):
     full = pipeline.oracle_traj(0.0, "coherent2", "full")
     rwa = pipeline.oracle_traj(0.0, "coherent2", "rwa")
     assert np.max(np.abs(full.xx - rwa.xx)) > 1e-4
+
+
+def test_vacuum_stays_in_a_small_basis_over_a_long_run():
+    # the growing top-level mode of truncated products stopped this run on the
+    # leakage guard at t = 1480.1; dt = 0.1 is inside RK4's limit 0.149 at d = 20
+    rho0 = oracle.to_density_matrix(qcf.CoherentState(), 20)
+    traj = oracle.integrate_modes(rho0, benchmark_coeffs(0.1, 1500.0), ["full"])["full"]
+    assert traj.grid[-1] == 1500.0
+    assert traj.max_leakage <= 1e-20
 
 
 def heated_coeffs(delta_bar=5.0):
@@ -401,15 +437,39 @@ COEFFS = ("delta_bar", "pi", "r", "gamma")
 MOMENT_NAMES = ("mean_x", "mean_p", "xx", "pp", "xp_sym")
 
 
-def reference_rhs(rho, dbar, piv, r, gam, ops, mode):
-    """The master equation in commutator form, each superoperator spelled out."""
+# the references take every product on PAD more levels than the basis, with
+# rho zero-padded, and crop the result: the master equation projected onto
+# the basis, exact on each entry whose neighbours lie in it
+PAD = 2
+
+
+@functools.lru_cache
+def padded_operators(d):
+    """X and P on d + PAD levels, and their products formed there."""
+    a = np.diag(np.sqrt(np.arange(1, d + PAD, dtype=float)), 1).astype(complex)
+    x = (a + a.conj().T) / np.sqrt(2.0)
+    p = (a - a.conj().T) / (1j * np.sqrt(2.0))
+    x2, p2 = x @ x, p @ p
+    return SimpleNamespace(x=x, p=p, x2=x2, p2=p2, xppx=x @ p + p @ x, h0=0.5 * (x2 + p2))
+
+
+def padded(rho):
+    """``rho`` zero-padded by PAD levels."""
+    return np.pad(rho, ((0, PAD), (0, PAD)))
+
+
+def reference_rhs(rho, dbar, piv, r, gam, mode):
+    """The master equation in commutator form, each superoperator spelled out, projected."""
+    d = len(rho)
+    ops = padded_operators(d)
+    rho = padded(rho)
     if mode in ("full", "unitary"):
         h = ops.h0 - 0.5 * r * ops.x2 + 0.5 * gam * ops.xppx
     else:
         h = ops.h0
     out = -1j * (h @ rho - rho @ h)
     if mode == "unitary":
-        return out
+        return out[:d, :d]
     x, p = ops.x, ops.p
     cx = x @ rho - rho @ x
     cp = p @ rho - rho @ p
@@ -419,23 +479,25 @@ def reference_rhs(rho, dbar, piv, r, gam, ops, mode):
         out -= dbar * (x @ cx - cx @ x) - piv * (x @ cp - cp @ x)
     n_rho = -0.5j * ((p @ cx + cx @ p) - (x @ cp + cp @ x))
     out += gam * (n_rho + 2.0 * rho)
-    return out
+    return out[:d, :d]
 
 
-def reference_integrate(rho, coeffs, mode, ops, n):
+def reference_integrate(rho, coeffs, mode, n):
     """One mode, one matrix at a time: RK4 with linearly interpolated half-steps."""
     t = coeffs.grid
     node = np.array([getattr(coeffs, k)[:n] for k in COEFFS])
     mid = 0.5 * (node[:, :-1] + node[:, 1:])
-    traced = (ops.x, ops.p, ops.x2, ops.p2, ops.xppx)
+    d, ops = len(rho), padded_operators(len(rho))
+    # the moments of the padded rho: each operator formed on d + PAD levels, cropped
+    traced = [op[:d, :d] for op in (ops.x, ops.p, ops.x2, ops.p2, ops.xppx)]
     moments = np.empty((len(traced), n))
     moments[:, 0] = [np.trace(a @ rho).real for a in traced]
     for i in range(n - 1):
         h = t[i + 1] - t[i]
-        k1 = reference_rhs(rho, *node[:, i], ops, mode)
-        k2 = reference_rhs(rho + 0.5 * h * k1, *mid[:, i], ops, mode)
-        k3 = reference_rhs(rho + 0.5 * h * k2, *mid[:, i], ops, mode)
-        k4 = reference_rhs(rho + h * k3, *node[:, i + 1], ops, mode)
+        k1 = reference_rhs(rho, *node[:, i], mode)
+        k2 = reference_rhs(rho + 0.5 * h * k1, *mid[:, i], mode)
+        k3 = reference_rhs(rho + 0.5 * h * k2, *mid[:, i], mode)
+        k4 = reference_rhs(rho + h * k3, *node[:, i + 1], mode)
         rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         moments[:, i + 1] = [np.trace(a @ rho).real for a in traced]
     return moments, rho
@@ -469,10 +531,9 @@ def test_batched_modes_match_reference_and_single_runs(pipeline, state_name, sec
     batch = oracle.integrate_modes(rho0, head(coeffs, n), oracle.MODES, leakage_threshold=threshold)
     assert tuple(batch) == oracle.MODES
     odd = np.add.outer(np.arange(d), np.arange(d)) % 2 == 1
-    ops = oracle.fock_operators(d)
     for mode, traj in batch.items():
         assert traj.sectors == sectors, mode
-        moments, rho_final = reference_integrate(rho0, coeffs, mode, ops, n)
+        moments, rho_final = reference_integrate(rho0, coeffs, mode, n)
         for name, ref in zip(MOMENT_NAMES, moments):
             assert np.max(np.abs(getattr(traj, name) - ref)) <= 1e-12, (mode, name)
         assert np.max(np.abs(traj.rho_final - rho_final)) <= 1e-12, mode
