@@ -662,6 +662,7 @@ def test_wigner_times_on_one_node_give_one_map(tmp_path, capsys):
         ("rwa", "state.kind = fock\nstate.n = 200000\n", "lower wigner.extent"),
         ("oracle", "state.kind = squeezed\nstate.r = 1.5\noracle.dimension = 256\n", "state.r"),
     ],
+    ids=["fock_rwa", "squeezed_oracle_only"],
 )
 def test_a_refused_wigner_map_leaves_no_output_directory(tmp_path, capsys, modes, state, remedy):
     # each map would alias, which the config alone decides: every map is
