@@ -258,7 +258,8 @@ def parse_config(path) -> RunConfig:
                 f"line {lineno}: wigner.times {outside[0]:g} lies outside "
                 f"[0, grid.t_max = {t_max:g}]"
             )
-    # a map and its CSV rows hold about 64 * points^2 bytes: 64 MiB at 1024
+    # a map peaks at about 28 * points^2 bytes while it is transformed (28 MiB at 1024,
+    # traced) and is held as 8 * points^2; its CSV table adds 16 * points^2
     wigner_points = _bounded(seen, "wigner.points", 64, lambda v: 8 <= v <= 1024, ">= 8, <= 1024")
     wigner_extent = _bounded(seen, "wigner.extent", 6.0, lambda v: v > 0, "> 0")
     wigner_enabled = _typed(seen, "wigner.enabled", False)

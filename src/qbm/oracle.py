@@ -75,7 +75,7 @@ from qbm.errors import (
 from qbm import qcf
 
 MIN_DIMENSION = 8  # the smallest Fock truncation d
-MAX_DIMENSION = 256  # the largest: each mode's (5, 9, d, d) stencil_table takes 720 d^2 B, 45 MiB
+MAX_DIMENSION = 256  # the largest: a full-mode _Stencil keeps 29 MiB there and peaks at 49 MiB (traced)
 LEAKAGE_THRESHOLD = 1e-6  # default bound on the population of the top three levels
 INTERIOR_MARGIN = 5  # test operators / residuals live on levels 0 .. d-1-margin
 _WEYL_WINDOW_TOP = 14  # fixed window so the Weyl residual shrinks as d grows
@@ -179,42 +179,38 @@ def term_table(ops: FockOperators, mode: str) -> np.ndarray:
     return table
 
 
-def _band(mat: np.ndarray, a: int) -> np.ndarray:
-    """mat[..., i, i + a] over i, zero where i + a leaves the basis."""
-    d = mat.shape[-1]
-    out = np.zeros(mat.shape[:-1], dtype=mat.dtype)
-    out[..., max(-a, 0) : d - max(a, 0)] = np.diagonal(mat, a, axis1=-2, axis2=-1)
-    return out
-
-
 # K has the bands 0 and +-2 and R_x, R_p the bands +-1, so L moves the entry
 # (m, n) of rho by one of nine offsets (a, b) = (u + v, u - v), u, v in
 # {-1, 0, 1}: a nine-point stencil, offset o = 3 (u + 1) + (v + 1).
-def stencil_table(ops: FockOperators, mode: str) -> np.ndarray:
-    """The (5, 9, d, d) stencil per weight of ``WEIGHTS``.
+def stencil_table(ops: FockOperators, mode: str, m, n) -> np.ndarray:
+    """The (5, 9, len(m)) stencil per weight of ``WEIGHTS`` at the entries (m, n).
 
-    Entry [w, o, m, n] multiplies rho[m + a, n + b] in L_w(rho)[m, n], and
-    is zero where that neighbour leaves the basis.  It is read off
+    Entry [w, o, i] multiplies rho[m_i + a, n_i + b] in L_w(rho)[m_i, n_i],
+    and is zero where that neighbour leaves the basis.  It is read off
     ``term_table``: K rho gives K[m, m + a], rho K^dag gives conj K[n, n + b],
     and (X rho) R_x + (P rho) R_p give X[m, m + a] R_x[n + b, n] +
     P[m, m + a] R_p[n + b, n].  rho K^dag is its own term: taking it as
     (K rho)^dag would make the hermiticity drift vanish by construction.
     """
     table = term_table(ops, mode)
-    k, rx_t, rp_t = table[:, _K], table[:, _RX].swapaxes(1, 2), table[:, _RP].swapaxes(1, 2)
-    stencil = np.zeros((len(WEIGHTS), 3, 3, ops.d, ops.d), dtype=complex)
+    k, rx, rp = table[:, _K], table[:, _RX], table[:, _RP]
+    m, n, d = np.asarray(m), np.asarray(n), ops.d
+    stencil = np.zeros((len(WEIGHTS), 3, 3, len(m)), dtype=complex)
     for u in (-1, 0, 1):
         for v in (-1, 0, 1):
             a, b = u + v, u - v
-            cell = stencil[:, u + 1, v + 1]
+            inside = np.flatnonzero((0 <= m + a) & (m + a < d) & (0 <= n + b) & (n + b < d))
+            mi, ni = m[inside], n[inside]
+            cell = np.zeros((len(WEIGHTS), len(inside)), dtype=complex)
             if b == 0:
-                cell += _band(k, a)[:, :, None]
+                cell += k[:, mi, mi + a]
             if a == 0:
-                cell += _band(k, b).conj()[:, None, :]
+                cell += k[:, ni, ni + b].conj()
             if abs(a) == 1:
-                cell += _band(ops.x, a)[:, None] * _band(rx_t, b)[:, None, :]
-                cell += _band(ops.p, a)[:, None] * _band(rp_t, b)[:, None, :]
-    return stencil.reshape(len(WEIGHTS), 9, ops.d, ops.d)
+                cell += ops.x[mi, mi + a] * rx[:, ni + b, ni]
+                cell += ops.p[mi, mi + a] * rp[:, ni + b, ni]
+            stencil[:, u + 1, v + 1, inside] = cell
+    return stencil.reshape(len(WEIGHTS), 9, len(m))
 
 
 class _Stencil:
@@ -231,9 +227,10 @@ class _Stencil:
     conjugate half lies past them).  The offset (u + v, u - v) moves m - n by
     2v, 2v / step rows, and n by u - v: the slot offset u + v ``stride``,
     stride = (2 // step) L - 1, so one strided view reads the neighbours over
-    the mode's ``cells``, the (u, v) box where its ``stencil_table`` is
-    nonzero.  ``weights`` holds each slot's stencil in that order for the
-    ``live`` weights.  ``fill`` writes the conjugates of their mirrors into
+    the mode's ``cells``, the (u, v) box where its ``stencil_table`` at the
+    stepped entries is nonzero; the stencil is built at those entries alone.
+    ``weights`` holds each slot's stencil in that order for the ``live``
+    weights.  ``fill`` writes the conjugates of their mirrors into
     the slots read in the 2 // step ghost rows (k < 0) before the stepped
     ones and in those after (rwa reads none).  The moments are one real
     product over the stepped entries: tr(A rho) = sum A_mm rho_mm + 2 Re A_nm rho_mn.
@@ -241,13 +238,6 @@ class _Stencil:
 
     def __init__(self, ops: FockOperators, mode: str, diagonals: range):
         d = self.d = ops.d
-        table = stencil_table(ops, mode).reshape(len(WEIGHTS), 3, 3, d, d)
-        nonzero = table != 0
-        self.live = np.flatnonzero(np.any(nonzero, axis=(1, 2, 3, 4)))
-        # the (u, v) box of the offsets the mode moves rho by
-        u, v = (np.flatnonzero(np.any(nonzero, axis=(0, other, 3, 4))) for other in (2, 1))
-        table = table[self.live, u[0] : u[-1] + 1, v[0] : v[-1] + 1]
-        self.cells = table.shape[1:3]
         reach, rows = 2 // diagonals.step, (len(diagonals) + 1) // 2
         span = diagonals[0] + diagonals[-1]
         width = 2 * d - span
@@ -267,8 +257,15 @@ class _Stencil:
         rm, rn = m[self.stepped], n[self.stepped]
         slot_of = np.full((d, d), -1)
         slot_of[rm, rn] = slots
+        table = stencil_table(ops, mode, rm, rn).reshape(len(WEIGHTS), 3, 3, self.size)
+        nonzero = table != 0
+        self.live = np.flatnonzero(np.any(nonzero, axis=(1, 2, 3)))
+        # the (u, v) box of the offsets the mode moves rho by
+        u, v = (np.flatnonzero(np.any(nonzero, axis=(0, other, 3))) for other in (2, 1))
+        table = table[self.live, u[0] : u[-1] + 1, v[0] : v[-1] + 1]
+        self.cells = table.shape[1:3]
         offsets = self.cells[0] * self.cells[1]
-        weights = np.ascontiguousarray(table.reshape(len(self.live), offsets, d, d)[:, :, rm, rn])
+        weights = table.reshape(len(self.live), offsets, self.size)
         self.weights = weights.view(float).reshape(len(self.live), -1)
         self._products = np.empty((offsets, self.size), dtype=complex)
         self.corner = (u[0] - 1) + (v[0] - 1) * self.stride

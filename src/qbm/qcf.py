@@ -44,6 +44,8 @@ _IMAG_TOL = 1e-9
 # the Wigner transform's z-grid: nodes per side and the half-widths tried in turn
 _Z_POINTS = 256
 _Z_EXTENTS = (8.0, 16.0, 32.0, 64.0)
+# rows of the z-grid that chi_t is evaluated on at a time
+_Z_BLOCK_ROWS = 32
 # |chi| below which the Wigner transform counts chi as decayed
 CHI_DECAY_TOL = 1e-12
 _NARROW_REMEDY = (
@@ -449,7 +451,9 @@ def wigner(bundle: PropagatorBundle, state, t_index: int, q_grid, p_grid):
     W(u) = (2 pi)^{-2} Int chi_t(z) exp(-i u.J.z) d^2 z, discretized by a
     separable trapezoid on a square z-grid of ``_Z_POINTS`` nodes per side.
     The half-width steps through ``_Z_EXTENTS`` until |chi_t| < ``CHI_DECAY_TOL``
-    on the boundary; a chi_t still above that at the widest grid raises.  The
+    on the boundary, the only points evaluated at a half-width that fails; a
+    chi_t still above that at the widest grid raises.  The map is summed
+    over ``_Z_BLOCK_ROWS`` rows of chi_t at a time.  The
     sampled transform repeats W with period 2 pi / h in q and in p, h the
     node spacing, so it raises, before chi_t is evaluated on a grid, unless
     each output point lies 8 standard deviations of W (from C_t) inside that
@@ -477,14 +481,12 @@ def wigner(bundle: PropagatorBundle, state, t_index: int, q_grid, p_grid):
                 f"every {period:.3g} in q and in p, less than the {reach:.3g} that the output "
                 f"grid and the state's width need, so the map would alias: {_ALIAS_REMEDY}"
             )
-        chi_vals = evolve_chi(bundle, state, t_index, z[:, None], z[None, :])
-        boundary = max(
-            np.max(np.abs(chi_vals[0, :])),
-            np.max(np.abs(chi_vals[-1, :])),
-            np.max(np.abs(chi_vals[:, 0])),
-            np.max(np.abs(chi_vals[:, -1])),
-        )
-        if boundary < CHI_DECAY_TOL:
+        # the decay test reads the grid's edge alone: the rows x = z[0], z[-1]
+        # and the columns p = z[0], z[-1]
+        ends = z[[0, -1]]
+        rows = evolve_chi(bundle, state, t_index, ends[:, None], z[None, :])
+        columns = evolve_chi(bundle, state, t_index, z[:, None], ends[None, :])
+        if np.maximum(np.max(np.abs(rows)), np.max(np.abs(columns))) < CHI_DECAY_TOL:
             break
     else:
         raise DomainTooSmallError(
@@ -492,15 +494,30 @@ def wigner(bundle: PropagatorBundle, state, t_index: int, q_grid, p_grid):
             f"|z| = {_Z_EXTENTS[-1]:g}, the widest Wigner integration grid: {_NARROW_REMEDY}"
         )
 
-    # trapezoid weights, the same on both axes of the square z-grid
+    field = _transform(bundle, state, t_index, z, q_grid, p_grid)  # (p, q)
+    max_imag = max(field.imag.max(), -field.imag.min())
+    if not max_imag <= 1e-8:  # a NaN anywhere gives NaN, which trips it too
+        raise NumericalError(f"Wigner transform has imaginary residue {max_imag:.2e}")
+    # the real (q, p) map alone, so that a caller holding it does not hold the complex field
+    return np.ascontiguousarray(field.real.T)
+
+
+def _transform(bundle: PropagatorBundle, state, t_index: int, z, q_grid, p_grid):
+    """The complex (p, q) transform of chi_t on the square z-grid, a block of z-rows at a time.
+
+    W[q, p_out] = (2pi)^-2 sum_{x,pz} chi(x,pz) e^{-i p_out x} e^{+i q pz} w_x w_pz,
+    w the trapezoid weights, the same on both axes.
+    """
+    h = z[1] - z[0]
     w = np.full(_Z_POINTS, h)
     w[0] = w[-1] = 0.5 * h
-
-    # W[q, p_out] = (2pi)^-2 sum_{x,pz} chi(x,pz) e^{-i p_out x} e^{+i q pz} w_x w_pz
     phase_q = np.exp(1j * np.outer(z, q_grid)) * w[:, None]  # (pz, q)
     phase_p = np.exp(-1j * np.outer(p_grid, z)) * w[None, :]  # (p, x)
-    field = (phase_p @ (chi_vals @ phase_q)).T / (2.0 * np.pi) ** 2  # (q, p)
-    max_imag = np.max(np.abs(field.imag))
-    if not max_imag <= 1e-8:  # NaN trips it too
-        raise NumericalError(f"Wigner transform has imaginary residue {max_imag:.2e}")
-    return field.real
+    inner = np.empty((_Z_POINTS, len(q_grid)), dtype=complex)  # (x, q)
+    for start in range(0, _Z_POINTS, _Z_BLOCK_ROWS):
+        block = slice(start, start + _Z_BLOCK_ROWS)
+        chi_rows = evolve_chi(bundle, state, t_index, z[block, None], z[None, :])
+        np.matmul(chi_rows, phase_q, out=inner[block])
+    field = phase_p @ inner
+    field /= (2.0 * np.pi) ** 2
+    return field

@@ -16,21 +16,21 @@ import numpy as np
 from qbm.errors import FileError, ValidationError
 
 
-_CHUNK_ROWS = 256  # rows converted to Python floats at a time, so memory stays flat
+_CHUNK_ROWS = 256  # rows stacked and converted to Python floats at a time, so memory stays flat
 
 
 def write_csv(path, table: dict) -> None:
     """Write ``table``, ``{name: 1-d column}``, one row per index, its names as the header."""
-    columns = ",".join(table)
-    rows = np.column_stack(list(table.values()))
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    header = ",".join(table)
+    columns = [np.asarray(column) for column in table.values()]
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# {columns}\n")
-            fh.write(columns + "\n")
-            for start in range(0, len(rows), _CHUNK_ROWS):
-                chunk = rows[start : start + _CHUNK_ROWS].tolist()
-                fh.write("".join(line % tuple(row) for row in chunk))
+            fh.write(f"# {header}\n")
+            fh.write(header + "\n")
+            for start in range(0, len(columns[0]), _CHUNK_ROWS):
+                chunk = np.column_stack([column[start : start + _CHUNK_ROWS] for column in columns])
+                fh.write("".join(line % tuple(row) for row in chunk.tolist()))
     except OSError as exc:
         raise FileError(f"cannot write {path}: {exc}") from exc
 

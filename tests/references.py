@@ -10,13 +10,17 @@ numbers the closed forms give:
   ``qbm.kernels.quad``.
 - ``markovian_asymptotes`` gives the long-time limits of the coefficients.
 - ``chi_from_rho`` reads chi off a truncated density matrix.
+- ``wigner_full_grid`` is the Wigner transform as ``qbm.qcf.wigner`` once
+  computed it: chi_t on the whole z-grid of every half-width it tries, and
+  one transform of that grid.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qbm.errors import NumericalError
+from qbm import qcf
+from qbm.errors import DomainTooSmallError, NumericalError, ValidationError
 from qbm.kernels import ReservoirSpec, _require_tau, kappa, mu, quad
 from qbm.oracle import fock_operators
 
@@ -196,3 +200,60 @@ def chi_from_rho(rho: np.ndarray, z) -> complex:
     evals, evecs = np.linalg.eigh(herm)
     weyl = (evecs * np.exp(1j * evals)) @ evecs.conj().T
     return complex(np.einsum("ij,ji->", weyl, rho))
+
+
+# ---------------------------------------------------------------------------
+# Wigner transform on the full z-grid
+
+
+def wigner_full_grid(bundle, state, t_index: int, q_grid, p_grid):
+    """``qcf.wigner``, evaluating chi_t on the whole z-grid of each half-width tried."""
+    qcf.check_wigner_reach(state)
+    q_grid = np.asarray(q_grid, dtype=float)
+    p_grid = np.asarray(p_grid, dtype=float)
+    if q_grid.ndim != 1 or p_grid.ndim != 1:
+        raise ValidationError("phase-space grids must be 1-d")
+
+    t = qcf._node_index(bundle, t_index)
+    b_t, c_t = qcf.evolve_moments(bundle, state.initial_moments, slice(t, t + 1))
+    reach = max(np.max(np.abs(q_grid - b_t[0, 1])), np.max(np.abs(p_grid + b_t[0, 0])))
+    reach += 8.0 * np.sqrt(np.linalg.eigvalsh(c_t[0])[-1])
+    for ext in qcf._Z_EXTENTS:
+        z = np.linspace(-ext, ext, qcf._Z_POINTS)
+        h = z[1] - z[0]
+        period = 2.0 * np.pi / h
+        # every wider grid repeats W sooner still, so the first short period is final
+        if not period >= reach:
+            raise DomainTooSmallError(
+                f"the Wigner integration grid that chi_t at t_index {t_index} needs repeats W "
+                f"every {period:.3g} in q and in p, less than the {reach:.3g} that the output "
+                f"grid and the state's width need, so the map would alias: {qcf._ALIAS_REMEDY}"
+            )
+        chi_vals = qcf.evolve_chi(bundle, state, t_index, z[:, None], z[None, :])
+        boundary = max(
+            np.max(np.abs(chi_vals[0, :])),
+            np.max(np.abs(chi_vals[-1, :])),
+            np.max(np.abs(chi_vals[:, 0])),
+            np.max(np.abs(chi_vals[:, -1])),
+        )
+        if boundary < qcf.CHI_DECAY_TOL:
+            break
+    else:
+        raise DomainTooSmallError(
+            f"chi_t at t_index {t_index} has not decayed below {qcf.CHI_DECAY_TOL:g} at "
+            f"|z| = {qcf._Z_EXTENTS[-1]:g}, the widest Wigner integration grid: "
+            f"{qcf._NARROW_REMEDY}"
+        )
+
+    # trapezoid weights, the same on both axes of the square z-grid
+    w = np.full(qcf._Z_POINTS, h)
+    w[0] = w[-1] = 0.5 * h
+
+    # W[q, p_out] = (2pi)^-2 sum_{x,pz} chi(x,pz) e^{-i p_out x} e^{+i q pz} w_x w_pz
+    phase_q = np.exp(1j * np.outer(z, q_grid)) * w[:, None]  # (pz, q)
+    phase_p = np.exp(-1j * np.outer(p_grid, z)) * w[None, :]  # (p, x)
+    field = (phase_p @ (chi_vals @ phase_q)).T / (2.0 * np.pi) ** 2  # (q, p)
+    max_imag = np.max(np.abs(field.imag))
+    if not max_imag <= 1e-8:  # NaN trips it too
+        raise NumericalError(f"Wigner transform has imaginary residue {max_imag:.2e}")
+    return field.real

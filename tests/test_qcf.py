@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from qbm.coefficients import compute_coefficients
 from qbm.errors import DomainTooSmallError, NumericalError, ValidationError
 from qbm.kernels import ReservoirSpec, tabulate_kernels
 from qbm.propagator import build_propagator
+from references import wigner_full_grid
 
 OHMIC = ReservoirSpec("ohmic_exp_cutoff", alpha=0.1, wc=5.0, temperature=0.0)
 FREE = ReservoirSpec("ohmic_exp_cutoff", alpha=0.0, wc=5.0)
@@ -556,3 +559,81 @@ def test_wigner_rejects_a_non_finite_field(free_bundle):
 
     with pytest.raises(NumericalError, match="imaginary residue nan"):
         qcf.wigner(free_bundle, Holed(), 0, np.linspace(-2, 2, 11), np.linspace(-2, 2, 11))
+
+
+# --- the Wigner transform against the full-grid reference -----------------
+
+# (state, t_index, half-widths tried); the squeezed chi_t decays only at |z| = 32
+WIGNER_CASES = {
+    "fock2_t0": (lambda: qcf.FockState(2), 0, 2),
+    "fock2_t10": (lambda: qcf.FockState(2), 1000, 2),
+    "coherent_x0_2": (lambda: qcf.CoherentState(x0=2.0), 0, 2),
+    "squeezed_r05": (lambda: qcf.SqueezedVacuum(0.5), 0, 3),
+    "tabulated_zero_outside": (lambda: make_tabulated_coherent()[0], 0, 2),
+}
+
+
+@pytest.fixture
+def chi_shapes(monkeypatch):
+    """The broadcast shape of every ``qcf.evolve_chi`` call from here on, in order."""
+    shapes, evolve_chi = [], qcf.evolve_chi
+
+    def recorded(bundle, state, t_index, x, p):
+        shapes.append(np.broadcast_shapes(np.shape(x), np.shape(p)))
+        return evolve_chi(bundle, state, t_index, x, p)
+
+    monkeypatch.setattr(qcf, "evolve_chi", recorded)
+    return shapes
+
+
+@pytest.mark.parametrize("case", WIGNER_CASES)
+def test_wigner_is_the_full_grid_transform_bit_for_bit(bundles, case, chi_shapes):
+    # chi_t is evaluated at the edge of each half-width tried, then a block of
+    # z-rows at a time at the one that passes, yet the map is the reference's
+    make_state, t_index, tried = WIGNER_CASES[case]
+    state, axis = make_state(), np.linspace(-6.0, 6.0, 64)
+    expected = wigner_full_grid(bundles["full"], state, t_index, axis, axis)
+    chi_shapes.clear()
+    assert np.array_equal(qcf.wigner(bundles["full"], state, t_index, axis, axis), expected)
+    side, rows = qcf._Z_POINTS, qcf._Z_BLOCK_ROWS
+    assert chi_shapes == [(2, side), (side, 2)] * tried + [(rows, side)] * (side // rows)
+
+
+def test_wigner_evaluates_only_the_edges_of_a_half_width_that_fails(free_bundle, chi_shapes):
+    class Flat:
+        """The vacuum's moments with a chi that never decays."""
+
+        initial_moments = qcf.CoherentState().initial_moments
+
+        def chi0(self, x, p):
+            return np.ones(np.broadcast_shapes(np.shape(x), np.shape(p)), dtype=complex)
+
+    axis = np.linspace(-2.0, 2.0, 11)
+    with pytest.raises(DomainTooSmallError, match=r"has not decayed below 1e-12 at \|z\| = 64"):
+        qcf.wigner(free_bundle, Flat(), 0, axis, axis)
+    edges = [(2, qcf._Z_POINTS), (qcf._Z_POINTS, 2)]
+    assert chi_shapes == edges * len(qcf._Z_EXTENTS)
+
+
+def test_wigner_of_a_chi_table_that_ends_undecayed_raises_outside_its_grid(free_bundle):
+    # the squeezed table has not decayed at its edge, 11.4, so the z-grid of
+    # half-width 16 reads past it, on the reference's route and on wigner's
+    nodes = np.linspace(-11.4, 11.4, 115)
+    chi = qcf.SqueezedVacuum(2.0).chi0(nodes[:, None], nodes[None, :])
+    wide, axis = qcf.TabulatedChi(nodes, nodes, chi), np.linspace(-2.0, 2.0, 11)
+    for route in (wigner_full_grid, qcf.wigner):
+        with pytest.raises(ValidationError, match="evaluated outside its grid"):
+            route(free_bundle, wide, 0, axis, axis)
+
+
+def test_a_wigner_map_allocates_far_less_than_its_z_grid(bundles):
+    # one 64-point map of Fock 2 traced 6.0 MiB with chi_t held on whole 256^2
+    # z-grids, 1.6 MiB a block of z-rows at a time
+    axis = np.linspace(-6.0, 6.0, 64)
+    tracemalloc.start()
+    try:
+        qcf.wigner(bundles["full"], qcf.FockState(2), 0, axis, axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,18 @@ def test_csv_single_row_and_single_column(tmp_path):
     col = np.array([[v] for v in SPECIAL])
     write_csv(path, {"x": col[:, 0]})
     assert path.read_bytes() == reference_bytes("x", col)
+
+
+def test_csv_writer_stacks_one_chunk_at_a_time(tmp_path):
+    # stacking the whole 2^17-row table first traced 3 MiB; a chunk, 0.1 MiB
+    table = {name: np.full(2**17, 0.1) for name in "xyz"}
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 def imported_names(tree):
