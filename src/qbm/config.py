@@ -23,11 +23,15 @@ from qbm import qcf
 from qbm.coefficients import check_grid
 from qbm.errors import FileError, LeakageError, ValidationError
 from qbm.kernels import FAMILIES, KernelTable, ReservoirSpec, tabulate_kernels
-from qbm.oracle import LEAKAGE_THRESHOLD, MAX_DIMENSION, MIN_DIMENSION, check_initial_leakage, to_density_matrix
 from qbm.propagator import MODES
 from qbm.runio import read_csv
 
 RUN_MODES = (*MODES, "oracle")
+
+# the oracle's bounds, kept here so that a run without the oracle never imports it
+MIN_DIMENSION = 8  # the smallest Fock truncation d
+MAX_DIMENSION = 256  # the largest: a full-mode _Stencil keeps 29 MiB there and peaks at 49 MiB (traced)
+LEAKAGE_THRESHOLD = 1e-6  # default bound on the population of the top three levels
 
 _KEY_TYPES = {
     "reservoir.family": str,
@@ -241,6 +245,8 @@ def parse_config(path) -> RunConfig:
     leakage = _bounded(seen, "oracle.leakage_threshold", LEAKAGE_THRESHOLD, lambda v: v > 0, "> 0")
     rho0 = None
     if "oracle" in modes:
+        from qbm.oracle import check_initial_leakage, to_density_matrix
+
         rho0_keys = ("run.modes", *(key for key in seen if key.startswith(("state.", "oracle."))))
         rho0 = _owned(seen, rho0_keys, to_density_matrix, state, oracle_dim)
         _owned(seen, rho0_keys, check_initial_leakage, rho0, leakage)

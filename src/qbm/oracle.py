@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 import signal
 from dataclasses import dataclass, field
 
@@ -66,6 +65,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from qbm.coefficients import CoefficientTable
+from qbm.config import LEAKAGE_THRESHOLD, MAX_DIMENSION, MIN_DIMENSION
 from qbm.errors import (
     LeakageError,
     NumericalError,
@@ -73,10 +73,8 @@ from qbm.errors import (
     ValidationError,
 )
 from qbm import qcf
+from qbm.workers import fork_call, replies as worker_replies, usable_cpus as _usable_cpus
 
-MIN_DIMENSION = 8  # the smallest Fock truncation d
-MAX_DIMENSION = 256  # the largest: a full-mode _Stencil keeps 29 MiB there and peaks at 49 MiB (traced)
-LEAKAGE_THRESHOLD = 1e-6  # default bound on the population of the top three levels
 INTERIOR_MARGIN = 5  # test operators / residuals live on levels 0 .. d-1-margin
 _WEYL_WINDOW_TOP = 14  # fixed window so the Weyl residual shrinks as d grows
 _WEYL_Z = (1.5, 1.5)  # phase-space point of the Weyl eigenrelation check
@@ -401,10 +399,10 @@ def integrate_modes(
     children = []
     try:
         for mode in forked:
-            children.append((mode, *_fork_mode(mode, *args)))
+            children.append((f"the oracle worker for mode {mode!r}", *_fork_mode(mode, *args)))
         meanwhile()
     except BaseException:
-        for _mode, pid, read in children:
+        for _name, pid, read in children:
             os.kill(pid, signal.SIGKILL)
             os.close(read)
             os.waitpid(pid, 0)
@@ -414,7 +412,7 @@ def integrate_modes(
     except Exception as error:  # a forked mode's error, listed earlier, is raised first
         own = [error]
     finally:
-        replies = _replies(children)
+        replies = worker_replies(children, NumericalError)
     for reply in (*replies, *own):
         if isinstance(reply, Exception):
             raise reply
@@ -433,60 +431,9 @@ def check_initial_leakage(rho0: np.ndarray, leakage_threshold: float = LEAKAGE_T
         )
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where the platform cannot tell."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else 1
-
-
 def _fork_mode(mode, *args) -> tuple:
-    """Run ``_integrate_mode`` in a forked child: its pid and the read end of its reply pipe.
-
-    The child pickles the mode's trajectory, or the exception it raised, into
-    the pipe and ends with ``os._exit``, so it never returns into the
-    caller's code or runs its exit handlers; an interrupt ends it with
-    status 1 and no reply.
-    """
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            try:
-                reply = _integrate_mode(mode, *args)
-            except Exception as error:  # raised again by the parent
-                reply = error
-            with os.fdopen(write, "wb") as pipe:
-                pickle.dump(reply, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, read
-
-
-def _replies(children) -> list:
-    """The reply of each ``(mode, pid, read end)`` child, once every child is reaped.
-
-    A child that ends without a reply gives a ``NumericalError`` naming its
-    mode and exit status in place of one.
-    """
-    replies = []
-    for mode, pid, read in children:
-        with os.fdopen(read, "rb") as pipe:
-            data = pipe.read()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if status == 0:
-            replies.append(pickle.loads(data))
-        else:
-            replies.append(
-                NumericalError(
-                    f"the oracle worker for mode {mode!r} ended with exit status "
-                    f"{status} before it sent its trajectory"
-                )
-            )
-    return replies
+    """Step one mode in a forked child: its pid and the read end of its reply pipe."""
+    return fork_call(_integrate_mode, mode, *args)
 
 
 def _integrate_mode(mode, rho0, ops, coeffs, diagonals, leakage_threshold) -> OracleTrajectory:
@@ -548,10 +495,22 @@ def _integrate_mode(mode, rho0, ops, coeffs, diagonals, leakage_threshold) -> Or
     # off-diagonal entries to them
     largest = float(np.abs(rho).max())
     if not largest <= _DENSITY_ENTRY_BOUND:  # NaN trips it too
+        h = np.diff(t).max()
+        coefficient = np.abs(rows[:, 1:]).max()
+        # the dissipators' rates grow about as coefficient * (d - 1): far
+        # inside RK4's reach on both, the step cannot have done this
+        if (d - 1) * h <= _RK4_IMAGINARY_REACH and coefficient * (d - 1) * h <= 1.0:
+            cause = (
+                f"the step h={h:.3g} lies inside RK4's limits at d={d} and coefficients up to "
+                f"{coefficient:.3g}, so the {mode} equation itself lost positivity; "
+                "reservoir.alpha, reservoir.wc, reservoir.temperature and grid.t_max move "
+                f"that, or leave {mode} out of run.modes"
+            )
+        else:
+            cause = _remedy(d, h, rows)
         raise StabilityError(
-            f"oracle mode {mode!r}: |rho_mn| reached {largest:.3g} > 1 by "
-            f"t={t[-1]:g}, so rho is no longer a density matrix; "
-            f"{_remedy(d, np.diff(t).max(), rows)}"
+            f"oracle mode {mode!r}: |rho_mn| reached {largest!r} > 1 by t={t[-1]:g}, "
+            f"so rho is no longer a density matrix; {cause}"
         )
     # moment_map's columns: X, P, X^2, P^2, XP+PX (the fields' order), trace, leakage
     *moments, trace, leakage = readout.T

@@ -18,6 +18,10 @@ record's own E0, so an oracle-only run writes it too.
 Plain ``observables.csv`` / ``oracle_observables.csv`` / ``propagator.csv``
 are byte copies of the first mode's files; mode-suffixed files are always
 written.
+
+Every artifact is built before the output directory is made, so a run that
+fails leaves no directory; ``_write`` then writes them all in one phase.
+A run without the oracle mode never imports ``qbm.oracle``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from qbm import oracle as oracle_mod
 from qbm import qcf
 from qbm.coefficients import compute_coefficients
 from qbm.config import RunConfig
@@ -35,6 +38,7 @@ from qbm.errors import FileError, ValidationError
 from qbm.homogeneous import rotation_det
 from qbm.propagator import build_propagator, delta_gamma_series
 from qbm.runio import copy_file, write_csv, write_text
+from qbm.workers import fork_call, replies, usable_cpus
 
 
 @dataclass
@@ -46,8 +50,9 @@ class RunResult:
 def run(config: RunConfig) -> RunResult:
     """Execute every requested mode and write the artifact files.
 
-    The Wigner maps are computed before the output directory is made, so a
-    map that ``qcf.wigner`` refuses leaves no file; they are written last.
+    Every table and report is built first, the Wigner maps included, so a
+    guard or a refused map that ends the run leaves no file; ``_write``
+    then makes the output directory and writes them.
     """
     grid = config.kernels.grid
     coeffs = compute_coefficients(config.kernels)
@@ -64,33 +69,21 @@ def run(config: RunConfig) -> RunResult:
         for index in dict.fromkeys(int(np.argmin(np.abs(grid - t))) for t in config.wigner_times):
             wigner_maps[index] = qcf.wigner(bundle, config.state, index, axis, axis)
 
-    outdir = config.output_dir
-    try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        raise FileError(f"cannot create output directory {outdir!r}: {exc}") from exc
-
     result = RunResult()
-
-    def emit(name, content):
-        """Write ``name``: a table ``{column: values}`` as CSV, else the lines of a report."""
-        path = os.path.join(outdir, name)
-        if isinstance(content, dict):
-            write_csv(path, content)
-        else:
-            write_text(path, content)
-        result.files.append(path)
+    # every artifact by file name, in the order printed: a table {column: values},
+    # the lines of a report, or the name of the file it is a byte copy of
+    artifacts = {}
 
     def emit_mode(stem, mode, first_mode, table):
         """``stem_mode.csv``, then for the run's first mode its ``stem.csv`` byte copy."""
-        emit(f"{stem}_{mode}.csv", table)
+        artifacts[f"{stem}_{mode}.csv"] = table
         if mode == first_mode:
-            mirror = os.path.join(outdir, f"{stem}.csv")
-            copy_file(result.files[-1], mirror)
-            result.files.append(mirror)
+            artifacts[f"{stem}.csv"] = f"{stem}_{mode}.csv"
 
-    emit("coefficients.csv", {"t": grid, "delta_bar": coeffs.delta_bar, "pi": coeffs.pi,
-                              "r": coeffs.r, "gamma": coeffs.gamma, "big_gamma": coeffs.big_gamma})
+    artifacts["coefficients.csv"] = {
+        "t": grid, "delta_bar": coeffs.delta_bar, "pi": coeffs.pi,
+        "r": coeffs.r, "gamma": coeffs.gamma, "big_gamma": coeffs.big_gamma,
+    }
 
     report_lines = [
         "# monitored run properties (observed, not assumed)",
@@ -114,7 +107,7 @@ def run(config: RunConfig) -> RunResult:
     analytic_series = {}
 
     def analytic_phase():
-        """Every analytic mode: its bundle, moments and files."""
+        """Every analytic mode: its bundle, moments and tables."""
         for mode in analytic_modes:
             if mode not in bundles:
                 bundles[mode] = build_propagator(config.kernels, grid, mode, coeffs=coeffs)
@@ -131,12 +124,16 @@ def run(config: RunConfig) -> RunResult:
                 "delta_gamma": bundle.delta_gamma, "lambda": bundle.lam, "theta": bundle.theta,
             })
             if mode == "full":
-                emit("rotation.csv", {"t": grid, "c": r[:, 0, 0], "s": r[:, 0, 1],
-                                      "sr": -r[:, 1, 0], "cr": r[:, 1, 1], "det": rotation_det(r)})
+                artifacts["rotation.csv"] = {
+                    "t": grid, "c": r[:, 0, 0], "s": r[:, 0, 1],
+                    "sr": -r[:, 1, 0], "cr": r[:, 1, 1], "det": rotation_det(r),
+                }
 
     if "oracle" in config.modes:
+        from qbm.oracle import integrate_modes
+
         # the analytic phase runs while forked children step the oracle modes
-        trajs = oracle_mod.integrate_modes(
+        trajs = integrate_modes(
             config.rho0,
             coeffs,
             oracle_modes,
@@ -163,16 +160,62 @@ def run(config: RunConfig) -> RunResult:
                 diff_lines.extend(f"{name} {value:.17g}" for name, value in diffs.items())
         if diff_lines:
             header = "# max absolute deviation, analytic vs oracle, per observable"
-            emit("diff_report.txt", [header, *diff_lines])
+            artifacts["diff_report.txt"] = [header, *diff_lines]
     else:
         analytic_phase()
 
-    for index, field_vals in wigner_maps.items():
-        emit(f"wigner_t{index}.csv", {"q": np.repeat(axis, len(axis)),
-                                      "p": np.tile(axis, len(axis)), "w": field_vals.reshape(-1)})
+    if wigner_maps:
+        q, p = np.repeat(axis, len(axis)), np.tile(axis, len(axis))
+        for index, field_vals in wigner_maps.items():
+            artifacts[f"wigner_t{index}.csv"] = {"q": q, "p": p, "w": field_vals.reshape(-1)}
 
-    emit("run_report.txt", report_lines)
+    artifacts["run_report.txt"] = report_lines
+    result.files = _write(config.output_dir, artifacts)
     return result
+
+
+def _write(outdir, artifacts: dict) -> list:
+    """Make ``outdir`` and write ``artifacts``; the paths, in the order given.
+
+    The tables come first.  Where two CPUs are usable, a forked child
+    writes the leading tables, about half of the cells, while this process
+    writes the rest; a child's error, from the earlier files, is raised
+    first, as on one CPU.  The byte copies follow, then the reports.
+    """
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise FileError(f"cannot create output directory {outdir!r}: {exc}") from exc
+    paths = {name: os.path.join(outdir, name) for name in artifacts}
+    tables = [(paths[name], table) for name, table in artifacts.items() if isinstance(table, dict)]
+    children = []
+    if usable_cpus() > 1 and len(tables) > 1:
+        cells = np.cumsum([len(table) * len(next(iter(table.values()))) for _, table in tables])
+        cut = 1 + int(np.argmin(np.abs(2 * cells[:-1] - cells[-1])))
+        pid, read = fork_call(_write_tables, tables[:cut])
+        children.append((f"the writer of {tables[0][0]}", pid, read))
+        tables = tables[cut:]
+    try:
+        own = _write_tables(tables)
+    except Exception as error:  # a child's error, from earlier files, is raised first
+        own = error
+    finally:
+        sent = replies(children, FileError)
+    for reply in (*sent, own):
+        if isinstance(reply, Exception):
+            raise reply
+    for name, content in artifacts.items():
+        if isinstance(content, str):
+            copy_file(paths[content], paths[name])
+        elif isinstance(content, list):
+            write_text(paths[name], content)
+    return list(paths.values())
+
+
+def _write_tables(tables) -> None:
+    """Write each ``(path, table)`` as CSV, in turn."""
+    for path, table in tables:
+        write_csv(path, table)
 
 
 def ellipse_points(r_over_w0: float, gamma_over_w0: float):
@@ -206,5 +249,6 @@ def emit_ellipse(r_over_w0: float, gamma_over_w0: float, path) -> None:
                      "x_circle": circle[0], "p_circle": circle[1]})
 
 
-def write_algebra_report(report: oracle_mod.AlgebraReport, path) -> None:
+def write_algebra_report(report, path) -> None:
+    """Write an ``oracle.AlgebraReport``, one line per check under a heading."""
     write_text(path, [f"# superoperator algebra suite, d={report.d}", *report.lines()])

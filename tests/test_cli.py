@@ -2,11 +2,13 @@ import inspect
 import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from qbm import coefficients, kernels, oracle, propagator, qcf, runio, runner
+from qbm import coefficients, kernels, oracle, propagator, qcf, runio, runner, workers
 from qbm.cli import main
 from qbm.config import (
     _KEY_TYPES,
@@ -682,16 +684,19 @@ def test_multi_mode_run_files_and_mirrors(tmp_path, capsys, monkeypatch):
     text = MINIMAL.replace("run.modes = full", "run.modes = norenorm,rwa,oracle").replace(
         "reservoir.alpha = 0.0", "reservoir.alpha = 0.1"
     ) + f"state.x0 = 2.0\nrun.output_dir = {out}\n"
-    formatted = []
+    log = tmp_path / "formatted.log"
 
     def counting_write_csv(path, table):
-        formatted.append(os.path.basename(path))
+        # appended to a file, so that the tables a forked writer formats count too
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(os.path.basename(path) + "\n")
         runio.write_csv(path, table)
 
     monkeypatch.setattr(runner, "write_csv", counting_write_csv)
     assert main(["run", str(write_conf(tmp_path, text))]) == 0
     # each distinct table is formatted once; the three mirrors are byte copies
-    assert len(formatted) == 7, formatted
+    formatted = log.read_text(encoding="utf-8").split()
+    assert sorted(formatted) == sorted(set(formatted)) and len(formatted) == 7, formatted
     printed = [os.path.basename(line) for line in capsys.readouterr().out.split()]
     assert printed == [
         "coefficients.csv",
@@ -960,6 +965,117 @@ def test_oracle_abort_tells_a_blow_up_from_truncation(tmp_path, capsys, temperat
         assert "oracle.dimension" not in err
     else:
         assert "leakage 1.09e-05" in err and err.endswith("increase oracle.dimension beyond 30\n")
+
+
+# the norenorm equation at T = 0 loses positivity: at alpha = 0.3 and d = 10 the
+# oracle's |rho_mn| reaches 1.002 by t = 20, at dt = 0.01 and at dt = 0.002 alike
+NORENORM_NOT_POSITIVE = (
+    MINIMAL.replace("run.modes = full", "run.modes = norenorm,oracle")
+    .replace("reservoir.alpha = 0.0", "reservoir.alpha = 0.3")
+    .replace("grid.t_max = 1.0", "grid.t_max = 20.0")
+    + "oracle.dimension = 10\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            MINIMAL.replace("run.modes = full", "run.modes = full,oracle").replace(
+                "reservoir.alpha = 0.0", "reservoir.alpha = 0.1"
+            ) + "reservoir.temperature = 1e4\nstate.x0 = 1.0\n",
+            "truncation leakage",
+        ),
+        (NORENORM_NOT_POSITIVE, "no longer a density matrix"),
+        (MINIMAL + "state.x0 = 1e200\n", "moment column xx is not finite"),
+    ],
+    ids=["oracle_leakage", "oracle_stability", "non_finite_moment"],
+)
+def test_a_failed_run_leaves_no_directory(tmp_path, capsys, text, message):
+    # every table is built before the output directory is made, so a guard
+    # that ends the run, in the oracle or in the analytic modes, leaves none
+    out = tmp_path / "o"
+    assert main(["run", str(write_conf(tmp_path, text + f"run.output_dir = {out}\n"))]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stability_abort_shows_its_excess_and_blames_the_equation(tmp_path, capsys):
+    # the step is far inside RK4's limits, so the message names the keys
+    # that move the equation, not grid.dt, and prints |rho_mn| in full
+    conf = write_conf(tmp_path, NORENORM_NOT_POSITIVE + f"run.output_dir = {tmp_path / 'o'}\n")
+    assert main(["run", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert float(re.search(r"\|rho_mn\| reached (\S+) > 1", err).group(1)) > 1
+    assert "the norenorm equation itself lost positivity" in err
+    assert "reservoir.alpha, reservoir.wc, reservoir.temperature and grid.t_max" in err
+    assert "leave norenorm out of run.modes" in err and "grid.dt" not in err
+
+
+@pytest.mark.parametrize("modes, imported", [("rwa", False), ("rwa,oracle", True)])
+def test_a_run_without_the_oracle_never_imports_it(tmp_path, modes, imported):
+    text = MINIMAL.replace("run.modes = full", f"run.modes = {modes}")
+    conf = write_conf(tmp_path, text + f"run.output_dir = {tmp_path / 'o'}\n")
+    code = (
+        "import sys\n"
+        "from qbm.cli import main\n"
+        "assert main(['run', sys.argv[1]]) == 0\n"
+        "print('qbm.oracle' in sys.modules)\n"
+    )
+    src = str(pathlib.Path(runner.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code, str(conf)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] == str(imported)
+
+
+FOCK_WIGNER = (
+    MINIMAL.replace("run.modes = full", "run.modes = full,rwa").replace("alpha = 0.0", "alpha = 0.1")
+    + "state.kind = fock\nstate.n = 2\nwigner.enabled = true\nwigner.points = 16\n"
+    + "wigner.times = 0,0.5,1\n"
+)
+
+
+def test_one_and_two_cpu_writers_write_the_same_bytes(tmp_path, capsys, monkeypatch):
+    # on two CPUs a forked child writes the leading tables; the files, and
+    # the order in which they are printed, are those of one CPU
+    written, printed = {}, {}
+    for cpus in (1, 2):
+        forks = []
+
+        def counting_fork(*args):
+            forks.append(args)
+            return workers.fork_call(*args)
+
+        monkeypatch.setattr(runner, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(runner, "fork_call", counting_fork)
+        out = tmp_path / f"cpus{cpus}"
+        conf = write_conf(tmp_path, FOCK_WIGNER + f"run.output_dir = {out}\n")
+        assert main(["run", str(conf)]) == 0
+        assert len(forks) == cpus - 1
+        printed[cpus] = [os.path.basename(line) for line in capsys.readouterr().out.split()]
+        written[cpus] = {path.name: path.read_bytes() for path in out.iterdir()}
+        with pytest.raises(ChildProcessError):  # the writer has been reaped
+            os.waitpid(-1, os.WNOHANG)
+    assert printed[1] == printed[2] and sorted(printed[1]) == sorted(written[1])
+    assert written[1] == written[2]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failed_table_write_exits_3_and_names_the_file(tmp_path, capsys, monkeypatch, cpus):
+    # a directory stands where coefficients.csv, the first table, goes: on two
+    # CPUs the forked writer fails on it and this process still writes its share
+    monkeypatch.setattr(runner, "usable_cpus", lambda: cpus)
+    out = tmp_path / "o"
+    (out / "coefficients.csv").mkdir(parents=True)
+    text = MINIMAL.replace("run.modes = full", "run.modes = full,rwa") + f"run.output_dir = {out}\n"
+    assert main(["run", str(write_conf(tmp_path, text))]) == 3
+    assert f"cannot write {out / 'coefficients.csv'}" in capsys.readouterr().err
+    assert (out / "propagator_rwa.csv").exists() == (cpus == 2)
+    assert not (out / "observables.csv").exists() and not (out / "run_report.txt").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_run_report_records_monitored_properties(free_run_config, tmp_path):
