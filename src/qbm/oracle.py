@@ -33,12 +33,13 @@ diagonal, as the function rho -> L(rho) on d x d matrices, and the algebra
 suite checks it, so there is one master equation.
 
 ``integrate_modes`` steps each mode through its own RK4 loop.  Where more
-than one CPU is usable, a child made with ``os.fork`` steps each mode but
-the last, sending its trajectory back pickled over a pipe, while the caller
-runs other work (``meanwhile``: in ``qbm run``, the analytic modes) and
-then steps the last mode.  A mode's arithmetic does not depend on the other
-modes, so every trajectory, and every artifact written from it, is the
-same bit for bit whether the modes run in turn or in parallel; so is the
+than one CPU is usable, a child made with ``os.fork`` (``qbm.workers``)
+steps each mode but the last, sending its trajectory back pickled over a
+pipe, while the caller runs other work (``meanwhile``: in ``qbm run``, the
+analytic modes) and then steps the last mode.  A mode's arithmetic does
+not depend on the other modes, so every trajectory, and every artifact
+written from it, is the same bit for bit whether the modes run in turn or
+in parallel; so is the
 error of a run that aborts, that of the first failing mode in the order
 given.
 
