@@ -43,11 +43,12 @@ def solve_fundamental(coeffs: CoefficientTable) -> np.ndarray:
             "tabulated family"
         )
     steps = np.diff(grid)
-    if np.sqrt(w2.max()) * steps.max() > MAX_STEP_RADIANS:
+    frequency, step = float(np.sqrt(w2.max())), float(steps.max())
+    if frequency * step > MAX_STEP_RADIANS:
+        # repr: the frequency can pass 1 in its last digits alone
         raise StabilityError(
-            f"step {steps.max():g} too large for effective frequency "
-            f"{np.sqrt(w2.max()):g}; need grid.dt <= "
-            f"{MAX_STEP_RADIANS / np.sqrt(w2.max()):g}"
+            f"step {step!r} too large for effective frequency {frequency!r}; "
+            f"need grid.dt <= {MAX_STEP_RADIANS / frequency!r}"
         )
 
     b = np.empty((len(grid), 2, 2))
@@ -104,7 +105,8 @@ def invert_rotation(rotations: np.ndarray) -> np.ndarray:
     inv[:, 1, 1] = rotations[:, 0, 0]
     if drift > DET_DRIFT_WARN:
         log.warning(
-            "det R drifted to %.3e from 1; renormalizing (grid likely under-resolved)", drift
+            "det R drifted to %.3e from 1; renormalizing (grid likely under-resolved: lower grid.dt)",
+            drift,
         )
         inv /= det[:, None, None]
     return inv

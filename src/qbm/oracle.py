@@ -32,16 +32,11 @@ entry (the Fock, thermal and squeezed states occupy the even one alone).
 diagonal, as the function rho -> L(rho) on d x d matrices, and the algebra
 suite checks it, so there is one master equation.
 
-``integrate_modes`` steps each mode through its own RK4 loop.  Where more
-than one CPU is usable, a child made with ``os.fork`` (``qbm.workers``)
-steps each mode but the last, sending its trajectory back pickled over a
-pipe, while the caller runs other work (``meanwhile``: in ``qbm run``, the
-analytic modes) and then steps the last mode.  A mode's arithmetic does
-not depend on the other modes, so every trajectory, and every artifact
-written from it, is the same bit for bit whether the modes run in turn or
-in parallel; so is the
-error of a run that aborts, that of the first failing mode in the order
-given.
+``integrate`` steps one mode through its own RK4 loop.  A mode's arithmetic
+does not depend on the other modes, so ``qbm run`` hands one ``integrate``
+call per mode to ``qbm.workers.spread``, which steps them in parallel where
+it can, and every trajectory, and every artifact written from it, is the
+same bit for bit whether the modes run in turn or in parallel.
 
 Truncation hygiene: the oracle truncates the master equation, not its
 operators.  X^2, P^2 and XP + PX are formed on d + 1 levels and cropped to
@@ -58,8 +53,6 @@ where the truncated ladder operators act exactly.
 from __future__ import annotations
 
 import math
-import os
-import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,14 +60,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from qbm.coefficients import CoefficientTable
 from qbm.config import LEAKAGE_THRESHOLD, MAX_DIMENSION, MIN_DIMENSION
-from qbm.errors import (
-    LeakageError,
-    NumericalError,
-    StabilityError,
-    ValidationError,
-)
+from qbm.errors import LeakageError, StabilityError, ValidationError
 from qbm import qcf
-from qbm.workers import fork_call, replies as worker_replies, usable_cpus as _usable_cpus
 
 INTERIOR_MARGIN = 5  # test operators / residuals live on levels 0 .. d-1-margin
 _WEYL_WINDOW_TOP = 14  # fixed window so the Weyl residual shrinks as d grows
@@ -354,72 +341,6 @@ class OracleTrajectory(qcf.ObservableSeries):
     sectors: tuple  # the parity sectors stepped, names from ``SECTORS``
 
 
-def integrate_modes(
-    rho0: np.ndarray,
-    coeffs: CoefficientTable,
-    modes,
-    *,
-    leakage_threshold: float = LEAKAGE_THRESHOLD,
-    meanwhile=lambda: None,
-) -> dict:
-    """RK4 integration of the master equation in several modes.
-
-    Every mode starts from ``rho0`` and gets its own trajectory and guards.
-    One Hermitian half is stepped: a rho0 not Hermitian to 1e-12 raises ValidationError.
-    Only the parity sectors in which rho0 has a nonzero entry are stepped; L
-    keeps the other one exactly zero.  Coefficients at half-steps come from
-    linear interpolation, and population in the top three levels beyond the
-    threshold, at t = 0 or after a step, aborts the run, naming the mode; so
-    does a final rho with an entry |rho_mn| > 1 (StabilityError).  Returns
-    ``{mode: OracleTrajectory}``.
-
-    Each mode is one RK4 loop.  Where more than one CPU is usable, a forked
-    child steps each mode but the last, this process calls ``meanwhile()``
-    and then steps the last mode; on one CPU ``meanwhile()`` comes first and
-    the modes follow in turn.  The trajectories are the same bit for bit
-    either way, and the error raised is that of ``meanwhile`` or else that
-    of the first failing mode in the order given.
-    """
-    modes = tuple(modes)
-    if not modes or len(set(modes)) != len(modes):
-        raise ValidationError(f"oracle modes must be distinct and non-empty, got {modes}")
-    for mode in modes:
-        if mode not in MODES:
-            raise ValidationError(f"unknown oracle mode {mode!r}; expected one of {MODES}")
-    rho0 = np.array(rho0, dtype=complex)
-    check_initial_leakage(rho0, leakage_threshold)
-    if not (drift := np.abs(rho0 - rho0.conj().T).max()) <= 1e-12:  # far above rounding
-        raise ValidationError(f"rho0 is not Hermitian: max|rho0 - rho0^dag| = {drift:.2e} > 1e-12")
-    d = rho0.shape[0]
-    ops = fock_operators(d)
-    occupied = {k % 2 for k in range(1 - d, d) if np.any(np.diagonal(rho0, k))}
-    diagonals = range(min(occupied), d, 2) if len(occupied) == 1 else range(d)
-
-    args = (rho0, ops, coeffs, diagonals, leakage_threshold)
-    forked = modes[:-1] if _usable_cpus() > 1 else ()
-    children = []
-    try:
-        for mode in forked:
-            children.append((f"the oracle worker for mode {mode!r}", *_fork_mode(mode, *args)))
-        meanwhile()
-    except BaseException:
-        for _name, pid, read in children:
-            os.kill(pid, signal.SIGKILL)
-            os.close(read)
-            os.waitpid(pid, 0)
-        raise
-    try:
-        own = [_integrate_mode(mode, *args) for mode in modes[len(forked) :]]
-    except Exception as error:  # a forked mode's error, listed earlier, is raised first
-        own = [error]
-    finally:
-        replies = worker_replies(children, NumericalError)
-    for reply in (*replies, *own):
-        if isinstance(reply, Exception):
-            raise reply
-    return dict(zip(modes, (*replies, *own)))
-
-
 def check_initial_leakage(rho0: np.ndarray, leakage_threshold: float = LEAKAGE_THRESHOLD) -> None:
     """Raise ``LeakageError`` if the top three populations on rho0's diagonal pass the threshold."""
     rho0 = np.asarray(rho0, dtype=complex)
@@ -432,23 +353,35 @@ def check_initial_leakage(rho0: np.ndarray, leakage_threshold: float = LEAKAGE_T
         )
 
 
-def _fork_mode(mode, *args) -> tuple:
-    """Step one mode in a forked child: its pid and the read end of its reply pipe."""
-    return fork_call(_integrate_mode, mode, *args)
+def integrate(
+    rho0: np.ndarray,
+    coeffs: CoefficientTable,
+    mode: str,
+    *,
+    leakage_threshold: float = LEAKAGE_THRESHOLD,
+) -> OracleTrajectory:
+    """RK4 integration of the master equation in one mode, from ``rho0``.
 
-
-def _integrate_mode(mode, rho0, ops, coeffs, diagonals, leakage_threshold) -> OracleTrajectory:
-    """Step one mode from ``rho0`` through one RK4 loop, on the ``diagonals`` m - n >= 0 given.
-
-    One Hermitian half of rho is stepped, its ghosts filled before each
-    stage.  Each node is read by one real product with ``moment_map``: the
-    moments, the trace and the leakage.  Raises the error of the first
-    guard that trips: leakage after a step, or |rho_mn| <= 1 at the end.
+    One Hermitian half of rho is stepped: a rho0 not Hermitian to 1e-12
+    raises ValidationError.  Only the parity sectors in which rho0 has a
+    nonzero entry are stepped; L keeps the other one exactly zero.  The
+    ghosts of the half are filled before each stage.  Coefficients at
+    half-steps come from linear interpolation.  Each node is read by one
+    real product with ``moment_map``: the moments, the trace and the
+    leakage.  Population in the top three levels beyond the threshold, at
+    t = 0 or after a step, aborts the run, naming the mode; so does a final
+    rho with an entry |rho_mn| > 1 (StabilityError).
     """
-    d = ops.d
+    rho0 = np.array(rho0, dtype=complex)
+    check_initial_leakage(rho0, leakage_threshold)
+    if not (drift := np.abs(rho0 - rho0.conj().T).max()) <= 1e-12:  # far above rounding
+        raise ValidationError(f"rho0 is not Hermitian: max|rho0 - rho0^dag| = {drift:.2e} > 1e-12")
+    d = rho0.shape[0]
+    occupied = {k % 2 for k in range(1 - d, d) if np.any(np.diagonal(rho0, k))}
+    diagonals = range(min(occupied), d, 2) if len(occupied) == 1 else range(d)
     t = coeffs.grid
     n = len(t)
-    gen = _Stencil(ops, mode, diagonals)
+    gen = _Stencil(fock_operators(d), mode, diagonals)
     rows = np.column_stack([np.ones(n)] + [getattr(coeffs, k) for k in WEIGHTS[1:]])
     # one (1, 2k) @ (2k, 7) matmul per node: a vector-matrix product may round differently
     readout = np.empty((n, gen.moment_map.shape[1]))

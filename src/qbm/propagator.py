@@ -41,10 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qbm.coefficients import CoefficientTable, compute_coefficients, cumulative_trapezoid
+from qbm.coefficients import CoefficientTable, cumulative_trapezoid
 from qbm.errors import ValidationError
 from qbm.homogeneous import approx_rotation, invert_rotation, solve_fundamental
-from qbm.kernels import KernelTable, ReservoirSpec, tabulate_kernels
 
 MODES = ("full", "norenorm", "rwa")
 
@@ -110,22 +109,10 @@ def delta_gamma_series(coeffs: CoefficientTable) -> np.ndarray:
     return np.exp(-coeffs.big_gamma) * acc
 
 
-def build_propagator(
-    spec: ReservoirSpec | KernelTable,
-    grid,
-    mode: str = "full",
-    *,
-    coeffs: CoefficientTable | None = None,
-) -> PropagatorBundle:
-    """Assemble the per-mode bundle from a reservoir (spec or kernel table) and time grid.
-
-    Passing a precomputed coefficient table skips the kernel tabulation,
-    which the CLI uses to share one table across modes.
-    """
+def build_propagator(coeffs: CoefficientTable, mode: str = "full") -> PropagatorBundle:
+    """Assemble the per-mode bundle on the grid of a coefficient table."""
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if coeffs is None:
-        coeffs = compute_coefficients(tabulate_kernels(spec, np.asarray(grid, dtype=float)))
     grid = coeffs.grid
 
     if mode == "full":

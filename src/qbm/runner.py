@@ -6,9 +6,10 @@ the numeric modules it calls do no file I/O.  The config brings the kernel
 table and, for the oracle, rho0.  Modes run independently off one
 coefficient table.  With the oracle mode alongside analytic modes, each
 analytic mode gets a matching brute-force integration and
-``diff_report.txt`` collects the max deviation per observable.  The analytic
-modes run as the oracle's ``meanwhile``: where two CPUs are usable, while
-forked children step every oracle mode but the last.  Each column is
+``diff_report.txt`` collects the max deviation per observable.  The
+oracle modes and the analytic phase share one ``qbm.workers.spread`` call:
+where two CPUs are usable, forked children step every oracle mode but the
+last while this process runs the analytic modes.  Each column is
 formatted in one file (``big_gamma`` in ``coefficients.csv``,
 ``lambda``/``theta`` in the propagator files).  Every observables file is
 its route's ``qcf.ObservableSeries`` record, so ``energy`` is the moment
@@ -20,7 +21,8 @@ are byte copies of the first mode's files; mode-suffixed files are always
 written.
 
 Every artifact is built before the output directory is made, so a run that
-fails leaves no directory; ``_write`` then writes them all in one phase.
+fails leaves no directory; ``_write`` then writes them all in one phase,
+the tables in two halves through ``spread``.
 A run without the oracle mode never imports ``qbm.oracle``.
 """
 
@@ -28,17 +30,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from qbm import qcf
 from qbm.coefficients import compute_coefficients
 from qbm.config import RunConfig
-from qbm.errors import FileError, ValidationError
+from qbm.errors import FileError, NumericalError, ValidationError
 from qbm.homogeneous import rotation_det
 from qbm.propagator import build_propagator, delta_gamma_series
 from qbm.runio import copy_file, write_csv, write_text
-from qbm.workers import fork_call, replies, usable_cpus
+from qbm.workers import spread
 
 
 @dataclass
@@ -63,7 +66,7 @@ def run(config: RunConfig) -> RunResult:
     if config.wigner_enabled:
         # from the first analytic mode's bundle, "full" for an oracle-only run
         mode = oracle_modes[0]
-        bundle = bundles[mode] = build_propagator(config.kernels, grid, mode, coeffs=coeffs)
+        bundle = bundles[mode] = build_propagator(coeffs, mode)
         axis = np.linspace(-config.wigner_extent, config.wigner_extent, config.wigner_points)
         # times that snap to one node give one map, in first-seen order
         for index in dict.fromkeys(int(np.argmin(np.abs(grid - t))) for t in config.wigner_times):
@@ -110,7 +113,7 @@ def run(config: RunConfig) -> RunResult:
         """Every analytic mode: its bundle, moments and tables."""
         for mode in analytic_modes:
             if mode not in bundles:
-                bundles[mode] = build_propagator(config.kernels, grid, mode, coeffs=coeffs)
+                bundles[mode] = build_propagator(coeffs, mode)
             bundle = bundles[mode]
             min_eig = float(np.min(np.linalg.eigvalsh(bundle.w_bar)))
             report_lines.append(f"w_bar_min_eigenvalue[{mode}] {min_eig:.17g}")
@@ -130,16 +133,15 @@ def run(config: RunConfig) -> RunResult:
                 }
 
     if "oracle" in config.modes:
-        from qbm.oracle import integrate_modes
+        from qbm.oracle import integrate
 
         # the analytic phase runs while forked children step the oracle modes
-        trajs = integrate_modes(
-            config.rho0,
-            coeffs,
-            oracle_modes,
-            leakage_threshold=config.leakage_threshold,
-            meanwhile=analytic_phase,
-        )
+        calls = [
+            (f"the oracle worker for mode {mode!r}",
+             partial(integrate, config.rho0, coeffs, mode, leakage_threshold=config.leakage_threshold))
+            for mode in oracle_modes
+        ]
+        trajs = dict(zip(oracle_modes, spread(calls, NumericalError, first=analytic_phase)))
         report_lines.append(f"oracle_parity_sectors {','.join(trajs[oracle_modes[0]].sectors)}")
         diff_lines = []
         for mode in oracle_modes:
@@ -177,10 +179,12 @@ def run(config: RunConfig) -> RunResult:
 def _write(outdir, artifacts: dict) -> list:
     """Make ``outdir`` and write ``artifacts``; the paths, in the order given.
 
-    The tables come first.  Where two CPUs are usable, a forked child
-    writes the leading tables, about half of the cells, while this process
-    writes the rest; a child's error, from the earlier files, is raised
-    first, as on one CPU.  The byte copies follow, then the reports.
+    The tables come first, in two halves of about as many cells each,
+    handed to ``spread``: where two CPUs are usable, a forked child writes
+    the leading half while this process writes the rest, and the error
+    raised is that of the earlier file, as on one CPU.  Every run has at
+    least two tables, ``coefficients.csv`` and an observables file.  The
+    byte copies follow, then the reports.
     """
     try:
         os.makedirs(outdir, exist_ok=True)
@@ -188,22 +192,10 @@ def _write(outdir, artifacts: dict) -> list:
         raise FileError(f"cannot create output directory {outdir!r}: {exc}") from exc
     paths = {name: os.path.join(outdir, name) for name in artifacts}
     tables = [(paths[name], table) for name, table in artifacts.items() if isinstance(table, dict)]
-    children = []
-    if usable_cpus() > 1 and len(tables) > 1:
-        cells = np.cumsum([len(table) * len(next(iter(table.values()))) for _, table in tables])
-        cut = 1 + int(np.argmin(np.abs(2 * cells[:-1] - cells[-1])))
-        pid, read = fork_call(_write_tables, tables[:cut])
-        children.append((f"the writer of {tables[0][0]}", pid, read))
-        tables = tables[cut:]
-    try:
-        own = _write_tables(tables)
-    except Exception as error:  # a child's error, from earlier files, is raised first
-        own = error
-    finally:
-        sent = replies(children, FileError)
-    for reply in (*sent, own):
-        if isinstance(reply, Exception):
-            raise reply
+    cells = np.cumsum([len(table) * len(next(iter(table.values()))) for _, table in tables])
+    cut = 1 + int(np.argmin(np.abs(2 * cells[:-1] - cells[-1])))
+    halves = (tables[:cut], tables[cut:])
+    spread([(f"the writer of {half[0][0]}", partial(_write_tables, half)) for half in halves], FileError)
     for name, content in artifacts.items():
         if isinstance(content, str):
             copy_file(paths[content], paths[name])

@@ -130,6 +130,7 @@ def test_criterion_3_rwa_gaps(pipeline):
             t_nr = pipeline.oracle_traj(temperature, state_name, "norenorm")
             t_rwa = pipeline.oracle_traj(temperature, state_name, "rwa")
             assert np.max(np.abs((t_nr.xx - t_rwa.xx) - gaps[:, 0])) < 1e-3
+            assert np.max(np.abs((t_nr.pp - t_rwa.pp) - gaps[:, 1])) < 1e-3
             assert np.max(np.abs((t_nr.xp_sym - t_rwa.xp_sym) - gaps[:, 2])) < 1e-3
 
 
@@ -155,7 +156,7 @@ def test_criterion_5_rotation_law(pipeline):
     rot = solve_fundamental(coeffs)
     means0 = np.array([1.0, 0.5])
     rho0 = oracle.to_density_matrix(qcf.CoherentState(x0=1.0, p0=0.5), 30)
-    traj = oracle.integrate_modes(rho0, coeffs, ["unitary"])["unitary"]
+    traj = oracle.integrate(rho0, coeffs, "unitary")
     predicted = np.einsum("nij,j->ni", rot, means0)
     dev = max(
         np.max(np.abs(traj.mean_x - predicted[:, 0])),
@@ -225,12 +226,12 @@ def test_criterion_8_free_limit():
         "xp_sym": -4.0 * np.sin(2.0 * grid),
     }
     for mode in MODES:
-        bundle = build_propagator(spec, grid, mode, coeffs=coeffs)
+        bundle = build_propagator(coeffs, mode)
         series = qcf.observable_series(bundle, state)
         for name, ref in exact.items():
             assert np.max(np.abs(getattr(series, name) - ref)) < 1e-7, (mode, name)
     # all generators coincide at zero coupling; one integration covers them
     rho0 = oracle.to_density_matrix(state, 30)
-    traj = oracle.integrate_modes(rho0, coeffs, ["full"])["full"]
+    traj = oracle.integrate(rho0, coeffs, "full")
     for name, ref in exact.items():
         assert np.max(np.abs(getattr(traj, name) - ref)) < 1e-7, ("oracle", name)

@@ -948,6 +948,25 @@ def test_unstable_oracle_step_names_the_step_not_the_dimension(tmp_path, capsys,
     assert "lower grid.dt below 0.0975 before" in err
 
 
+def test_step_abort_prints_the_frequency_and_the_limit_in_full(tmp_path, capsys):
+    # at wc = 1e-3 and T = 1e-6 the effective frequency passes 1 in its last
+    # digits alone, so a short format would print step 0.5 above a limit of 0.5
+    text = (
+        MINIMAL.replace("reservoir.alpha = 0.0", "reservoir.alpha = 0.1")
+        .replace("grid.dt = 0.01\ngrid.t_max = 1.0", "grid.dt = 0.5\ngrid.t_max = 10.0")
+        + "reservoir.wc = 1e-3\nreservoir.temperature = 1e-6\nstate.kind = fock\nstate.n = 2\n"
+    )
+    out = tmp_path / "o"
+    assert main(["run", str(write_conf(tmp_path, text + f"run.output_dir = {out}\n"))]) == 2
+    err = capsys.readouterr().err
+    message = r"step (\S+) too large for effective frequency (\S+); need grid\.dt <= (\S+)\n"
+    found = re.search(message, err)
+    assert found, err
+    step, frequency, limit = (float(value) for value in found.groups())
+    assert step == 0.5 and frequency > 1.0 and limit < step
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("temperature", ["1e20", "1e4"])
 def test_oracle_abort_tells_a_blow_up_from_truncation(tmp_path, capsys, temperature):
     # h = 0.01 is inside RK4's limit on the rotation at d = 30.  At T = 1e20
@@ -1042,18 +1061,10 @@ def test_one_and_two_cpu_writers_write_the_same_bytes(tmp_path, capsys, monkeypa
     # the order in which they are printed, are those of one CPU
     written, printed = {}, {}
     for cpus in (1, 2):
-        forks = []
-
-        def counting_fork(*args):
-            forks.append(args)
-            return workers.fork_call(*args)
-
-        monkeypatch.setattr(runner, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(runner, "fork_call", counting_fork)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
         out = tmp_path / f"cpus{cpus}"
         conf = write_conf(tmp_path, FOCK_WIGNER + f"run.output_dir = {out}\n")
         assert main(["run", str(conf)]) == 0
-        assert len(forks) == cpus - 1
         printed[cpus] = [os.path.basename(line) for line in capsys.readouterr().out.split()]
         written[cpus] = {path.name: path.read_bytes() for path in out.iterdir()}
         with pytest.raises(ChildProcessError):  # the writer has been reaped
@@ -1066,7 +1077,7 @@ def test_one_and_two_cpu_writers_write_the_same_bytes(tmp_path, capsys, monkeypa
 def test_a_failed_table_write_exits_3_and_names_the_file(tmp_path, capsys, monkeypatch, cpus):
     # a directory stands where coefficients.csv, the first table, goes: on two
     # CPUs the forked writer fails on it and this process still writes its share
-    monkeypatch.setattr(runner, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
     out = tmp_path / "o"
     (out / "coefficients.csv").mkdir(parents=True)
     text = MINIMAL.replace("run.modes = full", "run.modes = full,rwa") + f"run.output_dir = {out}\n"

@@ -98,6 +98,13 @@ def test_rotation_inverse_is_adjugate():
     assert np.max(np.abs(prod - np.eye(2))) < 1e-8
 
 
+def test_determinant_drift_is_renormalized_and_names_the_step(caplog):
+    rot = approx_rotation(np.array([0.0, 0.5])) * np.sqrt(1.01)
+    inv = invert_rotation(rot)
+    assert np.max(np.abs(np.einsum("nij,njk->nik", rot, inv) - np.eye(2))) < 1e-15
+    assert "det R drifted to 1.000e-02 from 1" in caplog.text and "lower grid.dt" in caplog.text
+
+
 def test_approx_rotation_values():
     grid = np.array([0.0, np.pi / 2])
     rot = approx_rotation(grid)

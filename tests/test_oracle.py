@@ -1,6 +1,5 @@
 import functools
 import os
-import time
 import tracemalloc
 from dataclasses import fields
 from types import SimpleNamespace
@@ -8,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qbm import oracle, qcf
+from qbm import oracle, qcf, workers
 from qbm.coefficients import CoefficientTable, compute_coefficients
 from qbm.errors import (
     LeakageError,
@@ -25,6 +24,12 @@ def zero_coeffs(dt=0.01, t_max=5.0):
     grid = dt * np.arange(int(round(t_max / dt)) + 1)
     z = np.zeros_like(grid)
     return CoefficientTable(grid=grid, delta_bar=z, pi=z, r=z, gamma=z, big_gamma=z)
+
+
+def integrate_all(rho0, coeffs, modes, **kwargs) -> dict:
+    """Each mode's trajectory, the ``oracle.integrate`` calls spread as ``qbm run`` spreads them."""
+    calls = [(mode, functools.partial(oracle.integrate, rho0, coeffs, mode, **kwargs)) for mode in modes]
+    return dict(zip(modes, workers.spread(calls, NumericalError)))
 
 
 def head(coeffs, n):
@@ -131,16 +136,16 @@ def test_generator_matches_matrix_free_rhs():
 
 def test_integration_steps_on_the_generator():
     # one RK4 step of the loop is the same arithmetic on the same matrices as
-    # a step built here from ``generator``, bit for bit, for every mode of a
-    # batch.  The loop steps one half of rho: each stage reads the other half
-    # as the conjugate of the stepped one, and so does each stage here
+    # a step built here from ``generator``, bit for bit, for every mode.  The
+    # loop steps one half of rho: each stage reads the other half as the
+    # conjugate of the stepped one, and so does each stage here
     grid = np.array([0.0, 0.01])
     rows = {"delta_bar": (0.3, 0.31), "pi": (0.1, 0.12), "r": (0.2, 0.19), "gamma": (0.05, 0.06)}
     coeffs = CoefficientTable(
         grid=grid, big_gamma=np.zeros(2), **{k: np.array(v) for k, v in rows.items()}
     )
     rho0 = oracle.to_density_matrix(qcf.CoherentState(1.0, 0.5), 12)
-    batch = oracle.integrate_modes(rho0, coeffs, oracle.MODES)
+    batch = {mode: oracle.integrate(rho0, coeffs, mode) for mode in oracle.MODES}
     node, nxt = ({k: v[i] for k, v in rows.items()} for i in (0, 1))
     mid = {k: 0.5 * (node[k] + nxt[k]) for k in rows}
     h = grid[1] - grid[0]
@@ -315,7 +320,7 @@ def test_generator_unknown_mode():
 def test_free_evolution_rotates_coherent_state():
     coeffs = zero_coeffs(t_max=5.0)
     rho0 = oracle.to_density_matrix(qcf.CoherentState(x0=1.0), 30)
-    traj = oracle.integrate_modes(rho0, coeffs, ["full"])["full"]
+    traj = oracle.integrate(rho0, coeffs, "full")
     assert np.max(np.abs(traj.mean_x - np.cos(coeffs.grid))) < 1e-7
     assert np.max(np.abs(traj.mean_p + np.sin(coeffs.grid))) < 1e-7
 
@@ -336,7 +341,7 @@ def test_vacuum_stays_in_a_small_basis_over_a_long_run():
     # the growing top-level mode of truncated products stopped this run on the
     # leakage guard at t = 1480.1; dt = 0.1 is inside RK4's limit 0.149 at d = 20
     rho0 = oracle.to_density_matrix(qcf.CoherentState(), 20)
-    traj = oracle.integrate_modes(rho0, benchmark_coeffs(0.1, 1500.0), ["full"])["full"]
+    traj = oracle.integrate(rho0, benchmark_coeffs(0.1, 1500.0), "full")
     assert traj.grid[-1] == 1500.0
     assert traj.max_leakage <= 1e-20
 
@@ -358,17 +363,17 @@ def test_leakage_abort_suggests_bigger_dimension():
     coeffs = zero_coeffs(t_max=0.2)
     rho0 = oracle.to_density_matrix(qcf.CoherentState(x0=4.2), 12)
     with pytest.raises(LeakageError, match=r"increase oracle\.dimension beyond 12$"):
-        oracle.integrate_modes(rho0, coeffs, ["full"])
-    # in a batch, strong diffusion heats the vacuum out of the basis in rwa
-    # while the unitary mode leaves it in place: the abort names rwa
+        oracle.integrate(rho0, coeffs, "full")
+    # strong diffusion heats the vacuum out of the basis in rwa while the
+    # unitary mode leaves it in place: the abort names rwa
     heated = heated_coeffs()
     vacuum = oracle.to_density_matrix(qcf.CoherentState(), 12)
     with pytest.raises(LeakageError, match=r"mode 'rwa'.*t=.*beyond 12"):
-        oracle.integrate_modes(vacuum, heated, ("unitary", "rwa"))
-    assert oracle.integrate_modes(vacuum, heated, ["unitary"])["unitary"].max_leakage < 1e-20
+        oracle.integrate(vacuum, heated, "rwa")
+    assert oracle.integrate(vacuum, heated, "unitary").max_leakage < 1e-20
     # a NaN leakage trips the initial check instead of slipping past ``>``
     with pytest.raises(LeakageError, match="initial state"):
-        oracle.integrate_modes(np.full((12, 12), np.nan), coeffs, ["full"])
+        oracle.integrate(np.full((12, 12), np.nan), coeffs, "full")
 
 
 def test_initial_leakage_check_names_the_dimension():
@@ -377,7 +382,7 @@ def test_initial_leakage_check_names_the_dimension():
     with pytest.raises(LeakageError, match=message):
         oracle.check_initial_leakage(leaky)
     with pytest.raises(LeakageError, match=message):
-        oracle.integrate_modes(leaky, zero_coeffs(t_max=0.1), ["full"])
+        oracle.integrate(leaky, zero_coeffs(t_max=0.1), "full")
     with pytest.raises(LeakageError, match="initial state"):
         oracle.check_initial_leakage(np.full((10, 10), np.nan))
     oracle.check_initial_leakage(oracle.to_density_matrix(qcf.CoherentState(), 10))
@@ -401,7 +406,7 @@ def test_blow_up_within_the_step_limit_asks_for_a_smaller_step():
 
 def leakage_error(rho0, coeffs, modes) -> LeakageError:
     with pytest.raises(LeakageError) as caught:
-        oracle.integrate_modes(rho0, coeffs, modes)
+        integrate_all(rho0, coeffs, modes)
     return caught.value
 
 
@@ -409,7 +414,7 @@ def leakage_error(rho0, coeffs, modes) -> LeakageError:
 def test_batch_raises_the_first_listed_failure(monkeypatch, cpus):
     # full leaks at t = 0.04 and rwa at t = 0.06; whichever is listed first
     # is raised, stepped in this process or not, however early the other leaks
-    monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
     heated = heated_coeffs()
     vacuum = oracle.to_density_matrix(qcf.CoherentState(), 12)
     full, rwa = (leakage_error(vacuum, heated, [mode]) for mode in ("full", "rwa"))
@@ -424,9 +429,9 @@ def test_batch_raises_the_first_listed_failure(monkeypatch, cpus):
 def test_trajectory_is_an_observable_series(monkeypatch):
     # the forked full trajectory comes back pickled, with the energy its
     # child computed
-    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     rho0 = oracle.to_density_matrix(qcf.SqueezedVacuum(0.5), 20)
-    for traj in oracle.integrate_modes(rho0, zero_coeffs(t_max=0.2), ("full", "rwa")).values():
+    for traj in integrate_all(rho0, zero_coeffs(t_max=0.2), ("full", "rwa")).values():
         assert isinstance(traj, qcf.ObservableSeries)
         assert np.array_equal(traj.energy, 0.5 * (traj.xx + traj.pp))
 
@@ -544,8 +549,7 @@ def test_batched_modes_match_reference_and_single_runs(pipeline, state_name, sec
     # the squeezed vacuum puts 1e-6 into the top levels of d = 20 by t = 0.96;
     # the smaller bases check the fold, not the truncation
     threshold = 1e-6 if d == 30 else 1e-4
-    batch = oracle.integrate_modes(rho0, head(coeffs, n), oracle.MODES, leakage_threshold=threshold)
-    assert tuple(batch) == oracle.MODES
+    batch = integrate_all(rho0, head(coeffs, n), oracle.MODES, leakage_threshold=threshold)
     odd = np.add.outer(np.arange(d), np.arange(d)) % 2 == 1
     for mode, traj in batch.items():
         assert traj.sectors == sectors, mode
@@ -556,9 +560,7 @@ def test_batched_modes_match_reference_and_single_runs(pipeline, state_name, sec
         if sectors == ("even",):
             assert np.all(traj.rho_final[odd] == 0.0), mode
             assert np.all(traj.mean_x == 0.0) and np.all(traj.mean_p == 0.0), mode
-        single = oracle.integrate_modes(
-            rho0, head(coeffs, n), [mode], leakage_threshold=threshold
-        )[mode]
+        single = oracle.integrate(rho0, head(coeffs, n), mode, leakage_threshold=threshold)
         for guard in ("trace_error", "herm_drift", "max_leakage"):
             assert getattr(traj, guard) == getattr(single, guard), (mode, guard)
         for name in MOMENT_NAMES + ("energy", "rho_final"):
@@ -576,11 +578,10 @@ def test_forked_groups_match_one_loop(pipeline, monkeypatch, state_name):
     rho0 = oracle.to_density_matrix(pipeline.state(state_name), 30)
     runs = {}
     for cpus in (1, 2):
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
-        runs[cpus] = oracle.integrate_modes(rho0, coeffs, oracle.MODES)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        runs[cpus] = integrate_all(rho0, coeffs, oracle.MODES)
         with pytest.raises(ChildProcessError):  # every child has been reaped
             os.waitpid(-1, os.WNOHANG)
-    assert tuple(runs[2]) == oracle.MODES
     for mode in oracle.MODES:
         one, forked = runs[1][mode], runs[2][mode]
         for name in MOMENT_NAMES + ("energy", "rho_final"):
@@ -589,133 +590,31 @@ def test_forked_groups_match_one_loop(pipeline, monkeypatch, state_name):
             assert getattr(one, name) == getattr(forked, name), (mode, name)
     # a single mode is stepped in this process: nothing is forked
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("a one-mode run forked"))
-    assert oracle.integrate_modes(rho0, coeffs, ["rwa"])["rwa"].sectors == runs[2]["rwa"].sectors
+    assert integrate_all(rho0, coeffs, ["rwa"])["rwa"].sectors == runs[2]["rwa"].sectors
 
 
-THREE_MODES = ("full", "norenorm", "rwa")
-
-
-@pytest.mark.parametrize(
-    "cpus, modes, events",
-    [
-        (2, THREE_MODES, ["fork full", "fork norenorm", "meanwhile", "step rwa"]),
-        (1, THREE_MODES, ["meanwhile", "step full", "step norenorm", "step rwa"]),
-        (2, ("rwa",), ["meanwhile", "step rwa"]),
-    ],
-    ids=["three_modes_two_cpus", "three_modes_one_cpu", "one_mode_two_cpus"],
-)
-def test_one_child_per_mode_but_the_last(monkeypatch, cpus, modes, events):
-    # a forked child steps each mode but the last; the caller runs
-    # ``meanwhile`` after the forks, then steps the last mode.  On one CPU
-    # ``meanwhile`` comes first and the caller steps every mode
-    monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
-    seen, fork_mode, integrate = [], oracle._fork_mode, oracle._integrate_mode
-
-    def forking(mode, *args):
-        seen.append(f"fork {mode}")
-        return fork_mode(mode, *args)
-
-    def stepping(mode, *args):
-        seen.append(f"step {mode}")  # a child's list is its own copy
-        return integrate(mode, *args)
-
-    monkeypatch.setattr(oracle, "_fork_mode", forking)
-    monkeypatch.setattr(oracle, "_integrate_mode", stepping)
-    rho0 = oracle.to_density_matrix(qcf.CoherentState(1.0), 12)
-    batch = oracle.integrate_modes(
-        rho0, zero_coeffs(t_max=0.1), modes, meanwhile=lambda: seen.append("meanwhile")
-    )
-    assert tuple(batch) == modes
-    assert seen == events
-    with pytest.raises(ChildProcessError):  # every child has been reaped
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_forked_mode_errors_reach_the_caller(monkeypatch):
-    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
-    vacuum = oracle.to_density_matrix(qcf.CoherentState(), 12)
-    # a guard failure in the child (rwa) is raised here, with its message
-    heated = heated_coeffs()
-    error = leakage_error(vacuum, heated, ("rwa", "unitary"))
-    assert str(error) == str(leakage_error(vacuum, heated, ["rwa"]))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    parent, integrate = os.getpid(), oracle._integrate_mode
-
-    def failing(mode, *args):
-        if os.getpid() != parent:
-            raise ValidationError("no such mode")
-        return integrate(mode, *args)
-
-    def dying(mode, *args):
-        if os.getpid() != parent:
-            os._exit(1)
-        return integrate(mode, *args)
-
-    # any other error of the child is raised here as it is
-    monkeypatch.setattr(oracle, "_integrate_mode", failing)
-    with pytest.raises(ValidationError, match="no such mode"):
-        oracle.integrate_modes(vacuum, zero_coeffs(t_max=0.1), ("full", "rwa"))
-    # a child that ends without a reply names its mode and exit status
-    monkeypatch.setattr(oracle, "_integrate_mode", dying)
-    with pytest.raises(
-        NumericalError, match="the oracle worker for mode 'full' ended with exit status 1"
-    ):
-        oracle.integrate_modes(vacuum, zero_coeffs(t_max=0.1), ("full", "rwa"))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_meanwhile_error_ends_the_children(monkeypatch, cpus):
-    # an error of ``meanwhile`` is raised in place of any mode's: on two CPUs
-    # the children are killed, not waited for, and reaped; on one no mode is
-    # stepped
-    monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
-    parent = os.getpid()
-
-    def stalling(mode, *args):
-        if os.getpid() == parent:
-            pytest.fail(f"mode {mode!r} stepped in the caller after meanwhile failed")
-        time.sleep(60)
-
-    def failing():
-        raise ValidationError("analytic phase failed")
-
-    monkeypatch.setattr(oracle, "_integrate_mode", stalling)
-    vacuum = oracle.to_density_matrix(qcf.CoherentState(), 12)
-    start = time.monotonic()
-    with pytest.raises(ValidationError, match="analytic phase failed"):
-        oracle.integrate_modes(vacuum, zero_coeffs(t_max=0.1), THREE_MODES, meanwhile=failing)
-    assert time.monotonic() - start < 30
-    with pytest.raises(ChildProcessError):  # every child has been reaped
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_integrate_modes_rejects_a_rho0_that_is_not_hermitian():
+def test_integrate_rejects_a_rho0_that_is_not_hermitian():
     # the loop steps one Hermitian half of rho, so it must not be handed
     # another; the error gives the measured drift
     rho0 = oracle.to_density_matrix(qcf.CoherentState(1.0, 0.5), 12)
     skewed = rho0.copy()
     skewed[3, 1] += 2e-9
     with pytest.raises(ValidationError, match=r"not Hermitian: max\|rho0 - rho0\^dag\| = 2\.00e-09"):
-        oracle.integrate_modes(skewed, zero_coeffs(t_max=0.1), ["full"])
+        oracle.integrate(skewed, zero_coeffs(t_max=0.1), "full")
     within = rho0.copy()
     within[3, 1] += 5e-13
-    oracle.integrate_modes(within, zero_coeffs(t_max=0.1), ["full"])
+    oracle.integrate(within, zero_coeffs(t_max=0.1), "full")
     # every state the config builds is Hermitian to rounding
     for state in (qcf.CoherentState(1.2, -0.8), qcf.ThermalState(0.5), qcf.FockState(4), qcf.SqueezedVacuum(0.5, 0.7)):
         rho = oracle.to_density_matrix(state, 30)
         assert np.abs(rho - rho.conj().T).max() <= 1e-16, state
-        oracle.integrate_modes(rho, zero_coeffs(t_max=0.02), ["rwa"])
+        oracle.integrate(rho, zero_coeffs(t_max=0.02), "rwa")
 
 
-def test_integrate_modes_rejects_repeated_or_unknown_modes():
-    coeffs = zero_coeffs(t_max=0.1)
+def test_integrate_rejects_an_unknown_mode():
     rho0 = oracle.to_density_matrix(qcf.CoherentState(), 10)
-    for modes in ((), ("full", "full"), ("full", "lindblad")):
-        with pytest.raises(ValidationError):
-            oracle.integrate_modes(rho0, coeffs, modes)
+    with pytest.raises(ValidationError, match="unknown oracle mode 'lindblad'"):
+        oracle.integrate(rho0, zero_coeffs(t_max=0.1), "lindblad")
 
 
 def test_initial_state_builders_normalized():
@@ -760,7 +659,7 @@ def test_initial_moments_match_qcf_convention():
         qcf.FockState(2),
     ):
         rho = oracle.to_density_matrix(state, 40)
-        traj = oracle.integrate_modes(rho, head(coeffs, 1), ["full"])["full"]
+        traj = oracle.integrate(rho, head(coeffs, 1), "full")
         m = qcf.observable_series(free, state)
         for name in MOMENT_NAMES:
             expected = pytest.approx(getattr(m, name)[0], abs=1e-7)
@@ -771,7 +670,8 @@ def build_free_bundle():
     from qbm.propagator import build_propagator
 
     grid = 0.01 * np.arange(11)
-    return build_propagator(ReservoirSpec("ohmic_exp_cutoff", alpha=0.0, wc=5.0), grid, "full")
+    free = ReservoirSpec("ohmic_exp_cutoff", alpha=0.0, wc=5.0)
+    return build_propagator(compute_coefficients(tabulate_kernels(free, grid)), "full")
 
 
 def test_tabulated_chi_has_no_fock_representation():
@@ -831,10 +731,10 @@ def test_evolved_chi_matches_oracle_pointwise(pipeline):
     spec = pipeline.spec(0.0)
     grid = 0.01 * np.arange(201)
     coeffs = compute_coefficients(tabulate_kernels(spec, grid))
-    bundle = build_propagator(spec, grid, "full", coeffs=coeffs)
+    bundle = build_propagator(coeffs, "full")
     state = qcf.CoherentState(1.0, 0.5)
     rho0 = oracle.to_density_matrix(state, 30)
-    traj = oracle.integrate_modes(rho0, coeffs, ["full"])["full"]
+    traj = oracle.integrate(rho0, coeffs, "full")
     for z in ((0.5, 0.0), (0.8, -0.6), (1.0, 0.8)):
         ana = qcf.evolve_chi(bundle, state, 200, *z)
         orc = chi_from_rho(traj.rho_final, z)

@@ -95,7 +95,7 @@ def test_no_renorm_matches_direct_convolution(temperature):
     spec = ReservoirSpec("ohmic_exp_cutoff", alpha=0.1, wc=5.0, temperature=temperature)
     grid = 0.01 * np.arange(3001)
     coeffs = compute_coefficients(tabulate_kernels(spec, grid))
-    w_fast = build_propagator(spec, grid, "norenorm", coeffs=coeffs).w_bar
+    w_fast = build_propagator(coeffs, "norenorm").w_bar
     eg = np.exp(coeffs.big_gamma)
     for idx in (1, 250, 700, 1000, 3000):
         t = grid[idx]
@@ -113,7 +113,7 @@ def test_no_renorm_matches_direct_convolution(temperature):
 
 
 def test_no_renorm_trace_equals_delta_gamma(coeffs):
-    wb = build_propagator(OHMIC, coeffs.grid, "norenorm", coeffs=coeffs).w_bar
+    wb = build_propagator(coeffs, "norenorm").w_bar
     dg = delta_gamma_series(coeffs)
     trace = wb[:, 0, 0] + wb[:, 1, 1]
     assert np.max(np.abs(trace - dg)) <= 2e-3 * max(1.0, np.max(np.abs(dg)))
@@ -122,7 +122,7 @@ def test_no_renorm_trace_equals_delta_gamma(coeffs):
 
 
 def test_rwa_bundle_is_isotropic(coeffs):
-    bundle = build_propagator(OHMIC, coeffs.grid, "rwa", coeffs=coeffs)
+    bundle = build_propagator(coeffs, "rwa")
     assert np.array_equal(bundle.w_bar[:, 0, 0], bundle.w_bar[:, 1, 1])
     assert np.all(bundle.w_bar[:, 0, 1] == 0.0)
     assert np.all(bundle.lam == 0.0)
@@ -167,7 +167,7 @@ def test_congruence_invariant_under_orthogonal_redefinition(coeffs, rotations):
 
 def test_bundle_initial_node_trivial(coeffs):
     for mode in ("full", "norenorm", "rwa"):
-        bundle = build_propagator(OHMIC, coeffs.grid, mode, coeffs=coeffs)
+        bundle = build_propagator(coeffs, mode)
         assert np.array_equal(bundle.rotations[0], np.eye(2))
         assert np.all(bundle.w_bar[0] == 0.0)
         assert bundle.big_gamma[0] == 0.0
@@ -176,4 +176,4 @@ def test_bundle_initial_node_trivial(coeffs):
 
 def test_unknown_mode_rejected(coeffs):
     with pytest.raises(ValidationError):
-        build_propagator(OHMIC, coeffs.grid, "markov", coeffs=coeffs)
+        build_propagator(coeffs, "markov")

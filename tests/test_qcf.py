@@ -31,15 +31,12 @@ def grids():
 @pytest.fixture(scope="module")
 def bundles(grids):
     coeffs = compute_coefficients(tabulate_kernels(OHMIC, grids))
-    return {
-        mode: build_propagator(OHMIC, grids, mode, coeffs=coeffs)
-        for mode in ("full", "norenorm", "rwa")
-    }
+    return {mode: build_propagator(coeffs, mode) for mode in ("full", "norenorm", "rwa")}
 
 
 @pytest.fixture(scope="module")
 def free_bundle(grids):
-    return build_propagator(FREE, grids, "full")
+    return build_propagator(compute_coefficients(tabulate_kernels(FREE, grids)), "full")
 
 
 # --- chi0 values ---------------------------------------------------------
@@ -285,7 +282,7 @@ def test_norenorm_energy_equals_rwa_energy(bundles):
 
 
 def test_gaps_zero_for_zero_coupling(grids):
-    bundle = build_propagator(FREE, grids, "norenorm")
+    bundle = build_propagator(compute_coefficients(tabulate_kernels(FREE, grids)), "norenorm")
     assert np.all(bundle.lam == 0.0) and np.all(bundle.theta == 0.0)
 
 
@@ -306,8 +303,9 @@ def test_full_vs_norenorm_difference_scales_as_alpha_squared():
     def deviation(alpha):
         spec = ReservoirSpec("ohmic_exp_cutoff", alpha=alpha, wc=5.0)
         grid = 0.01 * np.arange(501)
-        full = build_propagator(spec, grid, "full")
-        norenorm = build_propagator(spec, grid, "norenorm")
+        coeffs = compute_coefficients(tabulate_kernels(spec, grid))
+        full = build_propagator(coeffs, "full")
+        norenorm = build_propagator(coeffs, "norenorm")
         state = qcf.CoherentState(x0=2.0)
         s_f = qcf.observable_series(full, state)
         s_n = qcf.observable_series(norenorm, state)

@@ -6,9 +6,9 @@ families, every state kind (a tabulated chi included), the Wigner maps and
 the oracle run on numpy alone.  scipy serves only the quadrature
 references of ``references.py`` that the tests compare against, through
 ``kernels.quad``.  Nor does a run load a process-pool module: where more
-than one CPU is usable the oracle forks one child for each mode but the
-last with ``os.fork`` alone, and steps the last mode itself, so the import
-cost of a run stays that of numpy.
+than one CPU is usable ``qbm.workers.spread`` forks one child for each
+oracle mode but the last with ``os.fork`` alone, and the run's process
+steps the last mode itself, so the import cost of a run stays that of numpy.
 """
 
 import ast
