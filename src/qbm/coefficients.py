@@ -10,8 +10,8 @@ oscillator frequency, which is the unit of frequency (w0 = 1):
     big_gamma(t) = 2 Int_0^t gamma(t1) dt1               (damping exponent)
 
 Composite trapezoid on the stored grid keeps every t = 0 entry exactly zero
-and matches the piecewise-linear coefficient interpolation used by the time
-integrators downstream.
+and matches the piecewise-linear interpolation of ``CoefficientTable.half_steps``,
+which both time integrators downstream read between nodes.
 """
 
 from __future__ import annotations
@@ -41,6 +41,12 @@ class CoefficientTable:
         for name in ("delta_bar", "pi", "r", "gamma", "big_gamma"):
             if len(getattr(self, name)) != n:
                 raise ValidationError(f"coefficient column {name} does not match grid length")
+
+    def half_steps(self) -> CoefficientTable:
+        """The table at the n - 1 half-step times, the one rule both RK4 loops read there:
+        every column, ``grid`` included, is 0.5 * (c[:-1] + c[1:]) of its two nodes.
+        """
+        return CoefficientTable(**{k: 0.5 * (c[:-1] + c[1:]) for k, c in vars(self).items()})
 
 
 def check_grid(grid: np.ndarray):

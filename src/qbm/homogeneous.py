@@ -11,8 +11,8 @@ det R(t) = 1 (Liouville).  In the paper's notation R = [[c, s], [-s_r, c_r]].
 
 B's eigenvalues are +-i sqrt(det B), det B = 1 - r - gamma^2: the solver
 supports the weak, under-damped regime det B > 0.  The integrator is
-classical RK4 with B linearly interpolated at half-steps, the interpolation
-the Fock-space oracle uses for the same table.  On a linear system each RK4
+classical RK4 with B built at half-steps from ``CoefficientTable.half_steps``,
+the table the Fock-space oracle reads there too.  On a linear system each RK4
 step is a matrix M_i, built for the whole grid at once; R_{i+1} = M_i R_i.
 """
 
@@ -51,12 +51,15 @@ def solve_fundamental(coeffs: CoefficientTable) -> np.ndarray:
             f"need grid.dt <= {MAX_STEP_RADIANS / frequency!r}"
         )
 
-    b = np.empty((len(grid), 2, 2))
-    b[:, 0, 0] = coeffs.gamma
-    b[:, 0, 1] = 1.0
-    b[:, 1, 0] = coeffs.r - 1.0
-    b[:, 1, 1] = -coeffs.gamma
-    b_mid = 0.5 * (b[:-1] + b[1:])
+    def assemble_b(table: CoefficientTable) -> np.ndarray:
+        b = np.empty((len(table.grid), 2, 2))
+        b[:, 0, 0] = table.gamma
+        b[:, 0, 1] = 1.0
+        b[:, 1, 0] = table.r - 1.0
+        b[:, 1, 1] = -table.gamma
+        return b
+
+    b, b_mid = assemble_b(coeffs), assemble_b(coeffs.half_steps())
     h = steps[:, None, None]
     eye = np.eye(2)
     k1 = b[:-1]

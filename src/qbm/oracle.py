@@ -366,7 +366,7 @@ def integrate(
     raises ValidationError.  Only the parity sectors in which rho0 has a
     nonzero entry are stepped; L keeps the other one exactly zero.  The
     ghosts of the half are filled before each stage.  Coefficients at
-    half-steps come from linear interpolation.  Each node is read by one
+    half-steps are the rows of ``coeffs.half_steps()``.  Each node is read by one
     real product with ``moment_map``: the moments, the trace and the
     leakage.  Population in the top three levels beyond the threshold, at
     t = 0 or after a step, aborts the run, naming the mode; so does a final
@@ -382,7 +382,10 @@ def integrate(
     t = coeffs.grid
     n = len(t)
     gen = _Stencil(fock_operators(d), mode, diagonals)
-    rows = np.column_stack([np.ones(n)] + [getattr(coeffs, k) for k in WEIGHTS[1:]])
+    rows, halves = (
+        np.column_stack([np.ones(len(c.grid))] + [getattr(c, k) for k in WEIGHTS[1:]])
+        for c in (coeffs, coeffs.half_steps())
+    )
     # one (1, 2k) @ (2k, 7) matmul per node: a vector-matrix product may round differently
     readout = np.empty((n, gen.moment_map.shape[1]))
 
@@ -397,7 +400,7 @@ def integrate(
     acc, k, scaled = np.empty_like(v), np.empty_like(v), np.empty_like(v)
     for i in range(n - 1):
         h = t[i + 1] - t[i]
-        gen.at(0.5 * (rows[i] + rows[i + 1]), mid)
+        gen.at(halves[i], mid)
         gen.at(rows[i + 1], nxt)
         # rho + (h/6)(k1 + 2 k2 + 2 k3 + k4), summed in that order, on the
         # stepped slots of rho; each stage's argument is written into the
@@ -420,7 +423,7 @@ def integrate(
             raise LeakageError(
                 f"oracle mode {mode!r}: truncation leakage {lk:.2e} exceeded "
                 f"{leakage_threshold:.2e} in magnitude at t={t[i + 1]:g}; "
-                f"{_remedy(d, h, None if abs(lk) <= 1.0 else rows)}"
+                f"{_remedy(d, h, mode, None if abs(lk) <= 1.0 else rows)}"
             )
 
     rho = gen.matrix(state)
@@ -429,22 +432,9 @@ def integrate(
     # off-diagonal entries to them
     largest = float(np.abs(rho).max())
     if not largest <= _DENSITY_ENTRY_BOUND:  # NaN trips it too
-        h = np.diff(t).max()
-        coefficient = np.abs(rows[:, 1:]).max()
-        # the dissipators' rates grow about as coefficient * (d - 1): far
-        # inside RK4's reach on both, the step cannot have done this
-        if (d - 1) * h <= _RK4_IMAGINARY_REACH and coefficient * (d - 1) * h <= 1.0:
-            cause = (
-                f"the step h={h:.3g} lies inside RK4's limits at d={d} and coefficients up to "
-                f"{coefficient:.3g}, so the {mode} equation itself lost positivity; "
-                "reservoir.alpha, reservoir.wc, reservoir.temperature and grid.t_max move "
-                f"that, or leave {mode} out of run.modes"
-            )
-        else:
-            cause = _remedy(d, h, rows)
         raise StabilityError(
             f"oracle mode {mode!r}: |rho_mn| reached {largest!r} > 1 by t={t[-1]:g}, "
-            f"so rho is no longer a density matrix; {cause}"
+            f"so rho is no longer a density matrix; {_remedy(d, np.diff(t).max(), mode, rows)}"
         )
     # moment_map's columns: X, P, X^2, P^2, XP+PX (the fields' order), trace, leakage
     *moments, trace, leakage = readout.T
@@ -459,8 +449,8 @@ def integrate(
     )
 
 
-def _remedy(d: int, h: float, rows=None) -> str:
-    """What an abort at step h and dimension d asks for; ``rows`` given marks a blow-up."""
+def _remedy(d: int, h: float, mode: str, rows=None) -> str:
+    """What an abort of ``mode`` at step h and dimension d asks for; ``rows`` marks a blow-up."""
     if (d - 1) * h > _RK4_IMAGINARY_REACH:
         # the rotation -i[h0, .] has eigenvalues +-i(m - n) up to +-i(d - 1)
         limit = _RK4_IMAGINARY_REACH / (d - 1)
@@ -469,13 +459,23 @@ def _remedy(d: int, h: float, rows=None) -> str:
             f"2*sqrt(2)/(d-1)={limit:.3g} at d={d}, so lower grid.dt below "
             f"{limit:.3g} before you increase oracle.dimension beyond {d}"
         )
-    if rows is not None:  # within the step limit no larger d mends a blow-up
+    if rows is None:
+        return f"increase oracle.dimension beyond {d}"
+    coefficient = np.abs(rows[:, 1:]).max()  # within the step limit no larger d mends a blow-up
+    # the dissipators' rates grow about as coefficient * (d - 1): far
+    # inside RK4's reach on both, the step cannot have done this
+    if coefficient * (d - 1) * h <= 1.0:
         return (
-            f"rho blew up within RK4's step limit: the coefficients reach "
-            f"{np.abs(rows[:, 1:]).max():.3g}, too large for h={h:.3g}; lower grid.dt, "
-            "or the reservoir.alpha or reservoir.temperature that sets them"
+            f"the step h={h:.3g} lies inside RK4's limits at d={d} and coefficients up to "
+            f"{coefficient:.3g}, so the {mode} equation itself lost positivity; "
+            "reservoir.alpha, reservoir.wc, reservoir.temperature and grid.t_max move "
+            f"that, or leave {mode} out of run.modes"
         )
-    return f"increase oracle.dimension beyond {d}"
+    return (
+        f"rho blew up within RK4's step limit: the coefficients reach "
+        f"{coefficient:.3g}, too large for h={h:.3g}; lower grid.dt, "
+        "or the reservoir.alpha or reservoir.temperature that sets them"
+    )
 
 
 # ---------------------------------------------------------------------------

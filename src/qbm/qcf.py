@@ -347,10 +347,16 @@ class ObservableSeries:
                     f"moment column {name} is not finite at t={self.grid[bad[0]]:g}: the "
                     "moments overflow double precision"
                 )
-        bad_x = np.any(self.xx < self.mean_x**2 - 1e-10)
-        bad_p = np.any(self.pp < self.mean_p**2 - 1e-10)
-        if bad_x or bad_p:
-            raise NumericalError("variance floor violated: <A^2> < <A>^2 beyond tolerance")
+        below = np.stack([self.xx < self.mean_x**2 - 1e-10, self.pp < self.mean_p**2 - 1e-10], axis=1)
+        if below.any():
+            i, j = divmod(int(np.argmax(below)), 2)  # the first t, <X^2> before <P^2>
+            a, second, mean = (("X", self.xx, self.mean_x), ("P", self.pp, self.mean_p))[j]
+            raise NumericalError(
+                f"variance floor violated: <{a}^2> = {float(second[i])!r} < <{a}>^2 = "
+                f"{float(mean[i]) ** 2!r} at t={self.grid[i]:g}, so the moments are not those "
+                "of a density matrix; reservoir.alpha, reservoir.wc, reservoir.temperature and "
+                "grid.t_max move that"
+            )
 
 
 def _moment_columns(b, c):

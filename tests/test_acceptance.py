@@ -5,6 +5,7 @@ wc = 5, temperatures 0 and 2, oscillator units omega0 = 1, grid dt = 0.01
 to t = 30, oracle dimension 30 (fixtures in conftest).
 """
 
+import dataclasses
 import functools
 import time
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from qbm import oracle, qcf
-from qbm.coefficients import compute_coefficients
+from qbm.coefficients import CoefficientTable, compute_coefficients
 from qbm.homogeneous import rotation_det, solve_fundamental
 from qbm.kernels import ReservoirSpec, tabulate_kernels
 from qbm.propagator import build_propagator
@@ -147,9 +148,9 @@ def test_criterion_4_algebra(pipeline):
 
 @criterion(5, "first moments follow the homogeneous evolution matrix")
 def test_criterion_5_rotation_law(pipeline):
-    # both routes step the same linear system u' = B(t) u by RK4 with the
-    # same half-step interpolation of the table, so they agree to rounding
-    # on the run grid
+    # both routes step the same linear system u' = B(t) u by RK4 and read
+    # the table between nodes at CoefficientTable.half_steps(), so they
+    # agree to rounding on the run grid
     dt = 0.01
     grid = dt * np.arange(int(round(30.0 / dt)) + 1)
     coeffs = compute_coefficients(tabulate_kernels(pipeline.spec(0.0), grid))
@@ -163,6 +164,28 @@ def test_criterion_5_rotation_law(pipeline):
         np.max(np.abs(traj.mean_p - predicted[:, 1])),
     )
     assert dev < 1e-12, dev
+
+
+def test_both_rk4_loops_read_the_half_steps_of_the_table(pipeline):
+    # a table whose half-step rows are shifted off the nodes' average moves
+    # both routes alike: neither averages the nodes itself
+    class Shifted(CoefficientTable):
+        def half_steps(self):
+            half = super().half_steps()
+            return dataclasses.replace(half, r=half.r + 1e-3, gamma=half.gamma + 1e-3)
+
+    grid = 0.01 * np.arange(501)
+    coeffs = compute_coefficients(tabulate_kernels(pipeline.spec(0.0), grid))
+    shifted = Shifted(**vars(coeffs))
+    rho0 = oracle.to_density_matrix(qcf.CoherentState(x0=1.0, p0=0.5), 30)
+    runs = []
+    for table in (coeffs, shifted):
+        analytic = np.einsum("nij,j->ni", solve_fundamental(table), [1.0, 0.5])
+        traj = oracle.integrate(rho0, table, "unitary")
+        runs.append((analytic, np.stack([traj.mean_x, traj.mean_p], axis=1)))
+        assert np.max(np.abs(analytic - runs[-1][1])) < 1e-12
+    for plain, moved in zip(*runs):
+        assert np.max(np.abs(moved - plain)) > 1e-8
 
 
 @criterion(6, "structural invariants of every representation")

@@ -1031,6 +1031,26 @@ def test_stability_abort_shows_its_excess_and_blames_the_equation(tmp_path, caps
     assert "leave norenorm out of run.modes" in err and "grid.dt" not in err
 
 
+def test_variance_floor_abort_names_the_observable_its_time_and_the_keys(tmp_path, capsys):
+    # the analytic norenorm moments of a squeezed vacuum at alpha = 1 fall
+    # below the variance floor: the norenorm equation lost positivity
+    text = (
+        MINIMAL.replace("run.modes = full", "run.modes = norenorm")
+        .replace("reservoir.alpha = 0.0", "reservoir.alpha = 1.0")
+        .replace("grid.dt = 0.01\ngrid.t_max = 1.0", "grid.dt = 0.05\ngrid.t_max = 3")
+        + "state.kind = squeezed\nstate.r = 5e-324\n"
+    )
+    out = tmp_path / "o"
+    assert main(["run", str(write_conf(tmp_path, text + f"run.output_dir = {out}\n"))]) == 2
+    err = capsys.readouterr().err
+    found = re.search(r"variance floor violated: <X\^2> = (\S+) < <X>\^2 = (\S+) at t=2\.35,", err)
+    assert found, err
+    second, squared_mean = (float(value) for value in found.groups())
+    assert second < squared_mean - 1e-10
+    assert "reservoir.alpha, reservoir.wc, reservoir.temperature and grid.t_max move that" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("modes, imported", [("rwa", False), ("rwa,oracle", True)])
 def test_a_run_without_the_oracle_never_imports_it(tmp_path, modes, imported):
     text = MINIMAL.replace("run.modes = full", f"run.modes = {modes}")

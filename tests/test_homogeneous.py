@@ -53,8 +53,8 @@ def test_wronskian_pinned_at_omega0():
 
 
 def test_step_halving_shows_fourth_order_convergence_free_case():
-    # constant effective frequency: no coefficient-interpolation error, the
-    # ratio isolates the integrator's own order
+    # constant effective frequency: the rows of CoefficientTable.half_steps()
+    # are exact, so the ratio isolates the integrator's own order
     errs = {}
     for dt in (0.08, 0.04, 0.02):
         coeffs = make_coeffs(0.0, dt=dt, t_max=10.0)
@@ -65,9 +65,9 @@ def test_step_halving_shows_fourth_order_convergence_free_case():
 
 
 def test_step_halving_converges_on_coupled_run():
-    # with trapezoid-built tables the half-step interpolation of the
-    # coefficients limits consistency to second order; refinement must still
-    # contract at least that fast
+    # with trapezoid-built tables the linear half-step rows of
+    # CoefficientTable.half_steps() limit consistency to second order;
+    # refinement must still contract at least that fast
     sols = {}
     for dt in (0.04, 0.02, 0.01):
         coeffs = make_coeffs(0.1, dt=dt, t_max=10.0)

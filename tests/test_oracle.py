@@ -404,6 +404,22 @@ def test_blow_up_within_the_step_limit_asks_for_a_smaller_step():
         assert "oracle.dimension" not in message
 
 
+def test_remedy_tells_the_four_causes_of_an_abort():
+    # d = 12: RK4's reach on the rotation ends at h = 2 sqrt(2) / 11 = 0.257
+    rows = lambda coefficient: np.array([[1.0, coefficient, 0.0, 0.0, 0.0]])
+    assert "lower grid.dt below 0.257 before" in oracle._remedy(12, 0.3, "rwa", rows(0.1))
+    assert oracle._remedy(12, 0.01, "rwa") == "increase oracle.dimension beyond 12"
+    # a blow-up at coefficient * (d - 1) * h = 0.55: the step cannot have done it
+    assert oracle._remedy(12, 0.01, "rwa", rows(5.0)) == (
+        "the step h=0.01 lies inside RK4's limits at d=12 and coefficients up to 5, "
+        "so the rwa equation itself lost positivity; reservoir.alpha, reservoir.wc, "
+        "reservoir.temperature and grid.t_max move that, or leave rwa out of run.modes"
+    )
+    # at 1.1 it can
+    blown = oracle._remedy(12, 0.01, "rwa", rows(10.0))
+    assert "coefficients reach 10, too large for h=0.01; lower grid.dt" in blown
+
+
 def leakage_error(rho0, coeffs, modes) -> LeakageError:
     with pytest.raises(LeakageError) as caught:
         integrate_all(rho0, coeffs, modes)

@@ -220,7 +220,7 @@ def test_fock_moments_match_number_expectation(bundles):
 
 
 def test_variance_floor_guard():
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match=r"<X\^2> = 3\.9 < <X>\^2 = 4\.0 at t=0,"):
         qcf.ObservableSeries(
             grid=np.array([0.0]),
             mean_x=np.array([2.0]),
@@ -228,6 +228,16 @@ def test_variance_floor_guard():
             xx=np.array([3.9]),
             pp=np.array([0.5]),
             xp_sym=np.array([0.0]),
+        )
+    # the first t that fails is named, whichever observable fails there
+    with pytest.raises(NumericalError, match=r"<P\^2> = 0\.5 < <P>\^2 = 1\.0 at t=0\.5,"):
+        qcf.ObservableSeries(
+            grid=np.array([0.0, 0.5, 1.0]),
+            mean_x=np.array([0.0, 0.0, 2.0]),
+            mean_p=np.array([0.0, 1.0, 0.0]),
+            xx=np.array([0.5, 0.5, 0.5]),
+            pp=np.array([0.5, 0.5, 0.5]),
+            xp_sym=np.zeros(3),
         )
 
 
