@@ -74,10 +74,8 @@ class RunConfig:
     modes: tuple
     output_dir: str
     leakage_threshold: float
-    wigner_enabled: bool
-    wigner_times: tuple
-    wigner_extent: float
-    wigner_points: int
+    wigner_nodes: tuple  # the grid node of each map, () without maps
+    wigner_axis: np.ndarray  # the q and the p nodes of every map
 
 
 # a run with every mode peaks at about 0.7 KiB per grid node, 0.7 GiB at the bound
@@ -266,11 +264,13 @@ def parse_config(path) -> RunConfig:
             )
     # a map peaks at about 28 * points^2 bytes while it is transformed (28 MiB at 1024,
     # traced) and is held as 8 * points^2; its CSV table adds 16 * points^2
-    wigner_points = _bounded(seen, "wigner.points", 64, lambda v: 8 <= v <= 1024, ">= 8, <= 1024")
-    wigner_extent = _bounded(seen, "wigner.extent", 6.0, lambda v: v > 0, "> 0")
-    wigner_enabled = _typed(seen, "wigner.enabled", False)
-    if wigner_enabled:
+    points = _bounded(seen, "wigner.points", 64, lambda v: 8 <= v <= 1024, ">= 8, <= 1024")
+    extent = _bounded(seen, "wigner.extent", 6.0, lambda v: v > 0, "> 0")
+    wigner_nodes = ()
+    if _typed(seen, "wigner.enabled", False):
         _owned(seen, ("state.chi_csv", "wigner.enabled"), qcf.check_wigner_reach, state)
+        # times that snap to one node give one map, in first-seen order
+        wigner_nodes = tuple(dict.fromkeys(int(np.argmin(np.abs(grid - t))) for t in wigner_times or (0.0,)))
 
     return RunConfig(
         kernels=kernels,
@@ -279,10 +279,8 @@ def parse_config(path) -> RunConfig:
         modes=modes,
         output_dir=_typed(seen, "run.output_dir", "out"),
         leakage_threshold=leakage,
-        wigner_enabled=wigner_enabled,
-        wigner_times=wigner_times or (0.0,),
-        wigner_extent=wigner_extent,
-        wigner_points=wigner_points,
+        wigner_nodes=wigner_nodes,
+        wigner_axis=np.linspace(-extent, extent, points),
     )
 
 

@@ -70,8 +70,8 @@ class ChiMoments:
         c = np.asarray(self.c, dtype=float).reshape(2, 2)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
-            raise ValidationError("chi moments must be finite")
+        if not all(np.all(np.isfinite(v)) for v in (b, c, *_moment_columns(b, c))):
+            raise ValidationError("chi moments must be finite, and so must <X^2>, <P^2> and <XP+PX>")
         if abs(c[0, 1] - c[1, 0]) > 1e-12:
             raise ValidationError("chi quadratic form must be symmetric")
 
@@ -340,13 +340,13 @@ class ObservableSeries:
         with np.errstate(over="ignore"):
             object.__setattr__(self, "energy", 0.5 * (self.xx + self.pp))
         # inf < inf is False, so a non-finite column would slip past the floor
-        for name in OBSERVABLES:
-            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
-            if bad.size:
-                raise NumericalError(
-                    f"moment column {name} is not finite at t={self.grid[bad[0]]:g}: the "
-                    "moments overflow double precision"
-                )
+        finite = np.stack([np.isfinite(getattr(self, name)) for name in OBSERVABLES], axis=1)
+        if not finite.all():
+            i, j = divmod(int(np.argmin(finite)), len(OBSERVABLES))  # the first t, then column
+            raise NumericalError(
+                f"moment column {OBSERVABLES[j]} is not finite at t={self.grid[i]:g}: the "
+                "moments overflow double precision"
+            )
         below = np.stack([self.xx < self.mean_x**2 - 1e-10, self.pp < self.mean_p**2 - 1e-10], axis=1)
         if below.any():
             i, j = divmod(int(np.argmax(below)), 2)  # the first t, <X^2> before <P^2>
@@ -362,9 +362,9 @@ class ObservableSeries:
 def _moment_columns(b, c):
     """(<X>, <P>, <X^2>, <P^2>, <XP+PX>) from chi-form b (..., 2) and C (..., 2, 2).
 
-    An overflow gives inf, which ``ObservableSeries`` reports by column name.
+    An overflow gives inf, or nan where two cancel; ``ObservableSeries`` names the column.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return (
             b[..., 1],
             -b[..., 0],
@@ -450,8 +450,8 @@ def check_wigner_reach(state) -> None:
             )
 
 
-def wigner(bundle: PropagatorBundle, state, t_index: int, q_grid, p_grid):
-    """Wigner function on the given phase-space grid.
+def wigner(bundle: PropagatorBundle, state, t_index: int, axis):
+    """Wigner function on the square phase-space grid ``axis`` x ``axis``, indexed (q, p).
 
     Symplectic Fourier transform of chi_t,
     W(u) = (2 pi)^{-2} Int chi_t(z) exp(-i u.J.z) d^2 z, discretized by a
@@ -467,14 +467,13 @@ def wigner(bundle: PropagatorBundle, state, t_index: int, q_grid, p_grid):
     into the map.
     """
     check_wigner_reach(state)
-    q_grid = np.asarray(q_grid, dtype=float)
-    p_grid = np.asarray(p_grid, dtype=float)
-    if q_grid.ndim != 1 or p_grid.ndim != 1:
-        raise ValidationError("phase-space grids must be 1-d")
+    axis = np.asarray(axis, dtype=float)
+    if axis.ndim != 1:
+        raise ValidationError("the phase-space axis must be 1-d")
 
     t = _node_index(bundle, t_index)
     b_t, c_t = evolve_moments(bundle, state.initial_moments, slice(t, t + 1))
-    reach = max(np.max(np.abs(q_grid - b_t[0, 1])), np.max(np.abs(p_grid + b_t[0, 0])))
+    reach = max(np.max(np.abs(axis - b_t[0, 1])), np.max(np.abs(axis + b_t[0, 0])))
     reach += 8.0 * np.sqrt(np.linalg.eigvalsh(c_t[0])[-1])
     for ext in _Z_EXTENTS:
         z = np.linspace(-ext, ext, _Z_POINTS)
@@ -500,7 +499,7 @@ def wigner(bundle: PropagatorBundle, state, t_index: int, q_grid, p_grid):
             f"|z| = {_Z_EXTENTS[-1]:g}, the widest Wigner integration grid: {_NARROW_REMEDY}"
         )
 
-    field = _transform(bundle, state, t_index, z, q_grid, p_grid)  # (p, q)
+    field = _transform(bundle, state, t_index, z, axis)  # (p, q)
     max_imag = max(field.imag.max(), -field.imag.min())
     if not max_imag <= 1e-8:  # a NaN anywhere gives NaN, which trips it too
         raise NumericalError(f"Wigner transform has imaginary residue {max_imag:.2e}")
@@ -508,7 +507,7 @@ def wigner(bundle: PropagatorBundle, state, t_index: int, q_grid, p_grid):
     return np.ascontiguousarray(field.real.T)
 
 
-def _transform(bundle: PropagatorBundle, state, t_index: int, z, q_grid, p_grid):
+def _transform(bundle: PropagatorBundle, state, t_index: int, z, axis):
     """The complex (p, q) transform of chi_t on the square z-grid, a block of z-rows at a time.
 
     W[q, p_out] = (2pi)^-2 sum_{x,pz} chi(x,pz) e^{-i p_out x} e^{+i q pz} w_x w_pz,
@@ -517,13 +516,12 @@ def _transform(bundle: PropagatorBundle, state, t_index: int, z, q_grid, p_grid)
     h = z[1] - z[0]
     w = np.full(_Z_POINTS, h)
     w[0] = w[-1] = 0.5 * h
-    phase_q = np.exp(1j * np.outer(z, q_grid)) * w[:, None]  # (pz, q)
-    phase_p = np.exp(-1j * np.outer(p_grid, z)) * w[None, :]  # (p, x)
-    inner = np.empty((_Z_POINTS, len(q_grid)), dtype=complex)  # (x, q)
+    phase = np.exp(1j * np.outer(z, axis)) * w[:, None]  # (pz, q); conjugate transpose (p, x)
+    inner = np.empty((_Z_POINTS, len(axis)), dtype=complex)  # (x, q)
     for start in range(0, _Z_POINTS, _Z_BLOCK_ROWS):
         block = slice(start, start + _Z_BLOCK_ROWS)
         chi_rows = evolve_chi(bundle, state, t_index, z[block, None], z[None, :])
-        np.matmul(chi_rows, phase_q, out=inner[block])
-    field = phase_p @ inner
+        np.matmul(chi_rows, phase, out=inner[block])
+    field = phase.conj().T @ inner
     field /= (2.0 * np.pi) ** 2
     return field

@@ -60,17 +60,18 @@ def run(config: RunConfig) -> RunResult:
     grid = config.kernels.grid
     coeffs = compute_coefficients(config.kernels)
     analytic_modes = [m for m in config.modes if m != "oracle"]
-    oracle_modes = analytic_modes if analytic_modes else ["full"]
+    # the analytic modes, or "full" in an oracle-only run: the oracle steps each, the maps read the first
+    stepped = analytic_modes or ["full"]
+    oracle_modes = stepped if "oracle" in config.modes else []
     bundles = {}
-    wigner_maps = {}
-    if config.wigner_enabled:
-        # from the first analytic mode's bundle, "full" for an oracle-only run
-        mode = oracle_modes[0]
-        bundle = bundles[mode] = build_propagator(coeffs, mode)
-        axis = np.linspace(-config.wigner_extent, config.wigner_extent, config.wigner_points)
-        # times that snap to one node give one map, in first-seen order
-        for index in dict.fromkeys(int(np.argmin(np.abs(grid - t))) for t in config.wigner_times):
-            wigner_maps[index] = qcf.wigner(bundle, config.state, index, axis, axis)
+    wigner_tables = {}
+    if config.wigner_nodes:
+        bundle = bundles[stepped[0]] = _named(stepped[0], build_propagator, coeffs, stepped[0])
+        axis = config.wigner_axis
+        q, p = np.repeat(axis, len(axis)), np.tile(axis, len(axis))
+        for index in config.wigner_nodes:
+            w = qcf.wigner(bundle, config.state, index, axis).reshape(-1)
+            wigner_tables[f"wigner_t{index}.csv"] = {"q": q, "p": p, "w": w}
 
     result = RunResult()
     # every artifact by file name, in the order printed: a table {column: values},
@@ -113,11 +114,11 @@ def run(config: RunConfig) -> RunResult:
         """Every analytic mode: its bundle, moments and tables."""
         for mode in analytic_modes:
             if mode not in bundles:
-                bundles[mode] = build_propagator(coeffs, mode)
+                bundles[mode] = _named(mode, build_propagator, coeffs, mode)
             bundle = bundles[mode]
             min_eig = float(np.min(np.linalg.eigvalsh(bundle.w_bar)))
             report_lines.append(f"w_bar_min_eigenvalue[{mode}] {min_eig:.17g}")
-            series = qcf.observable_series(bundle, config.state)
+            series = _named(mode, qcf.observable_series, bundle, config.state)
             analytic_series[mode] = series
             emit_mode("observables", mode, analytic_modes[0], observables_table(series))
             r, w = bundle.rotations, bundle.w_bar
@@ -132,7 +133,7 @@ def run(config: RunConfig) -> RunResult:
                     "sr": -r[:, 1, 0], "cr": r[:, 1, 1], "det": rotation_det(r),
                 }
 
-    if "oracle" in config.modes:
+    if oracle_modes:
         from qbm.oracle import integrate
 
         # the analytic phase runs while forked children step the oracle modes
@@ -166,14 +167,18 @@ def run(config: RunConfig) -> RunResult:
     else:
         analytic_phase()
 
-    if wigner_maps:
-        q, p = np.repeat(axis, len(axis)), np.tile(axis, len(axis))
-        for index, field_vals in wigner_maps.items():
-            artifacts[f"wigner_t{index}.csv"] = {"q": q, "p": p, "w": field_vals.reshape(-1)}
-
+    artifacts.update(wigner_tables)
     artifacts["run_report.txt"] = report_lines
     result.files = _write(config.output_dir, artifacts)
     return result
+
+
+def _named(mode, call, *args):
+    """``call(*args)``; a ``NumericalError`` it raises, of the same type, names the analytic ``mode``."""
+    try:
+        return call(*args)
+    except NumericalError as exc:
+        raise type(exc)(f"analytic mode {mode!r}: {exc}") from exc
 
 
 def _write(outdir, artifacts: dict) -> list:

@@ -206,17 +206,16 @@ def chi_from_rho(rho: np.ndarray, z) -> complex:
 # Wigner transform on the full z-grid
 
 
-def wigner_full_grid(bundle, state, t_index: int, q_grid, p_grid):
+def wigner_full_grid(bundle, state, t_index: int, axis):
     """``qcf.wigner``, evaluating chi_t on the whole z-grid of each half-width tried."""
     qcf.check_wigner_reach(state)
-    q_grid = np.asarray(q_grid, dtype=float)
-    p_grid = np.asarray(p_grid, dtype=float)
-    if q_grid.ndim != 1 or p_grid.ndim != 1:
-        raise ValidationError("phase-space grids must be 1-d")
+    axis = np.asarray(axis, dtype=float)
+    if axis.ndim != 1:
+        raise ValidationError("the phase-space axis must be 1-d")
 
     t = qcf._node_index(bundle, t_index)
     b_t, c_t = qcf.evolve_moments(bundle, state.initial_moments, slice(t, t + 1))
-    reach = max(np.max(np.abs(q_grid - b_t[0, 1])), np.max(np.abs(p_grid + b_t[0, 0])))
+    reach = max(np.max(np.abs(axis - b_t[0, 1])), np.max(np.abs(axis + b_t[0, 0])))
     reach += 8.0 * np.sqrt(np.linalg.eigvalsh(c_t[0])[-1])
     for ext in qcf._Z_EXTENTS:
         z = np.linspace(-ext, ext, qcf._Z_POINTS)
@@ -250,8 +249,8 @@ def wigner_full_grid(bundle, state, t_index: int, q_grid, p_grid):
     w[0] = w[-1] = 0.5 * h
 
     # W[q, p_out] = (2pi)^-2 sum_{x,pz} chi(x,pz) e^{-i p_out x} e^{+i q pz} w_x w_pz
-    phase_q = np.exp(1j * np.outer(z, q_grid)) * w[:, None]  # (pz, q)
-    phase_p = np.exp(-1j * np.outer(p_grid, z)) * w[None, :]  # (p, x)
+    phase_q = np.exp(1j * np.outer(z, axis)) * w[:, None]  # (pz, q)
+    phase_p = np.exp(-1j * np.outer(axis, z)) * w[None, :]  # (p, x)
     field = (phase_p @ (chi_vals @ phase_q)).T / (2.0 * np.pi) ** 2  # (q, p)
     max_imag = np.max(np.abs(field.imag))
     if not max_imag <= 1e-8:  # NaN trips it too

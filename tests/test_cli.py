@@ -58,6 +58,7 @@ def test_minimal_config_fills_defaults(tmp_path):
     assert cfg.rho0 is None
     assert cfg.modes == ("full",)
     assert cfg.output_dir == "out"
+    assert cfg.wigner_nodes == ()
 
 
 @pytest.mark.parametrize("kind", ["coherent", "thermal", "squeezed", "fock"])
@@ -280,6 +281,9 @@ LINE_ERRORS |= {
     "state.n overflow": (
         None, ["state.kind = fock", "state.n = 1" + "0" * 310], 8, f"state.n: {_MOMENTS}"
     ),
+    # b = (-p0, x0) is finite, <X^2> = x0^2 + 1/2 and <P^2> = p0^2 + 1/2 are not
+    "state.x0 overflow": (None, ["state.x0 = 1e200"], 7, f"state.x0: {_MOMENTS}"),
+    "state.p0 overflow": (None, ["state.p0 = 1e300"], 7, f"state.p0: {_MOMENTS}"),
 }
 
 
@@ -325,7 +329,12 @@ def test_wigner_times_outside_grid_rejected(tmp_path):
         with pytest.raises(ValidationError, match=f"line 7: wigner.times {value}"):
             parse_config(write_conf(tmp_path, bad))
     cfg = parse_config(write_conf(tmp_path, MINIMAL + "wigner.times = 0, 1.0\n"))
-    assert cfg.wigner_times == (0.0, 1.0)
+    assert cfg.wigner_nodes == ()
+    # each time snaps to its nearest node, and a node repeated gives one map
+    text = MINIMAL + "wigner.enabled = true\nwigner.times = 1.0, 0, 0.996\nwigner.extent = 4\n"
+    cfg = parse_config(write_conf(tmp_path, text))
+    assert cfg.wigner_nodes == (100, 0)
+    assert np.array_equal(cfg.wigner_axis, np.linspace(-4.0, 4.0, 64))
 
 
 FLOAT_KEYS = [key for key, caster in _KEY_TYPES.items() if caster is float]
@@ -453,7 +462,7 @@ def test_tabulated_chi_narrower_than_wigner_grid_rejected_before_any_file(tmp_pa
     assert not out.exists()
     # the same table runs without the Wigner maps
     cfg = parse_config(write_conf(tmp_path, text.replace("= true", "= false"), "ok.conf"))
-    assert not cfg.wigner_enabled
+    assert cfg.wigner_nodes == ()
 
 
 def test_tabulated_chi_decayed_at_its_boundary_runs_every_wigner_grid(tmp_path):
@@ -894,16 +903,24 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("key, value", [("x0", 1e11), ("x0", 1e140), ("x0", 1e155), ("p0", 1e160)])
 def test_huge_coherent_amplitude_leaks_without_overflow(tmp_path, capsys, key, value):
-    # |alpha|^n, and past 1e154 |alpha|^2 itself, overflows double precision
-    message = "leaks its whole population out of the d=30 Fock basis"
-    with pytest.raises(LeakageError, match=message):
-        oracle.to_density_matrix(qcf.CoherentState(**{key: value}), 30)
+    # |alpha|^n overflows double precision; past 1e154 |alpha|^2 does too, and
+    # with it <X^2> or <P^2>, so the state is refused when it is built
     out = tmp_path / "o"
     text = MINIMAL.replace("run.modes = full", "run.modes = rwa,oracle")
     conf = write_conf(tmp_path, text + f"state.{key} = {value!r}\nrun.output_dir = {out}\n")
-    assert main(["run", str(conf)]) == 2
-    err = capsys.readouterr().err
-    assert message in err and "cannot be represented" in err
+    if value > 1e154:
+        message = f"line 7: state.{key}: chi moments must be finite"
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            parse_config(conf)
+        assert main(["run", str(conf)]) == 1
+        assert capsys.readouterr().err.startswith(f"qbm: error: {message}")
+    else:
+        message = "leaks its whole population out of the d=30 Fock basis"
+        with pytest.raises(LeakageError, match=message):
+            oracle.to_density_matrix(qcf.CoherentState(**{key: value}), 30)
+        assert main(["run", str(conf)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "cannot be represented" in err
     assert not out.exists()
 
 
@@ -918,15 +935,28 @@ def test_leaky_initial_state_at_the_default_dimension_writes_no_file(tmp_path, c
     assert not out.exists()
 
 
+# <P^2> = p0^2 + 1/2 is finite at t = 0, but the full mode's frequency is
+# below 1, so its orbit carries <X^2> + <P^2> past double precision at
+# t = 0.64, and <X^2> alone at t = 1.3
+MOMENT_OVERFLOW = (
+    MINIMAL.replace("reservoir.alpha = 0.0", "reservoir.alpha = 0.2")
+    .replace("grid.t_max = 1.0", "grid.t_max = 2.0")
+    + "state.p0 = 1.3e154\n"
+)
+
+
 @pytest.mark.filterwarnings("error")
 def test_non_finite_analytic_moments_exit_with_numerical_code(tmp_path, capsys):
-    # <X^2> = x0^2 + 1/2 overflows to inf, which the variance floor's
-    # comparisons never flag; the overflow itself must warn nothing
+    # the overflow gives inf, which the variance floor's comparisons never
+    # flag; it must warn nothing, and the error names the mode and the first t
     out = tmp_path / "o"
-    conf = write_conf(tmp_path, MINIMAL + f"state.x0 = 1e200\nrun.output_dir = {out}\n")
+    conf = write_conf(tmp_path, MOMENT_OVERFLOW + f"run.output_dir = {out}\n")
     assert main(["run", str(conf)]) == 2
-    assert "moment column xx is not finite" in capsys.readouterr().err
-    assert not (out / "observables_full.csv").exists()
+    assert capsys.readouterr().err == (
+        "qbm: error: analytic mode 'full': moment column energy is not finite at t=0.64: "
+        "the moments overflow double precision\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("alpha", ["0.1", "0.0"])
@@ -957,14 +987,20 @@ def test_step_abort_prints_the_frequency_and_the_limit_in_full(tmp_path, capsys)
         + "reservoir.wc = 1e-3\nreservoir.temperature = 1e-6\nstate.kind = fock\nstate.n = 2\n"
     )
     out = tmp_path / "o"
-    assert main(["run", str(write_conf(tmp_path, text + f"run.output_dir = {out}\n"))]) == 2
-    err = capsys.readouterr().err
-    message = r"step (\S+) too large for effective frequency (\S+); need grid\.dt <= (\S+)\n"
-    found = re.search(message, err)
-    assert found, err
-    step, frequency, limit = (float(value) for value in found.groups())
-    assert step == 0.5 and frequency > 1.0 and limit < step
-    assert not out.exists()
+    # an oracle-only run meets it first in the full-mode bundle that its maps read
+    maps = text.replace("run.modes = full", "run.modes = oracle") + "wigner.enabled = true\n"
+    for config in (text, maps):
+        assert main(["run", str(write_conf(tmp_path, config + f"run.output_dir = {out}\n"))]) == 2
+        err = capsys.readouterr().err
+        message = (
+            r"^qbm: error: analytic mode 'full': "
+            r"step (\S+) too large for effective frequency (\S+); need grid\.dt <= (\S+)\n"
+        )
+        found = re.search(message, err)
+        assert found, err
+        step, frequency, limit = (float(value) for value in found.groups())
+        assert step == 0.5 and frequency > 1.0 and limit < step
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("temperature", ["1e20", "1e4"])
@@ -1006,7 +1042,7 @@ NORENORM_NOT_POSITIVE = (
             "truncation leakage",
         ),
         (NORENORM_NOT_POSITIVE, "no longer a density matrix"),
-        (MINIMAL + "state.x0 = 1e200\n", "moment column xx is not finite"),
+        (MOMENT_OVERFLOW, "moment column energy is not finite"),
     ],
     ids=["oracle_leakage", "oracle_stability", "non_finite_moment"],
 )
@@ -1043,7 +1079,11 @@ def test_variance_floor_abort_names_the_observable_its_time_and_the_keys(tmp_pat
     out = tmp_path / "o"
     assert main(["run", str(write_conf(tmp_path, text + f"run.output_dir = {out}\n"))]) == 2
     err = capsys.readouterr().err
-    found = re.search(r"variance floor violated: <X\^2> = (\S+) < <X>\^2 = (\S+) at t=2\.35,", err)
+    found = re.search(
+        r"analytic mode 'norenorm': variance floor violated: "
+        r"<X\^2> = (\S+) < <X>\^2 = (\S+) at t=2\.35,",
+        err,
+    )
     assert found, err
     second, squared_mean = (float(value) for value in found.groups())
     assert second < squared_mean - 1e-10

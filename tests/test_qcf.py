@@ -239,6 +239,23 @@ def test_variance_floor_guard():
             pp=np.array([0.5, 0.5, 0.5]),
             xp_sym=np.zeros(3),
         )
+    # so is the first t at which a column is not finite, whichever column
+    with pytest.raises(NumericalError, match=r"^moment column pp is not finite at t=0\.5:"):
+        qcf.ObservableSeries(
+            grid=np.array([0.0, 0.5, 1.0]),
+            mean_x=np.zeros(3),
+            mean_p=np.zeros(3),
+            xx=np.array([0.5, 0.5, np.inf]),
+            pp=np.array([0.5, np.nan, 0.5]),
+            xp_sym=np.zeros(3),
+        )
+
+
+def test_chi_moments_reject_second_moments_that_overflow():
+    # b and C are finite, but <X^2> = C_pp + b_p^2, or <XP+PX> = -2 C_xp - 2 b_x b_p alone, is not
+    for b in ([0.0, 1e200], [1e154, 1e154]):
+        with pytest.raises(ValidationError, match="chi moments must be finite"):
+            qcf.ChiMoments(b=np.array(b), c=0.5 * np.eye(2))
 
 
 def test_imaginary_residue_guard():
@@ -377,7 +394,7 @@ def test_wigner_refuses_a_chi_table_narrower_than_its_z_grid(free_bundle):
     with pytest.raises(ValidationError, match=message):
         qcf.check_wigner_reach(tab)
     with pytest.raises(ValidationError, match=message):
-        qcf.wigner(free_bundle, tab, 0, axis, axis)
+        qcf.wigner(free_bundle, tab, 0, axis)
     qcf.check_wigner_reach(make_tabulated_coherent(extent=12.0)[0])  # decayed: chi = 0 outside
     # a strongly squeezed chi has not decayed at 11.4, just past 8 sqrt 2
     nodes = np.linspace(-11.4, 11.4, 115)
@@ -496,7 +513,7 @@ def test_tabulated_chi_moments_near_reference(bundles):
 
 def test_wigner_vacuum_peak_and_normalization(free_bundle):
     axis = np.linspace(-6.0, 6.0, 121)
-    w = qcf.wigner(free_bundle, qcf.CoherentState(), 0, axis, axis)
+    w = qcf.wigner(free_bundle, qcf.CoherentState(), 0, axis)
     assert w.max() == pytest.approx(1.0 / np.pi, rel=1e-10)
     step = axis[1] - axis[0]
     assert w.sum() * step * step == pytest.approx(1.0, abs=1e-4)
@@ -504,22 +521,21 @@ def test_wigner_vacuum_peak_and_normalization(free_bundle):
 
 def test_wigner_thermal_positive_with_expected_peak(free_bundle):
     axis = np.linspace(-8.0, 8.0, 101)
-    w = qcf.wigner(free_bundle, qcf.ThermalState(1.0), 0, axis, axis)
+    w = qcf.wigner(free_bundle, qcf.ThermalState(1.0), 0, axis)
     assert w.min() > -1e-15
     assert w.max() == pytest.approx(1.0 / (3.0 * np.pi), rel=1e-10)
 
 
 def test_wigner_fock1_negative_at_origin(free_bundle):
     axis = np.linspace(-1.0, 1.0, 21)
-    w = qcf.wigner(free_bundle, qcf.FockState(1), 0, axis, axis)
+    w = qcf.wigner(free_bundle, qcf.FockState(1), 0, axis)
     assert w[10, 10] == pytest.approx(-1.0 / np.pi, rel=1e-8)
 
 
 def test_wigner_domain_guard(free_bundle):
     # position variance e^{-4}/2: chi_0 is still ~1e-8 at |z| = 64 along p
     with pytest.raises(DomainTooSmallError, match="state.r|wigner.times"):
-        qcf.wigner(free_bundle, qcf.SqueezedVacuum(2.0), 0, np.linspace(-2, 2, 11),
-                   np.linspace(-2, 2, 11))
+        qcf.wigner(free_bundle, qcf.SqueezedVacuum(2.0), 0, np.linspace(-2, 2, 11))
 
 
 def test_wigner_refuses_an_aliased_map_before_it_evaluates_chi(free_bundle, monkeypatch):
@@ -531,7 +547,7 @@ def test_wigner_refuses_an_aliased_map_before_it_evaluates_chi(free_bundle, monk
     monkeypatch.setattr(qcf, "evolve_chi", evaluated)
     axis = np.linspace(-6.0, 6.0, 8)
     with pytest.raises(DomainTooSmallError, match="would alias: lower wigner.extent"):
-        qcf.wigner(free_bundle, qcf.FockState(20000), 0, axis, axis)
+        qcf.wigner(free_bundle, qcf.FockState(20000), 0, axis)
 
 
 @pytest.mark.parametrize(
@@ -543,7 +559,7 @@ def test_squeezed_wigner_is_exact_or_raises(free_bundle, r, phi):
     axis = np.linspace(-6.0, 6.0, 64)
     state = qcf.SqueezedVacuum(r, phi)
     try:
-        w = qcf.wigner(free_bundle, state, 0, axis, axis)
+        w = qcf.wigner(free_bundle, state, 0, axis)
     except DomainTooSmallError as error:
         assert (r, phi) not in ((0.5, 0.0), (1.0, 0.7), (1.2, 0.7)), error
         assert "state.r" in str(error)
@@ -566,7 +582,7 @@ def test_wigner_rejects_a_non_finite_field(free_bundle):
             return np.where(x**2 + p**2 < 1.0, np.nan, qcf.CoherentState().chi0(x, p))
 
     with pytest.raises(NumericalError, match="imaginary residue nan"):
-        qcf.wigner(free_bundle, Holed(), 0, np.linspace(-2, 2, 11), np.linspace(-2, 2, 11))
+        qcf.wigner(free_bundle, Holed(), 0, np.linspace(-2, 2, 11))
 
 
 # --- the Wigner transform against the full-grid reference -----------------
@@ -600,9 +616,9 @@ def test_wigner_is_the_full_grid_transform_bit_for_bit(bundles, case, chi_shapes
     # z-rows at a time at the one that passes, yet the map is the reference's
     make_state, t_index, tried = WIGNER_CASES[case]
     state, axis = make_state(), np.linspace(-6.0, 6.0, 64)
-    expected = wigner_full_grid(bundles["full"], state, t_index, axis, axis)
+    expected = wigner_full_grid(bundles["full"], state, t_index, axis)
     chi_shapes.clear()
-    assert np.array_equal(qcf.wigner(bundles["full"], state, t_index, axis, axis), expected)
+    assert np.array_equal(qcf.wigner(bundles["full"], state, t_index, axis), expected)
     side, rows = qcf._Z_POINTS, qcf._Z_BLOCK_ROWS
     assert chi_shapes == [(2, side), (side, 2)] * tried + [(rows, side)] * (side // rows)
 
@@ -618,7 +634,7 @@ def test_wigner_evaluates_only_the_edges_of_a_half_width_that_fails(free_bundle,
 
     axis = np.linspace(-2.0, 2.0, 11)
     with pytest.raises(DomainTooSmallError, match=r"has not decayed below 1e-12 at \|z\| = 64"):
-        qcf.wigner(free_bundle, Flat(), 0, axis, axis)
+        qcf.wigner(free_bundle, Flat(), 0, axis)
     edges = [(2, qcf._Z_POINTS), (qcf._Z_POINTS, 2)]
     assert chi_shapes == edges * len(qcf._Z_EXTENTS)
 
@@ -631,7 +647,7 @@ def test_wigner_of_a_chi_table_that_ends_undecayed_raises_outside_its_grid(free_
     wide, axis = qcf.TabulatedChi(nodes, nodes, chi), np.linspace(-2.0, 2.0, 11)
     for route in (wigner_full_grid, qcf.wigner):
         with pytest.raises(ValidationError, match="evaluated outside its grid"):
-            route(free_bundle, wide, 0, axis, axis)
+            route(free_bundle, wide, 0, axis)
 
 
 def test_a_wigner_map_allocates_far_less_than_its_z_grid(bundles):
@@ -640,7 +656,7 @@ def test_a_wigner_map_allocates_far_less_than_its_z_grid(bundles):
     axis = np.linspace(-6.0, 6.0, 64)
     tracemalloc.start()
     try:
-        qcf.wigner(bundles["full"], qcf.FockState(2), 0, axis, axis)
+        qcf.wigner(bundles["full"], qcf.FockState(2), 0, axis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
