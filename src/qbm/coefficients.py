@@ -9,9 +9,11 @@ oscillator frequency, which is the unit of frequency (w0 = 1):
     gamma(t)     = Int_0^t mu(tau) sin(tau) dtau      (damping rate)
     big_gamma(t) = 2 Int_0^t gamma(t1) dt1               (damping exponent)
 
-Composite trapezoid on the stored grid keeps every t = 0 entry exactly zero
-and matches the piecewise-linear interpolation of ``CoefficientTable.half_steps``,
-which both time integrators downstream read between nodes.
+Composite trapezoid on the stored grid keeps every t = 0 entry exactly zero.
+Both time integrators downstream step 2 dt on the table's own nodes, the
+node between a step's ends as its midpoint; only the last step of an odd
+interval count reads ``CoefficientTable.half_steps``, the piecewise-linear
+interpolation that matches the trapezoid rule.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import numpy as np
 from qbm.errors import ValidationError
 from qbm.kernels import KernelTable
 
-# refuse grids coarser than 0.5 radians per step: R(t)'s RK4 needs w dt <= 0.5, and w(0) = 1
+# refuse grids coarser than 0.5 radians per step, w(0) = 1: the trapezoid rules of the
+# coefficients and of W then sample each oscillation at least 12 times
 MAX_STEP_RADIANS = 0.5
 
 
@@ -43,7 +46,7 @@ class CoefficientTable:
                 raise ValidationError(f"coefficient column {name} does not match grid length")
 
     def half_steps(self) -> CoefficientTable:
-        """The table at the n - 1 half-step times, the one rule both RK4 loops read there:
+        """The table at the n - 1 half-step times, the one rule both integrators read there:
         every column, ``grid`` included, is 0.5 * (c[:-1] + c[1:]) of its two nodes.
         """
         return CoefficientTable(**{k: 0.5 * (c[:-1] + c[1:]) for k, c in vars(self).items()})

@@ -201,6 +201,7 @@ def parse_config(path) -> RunConfig:
     for key in _REQUIRED:
         if key not in seen:
             raise ValidationError(f"missing required key {key!r}")
+    output_dir = _bounded(seen, "run.output_dir", "out", bool, "a directory name, not empty")
 
     base_dir = os.path.dirname(os.path.abspath(path))
     for key in _PATH_KEYS:
@@ -277,7 +278,7 @@ def parse_config(path) -> RunConfig:
         state=state,
         rho0=rho0,
         modes=modes,
-        output_dir=_typed(seen, "run.output_dir", "out"),
+        output_dir=output_dir,
         leakage_threshold=leakage,
         wigner_nodes=wigner_nodes,
         wigner_axis=np.linspace(-extent, extent, points),

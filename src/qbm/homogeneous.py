@@ -10,10 +10,16 @@ fundamental matrix of that system: R' = B R, R(0) = I.  tr B = 0, so
 det R(t) = 1 (Liouville).  In the paper's notation R = [[c, s], [-s_r, c_r]].
 
 B's eigenvalues are +-i sqrt(det B), det B = 1 - r - gamma^2: the solver
-supports the weak, under-damped regime det B > 0.  The integrator is
-classical RK4 with B built at half-steps from ``CoefficientTable.half_steps``,
-the table the Fock-space oracle reads there too.  On a linear system each RK4
-step is a matrix M_i, built for the whole grid at once; R_{i+1} = M_i R_i.
+supports the weak, under-damped regime det B > 0.  B is the free rotation
+Omega = [[0, 1], [-1, 0]] plus [[gamma, 0], [r, -gamma]], and the integrator
+is the Fock-space oracle's: Lawson's integrating-factor RK4 (SIAM J. Numer.
+Anal. 4, 372 (1967)), which applies the rotation by h/2 exactly and RK4 to
+the rest.  A step of h = 2 dt goes from node i to node i + 2 and reads node
+i + 1 as its midpoint; RK4's continuous extension gives R at node i + 1.  An
+odd interval count ends with one step of dt whose midpoint is the last row of
+``CoefficientTable.half_steps``.  On a linear system each step is a pair of
+matrices, built for the whole grid at once: R_{i+1} = M_mid R_i and
+R_{i+2} = M R_i.
 """
 
 from __future__ import annotations
@@ -51,28 +57,52 @@ def solve_fundamental(coeffs: CoefficientTable) -> np.ndarray:
             f"need grid.dt <= {MAX_STEP_RADIANS / frequency!r}"
         )
 
-    def assemble_b(table: CoefficientTable) -> np.ndarray:
-        b = np.empty((len(table.grid), 2, 2))
+    def rest(table: CoefficientTable) -> np.ndarray:
+        """B minus the free rotation at each row of ``table``."""
+        b = np.zeros((len(table.grid), 2, 2))
         b[:, 0, 0] = table.gamma
-        b[:, 0, 1] = 1.0
-        b[:, 1, 0] = table.r - 1.0
+        b[:, 1, 0] = table.r
         b[:, 1, 1] = -table.gamma
         return b
 
-    b, b_mid = assemble_b(coeffs), assemble_b(coeffs.half_steps())
-    h = steps[:, None, None]
-    eye = np.eye(2)
-    k1 = b[:-1]
-    k2 = b_mid @ (eye + 0.5 * h * k1)
-    k3 = b_mid @ (eye + 0.5 * h * k2)
-    k4 = b[1:] @ (eye + h * k3)
-    step = eye + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
+    b = rest(coeffs)
+    last = 2 * ((len(grid) - 1) // 2)  # the last node a step of 2 dt reaches
+    starts, ends = slice(0, last, 2), slice(2, last + 1, 2)
+    mid, end = _lawson_step(grid[ends] - grid[starts], b[starts], b[1:last:2], b[ends])
     rot = np.empty_like(b)
-    rot[0] = eye
-    for i, m in enumerate(step):
-        np.matmul(m, rot[i], out=rot[i + 1])
+    rot[0] = np.eye(2)
+    for i, (m_mid, m_end) in enumerate(zip(mid, end)):
+        np.matmul(m_mid, rot[2 * i], out=rot[2 * i + 1])
+        np.matmul(m_end, rot[2 * i], out=rot[2 * i + 2])
+    if last < len(grid) - 1:  # an odd interval count: one step of dt ends the grid
+        _, tail = _lawson_step(steps[-1:], b[-2:-1], rest(coeffs.half_steps())[-1:], b[-1:])
+        np.matmul(tail[0], rot[-2], out=rot[-1])
     return rot
+
+
+def _lawson_step(h, node, midpoint, end):
+    """Lawson's RK4 matrices (to the midpoint, to the end) of the steps h from ``node`` to ``end``.
+
+    Each argument has one entry per step; the matrices are the rest of B at
+    the step's start, midpoint and end.  E = exp(Omega h/2) is exact, and
+    with k1..k4 the stages on the identity the step is
+    E^2 + h/6 (E^2 k1 + 2 E (k2 + k3) + k4) and its midpoint, from RK4's
+    continuous extension, E + h (5/24 E k1 + 1/6 (k2 + k3) - 1/24 E^-1 k4).
+    """
+    hs = h[:, None, None]
+    cos, sin = np.cos(0.5 * h), np.sin(0.5 * h)
+    turn = np.empty_like(node)
+    turn[:, 0, 0] = turn[:, 1, 1] = cos
+    turn[:, 0, 1], turn[:, 1, 0] = sin, -sin
+    back = turn.transpose(0, 2, 1)  # E^-1 = E^T
+    k1 = node
+    k2 = midpoint @ turn @ (np.eye(2) + 0.5 * hs * k1)
+    k3 = midpoint @ (turn + 0.5 * hs * k2)
+    k4 = end @ turn @ (turn + hs * k3)
+    inner = k2 + k3
+    to_mid = turn + hs * (turn @ (5.0 / 24.0 * k1) + inner / 6.0 - back @ k4 / 24.0)
+    to_end = turn @ (turn @ (np.eye(2) + hs / 6.0 * k1) + hs / 3.0 * inner) + hs / 6.0 * k4
+    return to_mid, to_end
 
 
 def approx_rotation(grid) -> np.ndarray:

@@ -26,13 +26,20 @@ with numpy alone, on the offsets the mode moves rho by (all nine in full
 and norenorm, three in rwa, whose L keeps m - n) and on one Hermitian half
 of rho, its diagonals m - n >= 0 folded into a rectangle.  L is invariant
 under (X, P) -> (-X, -P), so it never mixes entries of even and odd m + n:
-the RK4 loop steps only the parity sectors in which rho0 has a nonzero
-entry (the Fock, thermal and squeezed states occupy the even one alone).
+the loop steps only the parity sectors in which rho0 has a nonzero entry
+(the Fock, thermal and squeezed states occupy the even one alone).
 ``generator(coeffs_at_t, d, mode)`` returns the same kernel, on every
 diagonal, as the function rho -> L(rho) on d x d matrices, and the algebra
 suite checks it, so there is one master equation.
 
-``integrate`` steps one mode through its own RK4 loop.  A mode's arithmetic
+The ``one`` weight is the free rotation -i[(X^2 + P^2)/2, rho], which is
+-i(m - n) rho_mn on every entry: X^2 + P^2 is diagonal even in the
+truncated basis.  ``integrate`` steps one mode through its own loop of
+Lawson's integrating-factor RK4 (Lawson, SIAM J. Numer. Anal. 4, 372
+(1967); Hochbruck & Ostermann, Acta Numerica 19, 209 (2010)), the step rule
+``homogeneous.solve_fundamental`` shares: the rotation is an exact phase,
+RK4 acts on the rest of L, and a step of 2 dt reads the table's node
+between its two ends as its midpoint.  A mode's arithmetic
 does not depend on the other modes, so ``qbm run`` hands one ``integrate``
 call per mode to ``qbm.workers.spread``, which steps them in parallel where
 it can, and every trajectory, and every artifact written from it, is the
@@ -67,10 +74,9 @@ INTERIOR_MARGIN = 5  # test operators / residuals live on levels 0 .. d-1-margin
 _WEYL_WINDOW_TOP = 14  # fixed window so the Weyl residual shrinks as d grows
 _WEYL_Z = (1.5, 1.5)  # phase-space point of the Weyl eigenrelation check
 _TEST_OP_SEED = 7  # the algebra suite's random test operators
-_RK4_IMAGINARY_REACH = 2.0 * math.sqrt(2.0)  # RK4 is stable on i[-r, r] of the h*lambda plane
 # |rho_mn| <= sqrt(rho_mm rho_nn) <= tr rho = 1 for every density matrix.  The
 # margin is far above rounding: an entry near 1 needs a near-pure state low
-# in the basis, whose RK4 trace error stays at rounding level
+# in the basis, whose trace error stays at rounding level
 _DENSITY_ENTRY_BOUND = 1.0 + 1e-6
 
 
@@ -102,7 +108,8 @@ def fock_operators(d: int) -> FockOperators:
     x = (a + ad) / np.sqrt(2.0)
     p = (a - ad) / (1j * np.sqrt(2.0))
     crop = np.s_[:d, :d]
-    x2, p2, xppx = (x @ x)[crop], (p @ p)[crop], (x @ p + p @ x)[crop]
+    x2, p2 = _product(x, x)[crop], _product(p, p)[crop]
+    xppx = (_product(x, p) + _product(p, x))[crop]
     a, x, p = a[crop], x[crop], p[crop]
     top = np.diag((np.arange(d) >= d - 3).astype(float))
     return FockOperators(
@@ -116,6 +123,11 @@ def fock_operators(d: int) -> FockOperators:
         h0=0.5 * (x2 + p2),
         traced=np.stack([op.T.reshape(-1) for op in (x, p, x2, p2, xppx, np.eye(d), top)], axis=1),
     )
+
+
+def _product(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u @ w without BLAS, whose threads can stall a product this small for milliseconds."""
+    return np.einsum("ik,kj->ij", u, w)
 
 
 MODES = ("full", "norenorm", "rwa", "unitary")
@@ -216,13 +228,16 @@ class _Stencil:
     the mode's ``cells``, the (u, v) box where its ``stencil_table`` at the
     stepped entries is nonzero; the stencil is built at those entries alone.
     ``weights`` holds each slot's stencil in that order for the ``live``
-    weights.  ``fill`` writes the conjugates of their mirrors into
-    the slots read in the 2 // step ghost rows (k < 0) before the stepped
-    ones and in those after (rwa reads none).  The moments are one real
-    product over the stepped entries: tr(A rho) = sum A_mm rho_mm + 2 Re A_nm rho_mn.
+    weights; without ``rotation`` the ``one`` weight, the free rotation
+    -i(m - n), is left out, and ``turns`` holds each stepped slot's m - n for
+    the phase that applies it exactly.  ``fill`` writes the conjugates of
+    their mirrors into the slots read in the 2 // step ghost rows (k < 0)
+    before the stepped ones and in those after (rwa reads none).  The
+    moments are one real product over the ``support`` of the stepped slots:
+    tr(A rho) = sum A_mm rho_mm + 2 Re A_nm rho_mn.
     """
 
-    def __init__(self, ops: FockOperators, mode: str, diagonals: range):
+    def __init__(self, ops: FockOperators, mode: str, diagonals: range, rotation: bool = True):
         d = self.d = ops.d
         reach, rows = 2 // diagonals.step, (len(diagonals) + 1) // 2
         span = diagonals[0] + diagonals[-1]
@@ -244,6 +259,9 @@ class _Stencil:
         slot_of = np.full((d, d), -1)
         slot_of[rm, rn] = slots
         table = stencil_table(ops, mode, rm, rn).reshape(len(WEIGHTS), 3, 3, self.size)
+        if not rotation:
+            table[WEIGHTS.index("one")] = 0.0
+        self.turns = (rm - rn).astype(float)
         nonzero = table != 0
         self.live = np.flatnonzero(np.any(nonzero, axis=(1, 2, 3)))
         # the (u, v) box of the offsets the mode moves rho by
@@ -263,7 +281,7 @@ class _Stencil:
         self.once = slots, rm, rn
         traced = ops.traced[rm * d + rn] * np.where(rm == rn, 1.0, 2.0)[:, None]
         support = np.any(traced != 0, axis=1)
-        self.support = slots[support]
+        self.support = np.flatnonzero(support)
         self.moment_map = np.stack([traced.real, -traced.imag], axis=1)[support].reshape(-1, 7)
 
     def buffer(self) -> np.ndarray:
@@ -306,12 +324,14 @@ class _Stencil:
         return np.add.reduce(self._products, axis=0, out=out)
 
 
-def generator(coeffs_at_t: dict, d: int, mode: str):
-    """L at one time for one mode as rho -> L(rho): the RK4 loop's kernel on every diagonal.
+def generator(coeffs_at_t: dict, d: int, mode: str, *, rotation: bool = True):
+    """L at one time for one mode as rho -> L(rho): the loop's kernel on every diagonal.
 
     L(rho) on the entries the kernel steps, the other half as L(rho^dag)^dag.
+    Without ``rotation``, L less the free rotation -i(m - n) rho_mn: what the
+    loop's RK4 stages apply.
     """
-    stencil = _Stencil(fock_operators(d), mode, range(d))
+    stencil = _Stencil(fock_operators(d), mode, range(d), rotation)
     coef = stencil.at(np.array([1.0] + [coeffs_at_t.get(k, 0.0) for k in WEIGHTS[1:]]))
     _, m, n = stencil.once
 
@@ -360,17 +380,22 @@ def integrate(
     *,
     leakage_threshold: float = LEAKAGE_THRESHOLD,
 ) -> OracleTrajectory:
-    """RK4 integration of the master equation in one mode, from ``rho0``.
+    """Lawson RK4 integration of the master equation in one mode, from ``rho0``.
 
     One Hermitian half of rho is stepped: a rho0 not Hermitian to 1e-12
     raises ValidationError.  Only the parity sectors in which rho0 has a
     nonzero entry are stepped; L keeps the other one exactly zero.  The
-    ghosts of the half are filled before each stage.  Coefficients at
-    half-steps are the rows of ``coeffs.half_steps()``.  Each node is read by one
-    real product with ``moment_map``: the moments, the trace and the
-    leakage.  Population in the top three levels beyond the threshold, at
-    t = 0 or after a step, aborts the run, naming the mode; so does a final
-    rho with an entry |rho_mn| > 1 (StabilityError).
+    ghosts of the half are filled before each stage.  The step is that of
+    ``homogeneous.solve_fundamental``: Lawson's integrating-factor RK4 of
+    h = 2 dt from node i to node i + 2, whose midpoint is node i + 1.  The
+    free rotation -i(m - n) is the phase E = exp(-i(m - n) h/2) on each
+    stepped slot, exact, and RK4 acts on the rest of L; RK4's continuous
+    extension gives rho at node i + 1.  An odd interval count ends with one
+    step of dt whose midpoint is the last row of ``coeffs.half_steps()``.
+    Each node is read by one real product with ``moment_map``: the moments,
+    the trace and the leakage.  Population in the top three levels beyond
+    the threshold, at t = 0 or at a node, aborts the run, naming the mode;
+    so does a final rho with an entry |rho_mn| > 1 (StabilityError).
     """
     rho0 = np.array(rho0, dtype=complex)
     check_initial_leakage(rho0, leakage_threshold)
@@ -381,11 +406,12 @@ def integrate(
     diagonals = range(min(occupied), d, 2) if len(occupied) == 1 else range(d)
     t = coeffs.grid
     n = len(t)
-    gen = _Stencil(fock_operators(d), mode, diagonals)
-    rows, halves = (
-        np.column_stack([np.ones(len(c.grid))] + [getattr(c, k) for k in WEIGHTS[1:]])
-        for c in (coeffs, coeffs.half_steps())
-    )
+    gen = _Stencil(fock_operators(d), mode, diagonals, rotation=False)
+
+    def table_rows(table: CoefficientTable) -> np.ndarray:
+        return np.column_stack([np.ones(len(table.grid))] + [getattr(table, k) for k in WEIGHTS[1:]])
+
+    rows = table_rows(coeffs)
     # one (1, 2k) @ (2k, 7) matmul per node: a vector-matrix product may round differently
     readout = np.empty((n, gen.moment_map.shape[1]))
 
@@ -393,48 +419,87 @@ def integrate(
     state[gen.held] = rho0[gen.entries]
     v, v_stage = state[gen.stepped], stage[gen.stepped]
     reads, stage_reads = gen.neighbours(state), gen.neighbours(stage)
-    np.matmul(state[None, gen.support].view(float), gen.moment_map, out=readout[:1])
-
+    k1, k2, k3, k4, scaled, half = (np.empty_like(v) for _ in range(6))
     node = gen.at(rows[0])
     mid, nxt = np.empty_like(node), np.empty_like(node)
-    acc, k, scaled = np.empty_like(v), np.empty_like(v), np.empty_like(v)
-    for i in range(n - 1):
-        h = t[i + 1] - t[i]
-        gen.at(halves[i], mid)
-        gen.at(rows[i + 1], nxt)
-        # rho + (h/6)(k1 + 2 k2 + 2 k3 + k4), summed in that order, on the
-        # stepped slots of rho; each stage's argument is written into the
-        # stepped slots of ``stage``, and its ghosts filled
-        ki = gen.apply(node, reads, acc)
-        for weight, step, stencil in ((2.0, 0.5 * h, mid), (2.0, 0.5 * h, mid), (1.0, h, nxt)):
-            np.add(v, np.multiply(step, ki, out=scaled), out=v_stage)
-            gen.fill(stage)
-            ki = gen.apply(stencil, stage_reads, k)
-            acc += np.multiply(weight, ki, out=scaled)
-        v += np.multiply(h / 6.0, acc, out=acc)
-        gen.fill(state)
-        node, nxt = nxt, node
+    phases = {}  # (E, E^-1) per step size h: a uniform grid has about a dozen
 
-        np.matmul(state[None, gen.support].view(float), gen.moment_map, out=readout[i + 1 : i + 2])
-        lk = readout[i + 1, -1]
+    def read(i: int, values: np.ndarray, h: float) -> None:
+        """Node i's moments, trace and leakage from the stepped ``values``; a leakage abort names the step h."""
+        np.matmul(values[None, gen.support].view(float), gen.moment_map, out=readout[i : i + 1])
+        lk = readout[i, -1]
         if not abs(lk) <= leakage_threshold:  # NaN trips it too
             # more than the whole trace in the top levels, of either sign, is
             # a blow-up, not truncation
             raise LeakageError(
                 f"oracle mode {mode!r}: truncation leakage {lk:.2e} exceeded "
-                f"{leakage_threshold:.2e} in magnitude at t={t[i + 1]:g}; "
+                f"{leakage_threshold:.2e} in magnitude at t={t[i]:g}; "
                 f"{_remedy(d, h, mode, None if abs(lk) <= 1.0 else rows)}"
             )
+
+    np.matmul(v[None, gen.support].view(float), gen.moment_map, out=readout[:1])
+    for i in range(0, n - 1, 2):
+        # one Lawson step of h = 2 dt from node i over node i + 1 to node i + 2, or,
+        # at the end of an odd interval count, of dt over the last half-step row
+        end = min(i + 2, n - 1)
+        h = t[end] - t[i]
+        gen.at(rows[i + 1] if end == i + 2 else table_rows(coeffs.half_steps())[-1], mid)
+        gen.at(rows[end], nxt)
+        if h not in phases:
+            turn = np.exp(gen.turns * (-0.5j * h))
+            phases[h] = turn, turn.conj()
+        turn, back = phases[h]
+        # each stage applies L less the rotation; its argument is written into
+        # the stepped slots of ``stage``, and its ghosts filled
+        gen.apply(node, reads, k1)
+        # E (rho + h/2 k1)
+        np.multiply(0.5 * h, k1, out=v_stage)
+        v_stage += v
+        v_stage *= turn
+        gen.fill(stage)
+        gen.apply(mid, stage_reads, k2)
+        # E rho + h/2 k2, with E rho kept in ``half``
+        np.multiply(turn, v, out=half)
+        np.multiply(0.5 * h, k2, out=v_stage)
+        v_stage += half
+        gen.fill(stage)
+        gen.apply(mid, stage_reads, k3)
+        # E (E rho + h k3)
+        np.multiply(h, k3, out=v_stage)
+        v_stage += half
+        v_stage *= turn
+        gen.fill(stage)
+        gen.apply(nxt, stage_reads, k4)
+        k2 += k3
+        # the end E (E (rho + h/6 k1) + h/3 (k2 + k3)) + h/6 k4 into rho, after the
+        # midpoint E rho + h (5/24 E k1 + 1/6 (k2 + k3) - 1/24 E^-1 k4) into ``half``
+        if end == i + 2:
+            np.multiply(turn, k1, out=scaled)
+            scaled *= 5.0 * h / 24.0
+            half += scaled
+            half += np.multiply(h / 6.0, k2, out=scaled)
+            np.multiply(back, k4, out=scaled)
+            scaled *= h / 24.0
+            half -= scaled
+            read(i + 1, half, h)
+        v += np.multiply(h / 6.0, k1, out=scaled)
+        v *= turn
+        v += np.multiply(h / 3.0, k2, out=scaled)
+        v *= turn
+        v += np.multiply(h / 6.0, k4, out=scaled)
+        gen.fill(state)
+        read(end, v, h)
+        node, nxt = nxt, node
 
     rho = gen.matrix(state)
     # the leakage guard reads only the top populations, which an unstable
     # step need not move: at alpha = 0 nothing couples the growing
     # off-diagonal entries to them
-    largest = float(np.abs(rho).max())
+    largest, largest_step = float(np.abs(rho).max()), max(phases, default=0.0)
     if not largest <= _DENSITY_ENTRY_BOUND:  # NaN trips it too
         raise StabilityError(
             f"oracle mode {mode!r}: |rho_mn| reached {largest!r} > 1 by t={t[-1]:g}, "
-            f"so rho is no longer a density matrix; {_remedy(d, np.diff(t).max(), mode, rows)}"
+            f"so rho is no longer a density matrix; {_remedy(d, largest_step, mode, rows)}"
         )
     # moment_map's columns: X, P, X^2, P^2, XP+PX (the fields' order), trace, leakage
     *moments, trace, leakage = readout.T
@@ -451,30 +516,22 @@ def integrate(
 
 def _remedy(d: int, h: float, mode: str, rows=None) -> str:
     """What an abort of ``mode`` at step h and dimension d asks for; ``rows`` marks a blow-up."""
-    if (d - 1) * h > _RK4_IMAGINARY_REACH:
-        # the rotation -i[h0, .] has eigenvalues +-i(m - n) up to +-i(d - 1)
-        limit = _RK4_IMAGINARY_REACH / (d - 1)
-        return (
-            f"the RK4 step h={h:.3g} is past its stability limit "
-            f"2*sqrt(2)/(d-1)={limit:.3g} at d={d}, so lower grid.dt below "
-            f"{limit:.3g} before you increase oracle.dimension beyond {d}"
-        )
     if rows is None:
         return f"increase oracle.dimension beyond {d}"
-    coefficient = np.abs(rows[:, 1:]).max()  # within the step limit no larger d mends a blow-up
-    # the dissipators' rates grow about as coefficient * (d - 1): far
-    # inside RK4's reach on both, the step cannot have done this
+    coefficient = np.abs(rows[:, 1:]).max()  # no larger d mends a blow-up
+    # the rotation is exact, and the dissipators' rates grow about as
+    # coefficient * (d - 1): far inside RK4's reach on them, the step
+    # cannot have done this
     if coefficient * (d - 1) * h <= 1.0:
         return (
-            f"the step h={h:.3g} lies inside RK4's limits at d={d} and coefficients up to "
+            f"the step h={h:.3g} lies inside RK4's limit at d={d} and coefficients up to "
             f"{coefficient:.3g}, so the {mode} equation itself lost positivity; "
             "reservoir.alpha, reservoir.wc, reservoir.temperature and grid.t_max move "
             f"that, or leave {mode} out of run.modes"
         )
     return (
-        f"rho blew up within RK4's step limit: the coefficients reach "
-        f"{coefficient:.3g}, too large for h={h:.3g}; lower grid.dt, "
-        "or the reservoir.alpha or reservoir.temperature that sets them"
+        f"rho blew up: the coefficients reach {coefficient:.3g}, too large for the step "
+        f"h={h:.3g}; lower grid.dt, or the reservoir.alpha or reservoir.temperature that sets them"
     )
 
 
@@ -510,7 +567,7 @@ def to_density_matrix(state, d: int) -> np.ndarray:
         # S|0> = V e^{-i lambda} V^dag |0> from H = V diag(lambda) V^dag;
         # the rotation exp(-i phi n) is diagonal
         a = fock_operators(d).a
-        a2 = a @ a
+        a2 = _product(a, a)
         lam, v = np.linalg.eigh(0.5j * state.r_sq * (a2 - a2.conj().T))
         squeezed = v @ (np.exp(-1j * lam) * v[0].conj())
         # S(r) is quadratic in a and a^dag, so the odd levels are exactly zero

@@ -345,7 +345,7 @@ class ObservableSeries:
             i, j = divmod(int(np.argmin(finite)), len(OBSERVABLES))  # the first t, then column
             raise NumericalError(
                 f"moment column {OBSERVABLES[j]} is not finite at t={self.grid[i]:g}: the "
-                "moments overflow double precision"
+                "moments overflow double precision; state.x0, state.p0 and grid.t_max move that"
             )
         below = np.stack([self.xx < self.mean_x**2 - 1e-10, self.pp < self.mean_p**2 - 1e-10], axis=1)
         if below.any():

@@ -148,44 +148,52 @@ def test_criterion_4_algebra(pipeline):
 
 @criterion(5, "first moments follow the homogeneous evolution matrix")
 def test_criterion_5_rotation_law(pipeline):
-    # both routes step the same linear system u' = B(t) u by RK4 and read
-    # the table between nodes at CoefficientTable.half_steps(), so they
-    # agree to rounding on the run grid
+    # both routes take the same Lawson step of the linear system u' = B(t) u
+    # on the table's nodes, so they agree to rounding on the run grid
     dt = 0.01
     grid = dt * np.arange(int(round(30.0 / dt)) + 1)
     coeffs = compute_coefficients(tabulate_kernels(pipeline.spec(0.0), grid))
-    rot = solve_fundamental(coeffs)
+    assert first_moment_gap(coeffs)[0] < 1e-12
+
+
+def first_moment_gap(coeffs):
+    """max |oracle - R(t) u0| of the unitary oracle's first moments from (1, 0.5), and the R(t) u0."""
     means0 = np.array([1.0, 0.5])
     rho0 = oracle.to_density_matrix(qcf.CoherentState(x0=1.0, p0=0.5), 30)
     traj = oracle.integrate(rho0, coeffs, "unitary")
-    predicted = np.einsum("nij,j->ni", rot, means0)
-    dev = max(
-        np.max(np.abs(traj.mean_x - predicted[:, 0])),
-        np.max(np.abs(traj.mean_p - predicted[:, 1])),
-    )
-    assert dev < 1e-12, dev
+    predicted = np.einsum("nij,j->ni", solve_fundamental(coeffs), means0)
+    gap = np.max(np.abs(np.stack([traj.mean_x, traj.mean_p], axis=1) - predicted))
+    return gap, predicted
 
 
 def test_both_rk4_loops_read_the_half_steps_of_the_table(pipeline):
-    # a table whose half-step rows are shifted off the nodes' average moves
-    # both routes alike: neither averages the nodes itself
+    # both loops read one table alike: shifting the rows of the nodes, or the
+    # half-step row that the last step of an odd interval count reads, moves
+    # both routes together, and neither interpolates the nodes itself
     class Shifted(CoefficientTable):
         def half_steps(self):
             half = super().half_steps()
             return dataclasses.replace(half, r=half.r + 1e-3, gamma=half.gamma + 1e-3)
 
-    grid = 0.01 * np.arange(501)
+    for nodes in (501, 502):  # 500 and 501 intervals
+        grid = 0.01 * np.arange(nodes)
+        coeffs = compute_coefficients(tabulate_kernels(pipeline.spec(0.0), grid))
+        odd_nodes = dataclasses.replace(coeffs, r=coeffs.r + 1e-3 * (np.arange(nodes) % 2))
+        moved = [odd_nodes] + ([Shifted(**vars(coeffs))] if nodes % 2 == 0 else [])
+        gap, plain = first_moment_gap(coeffs)
+        assert gap < 1e-12
+        for table in moved:
+            gap, shifted = first_moment_gap(table)
+            assert gap < 1e-12, nodes
+            assert np.max(np.abs(shifted - plain)) > 1e-8, nodes
+
+
+def test_odd_interval_count_ends_with_one_step_of_dt(pipeline):
+    # t_max = 0.05 at dt = 0.01: two steps of 2 dt, then one of dt over the
+    # last half-step row; oracle and R(t) agree at every node
+    grid = 0.01 * np.arange(6)
     coeffs = compute_coefficients(tabulate_kernels(pipeline.spec(0.0), grid))
-    shifted = Shifted(**vars(coeffs))
-    rho0 = oracle.to_density_matrix(qcf.CoherentState(x0=1.0, p0=0.5), 30)
-    runs = []
-    for table in (coeffs, shifted):
-        analytic = np.einsum("nij,j->ni", solve_fundamental(table), [1.0, 0.5])
-        traj = oracle.integrate(rho0, table, "unitary")
-        runs.append((analytic, np.stack([traj.mean_x, traj.mean_p], axis=1)))
-        assert np.max(np.abs(analytic - runs[-1][1])) < 1e-12
-    for plain, moved in zip(*runs):
-        assert np.max(np.abs(moved - plain)) > 1e-8
+    assert first_moment_gap(coeffs)[0] < 1e-12
 
 
 @criterion(6, "structural invariants of every representation")

@@ -244,6 +244,8 @@ LINE_ERRORS = {
         "state.x0 does not apply to state.kind = fock",
     ),
     "state.kind": (None, ["state.kind = cat"], 7, "state.kind must be one of "),
+    # an empty directory name ran the whole pipeline and then failed to make ''
+    "run.output_dir": (None, ["run.output_dir ="], 7, "run.output_dir must be a directory name, not empty"),
     "reservoir.wc": (None, ["reservoir.wc = 0"], 7, "reservoir.wc: cutoff wc must be > 0"),
     "oscillator.omega0": (
         None, ["oscillator.omega0 = 2.0"], 7, "oscillator.omega0 is documentation metadata"
@@ -954,28 +956,61 @@ def test_non_finite_analytic_moments_exit_with_numerical_code(tmp_path, capsys):
     assert main(["run", str(conf)]) == 2
     assert capsys.readouterr().err == (
         "qbm: error: analytic mode 'full': moment column energy is not finite at t=0.64: "
-        "the moments overflow double precision\n"
+        "the moments overflow double precision; state.x0, state.p0 and grid.t_max move that\n"
     )
     assert not out.exists()
 
 
-@pytest.mark.parametrize("alpha", ["0.1", "0.0"])
-def test_unstable_oracle_step_names_the_step_not_the_dimension(tmp_path, capsys, alpha):
-    # at d = 30, (d - 1) dt = 4.35 is past RK4's reach 2 sqrt 2 on the
-    # rotation eigenvalues +-i(m - n): raising d alone would only make it
-    # worse.  With coupling the growing off-diagonal entries reach the top
-    # populations and trip the leakage guard; without it they grow unseen
-    # by that guard until |rho_mn| <= 1 fails at the end of the run
-    text = (
-        MINIMAL.replace("run.modes = full", "run.modes = oracle")
-        .replace("reservoir.alpha = 0.0", f"reservoir.alpha = {alpha}")
-        .replace("grid.dt = 0.01\ngrid.t_max = 1.0", "grid.dt = 0.15\ngrid.t_max = 6.0")
-    )
-    conf = write_conf(tmp_path, text + f"state.x0 = 2.0\nrun.output_dir = {tmp_path / 'o'}\n")
-    assert main(["run", str(conf)]) == 2
-    err = capsys.readouterr().err
-    assert "h=0.15" in err and "2*sqrt(2)/(d-1)=0.0975" in err
-    assert "lower grid.dt below 0.0975 before" in err
+# d = 30 and dt = 0.15: (d - 1) dt = 4.35 is past classical RK4's reach 2 sqrt 2
+# on the rotation eigenvalues +-i(m - n); the Lawson step applies the rotation
+# exactly, so the config runs
+COARSE_STEP = (
+    MINIMAL.replace("run.modes = full", "run.modes = full,oracle")
+    .replace("grid.dt = 0.01\ngrid.t_max = 1.0", "grid.dt = 0.15\ngrid.t_max = 6.0")
+    + "state.x0 = 2.0\n"
+)
+
+
+def oracle_and_analytic_full(tmp_path, text) -> list:
+    """Exit 0 from ``qbm run`` of ``text``, and its oracle and analytic full-mode columns by name."""
+    out = tmp_path / "o"
+    assert main(["run", str(write_conf(tmp_path, text + f"run.output_dir = {out}\n"))]) == 0
+    tables = []
+    for stem in ("oracle_observables_full", "observables_full"):
+        header, data = read_csv(out / f"{stem}.csv")
+        tables.append(dict(zip(header, data.T)))
+    return tables
+
+
+def test_a_step_past_classical_rk4s_reach_runs_and_matches_the_analytic_side(tmp_path):
+    # with coupling the two sides differ by the analytic side's own O(dt^2)
+    # error, from the trapezoid rule of Gamma and W at dt = 0.15: 7.5e-5 in
+    # the first moments and 1.05e-3 in the second
+    text = COARSE_STEP.replace("reservoir.alpha = 0.0", "reservoir.alpha = 0.1")
+    oracle_side, analytic = oracle_and_analytic_full(tmp_path, text)
+    for name, bound in (("mean_x", 2e-4), ("mean_p", 2e-4), ("xx", 3e-3), ("pp", 3e-3), ("xp_sym", 3e-3)):
+        assert np.max(np.abs(oracle_side[name] - analytic[name])) <= bound, name
+
+
+def test_free_oracle_is_the_exact_rotation_at_odd_and_even_nodes(tmp_path):
+    # without coupling the Lawson step of 2 dt = 0.3 is exact: the even nodes
+    # it ends on and the odd ones its continuous extension gives match the
+    # rotated coherent state, on both routes
+    tables = oracle_and_analytic_full(tmp_path, COARSE_STEP)
+    t = tables[0]["t"]
+    c, s = np.cos(t), np.sin(t)
+    exact = {
+        "mean_x": 2.0 * c,
+        "mean_p": -2.0 * s,
+        "xx": 0.5 + 4.0 * c**2,
+        "pp": 0.5 + 4.0 * s**2,
+        "xp_sym": -4.0 * np.sin(2.0 * t),
+    }
+    for route, columns in zip(("oracle", "analytic"), tables):
+        for name, ref in exact.items():
+            for parity in (0, 1):
+                gap = np.max(np.abs(columns[name] - ref)[parity::2])
+                assert gap <= 1e-12, (route, name, parity)
 
 
 def test_step_abort_prints_the_frequency_and_the_limit_in_full(tmp_path, capsys):
@@ -1005,10 +1040,10 @@ def test_step_abort_prints_the_frequency_and_the_limit_in_full(tmp_path, capsys)
 
 @pytest.mark.parametrize("temperature", ["1e20", "1e4"])
 def test_oracle_abort_tells_a_blow_up_from_truncation(tmp_path, capsys, temperature):
-    # h = 0.01 is inside RK4's limit on the rotation at d = 30.  At T = 1e20
-    # the coefficients reach 2.6e18 and the first step puts 1.7e13, more
-    # than the whole trace, into the top levels: no d mends that.  At
-    # T = 1e4 the top levels hold 1.1e-5 by t = 0.05, which is truncation
+    # the rotation is exact at any step.  At T = 1e20 the coefficients reach
+    # 2.6e18 and the first step puts more than the whole trace into the top
+    # levels: no d mends that.  At T = 1e4 the top levels read -1.1e-5 at
+    # t = 0.07, within the whole trace, and the guard takes it for truncation
     text = MINIMAL.replace("run.modes = full", "run.modes = oracle")
     text = text.replace("reservoir.alpha = 0.0", "reservoir.alpha = 0.1")
     text += f"reservoir.temperature = {temperature}\nstate.x0 = 1.0\n"
@@ -1019,7 +1054,8 @@ def test_oracle_abort_tells_a_blow_up_from_truncation(tmp_path, capsys, temperat
         assert "coefficients reach 2.61e+18" in err and "lower grid.dt" in err
         assert "oracle.dimension" not in err
     else:
-        assert "leakage 1.09e-05" in err and err.endswith("increase oracle.dimension beyond 30\n")
+        assert "leakage -1.10e-05" in err and "t=0.07;" in err
+        assert err.endswith("increase oracle.dimension beyond 30\n")
 
 
 # the norenorm equation at T = 0 loses positivity: at alpha = 0.3 and d = 10 the
@@ -1056,7 +1092,7 @@ def test_a_failed_run_leaves_no_directory(tmp_path, capsys, text, message):
 
 
 def test_stability_abort_shows_its_excess_and_blames_the_equation(tmp_path, capsys):
-    # the step is far inside RK4's limits, so the message names the keys
+    # the step is far inside RK4's limit, so the message names the keys
     # that move the equation, not grid.dt, and prints |rho_mn| in full
     conf = write_conf(tmp_path, NORENORM_NOT_POSITIVE + f"run.output_dir = {tmp_path / 'o'}\n")
     assert main(["run", str(conf)]) == 2

@@ -52,21 +52,34 @@ def test_wronskian_pinned_at_omega0():
     assert np.max(np.abs(c * s_dot - s * c_dot - 1.0)) < 1e-8
 
 
-def test_step_halving_shows_fourth_order_convergence_free_case():
-    # constant effective frequency: the rows of CoefficientTable.half_steps()
-    # are exact, so the ratio isolates the integrator's own order
-    errs = {}
+def test_free_rotation_is_exact_at_any_step():
+    # the Lawson step applies the free rotation exactly: without coupling R
+    # is the rotation by t to rounding, on even and odd interval counts alike
     for dt in (0.08, 0.04, 0.02):
         coeffs = make_coeffs(0.0, dt=dt, t_max=10.0)
-        rot = solve_fundamental(coeffs)
-        errs[dt] = np.max(np.abs(rot[:, 0, 0] - np.cos(coeffs.grid)))
+        assert np.max(np.abs(solve_fundamental(coeffs) - approx_rotation(coeffs.grid))) <= 1e-13, dt
+
+
+def test_step_halving_shows_fourth_order_convergence():
+    # constant r and gamma: the rows the steps read are exact, so the ratio
+    # isolates the integrator's own order, at the even nodes and at the odd
+    # ones from the continuous extension.  R = cos(wt) I + sin(wt)/w B, with
+    # B^2 = -w^2 I
+    r, gamma = 0.3, 0.2
+    w = np.sqrt(1.0 - r - gamma**2)
+    b = np.array([[gamma, 1.0], [r - 1.0, -gamma]])
+    errs = {}
+    for dt in (0.08, 0.04, 0.02):
+        coeffs = constant_table(dt, 10.0, r=r, gamma=gamma)
+        t = coeffs.grid[:, None, None]
+        exact = np.cos(w * t) * np.eye(2) + np.sin(w * t) / w * b
+        errs[dt] = np.max(np.abs(solve_fundamental(coeffs) - exact))
     assert errs[0.08] / errs[0.04] == pytest.approx(16.0, rel=0.2)
     assert errs[0.04] / errs[0.02] == pytest.approx(16.0, rel=0.2)
 
 
 def test_step_halving_converges_on_coupled_run():
-    # with trapezoid-built tables the linear half-step rows of
-    # CoefficientTable.half_steps() limit consistency to second order;
+    # trapezoid-built tables limit consistency to second order;
     # refinement must still contract at least that fast
     sols = {}
     for dt in (0.04, 0.02, 0.01):

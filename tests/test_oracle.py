@@ -135,21 +135,38 @@ def test_generator_matches_matrix_free_rhs():
 
 
 def test_integration_steps_on_the_generator():
-    # one RK4 step of the loop is the same arithmetic on the same matrices as
-    # a step built here from ``generator``, bit for bit, for every mode.  The
-    # loop steps one half of rho: each stage reads the other half as the
-    # conjugate of the stepped one, and so does each stage here
-    grid = np.array([0.0, 0.01])
-    rows = {"delta_bar": (0.3, 0.31), "pi": (0.1, 0.12), "r": (0.2, 0.19), "gamma": (0.05, 0.06)}
+    # one Lawson step of the loop is the same arithmetic on the same matrices
+    # as a step built here from ``generator`` without the rotation, bit for
+    # bit, for every mode: of dt over the half-step row on two nodes, of 2 dt
+    # over node 1 on three.  The loop steps one half of rho: each stage reads
+    # the other half as the conjugate of the stepped one, and so does each
+    # stage here.  Each product keeps the loop's order of factors: with fused
+    # multiply-adds, a complex product may round differently when they swap
+    for nodes in (2, 3):
+        check_lawson_step_on_the_generator(nodes)
+
+
+def check_lawson_step_on_the_generator(nodes):
+    """The loop's one step on ``nodes`` grid nodes against the step built from ``generator``."""
+    grid = 0.01 * np.arange(nodes)
+    rows = {
+        "delta_bar": (0.3, 0.31, 0.33),
+        "pi": (0.1, 0.12, 0.11),
+        "r": (0.2, 0.19, 0.22),
+        "gamma": (0.05, 0.06, 0.04),
+    }
     coeffs = CoefficientTable(
-        grid=grid, big_gamma=np.zeros(2), **{k: np.array(v) for k, v in rows.items()}
+        grid=grid, big_gamma=np.zeros(nodes), **{k: np.array(v[:nodes]) for k, v in rows.items()}
     )
     rho0 = oracle.to_density_matrix(qcf.CoherentState(1.0, 0.5), 12)
     batch = {mode: oracle.integrate(rho0, coeffs, mode) for mode in oracle.MODES}
-    node, nxt = ({k: v[i] for k, v in rows.items()} for i in (0, 1))
-    mid = {k: 0.5 * (node[k] + nxt[k]) for k in rows}
-    h = grid[1] - grid[0]
+    node, nxt = ({k: v[i] for k, v in rows.items()} for i in (0, nodes - 1))
+    mid = {k: 0.5 * (node[k] + nxt[k]) for k in rows} if nodes == 2 else {k: v[1] for k, v in rows.items()}
+    h = grid[-1] - grid[0]
     _, m, n = oracle._Stencil(oracle.fock_operators(12), "full", range(12)).once
+    turns = np.subtract.outer(np.arange(12.0), np.arange(12.0))  # m - n
+    turn = np.exp(turns * (-0.5j * h))
+    back = turn.conj()
 
     def stepped_half(mat):
         out = np.zeros_like(mat)
@@ -158,13 +175,20 @@ def test_integration_steps_on_the_generator():
         return out
 
     for mode in oracle.MODES:
-        g_node, g_mid, g_nxt = (oracle.generator(row, 12, mode) for row in (node, mid, nxt))
-        k = acc = g_node(rho0)
-        for weight, step, gen in ((2.0, 0.5 * h, g_mid), (2.0, 0.5 * h, g_mid), (1.0, h, g_nxt)):
-            k = gen(stepped_half(rho0 + step * k))
-            acc += weight * k
-        rho = stepped_half(rho0 + (h / 6.0) * acc)
-        assert np.array_equal(batch[mode].rho_final, rho), mode
+        g_node, g_mid, g_nxt = (oracle.generator(row, 12, mode, rotation=False) for row in (node, mid, nxt))
+        k1 = g_node(rho0)
+        k2 = g_mid(stepped_half((0.5 * h * k1 + rho0) * turn))
+        rotated = turn * rho0
+        k3 = g_mid(stepped_half(0.5 * h * k2 + rotated))
+        k4 = g_nxt(stepped_half((h * k3 + rotated) * turn))
+        inner = k2 + k3
+        rho = ((rho0 + h / 6.0 * k1) * turn + h / 3.0 * inner) * turn + h / 6.0 * k4
+        assert np.array_equal(batch[mode].rho_final, stepped_half(rho)), mode
+        if nodes == 3:
+            middle = rotated + turn * k1 * (5.0 * h / 24.0) + h / 6.0 * inner - back * k4 * (h / 24.0)
+            moments = oracle.integrate(stepped_half(middle), head(coeffs, 1), mode)
+            for name in MOMENT_NAMES:
+                assert getattr(batch[mode], name)[1] == getattr(moments, name)[0], (mode, name)
 
 
 def test_generator_commutes_with_the_adjoint():
@@ -339,7 +363,7 @@ def test_modes_differ_under_coupling(pipeline):
 
 def test_vacuum_stays_in_a_small_basis_over_a_long_run():
     # the growing top-level mode of truncated products stopped this run on the
-    # leakage guard at t = 1480.1; dt = 0.1 is inside RK4's limit 0.149 at d = 20
+    # leakage guard at t = 1480.1; the loop steps 2 dt = 0.2 with the rotation exact
     rho0 = oracle.to_density_matrix(qcf.CoherentState(), 20)
     traj = oracle.integrate(rho0, benchmark_coeffs(0.1, 1500.0), "full")
     assert traj.grid[-1] == 1500.0
@@ -390,13 +414,14 @@ def test_initial_leakage_check_names_the_dimension():
 
 
 def test_blow_up_within_the_step_limit_asks_for_a_smaller_step():
-    # h = 0.01 is well inside RK4's limit on the rotation at d = 12, but
-    # delta_bar = 1e3 makes rho grow without bound.  From x0 = 1 the top
-    # levels hold 5.4 after one step, more than the whole trace; from the
-    # vacuum they go negative, to -3.7e21 by t = 0.03, and the guard reads
-    # the magnitude.  Neither is truncation, so a larger d is no remedy
+    # the rotation is exact at any step, but delta_bar = 1e3 makes rho grow
+    # without bound at h = 0.02 and d = 12.  From x0 = 1 the top levels
+    # read -22.5 at the first node, t = 0.01, the midpoint of the first
+    # step: more than the whole trace.  From the vacuum they read 3.8e24 by
+    # t = 0.05, and the guard reads the magnitude.  Neither is truncation,
+    # so a larger d is no remedy
     blown = heated_coeffs(delta_bar=1e3)
-    for x0, when in ((1.0, "t=0.01;"), (0.0, "t=0.03;")):
+    for x0, when in ((1.0, "t=0.01;"), (0.0, "t=0.05;")):
         rho0 = oracle.to_density_matrix(qcf.CoherentState(x0), 12)
         message = str(leakage_error(rho0, blown, ["full"]))
         assert when in message, message
@@ -404,20 +429,20 @@ def test_blow_up_within_the_step_limit_asks_for_a_smaller_step():
         assert "oracle.dimension" not in message
 
 
-def test_remedy_tells_the_four_causes_of_an_abort():
-    # d = 12: RK4's reach on the rotation ends at h = 2 sqrt(2) / 11 = 0.257
+def test_remedy_tells_the_three_causes_of_an_abort():
+    # the rotation is exact, so no step is past a limit on it: truncation,
+    # an equation that lost positivity, or coefficients too large for the step
     rows = lambda coefficient: np.array([[1.0, coefficient, 0.0, 0.0, 0.0]])
-    assert "lower grid.dt below 0.257 before" in oracle._remedy(12, 0.3, "rwa", rows(0.1))
     assert oracle._remedy(12, 0.01, "rwa") == "increase oracle.dimension beyond 12"
     # a blow-up at coefficient * (d - 1) * h = 0.55: the step cannot have done it
     assert oracle._remedy(12, 0.01, "rwa", rows(5.0)) == (
-        "the step h=0.01 lies inside RK4's limits at d=12 and coefficients up to 5, "
+        "the step h=0.01 lies inside RK4's limit at d=12 and coefficients up to 5, "
         "so the rwa equation itself lost positivity; reservoir.alpha, reservoir.wc, "
         "reservoir.temperature and grid.t_max move that, or leave rwa out of run.modes"
     )
     # at 1.1 it can
     blown = oracle._remedy(12, 0.01, "rwa", rows(10.0))
-    assert "coefficients reach 10, too large for h=0.01; lower grid.dt" in blown
+    assert "coefficients reach 10, too large for the step h=0.01; lower grid.dt" in blown
 
 
 def leakage_error(rho0, coeffs, modes) -> LeakageError:
@@ -428,13 +453,13 @@ def leakage_error(rho0, coeffs, modes) -> LeakageError:
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_batch_raises_the_first_listed_failure(monkeypatch, cpus):
-    # full leaks at t = 0.04 and rwa at t = 0.06; whichever is listed first
+    # full leaks at t = 0.05 and rwa at t = 0.06; whichever is listed first
     # is raised, stepped in this process or not, however early the other leaks
     monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
     heated = heated_coeffs()
     vacuum = oracle.to_density_matrix(qcf.CoherentState(), 12)
     full, rwa = (leakage_error(vacuum, heated, [mode]) for mode in ("full", "rwa"))
-    assert "t=0.04" in str(full) and "t=0.06" in str(rwa)
+    assert "t=0.05" in str(full) and "t=0.06" in str(rwa)
     for modes, first in ((("rwa", "full"), rwa), (("full", "rwa"), full)):
         batch = leakage_error(vacuum, heated, modes)
         assert type(batch) is LeakageError and str(batch) == str(first), modes
@@ -495,15 +520,17 @@ def padded(rho):
     return np.pad(rho, ((0, PAD), (0, PAD)))
 
 
-def reference_rhs(rho, dbar, piv, r, gam, mode):
-    """The master equation in commutator form, each superoperator spelled out, projected."""
+def reference_rhs(rho, dbar, piv, r, gam, mode, rotation=True):
+    """The master equation in commutator form, each superoperator spelled out, projected.
+
+    Without ``rotation`` the free term -i[(X^2 + P^2)/2, rho] is left out.
+    """
     d = len(rho)
     ops = padded_operators(d)
     rho = padded(rho)
+    h = ops.h0 if rotation else np.zeros_like(ops.h0)
     if mode in ("full", "unitary"):
-        h = ops.h0 - 0.5 * r * ops.x2 + 0.5 * gam * ops.xppx
-    else:
-        h = ops.h0
+        h = h - 0.5 * r * ops.x2 + 0.5 * gam * ops.xppx
     out = -1j * (h @ rho - rho @ h)
     if mode == "unitary":
         return out[:d, :d]
@@ -520,23 +547,34 @@ def reference_rhs(rho, dbar, piv, r, gam, mode):
 
 
 def reference_integrate(rho, coeffs, mode, n):
-    """One mode, one matrix at a time: RK4 with linearly interpolated half-steps."""
+    """One mode, one matrix at a time: Lawson's RK4 of 2 dt on the table's nodes, n - 1 even.
+
+    The free rotation is the elementwise phase exp(-i(m - n) h/2); RK4's
+    continuous extension gives rho at each step's midpoint node.
+    """
     t = coeffs.grid
     node = np.array([getattr(coeffs, k)[:n] for k in COEFFS])
-    mid = 0.5 * (node[:, :-1] + node[:, 1:])
     d, ops = len(rho), padded_operators(len(rho))
+    turns = np.subtract.outer(np.arange(d), np.arange(d))  # m - n
+
+    def rest(rho, i):
+        return reference_rhs(rho, *node[:, i], mode, rotation=False)
+
     # the moments of the padded rho: each operator formed on d + PAD levels, cropped
     traced = [op[:d, :d] for op in (ops.x, ops.p, ops.x2, ops.p2, ops.xppx)]
     moments = np.empty((len(traced), n))
     moments[:, 0] = [np.trace(a @ rho).real for a in traced]
-    for i in range(n - 1):
-        h = t[i + 1] - t[i]
-        k1 = reference_rhs(rho, *node[:, i], mode)
-        k2 = reference_rhs(rho + 0.5 * h * k1, *mid[:, i], mode)
-        k3 = reference_rhs(rho + 0.5 * h * k2, *mid[:, i], mode)
-        k4 = reference_rhs(rho + h * k3, *node[:, i + 1], mode)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        moments[:, i + 1] = [np.trace(a @ rho).real for a in traced]
+    for i in range(0, n - 1, 2):
+        h = t[i + 2] - t[i]
+        e = np.exp(-0.5j * h * turns)
+        k1 = rest(rho, i)
+        k2 = rest(e * (rho + 0.5 * h * k1), i + 1)
+        k3 = rest(e * rho + 0.5 * h * k2, i + 1)
+        k4 = rest(e * (e * rho + h * k3), i + 2)
+        middle = e * rho + h * (5.0 / 24.0 * e * k1 + (k2 + k3) / 6.0 - k4 / (24.0 * e))
+        rho = e * e * rho + (h / 6.0) * (e * e * k1 + 2.0 * e * (k2 + k3) + k4)
+        moments[:, i + 1] = [np.trace(a @ middle).real for a in traced]
+        moments[:, i + 2] = [np.trace(a @ rho).real for a in traced]
     return moments, rho
 
 
